@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from pathlib import Path
 
@@ -40,6 +40,7 @@ _CONFIG_KEYS = {
     "risk_vol_quantile", "lookback_days", "returns_method", "annualization_factor",
     "risk_free_rate", "cardinality_mode", "sampler", "start", "end",
 }
+_SAMPLER_KEYS = {f.name for f in fields(AnnealSchedule)}
 
 
 @dataclass
@@ -69,6 +70,9 @@ class RunConfig:
     end: date | None = None
 
     def pipeline_config(self) -> PipelineConfig:
+        unknown = set(self.sampler) - _SAMPLER_KEYS
+        if unknown:
+            raise InputError(f"unknown sampler keys: {sorted(unknown)}")
         return PipelineConfig(
             budget=self.budget,
             seed=self.seed,
@@ -139,6 +143,12 @@ def _coerce_lambda(value):
         raise InputError(f"lambda must be a number or 'auto', got {value!r}") from None
 
 
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def build_run_config(args: argparse.Namespace, need_seed: bool = True) -> RunConfig:
     cfg = _load_config_file(getattr(args, "config", None))
 
@@ -153,6 +163,10 @@ def build_run_config(args: argparse.Namespace, need_seed: bool = True) -> RunCon
         if need_seed:
             raise InputError("a seed is required (set --seed or the 'seed' config field)")
         seed = 0
+    seed = _check_seed(seed)
+    sampler = cfg.get("sampler", {})
+    if not isinstance(sampler, dict):
+        raise InputError("the 'sampler' config field must be a JSON object")
     out_dir = pick("out_dir", "out_dir") or os.environ.get(OUT_DIR_ENV) or "."
 
     prices = pick("prices", "prices") or bundled_prices_path()
@@ -164,7 +178,7 @@ def build_run_config(args: argparse.Namespace, need_seed: bool = True) -> RunCon
     rc = RunConfig(
         prices=str(prices),
         sectors=str(sectors),
-        seed=int(seed),
+        seed=seed,
         out_dir=str(out_dir),
         budget=float(pick("budget", "budget", 1_000_000.0)),
         strategy=str(pick("strategy", "strategy", "hybrid")),
@@ -180,7 +194,7 @@ def build_run_config(args: argparse.Namespace, need_seed: bool = True) -> RunCon
         annualization_factor=float(cfg.get("annualization_factor", 252.0)),
         risk_free_rate=float(cfg.get("risk_free_rate", 0.0)),
         cardinality_mode=str(cfg.get("cardinality_mode", "support")),
-        sampler=dict(cfg.get("sampler", {})),
+        sampler=dict(sampler),
         start=_parse_date(cfg.get("start")),
         end=_parse_date(cfg.get("end")),
     )
@@ -343,7 +357,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else synthetic.DEFAULT_SEED
+    seed = _check_seed(args.seed) if args.seed is not None else synthetic.DEFAULT_SEED
     days = args.days or synthetic.DEFAULT_DAYS
     start = _parse_date(args.start) or synthetic.DEFAULT_START
     matrix, sectors = synthetic.generate_dataset(seed=seed, n_days=days, start=start)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -34,9 +35,9 @@ class PricePoint:
     close: float
 
     def __post_init__(self):
-        if not self.close > 0:
+        if not (self.close > 0 and math.isfinite(self.close)):
             raise InputError(
-                f"close must be positive, got {self.close} for {self.ticker} on {self.date}"
+                f"close must be positive and finite, got {self.close} for {self.ticker} on {self.date}"
             )
 
 
@@ -64,8 +65,8 @@ class PriceMatrix:
             )
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise InputError("dates must be strictly increasing")
-        if vals.size and not np.all(vals > 0):
-            raise InputError("all prices must be positive")
+        if vals.size and not (np.all(vals > 0) and np.all(np.isfinite(vals))):
+            raise InputError("all prices must be positive and finite")
 
     @property
     def n_assets(self) -> int:
@@ -262,7 +263,8 @@ def load_prices(source) -> PriceMatrix:
     Dates are kept only when every ticker has a close (intersection
     alignment); tickers come out sorted lexicographically and dates
     ascending. Raises :class:`InputError` with the offending line number on
-    malformed rows, non-positive prices, or duplicate (date, ticker) pairs.
+    malformed rows, non-positive or non-finite prices, or duplicate
+    (date, ticker) pairs.
     """
     per_ticker: dict[str, dict[date, float]] = {}
     seen: set[tuple[date, str]] = set()
@@ -275,6 +277,8 @@ def load_prices(source) -> PriceMatrix:
             close = float(close_str)
         except ValueError:
             raise InputError(f"line {lineno}: bad close {close_str!r}") from None
+        if not math.isfinite(close):
+            raise InputError(f"line {lineno}: non-finite close {close_str} for {ticker}")
         if not close > 0:
             raise InputError(f"line {lineno}: non-positive close {close_str} for {ticker}")
         if not ticker:

@@ -8,10 +8,19 @@ Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
 identical no matter how many run in total, and parallel or serial
 execution merges to the same SampleSet.
+
+The annealer streams each restart's Metropolis uniforms in blocks of
+``_SWEEP_BLOCK`` sweeps (chunked draws continue the same PCG64 stream), so
+its memory is O(R * n * block) rather than O(R * n * sweeps). Once sweeps
+turn cold it skips runs of rejected moves, comparing the rest of a sweep at
+once. Neither changes a result: the SampleSet is bit-for-bit the one a
+step-by-step pass over one up-front array of uniforms gives, and the tests
+keep that pass as the reference.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,6 +38,7 @@ from .model import (
 
 EXHAUSTIVE_CAP = 24
 _ENUM_CHUNK = 1 << 18
+_SWEEP_BLOCK = 64  # sweeps of Metropolis uniforms drawn at once
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,14 @@ class AnnealSchedule:
     interpolation: str = "geometric"
 
     def __post_init__(self):
+        kinds = {"t_final": numbers.Real, "sweeps": numbers.Integral, "restarts": numbers.Integral}
+        if self.t_initial is not None:
+            kinds["t_initial"] = numbers.Real
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise InputError(f"{name} must be {noun}, got {value!r}")
         if self.t_initial is not None and not self.t_initial > 0:
             raise InputError(f"t_initial must be positive, got {self.t_initial}")
         if not self.t_final > 0:
@@ -183,48 +201,104 @@ def _restart_bests(
     """Best state per restart, in restart order.
 
     All restarts run in lockstep (vectorized), each on its own PCG64
-    stream; the best-so-far is refreshed at every sweep boundary and
+    stream. The state is restart-minor: the flip direction D = 1 - 2x and
+    the local fields G are (n, R) arrays, so one variable's lanes are
+    contiguous. Metropolis thresholds T * -log(u) are drawn per block of
+    sweeps. The best-so-far is refreshed at every sweep boundary and
     energies are re-evaluated exactly at the end.
+
+    A step only updates G. Flip directions and energies are brought up to
+    date at the sweep boundary: each D entry is read once per sweep, and
+    the accepted deltas are added to E in step order. After a sweep in
+    which at most half the variables flipped in any restart, the next sweep
+    compares all its remaining steps at once and jumps to the next variable
+    some restart accepts: nothing changes in between, so every delta and
+    comparison has the operands a step-by-step pass would use. While the
+    fields stay finite the result is that pass's, bit for bit; only the
+    sign of zeros no comparison reads can differ on the way.
     """
     n, R, S = qm.n, schedule.restarts, schedule.sweeps
     t0 = schedule.resolve_t_initial(qm)
     temps = schedule.temperatures(t0)
     a = qm.linear
     Bsym = quadratic_symmetric(qm)
+    coupling = Bsym[:, :, None]  # coupling[i] is row i of Bsym as an (n, 1) column
 
     X = np.empty((R, n))
-    logu = np.empty((R, S * n))
     base = np.random.PCG64(seed)
-    for r in range(R):
-        gen = np.random.Generator(base.jumped(r))
+    gens = [np.random.Generator(base.jumped(r)) for r in range(R)]
+    for r, gen in enumerate(gens):
         X[r] = (gen.random(n) < 0.5).astype(float)
-        u = gen.random(S * n)
-        with np.errstate(divide="ignore"):
-            logu[r] = -np.log(u)
 
-    G = a + X @ Bsym
-    E = qubo_energies(qm, X)
-    bestX = X.copy()
+    G = np.ascontiguousarray((a + X @ Bsym).T)
+    D = np.ascontiguousarray((1.0 - 2.0 * X).T)
+    # Per sweep: each step's delta and acceptance mask. The energy E heads
+    # a column of every step's accepted delta, summed in step order at the
+    # sweep boundary, as a step-by-step pass would add them.
+    deltas = np.empty((n, R))
+    accepts = np.empty((n, R), dtype=bool)
+    energy_steps = np.empty((n + 1, R))
+    E = energy_steps[0]
+    E[:] = qubo_energies(qm, X)
+    bestD = D.copy()
     bestE = E.copy()
+    sgn = np.empty(R)
+    dG = np.empty((n, R))
 
-    step = 0
-    for s_idx in range(S):
-        T = temps[s_idx]
-        for i in range(n):
-            xi = X[:, i]
-            delta = (1.0 - 2.0 * xi) * G[:, i]
-            accept = delta < T * logu[:, step]
-            step += 1
-            if accept.any():
-                sgn = np.where(accept, 1.0 - 2.0 * xi, 0.0)
-                X[:, i] = xi + sgn
-                E += delta * accept
-                G += sgn[:, None] * Bsym[i]
-        improved = E < bestE
-        if improved.any():
-            bestE[improved] = E[improved]
-            bestX[improved] = X[improved]
+    def flip(i):
+        np.multiply(D[i], accepts[i], out=sgn)
+        np.multiply(coupling[i], sgn, out=dG)
+        np.add(G, dG, out=G)
 
+    block = min(S, _SWEEP_BLOCK)
+    u = np.empty((R, block * n))
+    thresholds = np.empty((block, n, R))
+    hot = True
+    for b0 in range(0, S, block):
+        nb = min(block, S - b0)
+        ub = u[:, : nb * n]
+        for r, gen in enumerate(gens):
+            gen.random(out=ub[r])
+        with np.errstate(divide="ignore"):
+            np.log(ub, out=ub)
+        np.negative(ub, out=ub)
+        np.multiply(
+            temps[b0 : b0 + nb, None, None],
+            ub.reshape(R, nb, n).transpose(1, 2, 0),
+            out=thresholds[:nb],
+        )
+        for th in thresholds[:nb]:
+            flips = 0
+            if hot:
+                for i in range(n):
+                    np.multiply(D[i], G[i], out=deltas[i])
+                    if np.count_nonzero(np.less(deltas[i], th[i], out=accepts[i])):
+                        flip(i)
+                        flips += 1
+            else:
+                i = 0
+                while i < n:
+                    np.multiply(D[i:], G[i:], out=deltas[i:])
+                    rest = np.less(deltas[i:], th[i:], out=accepts[i:]).reshape(-1)
+                    first = int(rest.argmax())
+                    if not rest[first]:
+                        break
+                    i += first // R
+                    flip(i)
+                    flips += 1
+                    i += 1
+            hot = 2 * flips > n
+            if flips:
+                np.multiply(deltas, accepts, out=energy_steps[1:])
+                np.add.accumulate(energy_steps, axis=0, out=energy_steps)
+                E[:] = energy_steps[n]
+                np.negative(D, out=D, where=accepts)
+                improved = E < bestE
+                if improved.any():
+                    np.copyto(bestE, E, where=improved)
+                    np.copyto(bestD, D, where=improved)
+
+    bestX = np.ascontiguousarray((1.0 - bestD.T) / 2.0)
     final_E = qubo_energies(qm, bestX)
     return [_array_to_state(row) for row in bestX], final_E
 

@@ -71,6 +71,43 @@ class TestOptimizeCommand:
         cfg.write_text("{not json")
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
 
+    @pytest.mark.parametrize(
+        "sampler, message",
+        [
+            ({"sweeps": 10.5}, "sweeps must be an integer"),
+            ({"restarts": True}, "restarts must be an integer"),
+            ({"t_final": "cold"}, "t_final must be a number"),
+            ({"sweep": 10}, "unknown sampler keys: ['sweep']"),
+            ([10], "'sampler' config field must be a JSON object"),
+        ],
+    )
+    def test_malformed_sampler_config_exit_2(self, tmp_path, out_dir, capsys, sampler, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "sampler": sampler}))
+        assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize", "backtest", "gen-data"])
+    def test_negative_seed_exit_2(self, out_dir, capsys, command):
+        argv = [command, "--seed", -5, "--out-dir", out_dir]
+        if command == "backtest":
+            argv += ["--benchmark", "TECH1"]
+        assert run(argv) == 2
+        assert "seed must be a non-negative integer, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", 1.9, True])
+    def test_non_integer_config_seed_exit_2(self, tmp_path, out_dir, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_non_finite_close_exit_2(self, tmp_path, out_dir, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,ticker,close\n2023-01-02,A,10\n2023-01-03,A,inf\n")
+        assert run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir]) == 2
+        assert "line 3: non-finite close inf" in capsys.readouterr().err
+
     def test_budget_too_small_exit_1(self, out_dir):
         assert run(["optimize", "--seed", 1, "--budget", 5, "--out-dir", out_dir]) == 1
 

@@ -46,6 +46,12 @@ class TestLoadPrices:
         with pytest.raises(InputError, match="line 3"):
             load_prices(text)
 
+    @pytest.mark.parametrize("close", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_close_names_line(self, close):
+        text = csv_text(["2023-01-02,A,10", "2023-01-02,B,20", f"2023-01-03,A,{close}"])
+        with pytest.raises(InputError, match="line 4: non-finite close"):
+            load_prices(text)
+
     def test_out_of_order_dates_sorted(self):
         text = csv_text(["2023-01-04,A,12", "2023-01-02,A,10", "2023-01-03,A,11"])
         m = load_prices(text)
@@ -94,6 +100,13 @@ class TestPriceTypes:
     def test_price_point_positive(self):
         with pytest.raises(InputError):
             PricePoint(date(2023, 1, 2), "A", 0.0)
+
+    @pytest.mark.parametrize("close", [float("inf"), float("nan")])
+    def test_price_point_and_matrix_finite(self, close):
+        with pytest.raises(InputError, match="finite"):
+            PricePoint(date(2023, 1, 2), "A", close)
+        with pytest.raises(InputError, match="finite"):
+            PriceMatrix((date(2023, 1, 2),), ("A",), np.array([[close]]))
 
     def test_price_matrix_monotone_dates(self):
         with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,13 +10,18 @@ from annealfolio.errors import InputError
 from annealfolio.model import (
     LinearConstraint,
     QuboModel,
+    ising_to_qubo,
+    qubo_energies,
     qubo_energy,
     qubo_to_ising,
+    quadratic_symmetric,
 )
 from annealfolio.sampler import (
     AnnealSchedule,
     SampleRecord,
     SampleSet,
+    _array_to_state,
+    _make_sampleset,
     _restart_bests,
     best_feasible,
     exhaustive_solve,
@@ -154,6 +160,10 @@ class TestSimulatedAnneal:
             AnnealSchedule(sweeps=0)
         with pytest.raises(InputError):
             AnnealSchedule(interpolation="sudden")
+        for bad in ({"sweeps": 10.5}, {"sweeps": True}, {"restarts": 2.0}, {"t_final": None}):
+            with pytest.raises(InputError, match="must be"):
+                AnnealSchedule(**bad)
+        assert AnnealSchedule(sweeps=np.int64(10), restarts=np.int64(2)).sweeps == 10
 
     def test_serialization_layout(self):
         s = simulated_anneal(tied_minima_model(), AnnealSchedule(sweeps=20, restarts=3), seed=2)
@@ -162,6 +172,109 @@ class TestSimulatedAnneal:
         assert [set(rec) for rec in d["samples"]] == [{"state", "energy", "count"}] * len(d["samples"])
         energies = [rec["energy"] for rec in d["samples"]]
         assert energies == sorted(energies)
+
+
+def reference_restart_bests(qm, schedule, seed):
+    """Step-by-step annealer kept as the reference for ``_restart_bests``.
+
+    One numpy step per (sweep, variable) over restart-major arrays, with all
+    R * S * n uniforms drawn up front. The production kernel must return the
+    same states and the same energy bytes.
+    """
+    n, R, S = qm.n, schedule.restarts, schedule.sweeps
+    t0 = schedule.resolve_t_initial(qm)
+    temps = schedule.temperatures(t0)
+    a = qm.linear
+    Bsym = quadratic_symmetric(qm)
+
+    X = np.empty((R, n))
+    logu = np.empty((R, S * n))
+    base = np.random.PCG64(seed)
+    for r in range(R):
+        gen = np.random.Generator(base.jumped(r))
+        X[r] = (gen.random(n) < 0.5).astype(float)
+        u = gen.random(S * n)
+        with np.errstate(divide="ignore"):
+            logu[r] = -np.log(u)
+
+    G = a + X @ Bsym
+    E = qubo_energies(qm, X)
+    bestX = X.copy()
+    bestE = E.copy()
+
+    step = 0
+    for s_idx in range(S):
+        T = temps[s_idx]
+        for i in range(n):
+            xi = X[:, i]
+            delta = (1.0 - 2.0 * xi) * G[:, i]
+            accept = delta < T * logu[:, step]
+            step += 1
+            if accept.any():
+                sgn = np.where(accept, 1.0 - 2.0 * xi, 0.0)
+                X[:, i] = xi + sgn
+                E += delta * accept
+                G += sgn[:, None] * Bsym[i]
+        improved = E < bestE
+        if improved.any():
+            bestE[improved] = E[improved]
+            bestX[improved] = X[improved]
+
+    final_E = qubo_energies(qm, bestX)
+    return [_array_to_state(row) for row in bestX], final_E
+
+
+def assert_same_as_reference(qm, schedule, seed):
+    states, energies = _restart_bests(qm, schedule, seed)
+    ref_states, ref_energies = reference_restart_bests(qm, schedule, seed)
+    assert states == ref_states
+    assert energies.tobytes() == ref_energies.tobytes()
+
+
+class TestKernelMatchesReference:
+    """The block-streamed, run-skipping kernel against the step-by-step loop.
+
+    Sweep counts run below, at, just above and far from a multiple of the
+    uniform block.
+    """
+
+    @pytest.mark.parametrize(
+        "n, restarts, sweeps",
+        list(itertools.product([1, 2, 5, 12, 35], [1, 3, 32, 128], [1, 63, 64, 65, 1000])),
+    )
+    def test_random_models(self, n, restarts, sweeps):
+        rng = np.random.default_rng(1000 * n + restarts + sweeps)
+        m = random_qubo(rng, n)
+        assert_same_as_reference(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=n + sweeps)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            AnnealSchedule(sweeps=300, restarts=16, interpolation="linear"),
+            AnnealSchedule(t_initial=3.0, t_final=0.01, sweeps=129, restarts=8),
+            AnnealSchedule(t_initial=0.5, sweeps=200, restarts=5, interpolation="linear"),
+        ],
+    )
+    def test_schedules(self, schedule):
+        m = random_qubo(np.random.default_rng(11), 9, scale=2.0)
+        assert_same_as_reference(m, schedule, seed=3)
+
+    def test_zero_coupling_model(self):
+        m = QuboModel(6, np.array([1.0, -1.0, 0.0, 2.0, -0.5, 0.0]), {}, 0.25)
+        assert_same_as_reference(m, AnnealSchedule(sweeps=150, restarts=7), seed=4)
+
+    def test_integer_coefficients(self):
+        # exact ties and zero local fields, where only the sign of a zero may differ
+        rng = np.random.default_rng(13)
+        lin = rng.integers(-2, 3, 10).astype(float)
+        quad = {(i, j): float(rng.integers(-2, 3)) for i in range(10) for j in range(i + 1, 10)}
+        assert_same_as_reference(QuboModel(10, lin, quad, 1.0), AnnealSchedule(sweeps=200, restarts=16), seed=5)
+
+    def test_ising_input(self):
+        im = qubo_to_ising(random_qubo(np.random.default_rng(12), 8))
+        schedule = AnnealSchedule(sweeps=130, restarts=6)
+        states, energies = reference_restart_bests(ising_to_qubo(im), schedule, 9)
+        assert simulated_anneal(im, schedule, seed=9) == _make_sampleset(states, energies, 9, 8)
 
 
 class TestBestFeasible:
