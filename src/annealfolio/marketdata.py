@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -83,10 +84,9 @@ class PriceMatrix:
 
     def prices_at(self, d: date) -> dict[str, float]:
         """Closes for every ticker on trading date ``d``."""
-        try:
-            row = self.dates.index(d)
-        except ValueError:
-            raise InputError(f"{d} is not a trading date in this dataset") from None
+        row = bisect_left(self.dates, d)
+        if row == len(self.dates) or self.dates[row] != d:
+            raise InputError(f"{d} is not a trading date in this dataset")
         return {t: float(self.values[row, j]) for j, t in enumerate(self.tickers)}
 
     def restrict(self, tickers: Sequence[str]) -> "PriceMatrix":
@@ -104,10 +104,8 @@ class PriceMatrix:
         return PriceMatrix(tuple(self.dates[i] for i in keep), self.tickers, self.values[keep])
 
     def first_date_on_or_after(self, d: date) -> date | None:
-        for dd in self.dates:
-            if dd >= d:
-                return dd
-        return None
+        row = bisect_left(self.dates, d)
+        return self.dates[row] if row < len(self.dates) else None
 
 
 @dataclass(frozen=True)
@@ -268,11 +266,14 @@ def load_prices(source) -> PriceMatrix:
     """
     per_ticker: dict[str, dict[date, float]] = {}
     seen: set[tuple[date, str]] = set()
+    parsed: dict[str, date] = {}  # every ticker repeats the same date strings
     for lineno, (date_str, ticker, close_str) in _read_csv(source, ("date", "ticker", "close")):
-        try:
-            d = datetime.strptime(date_str, "%Y-%m-%d").date()
-        except ValueError:
-            raise InputError(f"line {lineno}: bad date {date_str!r} (expected YYYY-MM-DD)") from None
+        d = parsed.get(date_str)
+        if d is None:
+            try:
+                d = parsed[date_str] = datetime.strptime(date_str, "%Y-%m-%d").date()
+            except ValueError:
+                raise InputError(f"line {lineno}: bad date {date_str!r} (expected YYYY-MM-DD)") from None
         try:
             close = float(close_str)
         except ValueError:

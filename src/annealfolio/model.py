@@ -31,9 +31,19 @@ def _canonical_quadratic(n: int, quadratic) -> dict[tuple[int, int], float]:
         if not (0 <= i < j < n):
             raise InputError(f"quadratic key ({i}, {j}) must satisfy 0 <= i < j < n={n}")
         v = float(v)
+        if not math.isfinite(v):
+            raise InputError(f"quadratic coefficient ({i}, {j}) must be finite, got {v}")
         if v != 0.0:
             out[(i, j)] = v
     return out
+
+
+def _finite_terms(name: str, values: np.ndarray, offset: float) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
+    if not math.isfinite(offset):
+        raise InputError(f"offset must be finite, got {offset}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,7 @@ class QuboModel:
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", _canonical_quadratic(self.n, self.quadratic))
         object.__setattr__(self, "offset", float(self.offset))
+        _finite_terms("linear", lin, self.offset)
 
     def max_coefficient(self) -> float:
         """Largest coefficient magnitude across linear and quadratic terms."""
@@ -92,6 +103,7 @@ class IsingModel:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", _canonical_quadratic(self.n, self.J))
         object.__setattr__(self, "offset", float(self.offset))
+        _finite_terms("h", h, self.offset)
 
     def max_coefficient(self) -> float:
         m = float(np.max(np.abs(self.h))) if self.n else 0.0

@@ -11,9 +11,13 @@ execution merges to the same SampleSet.
 
 The annealer streams each restart's Metropolis uniforms in blocks of
 ``_SWEEP_BLOCK`` sweeps (chunked draws continue the same PCG64 stream), so
-its memory is O(R * n * block) rather than O(R * n * sweeps). Once sweeps
-turn cold it skips runs of rejected moves, comparing the rest of a sweep at
-once. Neither changes a result: the SampleSet is bit-for-bit the one a
+its memory is O(R * n * block) rather than O(R * n * sweeps). Each accepted
+move updates the local fields with one BLAS rank-1 product, coupling column
+times the restarts' flip signs; the signs are -1, 0 or +1, so the products
+are exact under any BLAS, FMA use or thread count, and hot sweeps apply the
+update at every step without testing for an acceptance. Once sweeps turn
+cold it skips runs of rejected moves, comparing the rest of a sweep at
+once. None of this changes a result: the SampleSet is bit-for-bit the one a
 step-by-step pass over one up-front array of uniforms gives, and the tests
 keep that pass as the reference.
 """
@@ -207,8 +211,13 @@ def _restart_bests(
     sweeps. The best-so-far is refreshed at every sweep boundary and
     energies are re-evaluated exactly at the end.
 
-    A step only updates G. Flip directions and energies are brought up to
-    date at the sweep boundary: each D entry is read once per sweep, and
+    A step only updates G, by the rank-1 product of coupling column i and
+    the step's signs sgn = D[i] * accept (one BLAS call). Each sgn entry is
+    -1, 0 or +1, so every product is exact whatever the BLAS: G gets the
+    same additions, in the same order, as a step-by-step pass. A hot sweep
+    runs every step without a branch, since adding the +-0 of a rejected
+    step leaves G as it was. Flip directions and energies are brought up
+    to date at the sweep boundary: each D entry is read once per sweep, and
     the accepted deltas are added to E in step order. After a sweep in
     which at most half the variables flipped in any restart, the next sweep
     compares all its remaining steps at once and jumps to the next variable
@@ -222,7 +231,6 @@ def _restart_bests(
     temps = schedule.temperatures(t0)
     a = qm.linear
     Bsym = quadratic_symmetric(qm)
-    coupling = Bsym[:, :, None]  # coupling[i] is row i of Bsym as an (n, 1) column
 
     X = np.empty((R, n))
     base = np.random.PCG64(seed)
@@ -243,16 +251,21 @@ def _restart_bests(
     bestD = D.copy()
     bestE = E.copy()
     sgn = np.empty(R)
+    sgn_row = sgn[None, :]
     dG = np.empty((n, R))
+    # Each variable's row views, bound once (the arrays are only written in
+    # place), and its coupling column Bsym[:, i] (= row i) as a contiguous (n, 1).
+    steps = list(zip(D, G, deltas, accepts, Bsym[:, :, None]))
 
-    def flip(i):
-        np.multiply(D[i], accepts[i], out=sgn)
-        np.multiply(coupling[i], sgn, out=dG)
+    def flip(Di, accept, column):
+        np.multiply(Di, accept, out=sgn)
+        np.dot(column, sgn_row, out=dG)
         np.add(G, dG, out=G)
 
     block = min(S, _SWEEP_BLOCK)
     u = np.empty((R, block * n))
     thresholds = np.empty((block, n, R))
+    threshold_rows = [list(th) for th in thresholds]
     hot = True
     for b0 in range(0, S, block):
         nb = min(block, S - b0)
@@ -267,15 +280,15 @@ def _restart_bests(
             ub.reshape(R, nb, n).transpose(1, 2, 0),
             out=thresholds[:nb],
         )
-        for th in thresholds[:nb]:
-            flips = 0
+        for th, th_rows in zip(thresholds[:nb], threshold_rows):
             if hot:
-                for i in range(n):
-                    np.multiply(D[i], G[i], out=deltas[i])
-                    if np.count_nonzero(np.less(deltas[i], th[i], out=accepts[i])):
-                        flip(i)
-                        flips += 1
+                for (Di, Gi, delta, accept, column), th_i in zip(steps, th_rows):
+                    np.multiply(Di, Gi, out=delta)
+                    np.less(delta, th_i, out=accept)
+                    flip(Di, accept, column)
+                flips = np.count_nonzero(accepts.any(axis=1))
             else:
+                flips = 0
                 i = 0
                 while i < n:
                     np.multiply(D[i:], G[i:], out=deltas[i:])
@@ -284,7 +297,8 @@ def _restart_bests(
                     if not rest[first]:
                         break
                     i += first // R
-                    flip(i)
+                    Di, _, _, accept, column = steps[i]
+                    flip(Di, accept, column)
                     flips += 1
                     i += 1
             hot = 2 * flips > n

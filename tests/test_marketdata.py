@@ -78,6 +78,24 @@ class TestLoadPrices:
         with pytest.raises(InputError, match="line 2"):
             load_prices(text)
 
+    def test_repeated_bad_date_names_first_line(self):
+        # parsed dates are memoised per string; a repeated bad one still fails at its first line
+        text = csv_text(["2023-01-02,A,10", "2023-13-02,A,11", "2023-13-02,B,21", "2023-13-02,C,31"])
+        with pytest.raises(InputError, match=r"line 3: bad date '2023-13-02'"):
+            load_prices(text)
+
+    def test_row_order_does_not_matter(self):
+        rows = [
+            f"2023-01-{day:02d},{t},{10 * k + day}"
+            for day in range(2, 9)
+            for k, t in enumerate(["A", "B", "C"], start=1)
+        ]
+        m = load_prices(csv_text(rows))
+        shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        s = load_prices(csv_text(shuffled))
+        assert (s.dates, s.tickers) == (m.dates, m.tickers)
+        assert s.values.tobytes() == m.values.tobytes()
+
     def test_crlf_and_bytes_accepted(self):
         raw = b"date,ticker,close\r\n2023-01-02,A,10\r\n2023-01-03,A,11\r\n"
         m = load_prices(raw)
@@ -113,6 +131,19 @@ class TestPriceTypes:
             PriceMatrix(
                 (date(2023, 1, 3), date(2023, 1, 2)), ("A",), np.array([[1.0], [2.0]])
             )
+
+    def test_prices_at_and_date_lookup(self):
+        days = (date(2023, 1, 2), date(2023, 1, 3), date(2023, 1, 5))
+        m = PriceMatrix(days, ("A", "B"), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert m.prices_at(date(2023, 1, 5)) == {"A": 5.0, "B": 6.0}
+        assert m.prices_at(date(2023, 1, 2)) == {"A": 1.0, "B": 2.0}
+        with pytest.raises(InputError, match="not a trading date"):
+            m.prices_at(date(2023, 1, 4))
+        assert m.first_date_on_or_after(date(2022, 12, 31)) == date(2023, 1, 2)
+        assert m.first_date_on_or_after(date(2023, 1, 3)) == date(2023, 1, 3)
+        assert m.first_date_on_or_after(date(2023, 1, 4)) == date(2023, 1, 5)
+        assert m.first_date_on_or_after(date(2023, 1, 6)) is None
+        assert m.window(start=date(2023, 1, 3)).prices_at(date(2023, 1, 3)) == {"A": 3.0, "B": 4.0}
 
     def test_restrict_and_window(self):
         m = load_prices(

@@ -62,6 +62,21 @@ class TestEnergy:
         with pytest.raises(InputError):
             QuboModel(2, np.zeros(2), {(0, 0): 1.0})
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(InputError, match=r"linear\[1\] must be finite"):
+            QuboModel(3, [1.0, bad, -1.0], {(0, 1): 1.0})
+        with pytest.raises(InputError, match=r"quadratic coefficient \(0, 2\) must be finite"):
+            QuboModel(3, np.zeros(3), {(0, 1): 1.0, (0, 2): bad})
+        with pytest.raises(InputError, match="offset must be finite"):
+            QuboModel(3, np.zeros(3), {}, bad)
+        with pytest.raises(InputError, match=r"h\[0\] must be finite"):
+            IsingModel(2, [bad, 0.0])
+        with pytest.raises(InputError, match=r"quadratic coefficient \(0, 1\) must be finite"):
+            IsingModel(2, np.zeros(2), {(0, 1): bad})
+        with pytest.raises(InputError, match="offset must be finite"):
+            IsingModel(2, np.zeros(2), {}, bad)
+
     def test_ising_energy_rejects_non_spins(self):
         m = IsingModel(2, np.array([1.0, -1.0]), {}, 0.0)
         with pytest.raises(InputError):

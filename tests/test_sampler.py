@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealfolio.errors import InputError
+from annealfolio.marketdata import AssetStats
 from annealfolio.model import (
     LinearConstraint,
     QuboModel,
+    build_mpt_model,
+    build_mvo_qubo,
     ising_to_qubo,
+    penalize_inequality,
     qubo_energies,
     qubo_energy,
     qubo_to_ising,
     quadratic_symmetric,
 )
+from annealfolio.pipeline import SLACK_GRANULARITY, _share_penalty
 from annealfolio.sampler import (
     AnnealSchedule,
     SampleRecord,
@@ -40,6 +45,12 @@ def random_qubo(rng, n, scale=1.0):
         for j in range(i + 1, n)
     }
     return QuboModel(n, lin, quad, 0.0)
+
+
+def random_stats(rng, n):
+    returns = rng.normal(0.0005, 0.01, (60, n))
+    sigma = np.cov(returns, rowvar=False) * 252.0
+    return AssetStats(tuple(f"T{i}" for i in range(n)), returns.mean(axis=0) * 252.0, (sigma + sigma.T) / 2.0)
 
 
 def tied_minima_model():
@@ -275,6 +286,23 @@ class TestKernelMatchesReference:
         schedule = AnnealSchedule(sweeps=130, restarts=6)
         states, energies = reference_restart_bests(ising_to_qubo(im), schedule, 9)
         assert simulated_anneal(im, schedule, seed=9) == _make_sampleset(states, energies, 9, 8)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_selection_models(self, n):
+        stats = random_stats(np.random.default_rng(n), n)
+        m = build_mvo_qubo(stats, q=1.0, B=n // 3)
+        assert_same_as_reference(m, AnnealSchedule(sweeps=130, restarts=32), seed=n)
+
+    def test_integer_share_model(self):
+        rng = np.random.default_rng(21)
+        stats = random_stats(rng, 5)
+        budget = 3000.0
+        cm = build_mpt_model(stats, rng.uniform(40.0, 400.0, 5), budget, 1.0 / budget)
+        budget_con = cm.constraints[0]
+        lam = _share_penalty(cm.objective, budget_con.coeffs)
+        m, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
+        assert m.n == 38
+        assert_same_as_reference(m, AnnealSchedule(sweeps=130, restarts=128), seed=7)
 
 
 class TestBestFeasible:
