@@ -293,7 +293,7 @@ def rebalance_step(
     new_budget = proceeds + holdings.cash
 
     n_replace = len(flagged)
-    remaining_held = tuple(sorted(retained))
+    remaining_held = tuple(t for t in held if t not in sold)
     universe = tuple(sorted(prices_at.keys()))
     candidates, widened = _candidate_universe(
         flagged, remaining_held, universe, sectors, policy.min_candidates_per_sector

@@ -17,9 +17,13 @@ times the restarts' flip signs; the signs are -1, 0 or +1, so the products
 are exact under any BLAS, FMA use or thread count, and hot sweeps apply the
 update at every step without testing for an acceptance. Once sweeps turn
 cold it skips runs of rejected moves, comparing the rest of a sweep at
-once. None of this changes a result: the SampleSet is bit-for-bit the one a
-step-by-step pass over one up-front array of uniforms gives, and the tests
-keep that pass as the reference.
+once, and after a sweep that accepts nothing it compares the same deltas
+with every later sweep of the block and jumps to the first that accepts.
+The once-per-sweep bookkeeping uses only exact operations: flip directions
+change sign by an XOR of the sign bit, and the accepted deltas are summed
+in step order. None of this changes a result: the SampleSet is bit-for-bit
+the one a step-by-step pass over one up-front array of uniforms gives, and
+the tests keep that pass as the reference.
 """
 
 from __future__ import annotations
@@ -207,8 +211,10 @@ def _restart_bests(
     All restarts run in lockstep (vectorized), each on its own PCG64
     stream. The state is restart-minor: the flip direction D = 1 - 2x and
     the local fields G are (n, R) arrays, so one variable's lanes are
-    contiguous. Metropolis thresholds T * -log(u) are drawn per block of
-    sweeps. The best-so-far is refreshed at every sweep boundary and
+    contiguous. Metropolis thresholds are drawn per block of sweeps as
+    (-T) * log(u) in one multiply; negation is exact and rounding to
+    nearest is symmetric in sign, so that is T * -log(u) bit for bit. The
+    best-so-far is refreshed at every sweep boundary and
     energies are re-evaluated exactly at the end.
 
     A step only updates G, by the rank-1 product of coupling column i and
@@ -217,18 +223,26 @@ def _restart_bests(
     same additions, in the same order, as a step-by-step pass. A hot sweep
     runs every step without a branch, since adding the +-0 of a rejected
     step leaves G as it was. Flip directions and energies are brought up
-    to date at the sweep boundary: each D entry is read once per sweep, and
-    the accepted deltas are added to E in step order. After a sweep in
-    which at most half the variables flipped in any restart, the next sweep
-    compares all its remaining steps at once and jumps to the next variable
-    some restart accepts: nothing changes in between, so every delta and
-    comparison has the operands a step-by-step pass would use. While the
-    fields stay finite the result is that pass's, bit for bit; only the
-    sign of zeros no comparison reads can differ on the way.
+    to date at the sweep boundary. Each D entry is +-1, so the accepted
+    ones change sign by an XOR of the sign bit, which is negation exactly.
+    The sweep's accepted deltas sit in the rows under E, and one reduction
+    along that outer axis sums them; numpy adds such a reduction a row at a
+    time, so E gets them in step order, as a step-by-step pass adds them.
+
+    After a sweep in which at most half the variables flipped in any
+    restart, the next sweep compares all its remaining steps at once and
+    jumps to the next variable some restart accepts: nothing changes in
+    between, so every delta and comparison has the operands a step-by-step
+    pass would use. If such a sweep accepts nothing at all, D, G, E and the
+    deltas stay as they are for every later sweep of the block, so one call
+    compares those deltas with all their thresholds and the loop goes on at
+    the first sweep that accepts anything; the sweeps it passes change
+    neither the energies nor the best-so-far. While the fields stay finite
+    the result is the step-by-step pass's, bit for bit; only the sign of
+    zeros no comparison reads can differ on the way.
     """
     n, R, S = qm.n, schedule.restarts, schedule.sweeps
-    t0 = schedule.resolve_t_initial(qm)
-    temps = schedule.temperatures(t0)
+    neg_temps = -schedule.temperatures(schedule.resolve_t_initial(qm))
     a = qm.linear
     Bsym = quadratic_symmetric(qm)
 
@@ -240,13 +254,18 @@ def _restart_bests(
 
     G = np.ascontiguousarray((a + X @ Bsym).T)
     D = np.ascontiguousarray((1.0 - 2.0 * X).T)
-    # Per sweep: each step's delta and acceptance mask. The energy E heads
-    # a column of every step's accepted delta, summed in step order at the
-    # sweep boundary, as a step-by-step pass would add them.
+    D_bits = D.view(np.uint64)
+    flip_bits = np.empty((n, R), dtype=np.uint64)
     deltas = np.empty((n, R))
     accepts = np.empty((n, R), dtype=bool)
-    energy_steps = np.empty((n + 1, R))
-    E = energy_steps[0]
+    # The energy E heads a column of every step's accepted delta, summed
+    # down in step order at the sweep boundary. numpy adds a reduction's
+    # rows one at a time only while each row has two or more lanes (a lone
+    # lane is summed pairwise), hence the spare lane when R = 1.
+    energy_steps = np.zeros((n + 1, max(R, 2)))
+    energy_sum = np.empty(energy_steps.shape[1])
+    E = energy_steps[0, :R]
+    accepted_deltas = energy_steps[1:, :R]
     E[:] = qubo_energies(qm, X)
     bestD = D.copy()
     bestE = E.copy()
@@ -256,16 +275,13 @@ def _restart_bests(
     # Each variable's row views, bound once (the arrays are only written in
     # place), and its coupling column Bsym[:, i] (= row i) as a contiguous (n, 1).
     steps = list(zip(D, G, deltas, accepts, Bsym[:, :, None]))
-
-    def flip(Di, accept, column):
-        np.multiply(Di, accept, out=sgn)
-        np.dot(column, sgn_row, out=dG)
-        np.add(G, dG, out=G)
+    multiply, less, dot, add = np.multiply, np.less, np.dot, np.add
 
     block = min(S, _SWEEP_BLOCK)
     u = np.empty((R, block * n))
     thresholds = np.empty((block, n, R))
     threshold_rows = [list(th) for th in thresholds]
+    frozen = np.empty((block, n, R), dtype=bool)
     hot = True
     for b0 in range(0, S, block):
         nb = min(block, S - b0)
@@ -274,43 +290,57 @@ def _restart_bests(
             gen.random(out=ub[r])
         with np.errstate(divide="ignore"):
             np.log(ub, out=ub)
-        np.negative(ub, out=ub)
-        np.multiply(
-            temps[b0 : b0 + nb, None, None],
+        multiply(
+            neg_temps[b0 : b0 + nb, None, None],
             ub.reshape(R, nb, n).transpose(1, 2, 0),
-            out=thresholds[:nb],
+            thresholds[:nb],
         )
-        for th, th_rows in zip(thresholds[:nb], threshold_rows):
+        k = 0
+        while k < nb:
             if hot:
-                for (Di, Gi, delta, accept, column), th_i in zip(steps, th_rows):
-                    np.multiply(Di, Gi, out=delta)
-                    np.less(delta, th_i, out=accept)
-                    flip(Di, accept, column)
+                for (Di, Gi, delta, accept, column), th_i in zip(steps, threshold_rows[k]):
+                    multiply(Di, Gi, delta)
+                    less(delta, th_i, accept)
+                    multiply(Di, accept, sgn)
+                    dot(column, sgn_row, dG)
+                    add(G, dG, G)
                 flips = np.count_nonzero(accepts.any(axis=1))
             else:
+                th = thresholds[k]
                 flips = 0
                 i = 0
                 while i < n:
-                    np.multiply(D[i:], G[i:], out=deltas[i:])
-                    rest = np.less(deltas[i:], th[i:], out=accepts[i:]).reshape(-1)
+                    multiply(D[i:], G[i:], deltas[i:])
+                    rest = less(deltas[i:], th[i:], accepts[i:]).reshape(-1)
                     first = int(rest.argmax())
                     if not rest[first]:
                         break
                     i += first // R
                     Di, _, _, accept, column = steps[i]
-                    flip(Di, accept, column)
+                    multiply(Di, accept, sgn)
+                    dot(column, sgn_row, dG)
+                    add(G, dG, G)
                     flips += 1
                     i += 1
+                if not flips:
+                    # Frozen: nothing changed, so every later sweep of the
+                    # block compares these same deltas. Go to the first of
+                    # them that accepts anything, or past the block.
+                    later = less(deltas, thresholds[k + 1 : nb], frozen[k + 1 : nb]).reshape(-1)
+                    k = k + 1 + int(later.argmax()) // (n * R) if later.any() else nb
+                    continue
             hot = 2 * flips > n
             if flips:
-                np.multiply(deltas, accepts, out=energy_steps[1:])
-                np.add.accumulate(energy_steps, axis=0, out=energy_steps)
-                E[:] = energy_steps[n]
-                np.negative(D, out=D, where=accepts)
+                multiply(deltas, accepts, accepted_deltas)
+                add.reduce(energy_steps, 0, None, energy_sum)
+                E[:] = energy_sum[:R]
+                np.left_shift(accepts, np.uint64(63), flip_bits, dtype=np.uint64)
+                np.bitwise_xor(D_bits, flip_bits, D_bits)
                 improved = E < bestE
                 if improved.any():
                     np.copyto(bestE, E, where=improved)
                     np.copyto(bestD, D, where=improved)
+            k += 1
 
     bestX = np.ascontiguousarray((1.0 - bestD.T) / 2.0)
     final_E = qubo_energies(qm, bestX)

@@ -433,6 +433,22 @@ class TestRunBacktest:
         with pytest.raises(InputError):
             run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(), "ZZZ")
 
+    def test_fully_quantum_backtest_trades(self, bundled_prices, bundled_sectors):
+        # integer-share repurchases carry a zero count for every candidate they
+        # skip; those names are not held, so they must not shrink the universe
+        cfg = PipelineConfig(budget=100_000.0, seed=42, strategy="fully_quantum")
+        report = run_backtest(
+            bundled_prices, bundled_sectors, 100_000.0, cfg, RebalancePolicy(), "TECH1"
+        )
+        assert any(e.bought for e in report.events)
+        cash = report.initial_holdings["cash"]
+        for e in report.events:
+            proceeds = sum(amount for _, amount in e.sold.values())
+            cost = sum(amount for _, amount in e.bought.values())
+            assert proceeds + cash == pytest.approx(cost + e.cash_after, abs=1e-6)
+            assert e.cash_after >= 0.0
+            cash = e.cash_after
+
 
 class TestPolicyValidation:
     def test_bad_fields(self):

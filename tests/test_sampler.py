@@ -264,6 +264,7 @@ class TestKernelMatchesReference:
             AnnealSchedule(sweeps=300, restarts=16, interpolation="linear"),
             AnnealSchedule(t_initial=3.0, t_final=0.01, sweeps=129, restarts=8),
             AnnealSchedule(t_initial=0.5, sweeps=200, restarts=5, interpolation="linear"),
+            AnnealSchedule(t_initial=0.3, t_final=0.01, sweeps=200, restarts=32),
         ],
     )
     def test_schedules(self, schedule):
@@ -303,6 +304,38 @@ class TestKernelMatchesReference:
         m, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
         assert m.n == 38
         assert_same_as_reference(m, AnnealSchedule(sweeps=130, restarts=128), seed=7)
+
+    @pytest.mark.parametrize("sweeps", [65, 130, 200])
+    def test_low_initial_temperature(self, sweeps):
+        # three double wells x0 + x1 - 3 x0 x1: leaving 00 for the minimum 11
+        # takes one uphill flip, so most sweeps accept nothing; such runs end
+        # inside a block of uniforms or cross into the next, and the rare
+        # escapes decide which restarts reach 11
+        m = QuboModel(6, np.ones(6), {(0, 1): -3.0, (2, 3): -3.0, (4, 5): -3.0})
+        schedule = AnnealSchedule(t_initial=0.3, t_final=0.05, sweeps=sweeps, restarts=4)
+        assert_same_as_reference(m, schedule, seed=sweeps)
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize(
+        "n, c, q, sweeps, seed",
+        [(13, -0.5, 0.1, 209, 0), (12, -0.9, 0.3, 251, 5), (11, -1.0, 0.2, 112, 12)],
+    )
+    def test_permutation_symmetric_model(self, n, c, q, sweeps, seed, restarts):
+        # every state with the same number of ones has the same exact energy,
+        # so which one a restart keeps rests on the last bit of its running
+        # energy, and the accepted deltas must be added in step order
+        m = QuboModel(n, np.full(n, c), {(i, j): q for i in range(n) for j in range(i + 1, n)})
+        assert_same_as_reference(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=seed)
+
+    def test_all_zero_variable(self):
+        # variable 3 has no terms: its delta is exactly +-0 and is accepted at
+        # every step, so no sweep ever accepts nothing
+        rng = np.random.default_rng(17)
+        lin = rng.uniform(-1.0, 1.0, 8)
+        lin[3] = 0.0
+        quad = {(i, j): float(rng.uniform(-1.0, 1.0)) for i in range(8) for j in range(i + 1, 8)}
+        m = QuboModel(8, lin, {ij: v for ij, v in quad.items() if 3 not in ij})
+        assert_same_as_reference(m, AnnealSchedule(sweeps=200, restarts=16), seed=6)
 
 
 class TestBestFeasible:
