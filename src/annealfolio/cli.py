@@ -13,6 +13,7 @@ input/config failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -373,6 +374,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annealfolio",

@@ -3,6 +3,12 @@
 Prices arrive as CSV (``date,ticker,close``), are aligned on the
 intersection of dates where every ticker trades, and feed the expected
 return vector and covariance matrix used by every optimizer downstream.
+
+Ingest is columnar: one ``csv.reader`` pass over the decoded text, then
+checks on whole columns and an aligned matrix filled by index. A leading
+UTF-8 byte order mark is dropped. Errors name the line of the first bad
+record in file order; a bad header or field count anywhere is reported
+before any bad value.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import compress, count
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,47 +220,63 @@ class AssetStats:
         return np.sqrt(np.clip(np.diag(self.sigma), 0.0, None))
 
 
-def _text_lines(source) -> Iterator[str]:
-    """Accept a path, text, bytes, or file-like object; yield decoded lines."""
+def _read_text(source) -> str:
+    """Accept a path, text, bytes, or file-like object; return its text without a BOM."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     if isinstance(source, (str, Path)):
         text = str(source)
         if "\n" in text:  # inline CSV content
-            yield from io.StringIO(text, newline="")
-            return
+            return text.removeprefix("\ufeff")
         if not Path(text).exists():
             raise InputError(f"input file not found: {text}")
-        with open(text, "r", encoding="utf-8", newline="") as fh:
-            yield from fh
-        return
+        with open(text, "r", encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    yield from io.StringIO(data, newline="")
+    return data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
 
 
-def _read_csv(source, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
-    reader = csv.reader(_text_lines(source))
-    rows: list[tuple[int, list[str]]] = []
-    got_header = False
-    for lineno, fields in enumerate(reader, start=1):
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue
-        fields = [f.strip() for f in fields]
-        if not got_header:
-            if [f.lower() for f in fields] != list(header):
-                raise InputError(
-                    f"line {lineno}: expected header {','.join(header)!r}, got {','.join(fields)!r}"
-                )
-            got_header = True
-            continue
-        if len(fields) != len(header):
-            raise InputError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
-        rows.append((lineno, fields))
-    if not got_header:
+def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str]]]:
+    """Parse CSV into the line numbers of its data records and their stripped columns.
+
+    Blank records are skipped. The first other record must match ``header``
+    (case-insensitively) and every later one must have as many fields; the
+    first record in file order that breaks either rule is reported.
+    """
+    records: list[list[str]] = []
+    unreadable = None
+    try:
+        records.extend(csv.reader(io.StringIO(_read_text(source), newline="")))
+    except csv.Error as exc:
+        # extend keeps the records read before the error; their header or
+        # field-count errors are reported first
+        unreadable = exc
+    # a record's field count, or 0 for a blank one
+    widths = [len(f) if len(f) > 1 or f and f[0].strip() else 0 for f in records]
+    lines = list(compress(count(1), widths))
+    if lines:
+        head = [f.strip() for f in records[lines[0] - 1]]
+        if [f.lower() for f in head] != list(header):
+            raise InputError(
+                f"line {lines[0]}: expected header {','.join(header)!r}, got {','.join(head)!r}"
+            )
+    width = len(header)
+    if set(widths) - {0, width}:
+        lineno, got = next((n, w) for n, w in zip(count(1), widths) if w not in (0, width))
+        raise InputError(f"line {lineno}: expected {width} fields, got {got}")
+    if unreadable is not None:
+        raise unreadable
+    if not lines:
         raise InputError("empty input: missing header row")
-    return rows
+    rows = list(compress(records, widths))[1:]
+    return lines[1:], [list(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
+
+
+def _parse_day(text: str) -> date | None:
+    try:
+        return datetime.strptime(text, "%Y-%m-%d").date()
+    except ValueError:
+        return None
 
 
 def load_prices(source) -> PriceMatrix:
@@ -263,50 +287,83 @@ def load_prices(source) -> PriceMatrix:
     ascending. Raises :class:`InputError` with the offending line number on
     malformed rows, non-positive or non-finite prices, or duplicate
     (date, ticker) pairs.
-    """
-    per_ticker: dict[str, dict[date, float]] = {}
-    seen: set[tuple[date, str]] = set()
-    parsed: dict[str, date] = {}  # every ticker repeats the same date strings
-    for lineno, (date_str, ticker, close_str) in _read_csv(source, ("date", "ticker", "close")):
-        d = parsed.get(date_str)
-        if d is None:
-            try:
-                d = parsed[date_str] = datetime.strptime(date_str, "%Y-%m-%d").date()
-            except ValueError:
-                raise InputError(f"line {lineno}: bad date {date_str!r} (expected YYYY-MM-DD)") from None
-        try:
-            close = float(close_str)
-        except ValueError:
-            raise InputError(f"line {lineno}: bad close {close_str!r}") from None
-        if not math.isfinite(close):
-            raise InputError(f"line {lineno}: non-finite close {close_str} for {ticker}")
-        if not close > 0:
-            raise InputError(f"line {lineno}: non-positive close {close_str} for {ticker}")
-        if not ticker:
-            raise InputError(f"line {lineno}: empty ticker")
-        if (d, ticker) in seen:
-            raise InputError(f"line {lineno}: duplicate entry for ({d}, {ticker})")
-        seen.add((d, ticker))
-        per_ticker.setdefault(ticker, {})[d] = close
 
-    if not per_ticker:
+    The checks run on whole columns: each distinct date string is parsed
+    once, every close goes through ``float``, and the matrix is filled by
+    index. When several records are bad, the first in file order is
+    reported, with the first of its checks that fails in the order date,
+    close, finiteness, sign, ticker, duplicate.
+    """
+    lines, (date_strs, tickers, close_strs) = _read_csv(source, ("date", "ticker", "close"))
+    if not lines:
         raise InputError("no price rows found")
-    tickers = sorted(per_ticker)
-    common: set[date] | None = None
-    for t in tickers:
-        ds = set(per_ticker[t])
-        common = ds if common is None else common & ds
-    if not common:
+    days = {s: _parse_day(s) for s in dict.fromkeys(date_strs)}
+    dates = sorted({d for d in days.values() if d is not None})
+    row_of = dict(zip(dates, range(len(dates))))
+    row_of_str = {s: -1 if d is None else row_of[d] for s, d in days.items()}
+    date_idx = np.fromiter(map(row_of_str.__getitem__, date_strs), np.intp, len(lines))
+    names = sorted(set(tickers))
+    col_of = dict(zip(names, range(len(names))))
+    ticker_idx = np.fromiter(map(col_of.__getitem__, tickers), np.intp, len(lines))
+
+    closes: list[float] = []
+    try:
+        closes.extend(map(float, close_strs))
+        unparsed = len(lines)
+    except ValueError:
+        # extend keeps the closes before the one float() rejects; a stand-in
+        # takes its place, and no later record can be the first bad one
+        unparsed = len(closes)
+        closes.append(1.0)
+    m = len(closes)
+    values = np.array(closes)
+    cells = date_idx[:m] * len(names) + ticker_idx[:m]
+    order = np.argsort(cells, kind="stable")  # a cell's records stay in file order
+    ordered = cells[order]
+    repeated = np.zeros(m, dtype=bool)
+    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
+    failed = np.array(
+        [
+            date_idx[:m] < 0,
+            np.arange(m) == unparsed,
+            ~np.isfinite(values),
+            ~(values > 0),
+            ticker_idx[:m] == (0 if names[0] == "" else -1),  # "" sorts first
+            repeated,
+        ]
+    )
+    bad = failed.any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        check = int(failed[:, i].argmax())
+        ticker, close_str = tickers[i], close_strs[i]
+        raise InputError(
+            f"line {lines[i]}: "
+            + (
+                f"bad date {date_strs[i]!r} (expected YYYY-MM-DD)",
+                f"bad close {close_str!r}",
+                f"non-finite close {close_str} for {ticker}",
+                f"non-positive close {close_str} for {ticker}",
+                "empty ticker",
+                f"duplicate entry for ({days[date_strs[i]]}, {ticker})",
+            )[check]
+        )
+
+    # with no duplicates, a date has every ticker's close when it has one record per ticker
+    keep = np.bincount(date_idx, minlength=len(dates)) == len(names)
+    if not keep.any():
         raise InputError("no date is covered by every ticker (empty intersection)")
-    dates = sorted(common)
-    values = np.array([[per_ticker[t][d] for t in tickers] for d in dates], dtype=float)
-    return PriceMatrix(tuple(dates), tuple(tickers), values)
+    kept = keep[date_idx]
+    matrix = np.empty((int(keep.sum()), len(names)))
+    matrix[(np.cumsum(keep) - 1)[date_idx[kept]], ticker_idx[kept]] = values[kept]
+    return PriceMatrix(tuple(d for d, k in zip(dates, keep) if k), tuple(names), matrix)
 
 
 def load_sectors(source) -> SectorMap:
     """Parse ``ticker,sector`` CSV into a SectorMap."""
+    lines, (tickers, sectors) = _read_csv(source, ("ticker", "sector"))
     entries: dict[str, str] = {}
-    for lineno, (ticker, sector) in _read_csv(source, ("ticker", "sector")):
+    for lineno, ticker, sector in zip(lines, tickers, sectors):
         if not ticker or not sector:
             raise InputError(f"line {lineno}: empty ticker or sector")
         if ticker in entries:

@@ -439,6 +439,7 @@ def run_backtest(
     bench_values: list[float] = []
     boundary_set = set(boundaries)
     for d in trading:
+        prices_at = prices.prices_at(d)
         if d in boundary_set:
             event_seed = cfg.seed + len(events) + 1
             event_cfg = replace(cfg, seed=event_seed)
@@ -446,7 +447,7 @@ def run_backtest(
             holdings, event = rebalance_step(
                 holdings,
                 set(report.flagged),
-                prices.prices_at(d),
+                prices_at,
                 sectors,
                 make_provider(d),
                 event_cfg,
@@ -454,8 +455,8 @@ def run_backtest(
                 d,
             )
             events.append(event)
-        algo_values.append(portfolio_value(holdings, prices.prices_at(d)))
-        bench_values.append(portfolio_value(bench_holdings, prices.prices_at(d)))
+        algo_values.append(portfolio_value(holdings, prices_at))
+        bench_values.append(portfolio_value(bench_holdings, prices_at))
 
     config_echo = {
         "pipeline": cfg.to_dict(),

@@ -1,5 +1,8 @@
+import csv
+import io
 import math
-from datetime import date
+from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from annealfolio.marketdata import (
     AssetStats,
     PriceMatrix,
     PricePoint,
+    SectorMap,
     compute_returns,
     estimate_stats,
     load_prices,
@@ -305,3 +309,272 @@ class TestAssetStats:
         assert sub.tickers == ("C", "A")
         assert sub.mu.tolist() == [3.0, 1.0]
         assert sub.sigma[0, 0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Reference loaders: the record-by-record parse the columnar loaders replaced,
+# kept (names and annotations aside) as the spec for their results and errors.
+
+
+def _reference_text_lines(source):
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        if "\n" in text:  # inline CSV content
+            yield from io.StringIO(text, newline="")
+            return
+        if not Path(text).exists():
+            raise InputError(f"input file not found: {text}")
+        with open(text, "r", encoding="utf-8", newline="") as fh:
+            yield from fh
+        return
+    data = source.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    yield from io.StringIO(data, newline="")
+
+
+def _reference_read_csv(source, header):
+    reader = csv.reader(_reference_text_lines(source))
+    rows = []
+    got_header = False
+    for lineno, fields in enumerate(reader, start=1):
+        if not fields or (len(fields) == 1 and not fields[0].strip()):
+            continue
+        fields = [f.strip() for f in fields]
+        if not got_header:
+            if [f.lower() for f in fields] != list(header):
+                raise InputError(
+                    f"line {lineno}: expected header {','.join(header)!r}, got {','.join(fields)!r}"
+                )
+            got_header = True
+            continue
+        if len(fields) != len(header):
+            raise InputError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        rows.append((lineno, fields))
+    if not got_header:
+        raise InputError("empty input: missing header row")
+    return rows
+
+
+def reference_load_prices(source):
+    per_ticker = {}
+    seen = set()
+    parsed = {}
+    for lineno, (date_str, ticker, close_str) in _reference_read_csv(source, ("date", "ticker", "close")):
+        d = parsed.get(date_str)
+        if d is None:
+            try:
+                d = parsed[date_str] = datetime.strptime(date_str, "%Y-%m-%d").date()
+            except ValueError:
+                raise InputError(f"line {lineno}: bad date {date_str!r} (expected YYYY-MM-DD)") from None
+        try:
+            close = float(close_str)
+        except ValueError:
+            raise InputError(f"line {lineno}: bad close {close_str!r}") from None
+        if not math.isfinite(close):
+            raise InputError(f"line {lineno}: non-finite close {close_str} for {ticker}")
+        if not close > 0:
+            raise InputError(f"line {lineno}: non-positive close {close_str} for {ticker}")
+        if not ticker:
+            raise InputError(f"line {lineno}: empty ticker")
+        if (d, ticker) in seen:
+            raise InputError(f"line {lineno}: duplicate entry for ({d}, {ticker})")
+        seen.add((d, ticker))
+        per_ticker.setdefault(ticker, {})[d] = close
+
+    if not per_ticker:
+        raise InputError("no price rows found")
+    tickers = sorted(per_ticker)
+    common = None
+    for t in tickers:
+        ds = set(per_ticker[t])
+        common = ds if common is None else common & ds
+    if not common:
+        raise InputError("no date is covered by every ticker (empty intersection)")
+    dates = sorted(common)
+    values = np.array([[per_ticker[t][d] for t in tickers] for d in dates], dtype=float)
+    return PriceMatrix(tuple(dates), tuple(tickers), values)
+
+
+def reference_load_sectors(source):
+    entries = {}
+    for lineno, (ticker, sector) in _reference_read_csv(source, ("ticker", "sector")):
+        if not ticker or not sector:
+            raise InputError(f"line {lineno}: empty ticker or sector")
+        if ticker in entries:
+            raise InputError(f"line {lineno}: duplicate sector entry for {ticker}")
+        entries[ticker] = sector
+    return SectorMap(entries)
+
+
+def outcome(load, source):
+    """What a loader returns for ``source``, or the text of the InputError it raises."""
+    try:
+        result = load(source)
+    except InputError as exc:
+        return "error", str(exc)
+    if isinstance(result, SectorMap):
+        return "sectors", list(result.entries.items())
+    return "prices", result.dates, result.tickers, result.values.shape, result.values.tobytes()
+
+
+def as_source(text, kind):
+    return {
+        "str": text,
+        "bytes": text.encode("utf-8"),
+        "text file": io.StringIO(text),
+        "binary file": io.BytesIO(text.encode("utf-8")),
+    }[kind]
+
+
+PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+CLOSE_FORMATS = (repr, "{:.2f}".format, "{:.6e}".format, lambda x: str(int(x) + 1))
+PRICE_CORRUPTIONS = (
+    None, "bad date", "repeated bad date", "bad close", "non-finite", "non-positive",
+    "empty ticker", "unpadded duplicate", "field count",
+)
+
+
+@st.composite
+def price_tables(draw):
+    """Small ``date,ticker,close`` texts with gaps, shuffled rows, padding,
+    blank lines and CRLF, and at most one corruption."""
+    tickers = draw(st.lists(st.sampled_from(["A", "B", "CC", "D1", "zz"]), min_size=1, max_size=4, unique=True))
+    days = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
+    cells = [
+        [date(2021, 1, 4) + timedelta(days=k), t, draw(st.floats(0.01, 1e5)), draw(st.sampled_from(CLOSE_FORMATS))]
+        for k in days
+        for t in tickers
+        if draw(st.integers(0, 9))  # about one cell in ten is missing
+    ]
+    rows = [[d.isoformat(), t, fmt(x)] for d, t, x, fmt in cells]
+    corruption = draw(st.sampled_from(PRICE_CORRUPTIONS))
+    if rows and corruption is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        if corruption == "bad date":
+            rows[i][0] = draw(st.sampled_from(["2021-13-01", "04/01/2021", "", "2021-02-30"]))
+        elif corruption == "repeated bad date":
+            for j in range(i, len(rows), 2):
+                rows[j][0] = "2021-00-10"
+        elif corruption == "bad close":
+            rows[i][2] = draw(st.sampled_from(["abc", "", "1.2.3", "--1"]))
+        elif corruption == "non-finite":
+            rows[i][2] = draw(st.sampled_from(["inf", "-inf", "nan", "1e400", "Infinity"]))
+        elif corruption == "non-positive":
+            rows[i][2] = draw(st.sampled_from(["0", "-0", "-3.5", "0.0", "-1e-9"]))
+        elif corruption == "empty ticker":
+            rows[i][1] = ""
+        elif corruption == "unpadded duplicate":
+            d = date.fromisoformat(rows[i][0])
+            rows.insert(draw(st.integers(0, len(rows))), [f"{d.year}-{d.month}-{d.day}", rows[i][1], "7"])
+        else:
+            rows[i] = rows[i][:2] if draw(st.booleans()) else rows[i] + ["x"]
+    rows = draw(st.permutations(rows))
+    lines = [",".join(draw(PAD) + f + draw(PAD) for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    header = draw(st.sampled_from(["date,ticker,close"] * 6 + [" Date , TICKER,close", "date,ticker,price"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header] + lines) + draw(st.sampled_from([eol, ""]))
+
+
+@st.composite
+def sector_tables(draw):
+    rows = [
+        [draw(st.sampled_from(["A", "B", "CC", "", " D "])), draw(st.sampled_from(["Tech", "Energy", "", " Util"]))]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:1] if draw(st.booleans()) else rows[i] + ["x"]
+    lines = [",".join(draw(PAD) + f + draw(PAD) for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    header = draw(st.sampled_from(["ticker,sector"] * 4 + ["Ticker, Sector", "ticker"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header] + lines) + eol
+
+
+SOURCE_KINDS = st.sampled_from(["str", "bytes", "text file", "binary file"])
+
+
+class TestLoadersMatchReference:
+    """The columnar loaders return the reference's bytes or raise its exact message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(price_tables(), SOURCE_KINDS)
+    def test_load_prices_matches_reference(self, text, kind):
+        assert outcome(load_prices, as_source(text, kind)) == outcome(reference_load_prices, as_source(text, kind))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sector_tables(), SOURCE_KINDS)
+    def test_load_sectors_matches_reference(self, text, kind):
+        assert outcome(load_sectors, as_source(text, kind)) == outcome(reference_load_sectors, as_source(text, kind))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first bad record wins, whatever checks later records fail
+            (["2021-01-04,A,-1", "2021-13-01,A,1"], "line 2: non-positive close -1 for A"),
+            (["2021-01-04,A,x", "2021-01-05,,inf"], "line 2: bad close 'x'"),
+            (["2021-01-04,,1", "2021-01-04,A,x"], "line 2: empty ticker"),
+            # within a record: date, close, finiteness, sign, ticker, duplicate
+            (["2021-13-01,A,x"], "line 2: bad date '2021-13-01' (expected YYYY-MM-DD)"),
+            (["2021-01-04,,nan"], "line 2: non-finite close nan for "),
+            (["2021-01-04,A,1", "2021-1-4,A,-2"], "line 3: non-positive close -2 for A"),
+            (["2021-01-04,A,1", "2021-1-4,A,2"], "line 3: duplicate entry for (2021-01-04, A)"),
+            # field counts are checked before any value
+            (["2021-13-01,A,1", "2021-01-04,A"], "line 3: expected 3 fields, got 2"),
+            ([], "no price rows found"),
+        ],
+    )
+    def test_error_order(self, rows, message):
+        text = csv_text(rows)
+        assert outcome(reference_load_prices, text) == ("error", message)
+        assert outcome(load_prices, text) == ("error", message)
+
+    def test_field_count_error_before_an_unreadable_record(self):
+        # csv.reader rejects fields over its size limit; a bad record before one is still reported
+        huge = '2023-01-03,A,"' + "9" * (csv.field_size_limit() + 1) + '"\n'
+        text = csv_text(["2023-01-02,A"]) + huge
+        assert outcome(reference_load_prices, text) == ("error", "line 2: expected 3 fields, got 2")
+        assert outcome(load_prices, text) == ("error", "line 2: expected 3 fields, got 2")
+        with pytest.raises(csv.Error):
+            load_prices(csv_text(["2023-01-02,A,1"]) + huge)
+
+
+class TestByteOrderMark:
+    """A leading U+FEFF, as spreadsheet tools write for "CSV UTF-8", is not part of the header."""
+
+    PRICES = "date,ticker,close\n2023-01-02,A,10\n2023-01-03,A,11\n"
+    SECTORS = "ticker,sector\nA,Tech\n"
+
+    def sources(self, text, tmp_path):
+        path = tmp_path / "with_bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return [
+            "\ufeff" + text,
+            b"\xef\xbb\xbf" + text.encode("utf-8"),
+            io.StringIO("\ufeff" + text),
+            io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8")),
+            path,
+            str(path),
+        ]
+
+    def test_load_prices_accepts_bom(self, tmp_path):
+        expected = outcome(load_prices, self.PRICES)
+        assert expected[0] == "prices"
+        for source in self.sources(self.PRICES, tmp_path):
+            assert outcome(load_prices, source) == expected
+
+    def test_load_sectors_accepts_bom(self, tmp_path):
+        expected = outcome(load_sectors, self.SECTORS)
+        assert expected == ("sectors", [("A", "Tech")])
+        for source in self.sources(self.SECTORS, tmp_path):
+            assert outcome(load_sectors, source) == expected
+
+    def test_bom_inside_header_still_rejected(self):
+        with pytest.raises(InputError, match="line 1: expected header"):
+            load_prices("date,\ufeffticker,close\n2023-01-02,A,10\n")
