@@ -6,13 +6,15 @@ return vector and covariance matrix used by every optimizer downstream.
 
 Ingest is columnar: one ``csv.reader`` pass over the decoded text, then
 checks on whole columns and an aligned matrix filled by index. A leading
-UTF-8 byte order mark is dropped. Errors name the line of the first bad
+UTF-8 byte order mark is dropped; bytes that are not UTF-8 are rejected
+with the offset of the first bad one. Errors name the line of the first bad
 record in file order; a bad header or field count anywhere is reported
 before any bad value.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -220,20 +222,39 @@ class AssetStats:
         return np.sqrt(np.clip(np.diag(self.sigma), 0.0, None))
 
 
+def _decode(data: bytes, name: str) -> str:
+    """UTF-8 text of ``data`` without a BOM; InputError at the first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # utf-8-sig counts positions from after a byte order mark
+        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise InputError(
+            f"{name}: not UTF-8 text (byte {data[offset]:#04x} at offset {offset})"
+        ) from None
+
+
 def _read_text(source) -> str:
-    """Accept a path, text, bytes, or file-like object; return its text without a BOM."""
+    """Accept a path, text, bytes, or file-like object; return its text without a BOM.
+
+    Bytes, files and binary streams must be UTF-8; an undecodable one
+    raises InputError naming the source and the offset of its first bad byte.
+    """
     if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
+        source = _decode(source, "input bytes")
     if isinstance(source, (str, Path)):
         text = str(source)
         if "\n" in text:  # inline CSV content
             return text.removeprefix("\ufeff")
         if not Path(text).exists():
             raise InputError(f"input file not found: {text}")
-        with open(text, "r", encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
-    data = source.read()
-    return data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
+        return _decode(Path(text).read_bytes(), text)
+    name = getattr(source, "name", "input stream")
+    try:
+        data = source.read()
+    except UnicodeDecodeError as exc:  # a text stream decodes as it reads
+        raise InputError(f"{name}: cannot decode text ({exc})") from None
+    return _decode(data, name) if isinstance(data, bytes) else data.removeprefix("\ufeff")
 
 
 def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str]]]:
@@ -273,6 +294,14 @@ def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str
 
 
 def _parse_day(text: str) -> date | None:
+    # canonical ASCII dates take the fast parser; strptime stays the spec and
+    # reads the rest (e.g. "2021-1-4", "2021-01- 4"), while the dash test
+    # keeps out forms only fromisoformat accepts ("20210104", "2021-W01-1")
+    if len(text) == 10 and text[4] == text[7] == "-" and text.isascii():
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
     try:
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError:

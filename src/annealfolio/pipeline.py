@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -324,18 +324,86 @@ def _share_penalty(m: QuboModel, dollar_coeffs: np.ndarray) -> float:
     return float(np.max(swings / dollar_coeffs**2)) * 1.25 + 0.01
 
 
-def _strict_share_penalty(m: QuboModel, granularity: float) -> float:
-    """Fallback weight: one granularity step of violation beats any single flip."""
-    if m.n == 0:
-        return 1.0
-    coupling = np.abs(quadratic_symmetric(m)).sum(axis=1)
-    swing = float(np.max(np.abs(m.linear) + coupling))
-    return (swing + 1.0) / (granularity * granularity)
-
-
 def _dollar_objective(counts, prices, stats: AssetStats, q: float) -> float:
     y = np.asarray(prices) * np.asarray(counts, dtype=float)
     return q * float(y @ stats.sigma @ y) - float(stats.mu @ y)
+
+
+def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
+    """Dollar holdings y minimizing q * y'Sigma y - mu'y with sum(y) <= budget, y >= 0.
+
+    Primal active-set iteration on z = y / budget, whose objective is
+    budget * (Q z'Sigma z - mu'z) with Q = q * budget, started from all
+    cash. Each step heads for the minimizer on the working set (the zero
+    bounds held, plus the budget once it binds) and stops at the first
+    constraint it would cross, which joins the set; at a working-set
+    minimizer the constraint with the most negative multiplier leaves it.
+    A 1e-12 relative ridge keeps every reduced system nonsingular when
+    Sigma is not. The result is certified against the KKT conditions of
+    the unridged problem; SolverError if it fails them.
+    """
+    n = stats.n
+    mu = stats.mu
+    H = 2.0 * q * budget * stats.sigma
+    Hr = H + 1e-12 * max(1.0, float(np.max(np.diag(H)))) * np.eye(n)
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(mu))))
+    z = np.zeros(n)
+    free = np.zeros(n, dtype=bool)  # off their zero bound
+    capped = False  # the budget is in the working set
+    for _ in range(4 * n + 10):
+        F = np.flatnonzero(free)
+        k = len(F)
+        if capped:
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = Hr[np.ix_(F, F)]
+            K[k, k] = 0.0
+            sol = np.linalg.solve(K, np.append(mu[F], 1.0))
+            target, nu = sol[:k], float(sol[k])
+        else:
+            target, nu = np.linalg.solve(Hr[np.ix_(F, F)], mu[F]), 0.0
+        step = target - z[F]
+        alpha, block = 1.0, None
+        falling = np.flatnonzero(step < 0)
+        if len(falling):
+            ratios = -z[F[falling]] / step[falling]
+            j = int(np.argmin(ratios))
+            if ratios[j] < alpha:
+                alpha, block = float(ratios[j]), int(F[falling[j]])
+        rise = float(step.sum())
+        if not capped and rise > 0 and (1.0 - z.sum()) / rise < alpha:
+            alpha, block = (1.0 - z.sum()) / rise, -1
+        if block is not None:
+            z[F] += alpha * step
+            if block < 0:
+                capped = True
+            else:
+                z[block], free[block] = 0.0, False
+            continue
+        z[F] = target
+        # multipliers of the zero bounds held; the budget's is nu
+        bound_mult = np.where(free, np.inf, Hr @ z - mu + nu)
+        i = int(np.argmin(bound_mult))
+        if capped and nu < min(float(bound_mult[i]), -tol):
+            capped = False
+        elif bound_mult[i] < -tol:
+            free[i] = True
+        else:
+            break
+    else:
+        raise SolverError("budgeted relaxation: active-set iteration limit reached")
+    z = np.clip(z, 0.0, None)
+    Hz = H @ z
+    dual = Hz - mu + nu
+    resid = max(
+        float(np.max(-dual)),  # no name left out would lower the objective
+        float(np.max(np.abs(dual * z))),  # every name held is stationary
+        -nu,
+        abs(nu * (1.0 - z.sum())),  # the budget binds or its multiplier is zero
+        z.sum() - 1.0,
+    )
+    if resid > 1e-9 * (1.0 + float(np.max(np.abs(mu))) + float(np.max(np.abs(Hz)))):
+        raise SolverError(f"budgeted relaxation: KKT residual {resid:.3e}")
+    return budget * z
 
 
 def _polish_shares(counts, prices, stats, q, budget, uppers, max_rounds=300):
@@ -395,13 +463,14 @@ def optimize_integer_shares(
 
     The integer model is encoded into binaries, the budget constraint is
     lowered into a slack penalty, and the annealer samples the result with
-    4x the configured restarts (the slack penalty fragments the landscape
-    into many basins, and restarts are prefix-stable, so extra ones only
-    add coverage). Sampled states that truly satisfy the budget are
-    re-ranked by the exact dollar objective, and the winner gets a greedy
-    single-share polish before decoding into Holdings. If the soft penalty
-    yields no feasible sample at all, one strict-penalty retry runs before
-    giving up.
+    the configured schedule. Sampled states that truly satisfy the budget
+    are re-ranked by the exact dollar objective. A classical candidate
+    rides along: the continuous optimum of the same objective under the
+    budget (``_relaxed_dollars``), floored to whole shares, which always
+    fits the budget. Both candidates get the single-share and swap polish;
+    the anneal's result is kept unless the floored relaxation's is better
+    by more than 1e-12, and the relaxation's stands alone when no sample
+    satisfies the budget.
     """
     if cfg.strategy != "fully_quantum":
         raise InputError("optimize_integer_shares requires strategy='fully_quantum'")
@@ -425,34 +494,33 @@ def optimize_integer_shares(
 
     budget_con = cm.constraints[0]
     if cfg.lambda_ == "auto":
-        lam_attempts = [
-            _share_penalty(cm.objective, budget_con.coeffs),
-            _strict_share_penalty(cm.objective, SLACK_GRANULARITY),
-        ]
+        lam = _share_penalty(cm.objective, budget_con.coeffs)
     else:
-        lam_attempts = [float(cfg.lambda_)]
-    schedule = replace(cfg.sampler, restarts=4 * cfg.sampler.restarts)
-
-    best_counts, best_obj = None, math.inf
-    for lam in lam_attempts:
-        penalized, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
-        s = simulated_anneal(penalized, schedule, cfg.seed)
-        for rec in s.records:
-            bits = state_to_array(rec.state)[: cm.objective.n]
-            if float(budget_con.coeffs @ bits) > cfg.budget + 1e-6:
-                continue
-            counts = cm.decode_integers(bits)
-            obj = _dollar_objective(counts, price_vec, stats, q_dollar)
-            if obj < best_obj - 1e-12:
-                best_obj, best_counts = obj, counts
-        if best_counts is not None:
-            break
-    if best_counts is None:
-        raise SolverError("no sampled state satisfies the budget")
+        lam = float(cfg.lambda_)
+    penalized, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
+    s = simulated_anneal(penalized, cfg.sampler, cfg.seed)
+    sampled, sampled_obj = None, math.inf
+    for rec in s.records:
+        bits = state_to_array(rec.state)[: cm.objective.n]
+        if float(budget_con.coeffs @ bits) > cfg.budget + 1e-6:
+            continue
+        counts = cm.decode_integers(bits)
+        obj = _dollar_objective(counts, price_vec, stats, q_dollar)
+        if obj < sampled_obj - 1e-12:
+            sampled_obj, sampled = obj, counts
 
     uppers = [enc.upper for enc in cm.encodings]
-    counts = _polish_shares(best_counts, price_vec, stats, q_dollar, cfg.budget, uppers)
-    shares = {t: int(c) for t, c in zip(stats.tickers, counts)}
+    relaxed = _relaxed_dollars(stats, q_dollar, cfg.budget)
+    floored = [min(int(y // p), u) for y, p, u in zip(relaxed, price_vec, uppers)]
+    best, best_obj = None, math.inf
+    for start in (sampled, floored):
+        if start is None:
+            continue
+        counts = _polish_shares(start, price_vec, stats, q_dollar, cfg.budget, uppers)
+        obj = _dollar_objective(counts, price_vec, stats, q_dollar)
+        if obj < best_obj - 1e-12:
+            best, best_obj = counts, obj
+    shares = {t: int(c) for t, c in zip(stats.tickers, best)}
     spend = sum(shares[t] * p for t, p in zip(stats.tickers, price_vec))
     return Holdings(shares, cfg.budget - spend, as_of)
 

@@ -204,13 +204,17 @@ def identify_risky(
 
 def health_check(
     holdings: Holdings,
-    prices: PriceMatrix,
+    prices_at: Mapping[str, float],
     returns: ReturnsMatrix,
     policy: RebalancePolicy,
     as_of: date,
     initial_value: float | None = None,
 ) -> HealthReport:
-    """Trailing mean/vol per held asset, the flagged set, value, and profit."""
+    """Trailing mean/vol per held asset, the flagged set, value, and profit.
+
+    ``prices_at`` is the review day's ticker -> close mapping, as
+    ``PriceMatrix.prices_at(as_of)`` returns it.
+    """
     held = holdings.held_tickers()
     stats: dict[str, tuple[float, float]] = {}
     if held:
@@ -219,7 +223,7 @@ def health_check(
             col = window[:, returns.tickers.index(t)]
             stats[t] = (float(col.mean()), float(col.std(ddof=1)))
     flagged = tuple(sorted(identify_risky(returns, holdings, policy, as_of)))
-    value = portfolio_value(holdings, prices.prices_at(as_of))
+    value = portfolio_value(holdings, prices_at)
     profit = None if initial_value is None else value - initial_value
     return HealthReport(as_of, stats, flagged, value, profit)
 
@@ -443,7 +447,7 @@ def run_backtest(
         if d in boundary_set:
             event_seed = cfg.seed + len(events) + 1
             event_cfg = replace(cfg, seed=event_seed)
-            report = health_check(holdings, prices, returns_all, policy, d, initial_budget)
+            report = health_check(holdings, prices_at, returns_all, policy, d, initial_budget)
             holdings, event = rebalance_step(
                 holdings,
                 set(report.flagged),

@@ -46,6 +46,14 @@ class TestOptimizeCommand:
         assert code == 2
         assert "/nope/missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--prices", "--sectors"])
+    def test_non_utf8_input_exit_2(self, tmp_path, out_dir, capsys, flag):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("date,ticker,close\n2023-01-02,Caf\u00e9,10\n".encode("latin-1"))
+        assert run(["backtest", "--seed", 1, flag, bad, "--benchmark", "TECH1", "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text (byte 0xe9 at offset 32)\n"
+
     def test_missing_seed_exit_2(self, out_dir, capsys):
         assert run(["optimize", "--out-dir", out_dir]) == 2
         assert "seed" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from annealfolio.marketdata import (
     SectorMap,
     compute_returns,
     estimate_stats,
+    _parse_day,
     load_prices,
     load_sectors,
 )
@@ -454,7 +455,14 @@ def price_tables(draw):
     if rows and corruption is not None:
         i = draw(st.integers(0, len(rows) - 1))
         if corruption == "bad date":
-            rows[i][0] = draw(st.sampled_from(["2021-13-01", "04/01/2021", "", "2021-02-30"]))
+            rows[i][0] = draw(st.sampled_from([
+                "2021-13-01", "04/01/2021", "", "2021-02-30",
+                # fromisoformat reads these two, strptime does not
+                "20210104", "2021-W01-1",
+                # non-ASCII digits: strptime reads the full-width year only
+                "\uff12\uff10\uff12\uff11-01-04", "\u0662\u0660\u0662\u0661-\u0660\u0661-\u0660\u0664",
+                "2021-01-0\u0664", "2021-01- 4",
+            ]))
         elif corruption == "repeated bad date":
             for j in range(i, len(rows), 2):
                 rows[j][0] = "2021-00-10"
@@ -543,6 +551,55 @@ class TestLoadersMatchReference:
         assert outcome(load_prices, text) == ("error", "line 2: expected 3 fields, got 2")
         with pytest.raises(csv.Error):
             load_prices(csv_text(["2023-01-02,A,1"]) + huge)
+
+
+class TestNotUtf8:
+    """Input that is not UTF-8 exits through InputError naming the source and the first bad byte."""
+
+    PRICES = "date,ticker,close\n2023-01-02,Caf\u00e9,10\n".encode("latin-1")  # 0xe9 at offset 32
+    SECTORS = "ticker,sector\nA,\u00c9nergie\n".encode("latin-1")  # 0xc9 at offset 16
+
+    @pytest.mark.parametrize("load, data, byte, offset", [
+        (load_prices, PRICES, "0xe9", 32),
+        (load_sectors, SECTORS, "0xc9", 16),
+    ])
+    def test_path_bytes_and_binary_file(self, tmp_path, load, data, byte, offset):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        for source, name in [
+            (path, str(path)),
+            (str(path), str(path)),
+            (data, "input bytes"),
+            (io.BytesIO(data), "input stream"),
+        ]:
+            with pytest.raises(InputError) as info:
+                load(source)
+            assert str(info.value) == f"{name}: not UTF-8 text (byte {byte} at offset {offset})"
+        with open(path, "rb") as fh, pytest.raises(InputError) as info:
+            load(fh)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {byte} at offset {offset})"
+
+    def test_offset_counts_the_byte_order_mark(self):
+        with pytest.raises(InputError, match=r"byte 0xe9 at offset 35\)$"):
+            load_prices(b"\xef\xbb\xbf" + self.PRICES)
+
+    def test_text_stream_that_fails_to_decode(self):
+        stream = io.TextIOWrapper(io.BytesIO(self.PRICES), encoding="utf-8")
+        with pytest.raises(InputError, match="cannot decode text"):
+            load_prices(stream)
+
+
+@pytest.mark.parametrize("text", [
+    "2021-01-04", "2021-1-4", "2021-01- 4", "2021-02-29", "2020-02-29", "0001-01-01", "9999-12-31",
+    "0000-01-01", "20210104", "2021-W01-1", "2021-01-04T00", "\uff12\uff10\uff12\uff11-01-04",
+    "2021-01-0\u0664", "2021-13-01", "2021-00-10", "2021-01-32", "2021/01/04", "",
+])
+def test_parse_day_agrees_with_strptime(text):
+    try:
+        expected = datetime.strptime(text, "%Y-%m-%d").date()
+    except ValueError:
+        expected = None
+    assert _parse_day(text) == expected
 
 
 class TestByteOrderMark:

@@ -4,13 +4,19 @@ from datetime import date
 import numpy as np
 import pytest
 
+from annealfolio import pipeline
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
-from annealfolio.model import build_mvo_qubo, qubo_energy
+from annealfolio.model import build_mpt_model, build_mvo_qubo, penalize_inequality, qubo_energy
 from annealfolio.pipeline import (
+    SLACK_GRANULARITY,
     Holdings,
     PipelineConfig,
+    _dollar_objective,
+    _polish_shares,
+    _relaxed_dollars,
+    _share_penalty,
     hybrid_optimize,
     optimize_integer_shares,
     portfolio_value,
@@ -18,7 +24,7 @@ from annealfolio.pipeline import (
     select_assets,
     to_shares,
 )
-from annealfolio.sampler import AnnealSchedule
+from annealfolio.sampler import AnnealSchedule, simulated_anneal, state_to_array
 
 from conftest import grw_matrix
 
@@ -261,6 +267,142 @@ class TestIntegerShares:
         prices = {f"T{i}": 1.0 for i in range(8)}  # upper 10^6 each: way past the cap
         with pytest.raises(SolverError, match="encoded bits"):
             optimize_integer_shares(prices, stats, cfg_for(1e6, "fully_quantum"))
+
+
+def random_share_instance(rng, n):
+    A = rng.normal(0, 0.2, (n, int(rng.integers(1, n + 1))))  # rank-deficient when few columns
+    stats = make_stats(rng.uniform(-0.1, 0.4, n), A @ A.T)
+    prices = {t: float(rng.uniform(5, 60)) for t in stats.tickers}
+    return stats, prices, float(rng.uniform(100, 600))
+
+
+def assert_kkt(stats, q, budget, y, tol=1e-8):
+    """KKT conditions of min q y'Sigma y - mu'y s.t. sum(y) <= budget, y >= 0."""
+    z = y / budget
+    grad = 2.0 * q * budget * stats.sigma @ z - stats.mu
+    assert z.min() >= 0.0 and z.sum() <= 1.0 + 1e-12
+    held = z > 1e-9
+    # the budget multiplier: zero unless the budget binds, else what the held names need
+    nu = float(-grad[held].mean()) if z.sum() > 1.0 - 1e-9 else 0.0
+    assert nu >= -tol
+    assert np.all(np.abs(grad[held] + nu) <= tol)  # stationarity on the held names
+    assert np.all(grad[~held] + nu >= -tol)  # no unheld name would lower the objective
+
+
+class TestBudgetRelaxation:
+    def test_kkt_on_random_instances(self):
+        rng = np.random.default_rng(31)
+        cases = set()
+        for trial in range(300):
+            n = 1 + trial % 8
+            A = rng.normal(0, 0.2, (n, int(rng.integers(1, n + 1))))
+            mu = rng.normal(0.1, 0.2, n)
+            if trial % 5 == 0:
+                mu = -np.abs(mu)
+            stats = make_stats(mu, A @ A.T if trial % 7 else np.zeros((n, n)))
+            budget = float(rng.uniform(1e3, 1e6))
+            q = float(10 ** rng.uniform(-2, 2)) / budget
+            y = _relaxed_dollars(stats, q, budget)
+            assert_kkt(stats, q, budget, y)
+            spent = y.sum() / budget
+            cases.add("cash" if spent == 0 else "binding" if spent > 1 - 1e-9 else "slack")
+        assert cases == {"cash", "binding", "slack"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_scan_on_two_assets(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(0, 0.3, (2, 2))
+        stats = make_stats(rng.uniform(-0.05, 0.4, 2), A @ A.T)
+        q = float(10 ** rng.uniform(-1, 1))
+        grid = np.linspace(0.0, 1.0, 401)
+        Z = np.array([(a, b) for a in grid for b in grid if a + b <= 1.0 + 1e-12])
+        scan = q * np.einsum("si,ij,sj->s", Z, stats.sigma, Z) - Z @ stats.mu
+        z = _relaxed_dollars(stats, q, 1.0)
+        assert q * z @ stats.sigma @ z - stats.mu @ z <= scan.min() + 1e-12
+
+    def test_binding_budget_splits_by_return(self):
+        # no risk: everything goes to the best return
+        y = _relaxed_dollars(make_stats([0.3, 0.1], np.zeros((2, 2))), 1e-3, 100.0)
+        assert y.tolist() == [100.0, 0.0]
+
+    def test_slack_budget_is_unconstrained_optimum(self):
+        stats = make_stats([0.1, 0.2], np.diag([1.0, 2.0]))
+        y = _relaxed_dollars(stats, 1.0, 1e6)  # y_i = mu_i / (2 q sigma_ii)
+        assert y == pytest.approx([0.05, 0.05], rel=1e-9)  # up to the solver's 1e-12 ridge
+
+    def test_budget_leaves_the_working_set(self):
+        # from all cash, T2 and its hedge T1 fill the budget; once T0 joins,
+        # the budget's multiplier turns negative and the budget must leave
+        # the working set, and the optimum (T0 and T2) lies inside the budget
+        sigma = [[2.305, 2.09, 0.703], [2.09, 4.024, -1.58], [0.703, -1.58, 2.852]]
+        stats = make_stats([0.68, 0.167, 0.705], sigma)
+        y = _relaxed_dollars(stats, 0.2445, 1.0)
+        assert_kkt(stats, 0.2445, 1.0, y)
+        assert y[1] == 0.0 and 0.8 < y.sum() < 0.9
+
+    def test_all_cash_when_nothing_pays(self):
+        y = _relaxed_dollars(make_stats([-0.1, 0.0], np.eye(2)), 1.0, 100.0)
+        assert y.tolist() == [0.0, 0.0]
+
+
+def polished_candidates(prices_at, stats, cfg):
+    """The anneal's re-ranked winner and the floored relaxation, each polished."""
+    p = [prices_at[t] for t in stats.tickers]
+    q = cfg.q / cfg.budget
+    cm = build_mpt_model(stats, p, cfg.budget, q)
+    con = cm.constraints[0]
+    penalized, _ = penalize_inequality(
+        cm.objective, con, _share_penalty(cm.objective, con.coeffs), SLACK_GRANULARITY
+    )
+    feasible = [
+        cm.decode_integers(bits)
+        for rec in simulated_anneal(penalized, cfg.sampler, cfg.seed).records
+        for bits in [state_to_array(rec.state)[: cm.objective.n]]
+        if con.coeffs @ bits <= cfg.budget + 1e-6
+    ]
+    uppers = [enc.upper for enc in cm.encodings]
+    starts = [min(feasible, key=lambda c: _dollar_objective(c, p, stats, q))] if feasible else []
+    starts.append([min(int(y // pi), u) for y, pi, u in zip(_relaxed_dollars(stats, q, cfg.budget), p, uppers)])
+    return [_polish_shares(c, p, stats, q, cfg.budget, uppers) for c in starts]
+
+
+class TestIntegerShareCandidates:
+    def test_never_worse_than_either_candidate(self):
+        rng = np.random.default_rng(77)
+        for trial in range(12):
+            stats, prices, budget = random_share_instance(rng, int(rng.integers(1, 5)))
+            cfg = cfg_for(budget, "fully_quantum", seed=trial)
+            h = optimize_integer_shares(prices, stats, cfg)
+            counts = [h.shares[t] for t in stats.tickers]
+            p = [prices[t] for t in stats.tickers]
+            spend = float(np.dot(counts, p))
+            assert spend <= budget + 1e-9 and h.cash == pytest.approx(budget - spend)
+            got = _dollar_objective(counts, p, stats, cfg.q / budget)
+            for cand in polished_candidates(prices, stats, cfg):
+                assert got <= _dollar_objective(cand, p, stats, cfg.q / budget) + 1e-12
+            again = optimize_integer_shares(prices, stats, cfg)
+            assert again.shares == h.shares and again.cash == h.cash
+
+    def test_anneals_once_at_the_configured_schedule(self, monkeypatch):
+        calls = []
+
+        def spy(m, schedule, seed):
+            calls.append(schedule)
+            return simulated_anneal(m, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        stats, prices, budget = random_share_instance(np.random.default_rng(3), 3)
+        optimize_integer_shares(prices, stats, cfg_for(budget, "fully_quantum"))
+        assert calls == [FAST]
+
+    def test_relaxation_stands_in_when_no_sample_fits(self):
+        # a negligible budget penalty lets every sample overspend
+        stats = make_stats([0.3, 0.1], np.zeros((2, 2)))
+        h = optimize_integer_shares(
+            {"T0": 30.0, "T1": 40.0}, stats, cfg_for(100.0, "fully_quantum", lambda_=1e-12)
+        )
+        assert h.shares == {"T0": 3, "T1": 0}
+        assert h.cash == pytest.approx(10.0)
 
 
 class TestRunPipeline:

@@ -3,6 +3,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError
@@ -114,7 +116,9 @@ class TestHealthCheck:
         returns = compute_returns(prices)
         h = Holdings({"A": 2}, 5.0)
         policy = RebalancePolicy(lookback_days=5, risk_vol_quantile=1.0)
-        rep = health_check(h, prices, returns, policy, prices.dates[-1], initial_value=150.0)
+        rep = health_check(
+            h, prices.prices_at(prices.dates[-1]), returns, policy, prices.dates[-1], initial_value=150.0
+        )
         assert rep.flagged == ()
         assert rep.value == pytest.approx(2 * prices.values[-1, 0] + 5.0)
         assert rep.profit == pytest.approx(rep.value - 150.0)
@@ -123,7 +127,11 @@ class TestHealthCheck:
         prices = self.make_prices({"A": [100.0] * 10})
         returns = compute_returns(prices)
         rep = health_check(
-            Holdings({}, 321.0), prices, returns, RebalancePolicy(lookback_days=5), prices.dates[-1]
+            Holdings({}, 321.0),
+            prices.prices_at(prices.dates[-1]),
+            returns,
+            RebalancePolicy(lookback_days=5),
+            prices.dates[-1],
         )
         assert rep.flagged == ()
         assert rep.value == pytest.approx(321.0)
@@ -139,7 +147,7 @@ class TestHealthCheck:
         returns = compute_returns(prices)
         h = Holdings({"A": 1, "B": 1, "C": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=8, risk_vol_quantile=1.0)
-        rep = health_check(h, prices, returns, policy, prices.dates[-1])
+        rep = health_check(h, prices.prices_at(prices.dates[-1]), returns, policy, prices.dates[-1])
         assert rep.flagged == ("C",)
         assert set(rep.asset_stats) == {"A", "B", "C"}
         assert rep.asset_stats["C"][0] < 0
@@ -448,6 +456,45 @@ class TestRunBacktest:
             assert proceeds + cash == pytest.approx(cost + e.cash_after, abs=1e-6)
             assert e.cash_after >= 0.0
             cash = e.cash_after
+
+
+def assert_ledger(report, budget):
+    """Replay the share and cash ledger: every event balances and nothing is overspent."""
+    initial = report.initial_holdings
+    shares = {t: c for t, c in initial["shares"].items() if c}
+    cash = initial["cash"]
+    assert 0.0 <= cash <= budget
+    for e in report.events:
+        proceeds = sum(amount for _, amount in e.sold.values())
+        cost = sum(amount for _, amount in e.bought.values())
+        assert e.new_budget == pytest.approx(proceeds + cash, abs=1e-6)
+        assert proceeds + cash == pytest.approx(cost + e.cash_after, abs=1e-6)
+        assert cost <= e.new_budget + 1e-6 and e.cash_after >= 0.0
+        for t, (count, _) in e.sold.items():
+            assert shares.pop(t) == count  # a sale closes the whole position
+        for t, (count, _) in e.bought.items():
+            assert count > 0 and t not in shares
+            shares[t] = count
+        cash = e.cash_after
+
+
+class TestFullyQuantumBacktestProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        budget=st.sampled_from([3_000.0, 20_000.0, 60_000.0]),
+        market=st.integers(0, 5),
+        crash=st.sampled_from([None, "CCC", "EEE"]),
+        period=st.sampled_from([2, 3]),
+    )
+    def test_ledger_balances_and_reruns_identically(self, seed, budget, market, crash, period):
+        prices = quarterly_prices(seed=market, crash=crash)
+        cfg = cfg_for(budget, "fully_quantum", seed=seed)
+        policy = RebalancePolicy(period_months=period, lookback_days=40)
+        report = run_backtest(prices, SECTORS5, budget, cfg, policy, "AAA")
+        assert_ledger(report, budget)
+        again = run_backtest(prices, SECTORS5, budget, cfg, policy, "AAA")
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(report.to_dict(), sort_keys=True)
 
 
 class TestPolicyValidation:
