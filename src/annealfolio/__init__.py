@@ -40,7 +40,6 @@ from .model import (
 from .pipeline import (
     Holdings,
     PipelineConfig,
-    hybrid_optimize,
     optimize_integer_shares,
     portfolio_value,
     run_pipeline,

@@ -32,7 +32,6 @@ CARDINALITY_MODES = ("support", "y_sum")
 @dataclass(frozen=True)
 class AllocatorConfig:
     risk_free_rate: float = 0.0
-    risk_aversion_q: float = 1.0
     kkt_tolerance: float = 1e-8
     max_iterations: int | None = None  # None -> 3n + 10
     zero_weight_threshold: float = 1e-6
@@ -41,8 +40,6 @@ class AllocatorConfig:
     def __post_init__(self):
         if not self.kkt_tolerance > 0 or not self.zero_weight_threshold > 0:
             raise InputError("tolerances must be positive")
-        if not self.risk_aversion_q > 0:
-            raise InputError("risk_aversion_q must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InputError("max_iterations must be positive")
         if self.cardinality_mode not in CARDINALITY_MODES:

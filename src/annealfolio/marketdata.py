@@ -31,7 +31,6 @@ import numpy as np
 from .errors import InputError
 
 DAILY_ANNUALIZATION = 252.0
-MONTHLY_ANNUALIZATION = 12.0
 
 # PSD tolerance: smallest eigenvalue >= -PSD_RTOL * largest eigenvalue.
 PSD_RTOL = 1e-10
@@ -169,18 +168,11 @@ class SectorMap:
 
 @dataclass(frozen=True)
 class AssetStats:
-    """Expected returns and covariance, scaled by the annualization factor.
-
-    ``mu`` and ``sigma`` are stored already multiplied by
-    ``annualization_factor``; ``period`` records the sampling frequency the
-    estimates came from.
-    """
+    """Expected returns and covariance, already scaled by the annualization factor."""
 
     tickers: tuple[str, ...]
     mu: np.ndarray
     sigma: np.ndarray
-    period: str = "daily"
-    annualization_factor: float = DAILY_ANNUALIZATION
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -191,10 +183,6 @@ class AssetStats:
         n = len(self.tickers)
         if mu.shape != (n,) or sigma.shape != (n, n):
             raise InputError("stats dimensions do not match ticker count")
-        if self.period not in ("daily", "monthly"):
-            raise InputError(f"unknown period {self.period!r}")
-        if not self.annualization_factor > 0:
-            raise InputError("annualization_factor must be positive")
         if n and not np.allclose(sigma, sigma.T, atol=0.0, rtol=0.0):
             raise InputError("covariance matrix must be exactly symmetric")
         if n:
@@ -214,8 +202,6 @@ class AssetStats:
             tuple(self.tickers[i] for i in idx),
             self.mu[idx],
             self.sigma[np.ix_(idx, idx)],
-            self.period,
-            self.annualization_factor,
         )
 
     def volatilities(self) -> np.ndarray:
@@ -415,7 +401,6 @@ def compute_returns(prices: PriceMatrix, method: str = "simple") -> ReturnsMatri
 def estimate_stats(
     returns: ReturnsMatrix,
     annualization_factor: float = DAILY_ANNUALIZATION,
-    period: str = "daily",
 ) -> AssetStats:
     """Sample mean/covariance of returns, scaled by the annualization factor.
 
@@ -429,4 +414,4 @@ def estimate_stats(
     sigma = np.cov(vals, rowvar=False, ddof=1) * annualization_factor
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     sigma = (sigma + sigma.T) / 2.0
-    return AssetStats(returns.tickers, mu, sigma, period, annualization_factor)
+    return AssetStats(returns.tickers, mu, sigma)

@@ -8,16 +8,18 @@ portfolio problems (cardinality-constrained selection and budgeted
 integer shares) are assembled here.
 
 Conventions:
-- quadratic coefficient maps are strictly upper triangular (keys i < j);
-  diagonal terms are folded into the linear vector because x_i^2 = x_i.
+- the quadratic part is one dense (n, n) float array that is zero on and
+  below the diagonal: entry [i, j], i < j, couples variables i and j.
+  Diagonal terms are folded into the linear vector because x_i^2 = x_i.
+  Constructors also take the sparse form, a {(i, j): value} mapping.
 - builders are pure: identical inputs give coefficient-identical models.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,17 +27,39 @@ from .errors import InputError
 from .marketdata import AssetStats
 
 
-def _canonical_quadratic(n: int, quadratic) -> dict[tuple[int, int], float]:
-    out: dict[tuple[int, int], float] = {}
-    for (i, j), v in dict(quadratic or {}).items():
-        if not (0 <= i < j < n):
-            raise InputError(f"quadratic key ({i}, {j}) must satisfy 0 <= i < j < n={n}")
-        v = float(v)
-        if not math.isfinite(v):
-            raise InputError(f"quadratic coefficient ({i}, {j}) must be finite, got {v}")
-        if v != 0.0:
-            out[(i, j)] = v
-    return out
+def _strict_upper(n: int, quadratic) -> np.ndarray:
+    """Validated read-only (n, n) coupling array from a {(i, j): v} mapping or an array.
+
+    An array input is copied, so the model never shares it with the caller.
+    """
+    if quadratic is None or isinstance(quadratic, Mapping):
+        entries = dict(quadratic or {})
+        keys = np.array(list(entries))
+        if keys.size and keys.dtype.kind not in "iu":
+            raise InputError("quadratic keys must be integer pairs (i, j)")
+        i, j = keys.astype(np.int64).reshape(len(entries), 2).T
+        bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+        if bad.size:
+            k = bad[0]
+            raise InputError(f"quadratic key ({i[k]}, {j[k]}) must satisfy 0 <= i < j < n={n}")
+        U = np.zeros((n, n))
+        U[i, j] = list(entries.values())
+    else:
+        U = np.array(quadratic, dtype=float)
+        if U.shape != (n, n):
+            raise InputError(f"quadratic has shape {U.shape}, expected ({n}, {n})")
+        bad = np.argwhere(np.tril(U) != 0.0)
+        if bad.size:
+            i, j = bad[0]
+            raise InputError(
+                f"quadratic entry ({i}, {j}) must be zero on and below the diagonal, got {U[i, j]}"
+            )
+    bad = np.argwhere(~np.isfinite(U))
+    if bad.size:
+        i, j = bad[0]
+        raise InputError(f"quadratic coefficient ({i}, {j}) must be finite, got {U[i, j]}")
+    U.flags.writeable = False
+    return U
 
 
 def _finite_terms(name: str, values: np.ndarray, offset: float) -> None:
@@ -46,16 +70,24 @@ def _finite_terms(name: str, values: np.ndarray, offset: float) -> None:
         raise InputError(f"offset must be finite, got {offset}")
 
 
+def _max_abs(linear: np.ndarray, upper: np.ndarray) -> float:
+    return max(float(np.max(np.abs(linear), initial=0.0)), float(np.max(np.abs(upper), initial=0.0)))
+
+
 @dataclass(frozen=True)
 class QuboModel:
     """Quadratic objective over binary variables.
 
     energy(x) = offset + sum_i linear[i] x_i + sum_{i<j} quadratic[i,j] x_i x_j
+
+    ``quadratic`` may be given as a {(i, j): value} mapping (i < j) or as an
+    (n, n) array that is zero on and below the diagonal; it is stored as
+    the array.
     """
 
     n: int
     linear: np.ndarray
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    quadratic: np.ndarray | None = None
     offset: float = 0.0
 
     def __post_init__(self):
@@ -63,37 +95,36 @@ class QuboModel:
         if lin.shape != (self.n,):
             raise InputError(f"linear has shape {lin.shape}, expected ({self.n},)")
         object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", _canonical_quadratic(self.n, self.quadratic))
+        object.__setattr__(self, "quadratic", _strict_upper(self.n, self.quadratic))
         object.__setattr__(self, "offset", float(self.offset))
         _finite_terms("linear", lin, self.offset)
 
     def max_coefficient(self) -> float:
         """Largest coefficient magnitude across linear and quadratic terms."""
-        m = float(np.max(np.abs(self.linear))) if self.n else 0.0
-        if self.quadratic:
-            m = max(m, max(abs(v) for v in self.quadratic.values()))
-        return m
+        return _max_abs(self.linear, self.quadratic)
 
     def to_dict(self) -> dict:
-        """Deterministic dump: quadratic entries sorted by (i, j)."""
+        """Deterministic dump: the nonzero quadratic entries in (i, j) order."""
+        rows, cols = np.nonzero(self.quadratic)
+        values = self.quadratic[rows, cols]
         return {
             "n": self.n,
             "linear": [float(v) for v in self.linear],
-            "quadratic": [[i, j, self.quadratic[(i, j)]] for i, j in sorted(self.quadratic)],
+            "quadratic": [list(e) for e in zip(rows.tolist(), cols.tolist(), values.tolist())],
             "offset": self.offset,
         }
 
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Spin-variable twin of :class:`QuboModel`.
+    """Spin-variable twin of :class:`QuboModel`, with ``J`` stored the same way.
 
     energy(s) = offset + sum_i h[i] s_i + sum_{i<j} J[i,j] s_i s_j
     """
 
     n: int
     h: np.ndarray
-    J: dict[tuple[int, int], float] = field(default_factory=dict)
+    J: np.ndarray | None = None
     offset: float = 0.0
 
     def __post_init__(self):
@@ -101,15 +132,12 @@ class IsingModel:
         if h.shape != (self.n,):
             raise InputError(f"h has shape {h.shape}, expected ({self.n},)")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "J", _canonical_quadratic(self.n, self.J))
+        object.__setattr__(self, "J", _strict_upper(self.n, self.J))
         object.__setattr__(self, "offset", float(self.offset))
         _finite_terms("h", h, self.offset)
 
     def max_coefficient(self) -> float:
-        m = float(np.max(np.abs(self.h))) if self.n else 0.0
-        if self.J:
-            m = max(m, max(abs(v) for v in self.J.values()))
-        return m
+        return _max_abs(self.h, self.J)
 
 
 @dataclass(frozen=True)
@@ -129,10 +157,11 @@ class LinearConstraint:
         if c.ndim != 1 or not np.any(c != 0.0):
             raise InputError("constraint needs at least one nonzero coefficient")
 
-    def satisfied_by(self, x: np.ndarray, tolerance: float = 1e-9) -> bool:
-        lhs = float(self.coeffs @ x)
+    def satisfied_by(self, x: np.ndarray, tolerance: float = 1e-9):
+        """Whether ``x`` satisfies the constraint; a 2-D ``x`` is tested row by row."""
+        lhs = np.asarray(x) @ self.coeffs
         if self.relation == "eq":
-            return abs(lhs - self.rhs) <= tolerance
+            return np.abs(lhs - self.rhs) <= tolerance
         return lhs <= self.rhs + tolerance
 
     def to_dict(self) -> dict:
@@ -239,10 +268,7 @@ def _as_bits(x, n: int) -> np.ndarray:
 def qubo_energy(m: QuboModel, x) -> float:
     """Objective value at binary assignment ``x`` (sequence or '01' string)."""
     arr = _as_bits(x, m.n)
-    e = m.offset + float(m.linear @ arr)
-    for (i, j), v in m.quadratic.items():
-        e += v * arr[i] * arr[j]
-    return e
+    return m.offset + float(m.linear @ arr) + float(arr @ m.quadratic @ arr)
 
 
 def ising_energy(m: IsingModel, s) -> float:
@@ -252,31 +278,18 @@ def ising_energy(m: IsingModel, s) -> float:
         raise InputError(f"spin length {arr.shape} does not match n={m.n}")
     if np.any(np.abs(arr) != 1.0):
         raise InputError("spins must be -1 or +1")
-    e = m.offset + float(m.h @ arr)
-    for (i, j), v in m.J.items():
-        e += v * arr[i] * arr[j]
-    return e
-
-
-def quadratic_upper(m: QuboModel) -> np.ndarray:
-    """Dense strictly upper-triangular coefficient matrix."""
-    Q = np.zeros((m.n, m.n))
-    for (i, j), v in m.quadratic.items():
-        Q[i, j] = v
-    return Q
+    return m.offset + float(m.h @ arr) + float(arr @ m.J @ arr)
 
 
 def quadratic_symmetric(m: QuboModel) -> np.ndarray:
     """Dense symmetric coupling matrix with zero diagonal."""
-    Q = quadratic_upper(m)
-    return Q + Q.T
+    return m.quadratic + m.quadratic.T
 
 
 def qubo_energies(m: QuboModel, X: np.ndarray) -> np.ndarray:
     """Vectorized energies for a batch of states (rows of ``X``)."""
     X = np.asarray(X, dtype=float)
-    Qu = quadratic_upper(m)
-    return m.offset + X @ m.linear + np.einsum("si,si->s", X @ Qu, X)
+    return m.offset + X @ m.linear + np.einsum("si,si->s", X @ m.quadratic, X)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +298,17 @@ def qubo_energies(m: QuboModel, X: np.ndarray) -> np.ndarray:
 
 def qubo_to_ising(m: QuboModel) -> IsingModel:
     """Exact spin form via x_i = (1 + s_i) / 2; the offset absorbs constants."""
-    h = m.linear / 2.0
-    J: dict[tuple[int, int], float] = {}
-    offset = m.offset + float(np.sum(m.linear)) / 2.0
-    for (i, j), v in m.quadratic.items():
-        J[(i, j)] = v / 4.0
-        h[i] += v / 4.0
-        h[j] += v / 4.0
-        offset += v / 4.0
+    J = m.quadratic / 4.0
+    h = m.linear / 2.0 + J.sum(axis=0) + J.sum(axis=1)
+    offset = m.offset + float(np.sum(m.linear)) / 2.0 + float(J.sum())
     return IsingModel(m.n, h, J, offset)
 
 
 def ising_to_qubo(m: IsingModel) -> QuboModel:
     """Exact binary form via s_i = 2 x_i - 1 (inverse of :func:`qubo_to_ising`)."""
-    linear = 2.0 * m.h.copy()
-    quad: dict[tuple[int, int], float] = {}
-    offset = m.offset - float(np.sum(m.h))
-    for (i, j), v in m.J.items():
-        quad[(i, j)] = 4.0 * v
-        linear[i] -= 2.0 * v
-        linear[j] -= 2.0 * v
-        offset += v
-    return QuboModel(m.n, linear, quad, offset)
+    linear = 2.0 * m.h - 2.0 * (m.J.sum(axis=0) + m.J.sum(axis=1))
+    offset = m.offset - float(np.sum(m.h)) + float(m.J.sum())
+    return QuboModel(m.n, linear, 4.0 * m.J, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +330,7 @@ def penalize_equality(m: QuboModel, c: LinearConstraint, lam: float) -> QuboMode
         raise InputError("constraint length does not match model")
     pi, beta = c.coeffs, c.rhs
     linear = m.linear + lam * (pi * pi - 2.0 * beta * pi)
-    quad = dict(m.quadratic)
-    nz = np.nonzero(pi)[0]
-    for a in range(len(nz)):
-        for b in range(a + 1, len(nz)):
-            i, j = int(nz[a]), int(nz[b])
-            quad[(i, j)] = quad.get((i, j), 0.0) + 2.0 * lam * pi[i] * pi[j]
+    quad = m.quadratic + np.triu(np.outer(2.0 * lam * pi, pi), 1)
     return QuboModel(m.n, linear, quad, m.offset + lam * beta * beta)
 
 
@@ -364,15 +361,10 @@ def penalize_inequality(
     enc = encode_integer(steps)
     slack = SlackEncoding(m.n, slack_granularity, enc.bit_weights)
 
-    n_ext = m.n + slack.width
-    lin_ext = np.zeros(n_ext)
-    lin_ext[: m.n] = m.linear
-    extended = QuboModel(n_ext, lin_ext, dict(m.quadratic), m.offset)
-    coeffs_ext = np.zeros(n_ext)
-    coeffs_ext[: m.n] = c.coeffs
-    for j, w in enumerate(slack.bit_weights):
-        coeffs_ext[m.n + j] = slack_granularity * w
-    eq = LinearConstraint(coeffs_ext, "eq", c.rhs)
+    pad = (0, slack.width)
+    extended = QuboModel(m.n + slack.width, np.pad(m.linear, pad), np.pad(m.quadratic, pad), m.offset)
+    slack_coeffs = slack_granularity * np.array(slack.bit_weights, dtype=float)
+    eq = LinearConstraint(np.concatenate([c.coeffs, slack_coeffs]), "eq", c.rhs)
     return penalize_equality(extended, eq, lam), slack
 
 
@@ -430,13 +422,7 @@ def build_mvo_qubo(
     if not lam > 0:
         raise InputError(f"penalty weight must be positive, got {lam}")
     linear = q * np.diag(stats.sigma) - stats.mu
-    quad: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 2.0 * q * stats.sigma[i, j]
-            if v != 0.0:
-                quad[(i, j)] = v
-    base = QuboModel(n, linear, quad, 0.0)
+    base = QuboModel(n, linear, 2.0 * q * np.triu(stats.sigma, 1), 0.0)
     card = LinearConstraint(np.ones(n), "eq", float(B))
     return penalize_equality(base, card, lam)
 
@@ -482,24 +468,11 @@ def build_mpt_model(
             owner.append(i)
 
     nbits = len(dollar)
-    c = np.asarray(dollar)
+    c = np.asarray(dollar, dtype=float)
     own = np.asarray(owner, dtype=int)
     # M[t, u] = sigma[owner_t, owner_u] * c_t * c_u
-    if nbits:
-        M = stats.sigma[np.ix_(own, own)] * np.outer(c, c)
-        linear = -stats.mu[own] * c + q * np.diag(M)
-    else:
-        M = np.zeros((0, 0))
-        linear = np.zeros(0)
-    quad: dict[tuple[int, int], float] = {}
-    for t in range(nbits):
-        for u in range(t + 1, nbits):
-            v = 2.0 * q * M[t, u]
-            if v != 0.0:
-                quad[(t, u)] = v
-    objective = QuboModel(nbits, linear, quad, 0.0)
-    if nbits:
-        budget_con = (LinearConstraint(c, "le", float(budget)),)
-    else:
-        budget_con = ()
+    M = stats.sigma[np.ix_(own, own)] * np.outer(c, c)
+    linear = -stats.mu[own] * c + q * np.diag(M)
+    objective = QuboModel(nbits, linear, 2.0 * q * np.triu(M, 1), 0.0)
+    budget_con = (LinearConstraint(c, "le", float(budget)),) if nbits else ()
     return ConstrainedModel(objective, budget_con, tuple(encodings), tuple(names))

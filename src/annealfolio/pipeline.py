@@ -37,9 +37,15 @@ from .model import (
     default_selection_penalty,
     penalize_inequality,
     quadratic_symmetric,
-    qubo_energies,
 )
-from .sampler import AnnealSchedule, best_feasible, simulated_anneal, state_to_array
+from .sampler import (
+    EXHAUSTIVE_CAP,
+    AnnealSchedule,
+    best_feasible,
+    exhaustive_solve,
+    simulated_anneal,
+    state_to_array,
+)
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +102,6 @@ class PipelineConfig:
             "sampler": self.sampler.to_dict(),
             "allocator": {
                 "risk_free_rate": self.allocator.risk_free_rate,
-                "risk_aversion_q": self.allocator.risk_aversion_q,
                 "kkt_tolerance": self.allocator.kkt_tolerance,
                 "max_iterations": self.allocator.max_iterations,
                 "zero_weight_threshold": self.allocator.zero_weight_threshold,
@@ -145,9 +150,11 @@ def select_assets(
 ) -> tuple[str, ...]:
     """Pick exactly k tickers by sampling the selection QUBO.
 
-    Falls back to doubling the penalty once, then to exhaustive search
-    (n <= 24) if no sampled state hits the cardinality; raises SolverError
-    only when even that fails.
+    If no sampled state hits the cardinality, samples once more at double
+    the penalty, then solves exactly with :func:`exhaustive_solve` over the
+    states with k ones (n <= EXHAUSTIVE_CAP; ties go to the
+    lexicographically first state); raises SolverError when the universe is
+    too large to enumerate.
     """
     n = stats.n
     if not 1 <= k <= n:
@@ -163,37 +170,10 @@ def select_assets(
         state = best_feasible(s, [card], tolerance=1e-6)
         if state is not None:
             return _state_tickers(state, stats)
-    if n <= 24:
+    if n <= EXHAUSTIVE_CAP:
         m = build_mvo_qubo(stats, q, k, lam_val)
-        state = _exhaustive_feasible_selection(m, k)
-        if state is not None:
-            return _state_tickers(state, stats)
+        return _state_tickers(exhaustive_solve(m, 1, [card]).best().state, stats)
     raise SolverError(f"no feasible selection of {k} assets found")
-
-
-def _exhaustive_feasible_selection(m: QuboModel, k: int) -> str | None:
-    """Lowest-energy state with exactly k ones, by chunked enumeration.
-
-    Streams the 2^n states instead of materializing a full SampleSet, so
-    the fallback stays cheap on memory all the way to the n = 24 cap.
-    """
-    chunk = 1 << 18
-    size = 1 << m.n
-    bit_cols = np.arange(m.n, dtype=np.uint32)
-    best_energy, best_state = math.inf, None
-    for lo in range(0, size, chunk):
-        codes = np.arange(lo, min(lo + chunk, size), dtype=np.uint32)
-        X = ((codes[:, None] >> bit_cols) & 1).astype(float)
-        mask = X.sum(axis=1) == k
-        if not mask.any():
-            continue
-        Xf = X[mask]
-        energies = qubo_energies(m, Xf)
-        i = int(np.argmin(energies))
-        if energies[i] < best_energy:
-            best_energy = float(energies[i])
-            best_state = "".join("1" if v > 0.5 else "0" for v in Xf[i])
-    return best_state
 
 
 def _state_tickers(state: str, stats: AssetStats) -> tuple[str, ...]:
@@ -259,33 +239,18 @@ def realized_weights(h: Holdings, prices_at: Mapping[str, float], tickers: Seque
     return WeightVector(tuple(tickers), values / total)
 
 
-def hybrid_optimize(
-    prices: PriceMatrix,
-    cfg: PipelineConfig,
-    as_of: date | None = None,
-) -> tuple[Holdings, WeightVector, PortfolioMetrics]:
-    """Selection by annealing, weighting by max-Sharpe, purchase at the close.
-
-    ``as_of`` defaults to the last date of the matrix. With
-    ``cardinality='auto'`` the convex allocation over the full universe is
-    solved first and its support size fixes k. Metrics are computed on the
-    realized (post-rounding) weights.
-    """
-    if cfg.strategy != "hybrid":
-        raise InputError("hybrid_optimize requires strategy='hybrid'")
-    as_of = as_of or prices.dates[-1]
-    returns = compute_returns(prices, cfg.returns_method)
-    stats = estimate_stats(returns, cfg.annualization_factor)
-    holdings, target, metrics, _ = _run_hybrid_stages(stats, prices.prices_at(as_of), cfg, as_of)
-    return holdings, target, metrics
-
-
 def _run_hybrid_stages(
     stats: AssetStats,
     prices_at: Mapping[str, float],
     cfg: PipelineConfig,
     as_of: date | None,
 ) -> tuple[Holdings, WeightVector, PortfolioMetrics, int]:
+    """Selection by annealing, weighting by max-Sharpe, purchase at the close.
+
+    With ``cardinality='auto'`` the convex allocation over the full universe
+    is solved first and its support size fixes k. Metrics are computed on
+    the realized (post-rounding) weights.
+    """
     if cfg.cardinality == "auto":
         _, y_full = max_sharpe_weights(stats, None, cfg.allocator)
         k = derive_cardinality(y_full, cfg.allocator)

@@ -272,7 +272,8 @@ def rebalance_step(
     currently held tickers; if that universe cannot supply N = |flagged|
     names it widens to all sectors, and if still too thin the step holds
     cash and records a degenerate event. Repurchase failures inside the
-    optimizer likewise degrade to holding cash rather than aborting.
+    optimizer likewise degrade to holding cash rather than aborting, and a
+    repurchase whose optimum buys nothing is noted the same way.
     """
     flagged = sorted(set(flagged))
     held = holdings.held_tickers()
@@ -322,6 +323,8 @@ def rebalance_step(
         if count > 0:
             bought[t] = (count, count * float(prices_at[t]))
             retained[t] = retained.get(t, 0) + count
+    if not bought:
+        note = (note + "; " if note else "") + "degenerate: repurchase bought nothing, holding cash"
     new_holdings = Holdings(retained, bought_holdings.cash, as_of)
     event = RebalanceEvent(as_of, sold, bought, new_budget, candidates, new_holdings.cash, note)
     return new_holdings, event

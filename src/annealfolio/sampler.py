@@ -1,8 +1,10 @@
 """Low-energy state search for QUBO/Ising models.
 
 Two solvers share the :class:`SampleSet` result type: a seeded simulated
-annealer (the workhorse) and an exhaustive enumerator that serves as the
-exact oracle at small sizes.
+annealer (the workhorse) and one exhaustive enumerator, the exact solver at
+small sizes. The enumerator takes optional linear constraints and then
+enumerates only the states that satisfy them; it is the annealer's oracle
+and the pipeline's fallback when no sampled selection is feasible.
 
 Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
@@ -161,20 +163,44 @@ def _make_sampleset(states, energies, seed, n) -> SampleSet:
     return SampleSet(records, seed, n)
 
 
-def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
-    """Enumerate all 2^n states; exact but capped at n <= 24 variables.
+def _first_rows(X: np.ndarray, E: np.ndarray, k: int | None, place: np.ndarray):
+    """The first k rows of (X, E) in (energy, state) order; every row when k is None."""
+    if k is not None and len(E) > k:
+        # every row among the first k has an energy at most the k-th smallest
+        keep = np.flatnonzero(E <= np.partition(E, k - 1)[k - 1])
+        X, E = X[keep], E[keep]
+    order = np.lexsort((X @ place, E))[:k]
+    return X[order], E[order]
 
-    ``top_k`` keeps only the k lowest-energy states (k >= 1); the minimum
-    record is always the true global optimum. Without top_k the SampleSet
-    holds every state, which gets heavy past n ~ 20; prefer a truncation
-    there.
+
+def exhaustive_solve(
+    m: QuboModel,
+    top_k: int | None = None,
+    constraints: Sequence[LinearConstraint] = (),
+) -> SampleSet:
+    """Enumerate all 2^n states; exact but capped at n <= EXHAUSTIVE_CAP variables.
+
+    The one exact solver: the oracle for the annealer and the selection
+    fallback of the pipeline. States stream in chunks; with
+    ``constraints`` each chunk keeps only the states that satisfy every
+    one (at tolerance 1e-9) before its energies are computed, so the
+    records may be empty. Records are in (energy, state) order, ties
+    broken by the lexicographically first state, and ``top_k`` (k >= 1)
+    returns exactly the first k records of that order while holding no
+    more than k states per chunk. Without top_k the SampleSet holds every
+    state, which gets heavy past n ~ 20; prefer a truncation there.
     """
     if m.n > EXHAUSTIVE_CAP:
         raise InputError(f"exhaustive solve capped at n={EXHAUSTIVE_CAP}, got n={m.n}")
     if top_k is not None and top_k < 1:
         raise InputError("top_k must be at least 1")
+    for c in constraints:
+        if len(c.coeffs) != m.n:
+            raise InputError("constraint length does not match model variable count")
     size = 1 << m.n
     bit_cols = np.arange(m.n, dtype=np.uint32)
+    # x @ place orders states as their bitstrings sort: x_0 is the leading bit
+    place = 2.0 ** np.arange(m.n - 1, -1, -1)
 
     best_states: list[np.ndarray] = []
     best_energies: list[np.ndarray] = []
@@ -182,24 +208,15 @@ def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
         hi = min(lo + _ENUM_CHUNK, size)
         codes = np.arange(lo, hi, dtype=np.uint32)
         X = ((codes[:, None] >> bit_cols) & 1).astype(float)
+        for c in constraints:
+            X = X[c.satisfied_by(X)]
         E = qubo_energies(m, X)
-        if top_k is not None and hi - lo > top_k:
-            idx = np.argpartition(E, top_k - 1)[:top_k]
-            best_states.append(X[idx])
-            best_energies.append(E[idx])
-        else:
-            best_states.append(X)
-            best_energies.append(E)
-    X = np.concatenate(best_states)
-    E = np.concatenate(best_energies)
-    if top_k is not None and len(E) > top_k:
-        idx = np.argpartition(E, top_k - 1)[:top_k]
-        X, E = X[idx], E[idx]
-    states = [_array_to_state(row) for row in X]
-    merged: dict[str, float] = dict(zip(states, (float(e) for e in E)))
-    records = tuple(
-        SampleRecord(s, e, 1) for s, e in sorted(merged.items(), key=lambda kv: (kv[1], kv[0]))
-    )
+        if top_k is not None:
+            X, E = _first_rows(X, E, top_k, place)
+        best_states.append(X)
+        best_energies.append(E)
+    X, E = _first_rows(np.concatenate(best_states), np.concatenate(best_energies), top_k, place)
+    records = tuple(SampleRecord(_array_to_state(x), float(e), 1) for x, e in zip(X, E))
     return SampleSet(records, None, m.n)
 
 

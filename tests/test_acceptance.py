@@ -39,7 +39,7 @@ from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anne
 def make_stats(mu, sigma, tickers=None):
     mu = np.asarray(mu, dtype=float)
     tickers = tuple(tickers or (f"T{i}" for i in range(len(mu))))
-    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float), "daily", 1.0)
+    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float))
 
 
 def random_qubo(rng, n, scale):
@@ -69,15 +69,12 @@ def test_criterion_1_qubo_ising_equivalence():
         e_q = qubo_energies(m, X)
         S = 2.0 * X - 1.0
         h, off = im.h, im.offset
-        e_i = off + S @ h
-        for (i, j), v in im.J.items():
-            e_i = e_i + v * S[:, i] * S[:, j]
+        e_i = off + S @ h + ((S @ im.J) * S).sum(axis=1)
         assert np.max(np.abs(e_q - e_i)) <= 1e-9
         back = ising_to_qubo(im)
         assert np.max(np.abs(back.linear - m.linear)) <= 1e-12
         assert abs(back.offset - m.offset) <= 1e-12
-        for key in set(m.quadratic) | set(back.quadratic):
-            assert abs(back.quadratic.get(key, 0.0) - m.quadratic.get(key, 0.0)) <= 1e-12
+        assert np.max(np.abs(back.quadratic - m.quadratic), initial=0.0) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"\nPASS criterion 1: QUBO<->Ising equivalence, 200 models ({elapsed:.1f}s)")

@@ -20,7 +20,7 @@ from annealfolio.marketdata import AssetStats
 def make_stats(mu, sigma, tickers=None):
     mu = np.asarray(mu, dtype=float)
     tickers = tuple(tickers or (f"T{i}" for i in range(len(mu))))
-    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float), "daily", 1.0)
+    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float))
 
 
 def random_psd_stats(rng, n, mu_scale=0.3, vol_scale=0.3):

@@ -181,7 +181,7 @@ class TestSectors:
 def price_matrix(values, tickers=None):
     values = np.asarray(values, dtype=float)
     tickers = tuple(tickers or (f"T{i}" for i in range(values.shape[1])))
-    dates = tuple(date(2023, 1, d + 1) for d in range(values.shape[0]))
+    dates = tuple(date(2023, 1, 1) + timedelta(days=d) for d in range(values.shape[0]))
     return PriceMatrix(dates, tickers, values)
 
 

@@ -77,6 +77,37 @@ class TestEnergy:
         with pytest.raises(InputError, match="offset must be finite"):
             IsingModel(2, np.zeros(2), {}, bad)
 
+    def test_array_input_matches_mapping(self):
+        U = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.0, 0.0]])
+        m = QuboModel(3, np.zeros(3), U)
+        assert np.array_equal(m.quadratic, QuboModel(3, np.zeros(3), {(0, 1): 1.0, (1, 2): -2.5}).quadratic)
+        assert m.to_dict()["quadratic"] == [[0, 1, 1.0], [1, 2, -2.5]]
+        assert np.array_equal(IsingModel(3, np.zeros(3), U).J, U)
+        U[1, 0] = 7.0  # the model keeps its own read-only copy
+        assert m.quadratic[1, 0] == 0.0
+        with pytest.raises(ValueError):
+            m.quadratic[0, 1] = 3.0
+
+    @pytest.mark.parametrize(
+        "i, j, value, match",
+        [
+            (1, 1, 1.0, r"entry \(1, 1\) must be zero on and below the diagonal"),
+            (2, 0, -3.0, r"entry \(2, 0\) must be zero on and below the diagonal"),
+            (0, 2, float("inf"), r"coefficient \(0, 2\) must be finite"),
+            (0, 1, float("nan"), r"coefficient \(0, 1\) must be finite"),
+        ],
+        ids=["diagonal", "lower", "inf", "nan"],
+    )
+    def test_array_input_validated(self, i, j, value, match):
+        U = np.zeros((3, 3))
+        U[i, j] = value
+        with pytest.raises(InputError, match=match):
+            QuboModel(3, np.zeros(3), U)
+        with pytest.raises(InputError, match=match):
+            IsingModel(3, np.zeros(3), U)
+        with pytest.raises(InputError, match="shape"):
+            QuboModel(2, np.zeros(2), U)
+
     def test_ising_energy_rejects_non_spins(self):
         m = IsingModel(2, np.array([1.0, -1.0]), {}, 0.0)
         with pytest.raises(InputError):
@@ -98,12 +129,12 @@ class TestQuboIsing:
         im = qubo_to_ising(m)
         assert im.h[0] == pytest.approx(7 / 4)
         assert im.h[1] == pytest.approx(1 / 4)
-        assert im.J[(0, 1)] == pytest.approx(1 / 4)
+        assert im.J[0, 1] == pytest.approx(1 / 4)
         assert im.offset == pytest.approx(7 / 4)
 
     def test_zero_model(self):
         im = qubo_to_ising(QuboModel(3, np.zeros(3), {}, 0.0))
-        assert np.all(im.h == 0.0) and not im.J and im.offset == 0.0
+        assert np.all(im.h == 0.0) and not im.J.any() and im.offset == 0.0
 
     def test_single_variable(self):
         im = qubo_to_ising(QuboModel(1, np.array([1.0]), {}, 0.0))
@@ -115,12 +146,12 @@ class TestQuboIsing:
         m = ising_to_qubo(im)
         assert m.linear[0] == pytest.approx(3.0)
         assert m.linear[1] == pytest.approx(0.0, abs=1e-15)
-        assert m.quadratic[(0, 1)] == pytest.approx(1.0)
+        assert m.quadratic[0, 1] == pytest.approx(1.0)
         assert m.offset == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_ising(self):
         m = ising_to_qubo(IsingModel(2, np.zeros(2), {}, 0.0))
-        assert np.all(m.linear == 0.0) and not m.quadratic and m.offset == 0.0
+        assert np.all(m.linear == 0.0) and not m.quadratic.any() and m.offset == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
@@ -131,10 +162,7 @@ class TestQuboIsing:
         back = ising_to_qubo(im)
         assert np.allclose(back.linear, m.linear, atol=1e-12)
         assert back.offset == pytest.approx(m.offset, abs=1e-12)
-        for key in set(m.quadratic) | set(back.quadratic):
-            assert back.quadratic.get(key, 0.0) == pytest.approx(
-                m.quadratic.get(key, 0.0), abs=1e-12
-            )
+        assert np.max(np.abs(back.quadratic - m.quadratic), initial=0.0) <= 1e-12
         for x in all_states(n):
             s = 2 * x - 1
             assert qubo_energy(m, x) == pytest.approx(ising_energy(im, s), abs=1e-9)
@@ -146,7 +174,7 @@ class TestPenalizeEquality:
         c = LinearConstraint(np.array([1.0, 1.0]), "eq", 1.0)
         out = penalize_equality(base, c, 10.0)
         assert out.linear.tolist() == [-10.0, -10.0]
-        assert out.quadratic[(0, 1)] == 20.0
+        assert out.quadratic[0, 1] == 20.0
         assert out.offset == 10.0
         assert qubo_energy(out, [1, 0]) == pytest.approx(0.0)
         assert qubo_energy(out, [0, 1]) == pytest.approx(0.0)
@@ -280,7 +308,7 @@ class TestEncodeInteger:
 def make_stats(mu, sigma, tickers=None):
     mu = np.asarray(mu, dtype=float)
     tickers = tuple(tickers or (f"T{i}" for i in range(len(mu))))
-    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float), "daily", 1.0)
+    return AssetStats(tickers, mu, np.asarray(sigma, dtype=float))
 
 
 class TestBuildMvoQubo:
@@ -384,5 +412,5 @@ class TestModelDump:
         m1 = build_mvo_qubo(stats, q=1.5, B=1)
         m2 = build_mvo_qubo(stats, q=1.5, B=1)
         assert np.array_equal(m1.linear, m2.linear)
-        assert m1.quadratic == m2.quadratic
+        assert np.array_equal(m1.quadratic, m2.quadratic)
         assert m1.offset == m2.offset

@@ -15,7 +15,7 @@ from annealfolio.marketdata import (
     compute_returns,
     estimate_stats,
 )
-from annealfolio.pipeline import Holdings, PipelineConfig, portfolio_value
+from annealfolio.pipeline import STRATEGIES, Holdings, PipelineConfig, portfolio_value
 from annealfolio.rebalance import (
     RebalancePolicy,
     _initial_portfolio,
@@ -458,6 +458,17 @@ class TestRunBacktest:
             cash = e.cash_after
 
 
+    def test_repurchase_of_nothing_is_noted(self):
+        # the integer optimum over the lone candidate DDD is all cash
+        prices = quarterly_prices(seed=2)
+        cfg = cfg_for(5000.0, "fully_quantum")
+        report = run_backtest(prices, SECTORS5, 5000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
+        event = next(e for e in report.events if e.sold)
+        assert event.universe_used == ("DDD",) and event.bought == {}
+        assert event.note == "degenerate: repurchase bought nothing, holding cash"
+        assert event.cash_after == event.new_budget
+
+
 def assert_ledger(report, budget):
     """Replay the share and cash ledger: every event balances and nothing is overspent."""
     initial = report.initial_holdings
@@ -478,7 +489,8 @@ def assert_ledger(report, budget):
         cash = e.cash_after
 
 
-class TestFullyQuantumBacktestProperty:
+class TestBacktestProperty:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -487,9 +499,9 @@ class TestFullyQuantumBacktestProperty:
         crash=st.sampled_from([None, "CCC", "EEE"]),
         period=st.sampled_from([2, 3]),
     )
-    def test_ledger_balances_and_reruns_identically(self, seed, budget, market, crash, period):
+    def test_ledger_balances_and_reruns_identically(self, strategy, seed, budget, market, crash, period):
         prices = quarterly_prices(seed=market, crash=crash)
-        cfg = cfg_for(budget, "fully_quantum", seed=seed)
+        cfg = cfg_for(budget, strategy, seed=seed)
         policy = RebalancePolicy(period_months=period, lookback_days=40)
         report = run_backtest(prices, SECTORS5, budget, cfg, policy, "AAA")
         assert_ledger(report, budget)

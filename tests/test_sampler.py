@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealfolio import sampler
 from annealfolio.errors import InputError
 from annealfolio.marketdata import AssetStats
 from annealfolio.model import (
@@ -92,6 +93,56 @@ class TestExhaustive:
         for a, b in zip(s.records, s.records[1:]):
             if a.energy == b.energy:
                 assert a.state < b.state
+
+
+def small_integer_qubo(rng, n):
+    # coefficients in {-2, ..., 2}: exact energies with many ties
+    quad = {(i, j): float(rng.integers(-2, 3)) for i in range(n) for j in range(i + 1, n)}
+    return QuboModel(n, rng.integers(-2, 3, n).astype(float), quad, 0.0)
+
+
+class TestExhaustiveOrder:
+    @pytest.mark.parametrize("chunk", [4, sampler._ENUM_CHUNK], ids=["chunks-of-4", "one-chunk"])
+    def test_top_k_is_the_head_of_the_full_order(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampler, "_ENUM_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            m = small_integer_qubo(rng, int(rng.integers(1, 8)))
+            full = exhaustive_solve(m).records
+            for k in (1, 2, 3, 5, len(full)):
+                assert exhaustive_solve(m, top_k=k).records == full[:k]
+
+    def test_ties_go_to_the_lexicographically_first_state(self):
+        # -x0 - x1 - x2 + 2 (x0 x1 + x0 x2 + x1 x2): three one-hot minima at -1
+        m = QuboModel(3, -np.ones(3), {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0})
+        assert exhaustive_solve(m).records[0].state == "001"
+        assert exhaustive_solve(m, top_k=1).best().state == "001"
+        zero = QuboModel(20, np.zeros(20))
+        assert [r.state for r in exhaustive_solve(zero, top_k=2).records] == ["0" * 20, "0" * 19 + "1"]
+
+    @pytest.mark.parametrize("chunk", [4, sampler._ENUM_CHUNK], ids=["chunks-of-4", "one-chunk"])
+    def test_constraints_keep_the_feasible_records_in_order(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampler, "_ENUM_CHUNK", chunk)
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            m = small_integer_qubo(rng, n)
+            cs = [
+                LinearConstraint(np.ones(n), "eq", float(rng.integers(0, n + 1))),
+                LinearConstraint(rng.integers(1, 4, n).astype(float), "le", float(rng.integers(0, 2 * n))),
+            ]
+            feasible = tuple(
+                r for r in exhaustive_solve(m).records
+                if all(c.satisfied_by(state_to_array(r.state)) for c in cs)
+            )
+            assert exhaustive_solve(m, constraints=cs).records == feasible
+            assert exhaustive_solve(m, top_k=2, constraints=cs).records == feasible[:2]
+
+    def test_no_feasible_state_gives_no_records(self):
+        m = QuboModel(2, np.zeros(2))
+        assert exhaustive_solve(m, constraints=[LinearConstraint(np.ones(2), "eq", 5.0)]).records == ()
+        with pytest.raises(InputError):
+            exhaustive_solve(m, constraints=[LinearConstraint(np.ones(3), "eq", 1.0)])
 
 
 class TestSimulatedAnneal:
