@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for four fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for five fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -7,18 +7,22 @@ the outputs byte-identical (or to see exactly which files it changes):
 
 The runs are ``optimize --seed 42`` (hybrid), ``optimize --seed 42
 --strategy fully_quantum --budget 100000`` and ``backtest --seed 42
---budget 100000 --benchmark TECH1`` once per strategy. Artifacts go to a
-temporary directory that is removed afterwards.
+--budget 100000 --benchmark TECH1`` once per strategy, and a backtest from
+a config file that sets every config key (its ``out_dir`` is overridden
+by ``--out-dir``). The config file and the artifacts go to a temporary
+directory that is removed afterwards.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from annealfolio.cli import main as cli
+from annealfolio.data import bundled_prices_path, bundled_sectors_path
 
 RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
@@ -28,15 +32,29 @@ RUNS = {
                         "--benchmark", "TECH1", "--strategy", "hybrid"],
     "backtest-fully_quantum": ["backtest", "--seed", "42", "--budget", "100000",
                                "--benchmark", "TECH1", "--strategy", "fully_quantum"],
+    "backtest-config": ["backtest", "--config", "{config}"],
+}
+
+ALL_KEYS_CONFIG = {
+    "benchmark": {"TECH1": 50, "ENRG1": 50}, "budget": 100000, "strategy": "hybrid",
+    "cardinality": 3, "q": 1, "lambda": 2, "seed": 42, "period_months": 3,
+    "risk_return_threshold": 0, "risk_vol_quantile": 0.8, "lookback_days": 63,
+    "returns_method": "log", "annualization_factor": 252, "risk_free_rate": 0,
+    "cardinality_mode": "support", "sampler": {"sweeps": 200, "restarts": 8, "t_initial": 5},
+    "start": "2023-03-01", "end": "2023-12-29", "out_dir": "x",
 }
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "all_keys.json"
+        config.write_text(json.dumps(
+            {"prices": bundled_prices_path(), "sectors": bundled_sectors_path(), **ALL_KEYS_CONFIG}
+        ), encoding="utf-8")
         for name, argv in RUNS.items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli(argv + ["--out-dir", str(out)])
+                code = cli([a.format(config=config) for a in argv] + ["--out-dir", str(out)])
             if code != 0:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 return 1

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, check_field
 from .marketdata import AssetStats
 
 log = logging.getLogger(__name__)
@@ -38,12 +38,14 @@ class AllocatorConfig:
     cardinality_mode: str = "support"
 
     def __post_init__(self):
-        if not self.kkt_tolerance > 0 or not self.zero_weight_threshold > 0:
-            raise InputError("tolerances must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise InputError("max_iterations must be positive")
-        if self.cardinality_mode not in CARDINALITY_MODES:
-            raise InputError(f"cardinality_mode must be one of {CARDINALITY_MODES}")
+        for name, *rule in (
+            ("risk_free_rate", float),
+            ("kkt_tolerance", float, 0),
+            ("max_iterations", int, 1, None, (None,)),
+            ("zero_weight_threshold", float, 0),
+            ("cardinality_mode", CARDINALITY_MODES),
+        ):
+            object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Command-line entry point.
 
-Subcommands: ``optimize`` (single portfolio construction), ``backtest``
-(rebalancing simulation), ``report`` (render a result JSON as a
-comparison table), and ``gen-data`` (regenerate the synthetic dataset).
+Subcommands: ``optimize`` (build one portfolio), ``backtest`` (rebalancing
+simulation against a benchmark), ``report`` (render a result JSON as a
+comparison table) and ``gen-data`` (regenerate the synthetic dataset).
 
-Configuration comes from a JSON file plus command-line overrides; flags
-win. A seed is mandatory for optimize/backtest so every run is
-reproducible. Exit codes: 0 success, 1 runtime/solver failure, 2
-input/config failure.
+``optimize`` and ``backtest`` read one dict of settings keyed by config
+name: the CLI's own defaults (budget 1e6, the bundled price and sector
+files, ``$ANNEALFOLIO_OUT_DIR`` or ``.``), then the JSON config file, then
+the flags that were given; later sources win. The CLI itself reads only
+the file paths, the benchmark and the date range. Every other key goes to
+the library dataclass that owns it (``PipelineConfig``,
+``AllocatorConfig``, ``RebalancePolicy``, and ``AnnealSchedule`` for the
+``sampler`` object), and only the keys that are set are passed, so those
+dataclasses hold the defaults, check the values and echo them. A seed is
+mandatory so every run is reproducible. Exit codes: 0 success, 1
+runtime/solver failure, 2 input/config failure.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from datetime import date, datetime
 from pathlib import Path
 
@@ -26,7 +33,7 @@ import numpy as np
 
 from .allocator import AllocatorConfig, WeightVector
 from .data import bundled_prices_path, bundled_sectors_path
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, check_field
 from .marketdata import load_prices, load_sectors
 from .pipeline import PipelineConfig, run_pipeline
 from .rebalance import RebalancePolicy, run_backtest
@@ -35,68 +42,19 @@ from . import synthetic
 
 OUT_DIR_ENV = "ANNEALFOLIO_OUT_DIR"
 
-_CONFIG_KEYS = {
-    "prices", "sectors", "benchmark", "budget", "strategy", "cardinality",
-    "q", "lambda", "seed", "out_dir", "period_months", "risk_return_threshold",
-    "risk_vol_quantile", "lookback_days", "returns_method", "annualization_factor",
-    "risk_free_rate", "cardinality_mode", "sampler", "start", "end",
+# config keys each dataclass owns; "lambda" is PipelineConfig.lambda_
+_OWNED_KEYS = {
+    PipelineConfig: (
+        "budget", "seed", "strategy", "cardinality", "q", "lambda", "returns_method",
+        "annualization_factor",
+    ),
+    AllocatorConfig: ("risk_free_rate", "cardinality_mode"),
+    RebalancePolicy: ("period_months", "risk_return_threshold", "risk_vol_quantile", "lookback_days"),
+}
+_CONFIG_KEYS = {k for keys in _OWNED_KEYS.values() for k in keys} | {
+    "prices", "sectors", "out_dir", "benchmark", "start", "end", "sampler",
 }
 _SAMPLER_KEYS = {f.name for f in fields(AnnealSchedule)}
-
-
-@dataclass
-class RunConfig:
-    """Materialized run settings after merging config file and flags."""
-
-    prices: str
-    sectors: str
-    seed: int
-    out_dir: str
-    budget: float = 1_000_000.0
-    strategy: str = "hybrid"
-    cardinality: int | str = "auto"
-    q: float = 1.0
-    lambda_: float | str = "auto"
-    benchmark: object = None
-    period_months: int = 3
-    risk_return_threshold: float = 0.0
-    risk_vol_quantile: float = 0.8
-    lookback_days: int = 63
-    returns_method: str = "simple"
-    annualization_factor: float = 252.0
-    risk_free_rate: float = 0.0
-    cardinality_mode: str = "support"
-    sampler: dict = field(default_factory=dict)
-    start: date | None = None
-    end: date | None = None
-
-    def pipeline_config(self) -> PipelineConfig:
-        unknown = set(self.sampler) - _SAMPLER_KEYS
-        if unknown:
-            raise InputError(f"unknown sampler keys: {sorted(unknown)}")
-        return PipelineConfig(
-            budget=self.budget,
-            seed=self.seed,
-            strategy=self.strategy,
-            cardinality=self.cardinality,
-            q=self.q,
-            lambda_=self.lambda_,
-            sampler=AnnealSchedule(**self.sampler) if self.sampler else AnnealSchedule(),
-            allocator=AllocatorConfig(
-                risk_free_rate=self.risk_free_rate,
-                cardinality_mode=self.cardinality_mode,
-            ),
-            returns_method=self.returns_method,
-            annualization_factor=self.annualization_factor,
-        )
-
-    def policy(self) -> RebalancePolicy:
-        return RebalancePolicy(
-            period_months=self.period_months,
-            risk_return_threshold=self.risk_return_threshold,
-            risk_vol_quantile=self.risk_vol_quantile,
-            lookback_days=self.lookback_days,
-        )
 
 
 def _parse_date(value) -> date | None:
@@ -126,80 +84,41 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _coerce_cardinality(value):
-    if value in (None, "auto"):
-        return "auto"
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"cardinality must be an integer or 'auto', got {value!r}") from None
-
-
-def _coerce_lambda(value):
-    if value in (None, "auto"):
-        return "auto"
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"lambda must be a number or 'auto', got {value!r}") from None
-
-
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
-def build_run_config(args: argparse.Namespace, need_seed: bool = True) -> RunConfig:
-    cfg = _load_config_file(getattr(args, "config", None))
-
-    def pick(flag_name: str, cfg_key: str, default=None):
-        flag_val = getattr(args, flag_name, None)
-        if flag_val is not None:
-            return flag_val
-        return cfg.get(cfg_key, default)
-
-    seed = pick("seed", "seed")
-    if seed is None:
-        if need_seed:
-            raise InputError("a seed is required (set --seed or the 'seed' config field)")
-        seed = 0
-    seed = _check_seed(seed)
-    sampler = cfg.get("sampler", {})
+def build_run_config(args: argparse.Namespace) -> tuple[dict, PipelineConfig, RebalancePolicy]:
+    """The merged settings, with the pipeline config and rebalance policy built from them."""
+    settings = {
+        "budget": 1_000_000.0,
+        "prices": bundled_prices_path(),
+        "sectors": bundled_sectors_path(),
+        "out_dir": os.environ.get(OUT_DIR_ENV) or ".",
+    }
+    settings.update(_load_config_file(args.config))
+    settings.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+    if "seed" not in settings:
+        raise InputError("a seed is required (set --seed or the 'seed' config field)")
+    for key in ("prices", "sectors", "out_dir"):
+        check_field(key, settings[key], str)
+    for label, key in (("price", "prices"), ("sector", "sectors")):
+        if not Path(settings[key]).exists():
+            raise InputError(f"{label} file not found: {settings[key]}")
+    for key in ("start", "end"):
+        settings[key] = _parse_date(settings.get(key))
+    sampler = settings.get("sampler", {})
     if not isinstance(sampler, dict):
         raise InputError("the 'sampler' config field must be a JSON object")
-    out_dir = pick("out_dir", "out_dir") or os.environ.get(OUT_DIR_ENV) or "."
+    unknown = set(sampler) - _SAMPLER_KEYS
+    if unknown:
+        raise InputError(f"unknown sampler keys: {sorted(unknown)}")
 
-    prices = pick("prices", "prices") or bundled_prices_path()
-    sectors = pick("sectors", "sectors") or bundled_sectors_path()
-    for label, path in (("price", prices), ("sector", sectors)):
-        if not Path(path).exists():
-            raise InputError(f"{label} file not found: {path}")
+    def owned(owner) -> dict:
+        return {k.replace("lambda", "lambda_"): settings[k] for k in _OWNED_KEYS[owner] if k in settings}
 
-    rc = RunConfig(
-        prices=str(prices),
-        sectors=str(sectors),
-        seed=seed,
-        out_dir=str(out_dir),
-        budget=float(pick("budget", "budget", 1_000_000.0)),
-        strategy=str(pick("strategy", "strategy", "hybrid")),
-        cardinality=_coerce_cardinality(pick("cardinality", "cardinality", "auto")),
-        q=float(pick("q", "q", 1.0)),
-        lambda_=_coerce_lambda(pick("lambda_", "lambda", "auto")),
-        benchmark=pick("benchmark", "benchmark"),
-        period_months=int(pick("period_months", "period_months", 3)),
-        risk_return_threshold=float(cfg.get("risk_return_threshold", 0.0)),
-        risk_vol_quantile=float(cfg.get("risk_vol_quantile", 0.8)),
-        lookback_days=int(cfg.get("lookback_days", 63)),
-        returns_method=str(cfg.get("returns_method", "simple")),
-        annualization_factor=float(cfg.get("annualization_factor", 252.0)),
-        risk_free_rate=float(cfg.get("risk_free_rate", 0.0)),
-        cardinality_mode=str(cfg.get("cardinality_mode", "support")),
-        sampler=dict(sampler),
-        start=_parse_date(cfg.get("start")),
-        end=_parse_date(cfg.get("end")),
+    cfg = PipelineConfig(
+        **owned(PipelineConfig),
+        sampler=AnnealSchedule(**sampler),
+        allocator=AllocatorConfig(**owned(AllocatorConfig)),
     )
-    return rc
+    return settings, cfg, RebalancePolicy(**owned(RebalancePolicy))
 
 
 def _resolve_benchmark(spec, tickers) -> WeightVector | str:
@@ -297,10 +216,10 @@ def _render_weight_table(algo: dict, bench: dict | None) -> str:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    rc = build_run_config(args)
-    prices = load_prices(rc.prices)
-    result = run_pipeline(prices, rc.pipeline_config())
-    out_dir = Path(rc.out_dir)
+    settings, cfg, _ = build_run_config(args)
+    prices = load_prices(settings["prices"])
+    result = run_pipeline(prices, cfg)
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "optimize_result.json", result)
     table = render_comparison(result)
@@ -311,21 +230,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    rc = build_run_config(args)
-    prices = load_prices(rc.prices)
-    sectors = load_sectors(rc.sectors)
-    benchmark = _resolve_benchmark(rc.benchmark, prices.tickers)
+    settings, cfg, policy = build_run_config(args)
+    prices = load_prices(settings["prices"])
+    sectors = load_sectors(settings["sectors"])
+    benchmark = _resolve_benchmark(settings.get("benchmark"), prices.tickers)
     report = run_backtest(
         prices,
         sectors,
-        rc.budget,
-        rc.pipeline_config(),
-        rc.policy(),
+        cfg.budget,
+        cfg,
+        policy,
         benchmark,
-        start=rc.start,
-        end=rc.end,
+        start=settings["start"],
+        end=settings["end"],
     )
-    out_dir = Path(rc.out_dir)
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "backtest_report.json", report.to_dict())
     (out_dir / "backtest_plot.csv").write_text(report.to_plot_csv(), encoding="utf-8")
@@ -358,7 +277,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _check_seed(args.seed) if args.seed is not None else synthetic.DEFAULT_SEED
+    seed = synthetic.DEFAULT_SEED if args.seed is None else check_field("seed", args.seed, int, low=0)
     days = args.days or synthetic.DEFAULT_DAYS
     start = _parse_date(args.start) or synthetic.DEFAULT_START
     matrix, sectors = synthetic.generate_dataset(seed=seed, n_days=days, start=start)
@@ -372,6 +291,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _auto_or(kind):
+    """Flag type: the text ``auto`` as it is, anything else converted by ``kind``."""
+
+    def convert(text: str):
+        return text if text == "auto" else kind(text)
+
+    convert.__name__ = kind.__name__  # argparse names the type in its error
+    return convert
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -390,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", choices=["hybrid", "fully_quantum"])
         p.add_argument("--seed", type=int, help="random seed (required here or in the config)")
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-        p.add_argument("--cardinality", help="number of assets to select, or 'auto'")
+        p.add_argument("--cardinality", type=_auto_or(int), help="number of assets to select, or 'auto'")
         p.add_argument("--q", type=float, help="risk aversion coefficient")
-        p.add_argument("--lambda", dest="lambda_", help="constraint penalty weight, or 'auto'")
+        p.add_argument("--lambda", type=_auto_or(float), help="constraint penalty weight, or 'auto'")
         p.add_argument("--period-months", dest="period_months", type=int, help="rebalance cadence")
         p.add_argument("--benchmark", help="benchmark ticker or weights JSON path (backtest)")
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InputError
 
 DAILY_ANNUALIZATION = 252.0
+RETURN_METHODS = ("simple", "log")
 
 # PSD tolerance: smallest eigenvalue >= -PSD_RTOL * largest eigenvalue.
 PSD_RTOL = 1e-10
@@ -389,7 +390,7 @@ def load_sectors(source) -> SectorMap:
 
 def compute_returns(prices: PriceMatrix, method: str = "simple") -> ReturnsMatrix:
     """Per-period returns; ``simple`` is p_t/p_{t-1} - 1, ``log`` is ln(p_t/p_{t-1})."""
-    if method not in ("simple", "log"):
+    if method not in RETURN_METHODS:
         raise InputError(f"unknown return method {method!r}")
     if len(prices.dates) < 2:
         raise InputError("need at least 2 dates to compute returns")

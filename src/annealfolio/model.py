@@ -82,7 +82,8 @@ class QuboModel:
 
     ``quadratic`` may be given as a {(i, j): value} mapping (i < j) or as an
     (n, n) array that is zero on and below the diagonal; it is stored as
-    the array.
+    the array. ``linear`` and ``quadratic`` are read-only copies, never the
+    caller's arrays.
     """
 
     n: int
@@ -91,9 +92,10 @@ class QuboModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        lin = np.zeros(self.n) if self.linear is None else np.asarray(self.linear, dtype=float)
+        lin = np.zeros(self.n) if self.linear is None else np.array(self.linear, dtype=float)
         if lin.shape != (self.n,):
             raise InputError(f"linear has shape {lin.shape}, expected ({self.n},)")
+        lin.flags.writeable = False
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", _strict_upper(self.n, self.quadratic))
         object.__setattr__(self, "offset", float(self.offset))
@@ -128,9 +130,10 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        h = np.zeros(self.n) if self.h is None else np.asarray(self.h, dtype=float)
+        h = np.zeros(self.n) if self.h is None else np.array(self.h, dtype=float)
         if h.shape != (self.n,):
             raise InputError(f"h has shape {h.shape}, expected ({self.n},)")
+        h.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", _strict_upper(self.n, self.J))
         object.__setattr__(self, "offset", float(self.offset))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -27,8 +27,15 @@ from .allocator import (
     derive_cardinality,
     max_sharpe_weights,
 )
-from .errors import InputError, SolverError
-from .marketdata import AssetStats, PriceMatrix, compute_returns, estimate_stats
+from .errors import InputError, SolverError, check_field
+from .marketdata import (
+    DAILY_ANNUALIZATION,
+    RETURN_METHODS,
+    AssetStats,
+    PriceMatrix,
+    compute_returns,
+    estimate_stats,
+)
 from .model import (
     LinearConstraint,
     QuboModel,
@@ -69,47 +76,26 @@ class PipelineConfig:
     sampler: AnnealSchedule = field(default_factory=AnnealSchedule)
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
     returns_method: str = "simple"
-    annualization_factor: float = 252.0
+    annualization_factor: float = DAILY_ANNUALIZATION
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InputError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if not self.budget > 0:
-            raise InputError(f"budget must be positive, got {self.budget}")
-        if not self.q > 0:
-            raise InputError(f"q must be positive, got {self.q}")
-        if isinstance(self.cardinality, str):
-            if self.cardinality != "auto":
-                raise InputError("cardinality must be a positive integer or 'auto'")
-        elif self.cardinality < 1:
-            raise InputError("cardinality must be a positive integer or 'auto'")
-        if isinstance(self.lambda_, str):
-            if self.lambda_ != "auto":
-                raise InputError("lambda must be a positive number or 'auto'")
-        elif not self.lambda_ > 0:
-            raise InputError("lambda must be a positive number or 'auto'")
-        if not isinstance(self.seed, int):
-            raise InputError("seed must be an integer")
+        for name, *rule in (
+            ("budget", float, 0),
+            ("seed", int, 0),
+            ("strategy", STRATEGIES),
+            ("cardinality", int, 1, None, ("auto",)),
+            ("q", float, 0),
+            ("lambda_", float, 0, None, ("auto",)),
+            ("returns_method", RETURN_METHODS),
+            ("annualization_factor", float, 0),
+        ):
+            value = check_field(name.rstrip("_"), getattr(self, name), *rule)
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "cardinality": self.cardinality,
-            "q": self.q,
-            "lambda": self.lambda_,
-            "seed": self.seed,
-            "sampler": self.sampler.to_dict(),
-            "allocator": {
-                "risk_free_rate": self.allocator.risk_free_rate,
-                "kkt_tolerance": self.allocator.kkt_tolerance,
-                "max_iterations": self.allocator.max_iterations,
-                "zero_weight_threshold": self.allocator.zero_weight_threshold,
-                "cardinality_mode": self.allocator.cardinality_mode,
-            },
-            "returns_method": self.returns_method,
-            "annualization_factor": self.annualization_factor,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lambda_")
+        return d
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import calendar
 import logging
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, replace
 from datetime import date
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .allocator import WeightVector, max_sharpe_weights
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, check_field
 from .marketdata import (
     AssetStats,
     PriceMatrix,
@@ -68,23 +69,14 @@ class RebalancePolicy:
     min_candidates_per_sector: int = 1
 
     def __post_init__(self):
-        if self.period_months < 1:
-            raise InputError("period_months must be positive")
-        if not 0 < self.risk_vol_quantile <= 1:
-            raise InputError("risk_vol_quantile must lie in (0, 1]")
-        if self.lookback_days < 2:
-            raise InputError("lookback_days must be at least 2")
-        if self.min_candidates_per_sector < 0:
-            raise InputError("min_candidates_per_sector must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "period_months": self.period_months,
-            "risk_return_threshold": self.risk_return_threshold,
-            "risk_vol_quantile": self.risk_vol_quantile,
-            "lookback_days": self.lookback_days,
-            "min_candidates_per_sector": self.min_candidates_per_sector,
-        }
+        for name, *rule in (
+            ("period_months", int, 1),
+            ("risk_return_threshold", float),
+            ("risk_vol_quantile", float, 0, 1),
+            ("lookback_days", int, 2),
+            ("min_candidates_per_sector", int, 0),
+        ):
+            object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
 
 
 @dataclass(frozen=True)
@@ -165,13 +157,33 @@ def add_months(d: date, months: int) -> date:
     return date(year, month, day)
 
 
-def _trailing_window(returns: ReturnsMatrix, as_of: date, lookback: int) -> np.ndarray:
-    rows = [i for i, d in enumerate(returns.dates) if d <= as_of]
-    if len(rows) < lookback:
+def _trailing_stats(
+    returns: ReturnsMatrix, held: Sequence[str], as_of: date, lookback: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and volatility (ddof 1) of each held ticker's last ``lookback`` returns up to ``as_of``."""
+    end = bisect_right(returns.dates, as_of)
+    if end < lookback:
         raise InputError(
-            f"insufficient history: need {lookback} daily returns up to {as_of}, have {len(rows)}"
+            f"insufficient history: need {lookback} daily returns up to {as_of}, have {end}"
         )
-    return returns.values[rows[-lookback:]]
+    cols = []
+    for t in held:
+        if t not in returns.tickers:
+            raise InputError(f"no return history for held ticker {t!r}")
+        cols.append(returns.tickers.index(t))
+    data = returns.values[end - lookback:end, cols]
+    return data.mean(axis=0), data.std(axis=0, ddof=1)
+
+
+def _flagged(
+    held: Sequence[str], means: np.ndarray, vols: np.ndarray, policy: RebalancePolicy
+) -> set[str]:
+    vol_cut = float(np.quantile(vols, policy.risk_vol_quantile))
+    return {
+        t
+        for t, mu, vol in zip(held, means, vols)
+        if mu <= policy.risk_return_threshold or vol > vol_cut
+    }
 
 
 def identify_risky(
@@ -184,22 +196,7 @@ def identify_risky(
     held = holdings.held_tickers()
     if not held:
         return set()
-    window = _trailing_window(returns, as_of, policy.lookback_days)
-    cols = []
-    for t in held:
-        if t not in returns.tickers:
-            raise InputError(f"no return history for held ticker {t!r}")
-        cols.append(returns.tickers.index(t))
-    data = window[:, cols]
-    means = data.mean(axis=0)
-    vols = data.std(axis=0, ddof=1)
-    vol_cut = float(np.quantile(vols, policy.risk_vol_quantile))
-    flagged = {
-        t
-        for t, mu, vol in zip(held, means, vols)
-        if mu <= policy.risk_return_threshold or vol > vol_cut
-    }
-    return flagged
+    return _flagged(held, *_trailing_stats(returns, held, as_of, policy.lookback_days), policy)
 
 
 def health_check(
@@ -217,12 +214,11 @@ def health_check(
     """
     held = holdings.held_tickers()
     stats: dict[str, tuple[float, float]] = {}
+    flagged: tuple[str, ...] = ()
     if held:
-        window = _trailing_window(returns, as_of, policy.lookback_days)
-        for t in held:
-            col = window[:, returns.tickers.index(t)]
-            stats[t] = (float(col.mean()), float(col.std(ddof=1)))
-    flagged = tuple(sorted(identify_risky(returns, holdings, policy, as_of)))
+        means, vols = _trailing_stats(returns, held, as_of, policy.lookback_days)
+        stats = {t: (float(mu), float(vol)) for t, mu, vol in zip(held, means, vols)}
+        flagged = tuple(sorted(_flagged(held, means, vols, policy)))
     value = portfolio_value(holdings, prices_at)
     profit = None if initial_value is None else value - initial_value
     return HealthReport(as_of, stats, flagged, value, profit)
@@ -467,7 +463,7 @@ def run_backtest(
 
     config_echo = {
         "pipeline": cfg.to_dict(),
-        "policy": policy.to_dict(),
+        "policy": asdict(policy),
         "initial_budget": initial_budget,
         "benchmark": benchmark.as_dict(),
         "start": start.isoformat(),

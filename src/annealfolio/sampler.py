@@ -30,13 +30,12 @@ the tests keep that pass as the reference.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_field
 from .model import (
     IsingModel,
     LinearConstraint,
@@ -68,24 +67,13 @@ class AnnealSchedule:
     interpolation: str = "geometric"
 
     def __post_init__(self):
-        kinds = {"t_final": numbers.Real, "sweeps": numbers.Integral, "restarts": numbers.Integral}
-        if self.t_initial is not None:
-            kinds["t_initial"] = numbers.Real
-        for name, kind in kinds.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a number"
-                raise InputError(f"{name} must be {noun}, got {value!r}")
-        if self.t_initial is not None and not self.t_initial > 0:
-            raise InputError(f"t_initial must be positive, got {self.t_initial}")
-        if not self.t_final > 0:
-            raise InputError(f"t_final must be positive, got {self.t_final}")
+        check_field("t_initial", self.t_initial, float, low=0, allow=(None,))
+        check_field("t_final", self.t_final, float, low=0)
         if self.t_initial is not None and self.t_final >= self.t_initial:
             raise InputError("t_final must be below t_initial")
-        if self.sweeps < 1 or self.restarts < 1:
-            raise InputError("sweeps and restarts must be at least 1")
-        if self.interpolation not in ("geometric", "linear"):
-            raise InputError(f"unknown interpolation {self.interpolation!r}")
+        check_field("sweeps", self.sweeps, int, low=1)
+        check_field("restarts", self.restarts, int, low=1)
+        check_field("interpolation", self.interpolation, ("geometric", "linear"))
 
     def resolve_t_initial(self, model: QuboModel | IsingModel) -> float:
         if self.t_initial is not None:
@@ -99,15 +87,6 @@ class AnnealSchedule:
         if self.interpolation == "geometric":
             return t0 * (self.t_final / t0) ** frac
         return t0 + (self.t_final - t0) * frac
-
-    def to_dict(self) -> dict:
-        return {
-            "t_initial": self.t_initial,
-            "t_final": self.t_final,
-            "sweeps": self.sweeps,
-            "restarts": self.restarts,
-            "interpolation": self.interpolation,
-        }
 
 
 class SampleRecord(NamedTuple):

@@ -147,8 +147,21 @@ class TestDeriveCardinality:
             derive_cardinality(np.array([1e-9, 1e-8]))
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(InputError):
-            AllocatorConfig(cardinality_mode="guess")
+        for bad in (
+            {"cardinality_mode": "guess"},
+            {"cardinality_mode": None},
+            {"risk_free_rate": "x"},
+            {"risk_free_rate": True},
+            {"risk_free_rate": float("inf")},
+            {"kkt_tolerance": 0.0},
+            {"kkt_tolerance": float("nan")},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"max_iterations": 0},
+            {"zero_weight_threshold": -1e-6},
+        ):
+            with pytest.raises(InputError, match=next(iter(bad))):
+                AllocatorConfig(**bad)
 
 
 class TestComputeMetrics:

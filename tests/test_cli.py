@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,37 @@ class TestOptimizeCommand:
         cfg.write_text(json.dumps({"seed": 1, "sampler": sampler}))
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ({"budget": None}, [], "budget"),
+            ({"lookback_days": "x"}, [], "lookback_days"),
+            ({"risk_free_rate": "x"}, [], "risk_free_rate"),
+            ({"risk_return_threshold": None}, [], "risk_return_threshold"),
+            ({"prices": 5}, [], "prices"),
+            ({}, ["--budget", "inf"], "budget"),
+            ({"cardinality": 2.9}, [], "cardinality"),
+            ({"period_months": 2.5}, [], "period_months"),
+            ({"budget": True}, [], "budget"),
+            ({"annualization_factor": -1}, [], "annualization_factor"),
+            ({}, ["--lambda", "inf"], "lambda"),
+            ({"q": "inf"}, [], "q"),
+        ],
+        ids=[
+            "budget-null", "lookback_days-str", "risk_free_rate-str", "risk_return_threshold-null",
+            "prices-int", "budget-flag-inf", "cardinality-2.9", "period_months-2.5", "budget-true",
+            "annualization_factor-negative", "lambda-flag-inf", "q-str-inf",
+        ],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, out_dir, capsys, config, flags, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "benchmark": "TECH1", **config}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert run(["backtest", "--config", cfg, *flags, "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {field} must be [^\n]*\n", err), err
 
     @pytest.mark.parametrize("command", ["optimize", "backtest", "gen-data"])
     def test_negative_seed_exit_2(self, out_dir, capsys, command):

@@ -79,14 +79,19 @@ class TestEnergy:
 
     def test_array_input_matches_mapping(self):
         U = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.0, 0.0]])
-        m = QuboModel(3, np.zeros(3), U)
+        lin = np.zeros(3)
+        m = QuboModel(3, lin, U)
+        im = IsingModel(3, lin, U)
         assert np.array_equal(m.quadratic, QuboModel(3, np.zeros(3), {(0, 1): 1.0, (1, 2): -2.5}).quadratic)
         assert m.to_dict()["quadratic"] == [[0, 1, 1.0], [1, 2, -2.5]]
-        assert np.array_equal(IsingModel(3, np.zeros(3), U).J, U)
-        U[1, 0] = 7.0  # the model keeps its own read-only copy
+        assert np.array_equal(im.J, U)
+        U[1, 0] = 7.0  # each model keeps its own read-only copies
+        lin[0] = np.inf
         assert m.quadratic[1, 0] == 0.0
-        with pytest.raises(ValueError):
-            m.quadratic[0, 1] = 3.0
+        assert m.linear[0] == 0.0 and im.h[0] == 0.0
+        for stored in (m.quadratic, m.linear, im.J, im.h):
+            with pytest.raises(ValueError):
+                stored[..., -1] = 3.0
 
     @pytest.mark.parametrize(
         "i, j, value, match",

@@ -427,13 +427,41 @@ class TestRunPipeline:
 
 class TestPipelineConfig:
     def test_validation(self):
-        with pytest.raises(InputError):
-            PipelineConfig(budget=-1.0, seed=1)
-        with pytest.raises(InputError):
-            PipelineConfig(budget=1.0, seed=1, strategy="psychic")
-        with pytest.raises(InputError):
-            PipelineConfig(budget=1.0, seed=1, cardinality="some")
-        with pytest.raises(InputError):
-            PipelineConfig(budget=1.0, seed=1, lambda_=-2.0)
-        with pytest.raises(InputError):
-            PipelineConfig(budget=1.0, seed="nope")
+        for bad in (
+            {"budget": -1.0},
+            {"strategy": "psychic"},
+            {"cardinality": "some"},
+            {"lambda_": -2.0},
+            {"seed": "nope"},
+            {"budget": True},
+            {"budget": float("inf")},
+            {"budget": "1e5"},
+            {"budget": None},
+            {"q": float("nan")},
+            {"q": "inf"},
+            {"lambda_": float("inf")},
+            {"cardinality": 2.9},
+            {"cardinality": 3.0},
+            {"cardinality": None},
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 1.0},
+            {"annualization_factor": -1.0},
+            {"returns_method": "cubic"},
+        ):
+            with pytest.raises(InputError, match=next(iter(bad)).rstrip("_")):
+                PipelineConfig(**{"budget": 1.0, "seed": 1, **bad})
+
+    def test_stored_forms_and_echo(self):
+        cfg = PipelineConfig(
+            budget=100000, seed=np.int64(3), q=1, lambda_=2, sampler=AnnealSchedule(t_initial=5)
+        )
+        assert (cfg.budget, cfg.q, cfg.lambda_, cfg.annualization_factor) == (100000.0, 1.0, 2.0, 252.0)
+        assert all(type(v) is float for v in (cfg.budget, cfg.q, cfg.lambda_))
+        assert type(cfg.seed) is int
+        echo = cfg.to_dict()
+        assert echo["lambda"] == 2.0 and "lambda_" not in echo
+        assert echo["sampler"]["t_initial"] == 5 and type(echo["sampler"]["t_initial"]) is int
+        assert set(echo["allocator"]) == {
+            "risk_free_rate", "kkt_tolerance", "max_iterations", "zero_weight_threshold", "cardinality_mode",
+        }

@@ -152,6 +152,13 @@ class TestHealthCheck:
         assert set(rep.asset_stats) == {"A", "B", "C"}
         assert rep.asset_stats["C"][0] < 0
 
+    def test_held_ticker_without_history(self):
+        prices = self.make_prices({"A": [100.0 + i for i in range(10)]})
+        returns = compute_returns(prices)
+        h = Holdings({"A": 1, "Z": 2}, 0.0)
+        with pytest.raises(InputError, match="no return history for held ticker 'Z'"):
+            health_check(h, {"A": 109.0, "Z": 5.0}, returns, RebalancePolicy(lookback_days=5), prices.dates[-1])
+
 
 def flat_stats_provider(prices):
     def provider(tickers):
@@ -511,9 +518,20 @@ class TestBacktestProperty:
 
 class TestPolicyValidation:
     def test_bad_fields(self):
-        with pytest.raises(InputError):
-            RebalancePolicy(period_months=0)
-        with pytest.raises(InputError):
-            RebalancePolicy(risk_vol_quantile=0.0)
-        with pytest.raises(InputError):
-            RebalancePolicy(lookback_days=1)
+        for bad in (
+            {"period_months": 0},
+            {"risk_vol_quantile": 0.0},
+            {"lookback_days": 1},
+            {"period_months": 2.5},
+            {"period_months": 3.0},
+            {"period_months": True},
+            {"lookback_days": "x"},
+            {"risk_return_threshold": None},
+            {"risk_return_threshold": float("nan")},
+            {"risk_vol_quantile": float("inf")},
+            {"risk_vol_quantile": 1.5},
+            {"risk_vol_quantile": "0.8"},
+            {"min_candidates_per_sector": -1},
+        ):
+            with pytest.raises(InputError, match=next(iter(bad))):
+                RebalancePolicy(**bad)

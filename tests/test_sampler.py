@@ -222,7 +222,15 @@ class TestSimulatedAnneal:
             AnnealSchedule(sweeps=0)
         with pytest.raises(InputError):
             AnnealSchedule(interpolation="sudden")
-        for bad in ({"sweeps": 10.5}, {"sweeps": True}, {"restarts": 2.0}, {"t_final": None}):
+        for bad in (
+            {"sweeps": 10.5},
+            {"sweeps": True},
+            {"restarts": 2.0},
+            {"t_final": None},
+            {"t_final": float("nan")},
+            {"t_initial": float("inf")},
+            {"t_initial": "5"},
+        ):
             with pytest.raises(InputError, match="must be"):
                 AnnealSchedule(**bad)
         assert AnnealSchedule(sweeps=np.int64(10), restarts=np.int64(2)).sweeps == 10
