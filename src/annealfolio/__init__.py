@@ -13,7 +13,6 @@ from .errors import InputError, SolverError
 from .marketdata import (
     AssetStats,
     PriceMatrix,
-    PricePoint,
     ReturnsMatrix,
     SectorMap,
     compute_returns,
@@ -40,6 +39,7 @@ from .model import (
 from .pipeline import (
     Holdings,
     PipelineConfig,
+    buy,
     optimize_integer_shares,
     portfolio_value,
     run_pipeline,
@@ -52,7 +52,6 @@ from .rebalance import (
     RebalanceEvent,
     RebalancePolicy,
     health_check,
-    identify_risky,
     rebalance_step,
     run_backtest,
 )

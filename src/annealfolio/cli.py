@@ -145,7 +145,7 @@ def _weights_from_mapping(data: dict) -> WeightVector:
     if not data:
         raise InputError("benchmark weights are empty")
     tickers = sorted(data)
-    vals = np.array([float(data[t]) for t in tickers])
+    vals = np.array([check_field(f"benchmark weight of {t}", data[t], float) for t in tickers])
     if np.any(vals < 0) or vals.sum() <= 0:
         raise InputError("benchmark weights must be nonnegative with a positive sum")
     return WeightVector(tuple(tickers), vals / vals.sum())

@@ -17,14 +17,13 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,21 +34,6 @@ RETURN_METHODS = ("simple", "log")
 
 # PSD tolerance: smallest eigenvalue >= -PSD_RTOL * largest eigenvalue.
 PSD_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PricePoint:
-    """A single close observation for one ticker on one date."""
-
-    date: date
-    ticker: str
-    close: float
-
-    def __post_init__(self):
-        if not (self.close > 0 and math.isfinite(self.close)):
-            raise InputError(
-                f"close must be positive and finite, got {self.close} for {self.ticker} on {self.date}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,10 +62,6 @@ class PriceMatrix:
             raise InputError("dates must be strictly increasing")
         if vals.size and not (np.all(vals > 0) and np.all(np.isfinite(vals))):
             raise InputError("all prices must be positive and finite")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
 
     def column(self, ticker: str) -> np.ndarray:
         return self.values[:, self._ticker_index(ticker)]
@@ -134,21 +114,6 @@ class ReturnsMatrix:
         if vals.shape != (len(self.dates), len(self.tickers)):
             raise InputError("returns shape does not match dates x tickers")
 
-    def window(self, start: date | None = None, end: date | None = None) -> "ReturnsMatrix":
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        return ReturnsMatrix(tuple(self.dates[i] for i in keep), self.tickers, self.values[keep])
-
-    def column(self, ticker: str) -> np.ndarray:
-        try:
-            j = self.tickers.index(ticker)
-        except ValueError:
-            raise InputError(f"unknown ticker {ticker!r}") from None
-        return self.values[:, j]
-
 
 @dataclass(frozen=True)
 class SectorMap:
@@ -161,10 +126,6 @@ class SectorMap:
             return self.entries[ticker]
         except KeyError:
             raise InputError(f"no sector recorded for ticker {ticker!r}") from None
-
-    def tickers_in(self, sectors: Iterable[str]) -> tuple[str, ...]:
-        wanted = set(sectors)
-        return tuple(sorted(t for t, s in self.entries.items() if s in wanted))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """End-to-end portfolio construction strategies.
 
-Two flows produce integer share counts under a budget:
+Two strategies produce integer share counts under a budget:
 
 - ``hybrid``: annealer-style binary selection picks which assets to hold,
   then the convex max-Sharpe allocator weights them and the weights are
   rounded to whole shares.
 - ``fully_quantum``: share counts are optimized directly as encoded
   integers in the budgeted mean-variance model.
+
+:func:`buy` is the one purchase path and the only code that picks a
+solver by strategy. ``run_pipeline`` calls it for an opening purchase,
+which raises SolverError when it buys nothing; the backtester calls it
+for its opening purchase and, with the number of names sold as ``k``, for
+every rebalance repurchase, which may buy nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 
 from .allocator import (
     AllocatorConfig,
-    PortfolioMetrics,
     WeightVector,
     compute_metrics,
     derive_cardinality,
@@ -100,7 +105,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Holdings:
-    """Whole-share positions plus residual cash."""
+    """Whole-share positions plus residual cash; ``shares`` keeps only positive counts."""
 
     shares: dict[str, int]
     cash: float
@@ -110,13 +115,13 @@ class Holdings:
         clean = {t: int(c) for t, c in self.shares.items()}
         if any(c < 0 for c in clean.values()):
             raise InputError("share counts must be nonnegative")
-        object.__setattr__(self, "shares", clean)
+        object.__setattr__(self, "shares", {t: c for t, c in clean.items() if c})
         if self.cash < -1e-9:
             raise InputError(f"cash must be nonnegative, got {self.cash}")
         object.__setattr__(self, "cash", max(float(self.cash), 0.0))
 
     def held_tickers(self) -> tuple[str, ...]:
-        return tuple(sorted(t for t, c in self.shares.items() if c > 0))
+        return tuple(sorted(self.shares))
 
     def to_dict(self) -> dict:
         return {
@@ -208,8 +213,6 @@ def portfolio_value(h: Holdings, prices_at: Mapping[str, float]) -> float:
     """Mark-to-market value: share counts times closes, plus cash."""
     total = h.cash
     for t, count in h.shares.items():
-        if count == 0:
-            continue
         if t not in prices_at:
             raise InputError(f"no price available for held ticker {t!r}")
         total += count * float(prices_at[t])
@@ -223,38 +226,6 @@ def realized_weights(h: Holdings, prices_at: Mapping[str, float], tickers: Seque
     if total <= 0:
         raise SolverError("no invested value: cannot form realized weights")
     return WeightVector(tuple(tickers), values / total)
-
-
-def _run_hybrid_stages(
-    stats: AssetStats,
-    prices_at: Mapping[str, float],
-    cfg: PipelineConfig,
-    as_of: date | None,
-) -> tuple[Holdings, WeightVector, PortfolioMetrics, int]:
-    """Selection by annealing, weighting by max-Sharpe, purchase at the close.
-
-    With ``cardinality='auto'`` the convex allocation over the full universe
-    is solved first and its support size fixes k. Metrics are computed on
-    the realized (post-rounding) weights.
-    """
-    if cfg.cardinality == "auto":
-        _, y_full = max_sharpe_weights(stats, None, cfg.allocator)
-        k = derive_cardinality(y_full, cfg.allocator)
-    else:
-        k = int(cfg.cardinality)
-        if k > stats.n:
-            raise InputError(f"cardinality {k} exceeds universe size {stats.n}")
-    subset = select_assets(stats, k, cfg.q, cfg.lambda_, cfg.sampler, cfg.seed)
-    subset_idx = [stats.tickers.index(t) for t in subset]
-    target, _ = max_sharpe_weights(stats, subset_idx, cfg.allocator)
-    holdings = to_shares(target, prices_at, cfg.budget, as_of)
-    if not any(c > 0 for c in holdings.shares.values()):
-        raise SolverError(
-            f"budget {cfg.budget} too small to buy any share of the selected assets"
-        )
-    realized = realized_weights(holdings, prices_at, target.tickers)
-    metrics = compute_metrics(realized, stats, cfg.allocator)
-    return holdings, target, metrics, k
 
 
 def _share_penalty(m: QuboModel, dollar_coeffs: np.ndarray) -> float:
@@ -423,8 +394,6 @@ def optimize_integer_shares(
     by more than 1e-12, and the relaxation's stands alone when no sample
     satisfies the budget.
     """
-    if cfg.strategy != "fully_quantum":
-        raise InputError("optimize_integer_shares requires strategy='fully_quantum'")
     price_vec = []
     for t in stats.tickers:
         if t not in prices_at:
@@ -441,7 +410,7 @@ def optimize_integer_shares(
             "reduce the universe or the budget"
         )
     if cm.total_bits == 0:
-        return Holdings({t: 0 for t in stats.tickers}, cfg.budget, as_of)
+        return Holdings({}, cfg.budget, as_of)
 
     budget_con = cm.constraints[0]
     if cfg.lambda_ == "auto":
@@ -476,49 +445,87 @@ def optimize_integer_shares(
     return Holdings(shares, cfg.budget - spend, as_of)
 
 
+def buy(
+    stats: AssetStats,
+    prices_at: Mapping[str, float],
+    cfg: PipelineConfig,
+    as_of: date | None = None,
+    k: int | None = None,
+) -> tuple[Holdings, WeightVector | None]:
+    """Spend ``cfg.budget`` at the closes ``prices_at`` the way ``cfg.strategy`` buys.
+
+    ``hybrid`` anneals a k-asset selection, weights it by max-Sharpe and
+    rounds the weights to whole shares; it returns those target weights
+    with the holdings. ``fully_quantum`` anneals the share counts directly
+    and returns no target weights.
+
+    A repurchase passes ``k``: both strategies then first anneal a k-asset
+    selection of ``stats.tickers``, and the purchase may buy nothing. An
+    opening purchase leaves ``k`` unset: ``hybrid`` takes k from
+    ``cfg.cardinality`` (with ``"auto"``, the support size of the
+    full-universe max-Sharpe allocation), ``fully_quantum`` sizes every
+    ticker, and SolverError is raised when nothing is bought.
+    """
+    opening = k is None
+    if opening and cfg.strategy == "hybrid":
+        if cfg.cardinality == "auto":
+            _, y_full = max_sharpe_weights(stats, None, cfg.allocator)
+            k = derive_cardinality(y_full, cfg.allocator)
+        else:
+            k = cfg.cardinality
+            if k > stats.n:
+                raise InputError(f"cardinality {k} exceeds universe size {stats.n}")
+    if k is not None:
+        subset = select_assets(stats, k, cfg.q, cfg.lambda_, cfg.sampler, cfg.seed)
+        subset_idx = [stats.tickers.index(t) for t in subset]
+    if cfg.strategy == "hybrid":
+        target, _ = max_sharpe_weights(stats, subset_idx, cfg.allocator)
+        holdings = to_shares(target, prices_at, cfg.budget, as_of)
+    else:
+        target = None
+        if k is not None:
+            stats = stats.subset(subset_idx)
+        holdings = optimize_integer_shares(prices_at, stats, cfg, as_of)
+    if opening and not holdings.shares:
+        raise SolverError(
+            "integer-share optimum holds only cash at this risk aversion; lower q"
+            if target is None
+            else f"budget {cfg.budget} too small to buy any share of the selected assets"
+        )
+    return holdings, target
+
+
 def run_pipeline(
     prices: PriceMatrix,
     cfg: PipelineConfig,
     as_of: date | None = None,
 ) -> dict:
-    """Run the configured strategy and assemble the result record.
+    """Estimate from ``prices``, :func:`buy` at the ``as_of`` closes, and build the result record.
 
     The returned dict is the machine-readable pipeline report: strategy,
     selected tickers, target and realized weights (identical for the
-    integer-share strategy), share counts, residual cash, metrics, seed,
-    and the cardinality mode in force.
+    integer-share strategy), share counts, residual cash, metrics of the
+    realized weights, seed, and the cardinality mode in force.
     """
     as_of = as_of or prices.dates[-1]
     prices_at = prices.prices_at(as_of)
     returns = compute_returns(prices, cfg.returns_method)
     stats = estimate_stats(returns, cfg.annualization_factor)
 
-    if cfg.strategy == "hybrid":
-        holdings, target, metrics, k = _run_hybrid_stages(stats, prices_at, cfg, as_of)
-        selected = target.tickers
-        realized = realized_weights(holdings, prices_at, selected)
-    else:
-        holdings = optimize_integer_shares(prices_at, stats, cfg, as_of)
-        selected = holdings.held_tickers()
-        if not selected:
-            raise SolverError(
-                "integer-share optimum holds only cash at this risk aversion; lower q"
-            )
-        realized = realized_weights(holdings, prices_at, selected)
-        target = realized
-        metrics = compute_metrics(realized, stats, cfg.allocator)
-        k = len(selected)
-
+    holdings, target = buy(stats, prices_at, cfg, as_of)
+    selected = holdings.held_tickers() if target is None else target.tickers
+    realized = realized_weights(holdings, prices_at, selected)
+    metrics = compute_metrics(realized, stats, cfg.allocator)
     return {
         "strategy": cfg.strategy,
         "selected": list(selected),
-        "weights_target": target.as_dict(),
+        "weights_target": (realized if target is None else target).as_dict(),
         "weights_realized": realized.as_dict(),
         "shares": {t: holdings.shares[t] for t in sorted(holdings.shares)},
         "cash": holdings.cash,
         "metrics": metrics.to_dict(realized),
         "seed": cfg.seed,
         "cardinality_mode": cfg.allocator.cardinality_mode,
-        "cardinality": k,
+        "cardinality": len(selected),
         "as_of": as_of.isoformat(),
     }

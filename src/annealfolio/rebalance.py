@@ -3,9 +3,12 @@
 The strategy portfolio is bought at the start date, marked to market
 daily, and reviewed every ``period_months``: held names with weak trailing
 returns or elevated volatility are sold at the close, and the proceeds
-(pooled with residual cash) are reinvested in same-sector replacements
-chosen by the configured pipeline strategy. A buy-and-hold benchmark runs
-alongside for comparison.
+(pooled with residual cash) are reinvested in same-sector replacements.
+Both purchases are :func:`pipeline.buy`: the opening one raises
+SolverError when it buys nothing, as ``run_pipeline`` does; a repurchase
+asks it for as many names as were sold, and one that buys nothing or
+fails in the solver leaves the proceeds in cash with a note on the event.
+A buy-and-hold benchmark runs alongside for comparison.
 
 Estimation windows: every decision uses only price data up to its own
 date: the initial purchase estimates from history up to the start date,
@@ -26,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .allocator import WeightVector, max_sharpe_weights
+from .allocator import WeightVector
 from .errors import InputError, SolverError, check_field
 from .marketdata import (
     AssetStats,
@@ -36,15 +39,11 @@ from .marketdata import (
     compute_returns,
     estimate_stats,
 )
-from .pipeline import (
-    Holdings,
-    PipelineConfig,
-    _run_hybrid_stages,
-    optimize_integer_shares,
-    portfolio_value,
-    select_assets,
-    to_shares,
-)
+from .pipeline import Holdings, PipelineConfig, buy, portfolio_value, to_shares
+
+# Unused here; perfbench/tracer.py requires these names at this import site.
+from .allocator import max_sharpe_weights
+from .pipeline import optimize_integer_shares, select_assets
 
 log = logging.getLogger(__name__)
 
@@ -175,30 +174,6 @@ def _trailing_stats(
     return data.mean(axis=0), data.std(axis=0, ddof=1)
 
 
-def _flagged(
-    held: Sequence[str], means: np.ndarray, vols: np.ndarray, policy: RebalancePolicy
-) -> set[str]:
-    vol_cut = float(np.quantile(vols, policy.risk_vol_quantile))
-    return {
-        t
-        for t, mu, vol in zip(held, means, vols)
-        if mu <= policy.risk_return_threshold or vol > vol_cut
-    }
-
-
-def identify_risky(
-    returns: ReturnsMatrix,
-    holdings: Holdings,
-    policy: RebalancePolicy,
-    as_of: date,
-) -> set[str]:
-    """Held tickers whose trailing return or volatility trips the policy."""
-    held = holdings.held_tickers()
-    if not held:
-        return set()
-    return _flagged(held, *_trailing_stats(returns, held, as_of, policy.lookback_days), policy)
-
-
 def health_check(
     holdings: Holdings,
     prices_at: Mapping[str, float],
@@ -218,7 +193,12 @@ def health_check(
     if held:
         means, vols = _trailing_stats(returns, held, as_of, policy.lookback_days)
         stats = {t: (float(mu), float(vol)) for t, mu, vol in zip(held, means, vols)}
-        flagged = tuple(sorted(_flagged(held, means, vols, policy)))
+        vol_cut = float(np.quantile(vols, policy.risk_vol_quantile))
+        flagged = tuple(
+            t
+            for t, mu, vol in zip(held, means, vols)
+            if mu <= policy.risk_return_threshold or vol > vol_cut
+        )
     value = portfolio_value(holdings, prices_at)
     profit = None if initial_value is None else value - initial_value
     return HealthReport(as_of, stats, flagged, value, profit)
@@ -307,7 +287,9 @@ def rebalance_step(
         return Holdings(retained, new_budget, as_of), event
 
     try:
-        bought_holdings = _repurchase(candidates, n_replace, new_budget, prices_at, stats_provider, cfg)
+        bought_holdings, _ = buy(
+            stats_provider(candidates), prices_at, replace(cfg, budget=new_budget), k=n_replace
+        )
     except SolverError as exc:
         note = (note + "; " if note else "") + f"degenerate: repurchase failed ({exc}), holding cash"
         log.warning("rebalance on %s could not repurchase: %s", as_of, exc)
@@ -316,32 +298,13 @@ def rebalance_step(
 
     bought: dict[str, tuple[int, float]] = {}
     for t, count in bought_holdings.shares.items():
-        if count > 0:
-            bought[t] = (count, count * float(prices_at[t]))
-            retained[t] = retained.get(t, 0) + count
+        bought[t] = (count, count * float(prices_at[t]))
+        retained[t] = retained.get(t, 0) + count
     if not bought:
         note = (note + "; " if note else "") + "degenerate: repurchase bought nothing, holding cash"
     new_holdings = Holdings(retained, bought_holdings.cash, as_of)
     event = RebalanceEvent(as_of, sold, bought, new_budget, candidates, new_holdings.cash, note)
     return new_holdings, event
-
-
-def _repurchase(
-    candidates: Sequence[str],
-    n_replace: int,
-    budget: float,
-    prices_at: Mapping[str, float],
-    stats_provider: StatsProvider,
-    cfg: PipelineConfig,
-) -> Holdings:
-    stats = stats_provider(candidates)
-    subset = select_assets(stats, n_replace, cfg.q, cfg.lambda_, cfg.sampler, cfg.seed)
-    if cfg.strategy == "fully_quantum":
-        sub_stats = stats.subset([stats.tickers.index(t) for t in subset])
-        share_cfg = replace(cfg, budget=budget)
-        return optimize_integer_shares(prices_at, sub_stats, share_cfg)
-    weights, _ = max_sharpe_weights(stats, [stats.tickers.index(t) for t in subset], cfg.allocator)
-    return to_shares(weights, prices_at, budget)
 
 
 def _initial_portfolio(
@@ -361,10 +324,7 @@ def _initial_portfolio(
         history = prices
     returns = compute_returns(history, cfg.returns_method)
     stats = estimate_stats(returns, cfg.annualization_factor)
-    prices_at = prices.prices_at(start)
-    if cfg.strategy == "fully_quantum":
-        return optimize_integer_shares(prices_at, stats, cfg, start)
-    holdings, _, _, _ = _run_hybrid_stages(stats, prices_at, cfg, start)
+    holdings, _ = buy(stats, prices.prices_at(start), cfg, start)
     return holdings
 
 

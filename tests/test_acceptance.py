@@ -218,9 +218,9 @@ def test_criterion_6_integer_share_path():
         )
         prices_at = {t: float(p) for t, p in zip(stats.tickers, prices)}
         holdings = optimize_integer_shares(prices_at, stats, cfg)
-        spend = sum(holdings.shares[t] * prices_at[t] for t in stats.tickers)
+        spend = sum(holdings.shares.get(t, 0) * prices_at[t] for t in stats.tickers)
         assert spend <= budget + 1e-6, f"instance {k} violates the budget"
-        y = np.array([holdings.shares[t] * prices_at[t] for t in stats.tickers])
+        y = np.array([holdings.shares.get(t, 0) * prices_at[t] for t in stats.tickers])
         achieved = q * float(y @ sigma @ y) - float(mu @ y)
         exact = _brute_force_integer_optimum(mu, sigma, prices, budget, q)
         if achieved <= exact + max(1e-9, 1e-9 * abs(exact)):

@@ -111,11 +111,18 @@ class TestOptimizeCommand:
             ({"annualization_factor": -1}, [], "annualization_factor"),
             ({}, ["--lambda", "inf"], "lambda"),
             ({"q": "inf"}, [], "q"),
+            ({"benchmark": {"TECH1": "x"}}, [], "benchmark weight of TECH1"),
+            ({"benchmark": {"TECH1": float("nan"), "ENRG1": 1}}, [], "benchmark weight of TECH1"),
+            ({"benchmark": {"TECH1": float("inf")}}, [], "benchmark weight of TECH1"),
+            ({"benchmark": {"TECH1": True}}, [], "benchmark weight of TECH1"),
+            ({"benchmark": {"TECH1": "0.5"}}, [], "benchmark weight of TECH1"),
         ],
         ids=[
             "budget-null", "lookback_days-str", "risk_free_rate-str", "risk_return_threshold-null",
             "prices-int", "budget-flag-inf", "cardinality-2.9", "period_months-2.5", "budget-true",
-            "annualization_factor-negative", "lambda-flag-inf", "q-str-inf",
+            "annualization_factor-negative", "lambda-flag-inf", "q-str-inf", "benchmark-weight-str",
+            "benchmark-weight-nan", "benchmark-weight-inf", "benchmark-weight-true",
+            "benchmark-weight-number-str",
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, out_dir, capsys, config, flags, field):

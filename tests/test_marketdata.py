@@ -13,7 +13,6 @@ from annealfolio.errors import InputError
 from annealfolio.marketdata import (
     AssetStats,
     PriceMatrix,
-    PricePoint,
     SectorMap,
     compute_returns,
     estimate_stats,
@@ -120,14 +119,8 @@ class TestLoadPrices:
 
 
 class TestPriceTypes:
-    def test_price_point_positive(self):
-        with pytest.raises(InputError):
-            PricePoint(date(2023, 1, 2), "A", 0.0)
-
     @pytest.mark.parametrize("close", [float("inf"), float("nan")])
-    def test_price_point_and_matrix_finite(self, close):
-        with pytest.raises(InputError, match="finite"):
-            PricePoint(date(2023, 1, 2), "A", close)
+    def test_price_matrix_finite(self, close):
         with pytest.raises(InputError, match="finite"):
             PriceMatrix((date(2023, 1, 2),), ("A",), np.array([[close]]))
 
@@ -166,7 +159,7 @@ class TestSectors:
     def test_load_sectors(self):
         sm = load_sectors("ticker,sector\nA,Tech\nB,Energy\n")
         assert sm.sector_of("A") == "Tech"
-        assert sm.tickers_in(["Energy"]) == ("B",)
+        assert sm.sector_of("B") == "Energy"
 
     def test_duplicate_ticker_rejected(self):
         with pytest.raises(InputError, match="duplicate"):

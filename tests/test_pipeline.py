@@ -104,7 +104,7 @@ class TestToShares:
     def test_zero_budget(self):
         w = WeightVector(("A",), np.array([1.0]))
         h = to_shares(w, {"A": 30.0}, 0.0)
-        assert h.shares == {"A": 0}
+        assert h.shares == {}
         assert h.cash == 0.0
 
     def test_exact_divisibility(self):
@@ -122,7 +122,7 @@ class TestToShares:
             prices = {f"T{i}": float(rng.uniform(1, 50)) for i in range(n)}
             budget = float(rng.uniform(0, 500))
             h = to_shares(w, prices, budget)
-            spend = sum(h.shares[t] * prices[t] for t in prices)
+            spend = sum(h.shares.get(t, 0) * prices[t] for t in prices)
             assert spend <= budget + 1e-9
             assert h.cash == pytest.approx(budget - spend, abs=1e-9)
 
@@ -136,7 +136,7 @@ class TestToShares:
             h = to_shares(w, prices, budget)
             bound = max(prices.values()) / budget
             for i, t in enumerate(w.tickers):
-                realized = h.shares[t] * prices[t] / budget
+                realized = h.shares.get(t, 0) * prices[t] / budget
                 assert abs(realized - w.weights[i]) <= bound + 1e-12
 
     def test_missing_price(self):
@@ -234,7 +234,7 @@ class TestIntegerShares:
         h = optimize_integer_shares(
             {"T0": 50.0}, stats, cfg_for(100.0, "fully_quantum", q=1e9)
         )
-        assert h.shares == {"T0": 0}
+        assert h.shares == {}
         assert h.cash == pytest.approx(100.0)
 
     def test_two_asset_enumeration_case(self):
@@ -242,7 +242,7 @@ class TestIntegerShares:
         h = optimize_integer_shares(
             {"T0": 30.0, "T1": 40.0}, stats, cfg_for(100.0, "fully_quantum")
         )
-        assert h.shares == {"T0": 3, "T1": 0}
+        assert h.shares == {"T0": 3}
         assert h.cash == pytest.approx(10.0)
 
     def test_budget_never_violated(self):
@@ -256,7 +256,7 @@ class TestIntegerShares:
             h = optimize_integer_shares(
                 prices, stats, cfg_for(budget, "fully_quantum", seed=trial)
             )
-            spend = sum(h.shares[t] * prices[t] for t in prices)
+            spend = sum(h.shares.get(t, 0) * prices[t] for t in prices)
             assert spend <= budget + 1e-6
             assert h.cash >= 0
 
@@ -371,7 +371,7 @@ class TestIntegerShareCandidates:
             stats, prices, budget = random_share_instance(rng, int(rng.integers(1, 5)))
             cfg = cfg_for(budget, "fully_quantum", seed=trial)
             h = optimize_integer_shares(prices, stats, cfg)
-            counts = [h.shares[t] for t in stats.tickers]
+            counts = [h.shares.get(t, 0) for t in stats.tickers]
             p = [prices[t] for t in stats.tickers]
             spend = float(np.dot(counts, p))
             assert spend <= budget + 1e-9 and h.cash == pytest.approx(budget - spend)
@@ -399,7 +399,7 @@ class TestIntegerShareCandidates:
         h = optimize_integer_shares(
             {"T0": 30.0, "T1": 40.0}, stats, cfg_for(100.0, "fully_quantum", lambda_=1e-12)
         )
-        assert h.shares == {"T0": 3, "T1": 0}
+        assert h.shares == {"T0": 3}
         assert h.cash == pytest.approx(10.0)
 
 
@@ -418,11 +418,6 @@ class TestRunPipeline:
         assert result["strategy"] == "hybrid"
         assert sum(result["weights_realized"].values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(result["metrics"]["weights"].values()) == pytest.approx(100.0, abs=0.01)
-
-    def test_strategy_mismatch_guards(self):
-        stats = make_stats([0.1], [[0.0]])
-        with pytest.raises(InputError):
-            optimize_integer_shares({"T0": 1.0}, stats, cfg_for(100.0, "hybrid"))
 
 
 class TestPipelineConfig:

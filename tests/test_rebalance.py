@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealfolio.allocator import WeightVector
-from annealfolio.errors import InputError
+from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import (
     PriceMatrix,
     ReturnsMatrix,
@@ -15,13 +15,12 @@ from annealfolio.marketdata import (
     compute_returns,
     estimate_stats,
 )
-from annealfolio.pipeline import STRATEGIES, Holdings, PipelineConfig, portfolio_value
+from annealfolio.pipeline import STRATEGIES, Holdings, PipelineConfig, portfolio_value, run_pipeline
 from annealfolio.rebalance import (
     RebalancePolicy,
     _initial_portfolio,
     add_months,
     health_check,
-    identify_risky,
     rebalance_step,
     run_backtest,
 )
@@ -56,13 +55,20 @@ class TestAddMonths:
         assert add_months(date(2023, 1, 31), 1) == date(2023, 2, 28)
 
 
+def flagged_on_last_day(r, h, policy):
+    """What health_check flags on the last day of ``r``, every close set to 1."""
+    return set(health_check(h, dict.fromkeys(r.tickers, 1.0), r, policy, r.dates[-1]).flagged)
+
+
 class TestIdentifyRisky:
+    """The rules by which health_check flags a holding as risky."""
+
     def test_return_threshold_rule(self):
         # A trails at -0.002, B at +0.001; vol rule off at quantile 1.0
         r = returns_matrix({"A": [-0.002] * 6, "B": [0.001] * 6})
         h = Holdings({"A": 1, "B": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=5, risk_vol_quantile=1.0)
-        flagged = identify_risky(r, h, policy, r.dates[-1])
+        flagged = flagged_on_last_day(r, h, policy)
         assert flagged == {"A"}
 
     def test_equal_vols_never_flag_on_quantile(self):
@@ -70,7 +76,7 @@ class TestIdentifyRisky:
         r = returns_matrix({"A": col, "B": col, "C": col})
         h = Holdings({"A": 1, "B": 1, "C": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=6, risk_vol_quantile=1.0)
-        assert identify_risky(r, h, policy, r.dates[-1]) == set()
+        assert flagged_on_last_day(r, h, policy) == set()
 
     def test_constant_prices_flag_everything(self):
         dates = tuple(business_days(date(2023, 1, 2), 10))
@@ -79,7 +85,7 @@ class TestIdentifyRisky:
         h = Holdings({"A": 1, "B": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=5, risk_vol_quantile=1.0)
         # all means are 0 <= 0: the boundary convention flags them all
-        assert identify_risky(r, h, policy, r.dates[-1]) == {"A", "B"}
+        assert flagged_on_last_day(r, h, policy) == {"A", "B"}
 
     def test_vol_quantile_rule(self):
         quiet = [0.001, -0.001] * 5
@@ -89,19 +95,19 @@ class TestIdentifyRisky:
         policy = RebalancePolicy(
             lookback_days=10, risk_return_threshold=-1.0, risk_vol_quantile=0.8
         )
-        assert identify_risky(r, h, policy, r.dates[-1]) == {"C"}
+        assert flagged_on_last_day(r, h, policy) == {"C"}
 
     def test_insufficient_history(self):
         r = returns_matrix({"A": [0.001] * 4})
         h = Holdings({"A": 1}, 0.0)
         with pytest.raises(InputError, match="insufficient"):
-            identify_risky(r, h, RebalancePolicy(lookback_days=5), r.dates[-1])
+            flagged_on_last_day(r, h, RebalancePolicy(lookback_days=5))
 
     def test_only_held_considered(self):
         r = returns_matrix({"A": [-0.01] * 6, "B": [0.001] * 6})
         h = Holdings({"B": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=5, risk_vol_quantile=1.0)
-        assert identify_risky(r, h, policy, r.dates[-1]) == set()
+        assert flagged_on_last_day(r, h, policy) == set()
 
 
 class TestHealthCheck:
@@ -285,6 +291,20 @@ class TestRebalanceStep:
         assert event.bought == {}
         assert out.cash == pytest.approx(event.new_budget)
 
+    def test_fully_quantum_repurchase_buys_k_names(self):
+        # both Tech names held: AAA's replacement is one of the three others
+        h = Holdings({"AAA": 10, "BBB": 5}, 7.5)
+        cfg = cfg_for(10_000.0, "fully_quantum")
+        out, event = rebalance_step(
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, cfg, self.policy, self.as_of
+        )
+        assert set(event.universe_used) == {"CCC", "DDD", "EEE"}
+        assert len(event.bought) == 1 and event.note == "widened to all sectors"
+        (t, (count, cost)), = event.bought.items()
+        assert out.shares == {"BBB": 5, t: count}
+        proceeds = sum(p for _, p in event.sold.values())
+        assert proceeds + h.cash == pytest.approx(cost + out.cash, abs=1e-6)
+
     def test_flagged_must_be_held(self):
         h = Holdings({"AAA": 1}, 0.0)
         with pytest.raises(InputError):
@@ -447,6 +467,23 @@ class TestRunBacktest:
         cfg = cfg_for(50_000.0)
         with pytest.raises(InputError):
             run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(), "ZZZ")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_opening_purchase_is_run_pipeline(self, strategy):
+        prices = quarterly_prices()
+        cfg = cfg_for(20_000.0, strategy)
+        start = prices.dates[70]
+        report = run_backtest(
+            prices, SECTORS5, 20_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA", start=start
+        )
+        result = run_pipeline(prices.window(end=start), cfg, start)
+        assert report.initial_holdings == {k: result[k] for k in ("shares", "cash", "as_of")}
+
+    def test_fully_quantum_all_cash_opening_raises(self):
+        prices = quarterly_prices()
+        cfg = cfg_for(20_000.0, "fully_quantum", q=1e9)
+        with pytest.raises(SolverError, match="holds only cash"):
+            run_backtest(prices, SECTORS5, 20_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
 
     def test_fully_quantum_backtest_trades(self, bundled_prices, bundled_sectors):
         # integer-share repurchases carry a zero count for every candidate they
