@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for five fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for six fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -6,11 +6,12 @@ the outputs byte-identical (or to see exactly which files it changes):
     PYTHONPATH=src python scripts/output_digests.py
 
 The runs are ``optimize --seed 42`` (hybrid), ``optimize --seed 42
---strategy fully_quantum --budget 100000`` and ``backtest --seed 42
---budget 100000 --benchmark TECH1`` once per strategy, and a backtest from
-a config file that sets every config key (its ``out_dir`` is overridden
-by ``--out-dir``). The config file and the artifacts go to a temporary
-directory that is removed afterwards.
+--strategy fully_quantum`` at ``--budget 100000`` and at the default
+budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
+TECH1`` once per strategy, and a backtest from a config file that sets
+every config key (its ``out_dir`` is overridden by ``--out-dir``). The
+config file and the artifacts go to a temporary directory that is
+removed afterwards.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
     "optimize-fully_quantum": ["optimize", "--seed", "42", "--strategy", "fully_quantum",
                                "--budget", "100000"],
+    "optimize-fully_quantum-default": ["optimize", "--seed", "42", "--strategy", "fully_quantum"],
     "backtest-hybrid": ["backtest", "--seed", "42", "--budget", "100000",
                         "--benchmark", "TECH1", "--strategy", "hybrid"],
     "backtest-fully_quantum": ["backtest", "--seed", "42", "--budget", "100000",

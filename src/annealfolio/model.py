@@ -173,16 +173,18 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class IntegerEncoding:
-    """Binary expansion of an integer variable in [0, upper].
+    """Binary expansion of an integer variable in [lower, upper].
 
-    Truncated binary weights (1, 2, ..., 2^(k-1), R): every value in
-    [0, upper] is reachable and no bit assignment exceeds upper, since the
-    weights sum to upper exactly.
+    The value is lower plus the weighted bits. Truncated binary weights
+    (1, 2, ..., 2^(k-1), R): every value in [lower, upper] is reachable and
+    no bit assignment exceeds upper, since the weights sum to
+    upper - lower exactly.
     """
 
     index: int
     upper: int
     bit_weights: tuple[int, ...]
+    lower: int = 0
 
     @property
     def width(self) -> int:
@@ -191,10 +193,15 @@ class IntegerEncoding:
     def decode(self, bits: Sequence[int]) -> int:
         if len(bits) != self.width:
             raise InputError(f"expected {self.width} bits, got {len(bits)}")
-        return int(sum(w * int(b) for w, b in zip(self.bit_weights, bits)))
+        return self.lower + int(sum(w * int(b) for w, b in zip(self.bit_weights, bits)))
 
     def to_dict(self) -> dict:
-        return {"index": self.index, "upper": self.upper, "bit_weights": list(self.bit_weights)}
+        return {
+            "index": self.index,
+            "lower": self.lower,
+            "upper": self.upper,
+            "bit_weights": list(self.bit_weights),
+        }
 
 
 @dataclass(frozen=True)
@@ -371,20 +378,22 @@ def penalize_inequality(
     return penalize_equality(extended, eq, lam), slack
 
 
-def encode_integer(upper: int, index: int = 0) -> IntegerEncoding:
-    """Truncated-binary encoding of an integer variable in [0, upper]."""
+def encode_integer(upper: int, index: int = 0, lower: int = 0) -> IntegerEncoding:
+    """Truncated-binary encoding of an integer variable in [lower, upper]."""
     if upper < 0:
         raise InputError(f"upper bound must be nonnegative, got {upper}")
-    upper = int(upper)
-    weights: list[int] = []
+    if not 0 <= lower <= upper:
+        raise InputError(f"lower bound must be in [0, {upper}], got {lower}")
+    upper, lower = int(upper), int(lower)
+    span = upper - lower
     k = 0
-    while (1 << (k + 1)) - 1 <= upper:
+    while (1 << (k + 1)) - 1 <= span:
         k += 1
     weights = [1 << b for b in range(k)]
-    remainder = upper - ((1 << k) - 1)
+    remainder = span - ((1 << k) - 1)
     if remainder > 0:
         weights.append(remainder)
-    return IntegerEncoding(index, upper, tuple(weights))
+    return IntegerEncoding(index, upper, tuple(weights), lower)
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +439,36 @@ def build_mvo_qubo(
     return penalize_equality(base, card, lam)
 
 
+def affordable_shares(prices: Sequence[float], budget: float) -> np.ndarray:
+    """Most whole shares of each asset that the budget buys on its own: floor(budget / p_i)."""
+    return np.floor(budget / np.asarray(prices, dtype=float) + 1e-12).astype(np.int64)
+
+
 def build_mpt_model(
     stats: AssetStats,
     prices: Sequence[float],
     budget: float,
     q: float,
+    lower: Sequence[int] | None = None,
+    upper: Sequence[int] | None = None,
 ) -> ConstrainedModel:
     """Budgeted integer-share portfolio problem over encoded binaries.
 
-    Each asset gets an integer share count x_i in [0, floor(budget / p_i)]
-    expanded into weighted bits; the objective is expressed in invested
-    dollars y_i = p_i x_i:
+    Each asset gets an integer share count x_i in [lower_i, upper_i]
+    (default [0, floor(budget / p_i)]), encoded as lower_i plus weighted
+    bits; the objective is expressed in invested dollars y_i = p_i x_i:
 
         q * sum_ij sigma_ij y_i y_j - sum_i mu_i y_i
 
-    subject to the single inequality sum_i y_i <= budget (kept explicit;
-    lower it with :func:`penalize_inequality` before sampling).
+    The dollars y0 = p * lower held at the lower bounds are folded into the
+    linear terms and the offset, so every state's energy is its exact
+    dollar objective. The single inequality is on the bits: their spend is
+    at most budget - p . lower (kept explicit; lower it into a penalty
+    before sampling).
     """
     p = np.asarray(prices, dtype=float)
-    if p.shape != (stats.n,):
+    n = stats.n
+    if p.shape != (n,):
         raise InputError("price vector length does not match stats")
     if np.any(p <= 0):
         raise InputError("all prices must be positive")
@@ -456,14 +476,21 @@ def build_mpt_model(
         raise InputError(f"budget must be positive, got {budget}")
     if not q > 0:
         raise InputError(f"risk aversion q must be positive, got {q}")
+    lo = np.zeros(n, dtype=np.int64) if lower is None else np.asarray(lower, dtype=np.int64)
+    hi = affordable_shares(p, budget) if upper is None else np.asarray(upper, dtype=np.int64)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise InputError("share bound vectors must match the number of assets")
+    y0 = p * lo
+    rest = float(budget - y0.sum())
+    if rest < 0:
+        raise InputError(f"lower share bounds cost {y0.sum()}, more than the budget {budget}")
 
     encodings = []
     names: list[str] = []
     dollar: list[float] = []
     owner: list[int] = []
     for i, ticker in enumerate(stats.tickers):
-        upper = int(math.floor(budget / p[i] + 1e-12))
-        enc = encode_integer(upper, index=i)
+        enc = encode_integer(int(hi[i]), index=i, lower=int(lo[i]))
         encodings.append(enc)
         for j, w in enumerate(enc.bit_weights):
             names.append(f"{ticker}[{j}]")
@@ -475,7 +502,9 @@ def build_mpt_model(
     own = np.asarray(owner, dtype=int)
     # M[t, u] = sigma[owner_t, owner_u] * c_t * c_u
     M = stats.sigma[np.ix_(own, own)] * np.outer(c, c)
-    linear = -stats.mu[own] * c + q * np.diag(M)
-    objective = QuboModel(nbits, linear, 2.0 * q * np.triu(M, 1), 0.0)
-    budget_con = (LinearConstraint(c, "le", float(budget)),) if nbits else ()
+    sigma_y0 = stats.sigma @ y0
+    linear = -stats.mu[own] * c + q * np.diag(M) + 2.0 * q * sigma_y0[own] * c
+    offset = q * float(y0 @ sigma_y0) - float(stats.mu @ y0)
+    objective = QuboModel(nbits, linear, 2.0 * q * np.triu(M, 1), offset)
+    budget_con = (LinearConstraint(c, "le", rest),) if nbits else ()
     return ConstrainedModel(objective, budget_con, tuple(encodings), tuple(names))

@@ -44,10 +44,11 @@ from .marketdata import (
 from .model import (
     LinearConstraint,
     QuboModel,
+    affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
     default_selection_penalty,
-    penalize_inequality,
+    penalize_equality,
     quadratic_symmetric,
 )
 from .sampler import (
@@ -59,15 +60,21 @@ from .sampler import (
     state_to_array,
 )
 
+# Unused here; perfbench/tracer.py requires this name at this import site.
+from .model import penalize_inequality
+
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("hybrid", "fully_quantum")
 
 # Integer-share problems beyond this many encoding bits are refused; the
-# annealer's hit rate and the exhaustive cross-checks degrade past it.
+# annealer's hit rate and the exhaustive cross-checks degrade past it. Each
+# asset's band needs at most 3 bits, so this caps the universe size.
 SHARE_BIT_CAP = 64
 
-SLACK_GRANULARITY = 1.0  # one currency unit
+# Each share count is annealed within this many shares of the floored
+# relaxation (less where the band meets zero or floor(budget / price)).
+BAND_HALF_WIDTH = 3
 
 
 @dataclass(frozen=True)
@@ -229,15 +236,16 @@ def realized_weights(h: Holdings, prices_at: Mapping[str, float], tickers: Seque
 
 
 def _share_penalty(m: QuboModel, dollar_coeffs: np.ndarray) -> float:
-    """Soft budget-penalty weight: beat the objective slope per violated dollar.
+    """Weight lam of the spend penalty lam * (dollar_coeffs . b - rest)^2.
 
-    Budget violations come in share-price quanta, so flipping bit t on from
-    the feasible boundary costs at least lam * c_t^2 in penalty against at
-    most its single-flip objective swing in gain; lam slightly above
-    max(swing_t / c_t^2) makes every such move unprofitable while keeping
-    the penalty ridges between feasible states low enough for the annealer
-    to cross. Composite moves with small net violations slip through by
-    design; infeasible samples are filtered out afterwards.
+    Spend moves in share-price quanta, so flipping bit t on at the budget
+    costs at least lam * c_t^2 in penalty against at most its single-flip
+    objective swing in gain; lam slightly above max(swing_t / c_t^2) makes
+    every such move unprofitable while keeping the penalty ridges between
+    neighbouring spends low enough for the annealer to cross. Composite
+    moves with small net overspends slip through by design, and states
+    that leave cash pay for it too; infeasible samples are filtered out
+    and the rest re-ranked by the exact objective afterwards.
     """
     if m.n == 0:
         return 1.0
@@ -329,10 +337,10 @@ def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
 
 
 def _polish_shares(counts, prices, stats, q, budget, uppers, max_rounds=300):
-    """Best-improvement descent over single-share and swap moves.
+    """Best-improvement descent over single-share and swap moves within [0, uppers].
 
     Cleans up annealer output the way hybrid solvers post-process: the
-    slack penalty separates adjacent share vectors by ridges the sampler
+    budget penalty separates adjacent share vectors by ridges the sampler
     sometimes fails to cross, and these moves are exactly the crossings.
     Deterministic; never leaves the budget region.
     """
@@ -383,15 +391,18 @@ def optimize_integer_shares(
 ) -> Holdings:
     """Optimize whole-share counts directly under the budget inequality.
 
-    The integer model is encoded into binaries, the budget constraint is
-    lowered into a slack penalty, and the annealer samples the result with
-    the configured schedule. Sampled states that truly satisfy the budget
-    are re-ranked by the exact dollar objective. A classical candidate
-    rides along: the continuous optimum of the same objective under the
-    budget (``_relaxed_dollars``), floored to whole shares, which always
-    fits the budget. Both candidates get the single-share and swap polish;
-    the anneal's result is kept unless the floored relaxation's is better
-    by more than 1e-12, and the relaxation's stands alone when no sample
+    The continuous optimum of the same objective under the budget
+    (``_relaxed_dollars``), floored to whole shares, fits the budget and
+    centres the model: each count is encoded in a band of BAND_HALF_WIDTH
+    shares either side of it, and the budget those bands leave is lowered
+    into an equality penalty on the spend, with no slack bits. The
+    annealer samples that model with the configured schedule; sampled
+    states that truly satisfy the budget are re-ranked by the exact dollar
+    objective. The floored relaxation rides along as a second candidate.
+    Both get the single-share and swap polish over the full
+    [0, floor(budget / p)] range, so the polish may leave the band; the
+    anneal's result is kept unless the floored relaxation's is better by
+    more than 1e-12, and the relaxation's stands alone when no sample
     satisfies the budget.
     """
     price_vec = []
@@ -403,13 +414,23 @@ def optimize_integer_shares(
     # dollar-scale model coefficient is q / budget so both strategies share
     # one dimensionless risk knob.
     q_dollar = cfg.q / cfg.budget
-    cm = build_mpt_model(stats, price_vec, cfg.budget, q_dollar)
+    uppers = affordable_shares(price_vec, cfg.budget).tolist()
+    relaxed = _relaxed_dollars(stats, q_dollar, cfg.budget)
+    floored = [min(int(y // p), u) for y, p, u in zip(relaxed, price_vec, uppers)]
+    cm = build_mpt_model(
+        stats,
+        price_vec,
+        cfg.budget,
+        q_dollar,
+        [max(f - BAND_HALF_WIDTH, 0) for f in floored],
+        [min(f + BAND_HALF_WIDTH, u) for f, u in zip(floored, uppers)],
+    )
     if cm.total_bits > SHARE_BIT_CAP:
         raise SolverError(
             f"integer-share model needs {cm.total_bits} encoded bits (cap {SHARE_BIT_CAP}); "
-            "reduce the universe or the budget"
+            "reduce the universe"
         )
-    if cm.total_bits == 0:
+    if cm.total_bits == 0:  # no asset is affordable
         return Holdings({}, cfg.budget, as_of)
 
     budget_con = cm.constraints[0]
@@ -417,21 +438,18 @@ def optimize_integer_shares(
         lam = _share_penalty(cm.objective, budget_con.coeffs)
     else:
         lam = float(cfg.lambda_)
-    penalized, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
-    s = simulated_anneal(penalized, cfg.sampler, cfg.seed)
+    spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
+    s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
     sampled, sampled_obj = None, math.inf
     for rec in s.records:
-        bits = state_to_array(rec.state)[: cm.objective.n]
-        if float(budget_con.coeffs @ bits) > cfg.budget + 1e-6:
+        bits = state_to_array(rec.state)
+        if float(budget_con.coeffs @ bits) > budget_con.rhs + 1e-6:
             continue
         counts = cm.decode_integers(bits)
         obj = _dollar_objective(counts, price_vec, stats, q_dollar)
         if obj < sampled_obj - 1e-12:
             sampled_obj, sampled = obj, counts
 
-    uppers = [enc.upper for enc in cm.encodings]
-    relaxed = _relaxed_dollars(stats, q_dollar, cfg.budget)
-    floored = [min(int(y // p), u) for y, p, u in zip(relaxed, price_vec, uppers)]
     best, best_obj = None, math.inf
     for start in (sampled, floored):
         if start is None:

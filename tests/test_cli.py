@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from annealfolio.data import (
     bundled_sectors_path,
     sample_comparison_path,
 )
+from annealfolio.marketdata import load_prices
 
 
 def run(argv):
@@ -41,6 +43,15 @@ class TestOptimizeCommand:
         result = json.loads((out_dir / "optimize_result.json").read_text())
         assert all(isinstance(v, int) and v >= 0 for v in result["shares"].values())
         assert result["cash"] >= 0
+
+    def test_fully_quantum_default_budget(self, out_dir):
+        # the paper's strategy at the CLI's default budget of 1,000,000
+        assert run(["optimize", "--seed", 42, "--strategy", "fully_quantum", "--out-dir", out_dir]) == 0
+        result = json.loads((out_dir / "optimize_result.json").read_text())
+        closes = load_prices(bundled_prices_path()).prices_at(date.fromisoformat(result["as_of"]))
+        spend = sum(count * closes[t] for t, count in result["shares"].items())
+        assert result["shares"] and 0.0 < spend <= 1_000_000.0
+        assert spend + result["cash"] == pytest.approx(1_000_000.0, abs=1e-6)
 
     def test_missing_price_file_exit_2(self, out_dir, capsys):
         code = run(["optimize", "--seed", 1, "--prices", "/nope/missing.csv", "--out-dir", out_dir])
@@ -185,6 +196,30 @@ class TestBacktestCommand:
         report = json.loads((out_dir / "backtest_report.json").read_text())
         assert report["events"] == []
         assert "warning" in capsys.readouterr().err.lower()
+
+    def test_fully_quantum_paper_scale(self, out_dir):
+        assert run([
+            "backtest", "--seed", 42, "--strategy", "fully_quantum", "--budget", 1_000_000,
+            "--benchmark", "TECH1", "--out-dir", out_dir,
+        ]) == 0
+        report = json.loads((out_dir / "backtest_report.json").read_text())
+        initial = report["initial"]
+        closes = load_prices(bundled_prices_path()).prices_at(date.fromisoformat(initial["as_of"]))
+        spend = sum(count * closes[t] for t, count in initial["shares"].items())
+        assert spend + initial["cash"] == pytest.approx(1_000_000.0, abs=1e-6)
+        shares, cash = dict(initial["shares"]), initial["cash"]
+        assert len(report["events"]) == 4 and any(e["bought"] for e in report["events"])
+        for e in report["events"]:
+            proceeds = sum(v["proceeds"] for v in e["sold"].values())
+            cost = sum(v["cost"] for v in e["bought"].values())
+            assert e["new_budget"] == pytest.approx(proceeds + cash, abs=1e-6)
+            assert proceeds + cash == pytest.approx(cost + e["cash_after"], abs=1e-6)
+            assert e["cash_after"] >= 0.0
+            for t, v in e["sold"].items():
+                assert shares.pop(t) == v["shares"]
+            for t, v in e["bought"].items():
+                shares[t] = shares.get(t, 0) + v["shares"]
+            cash = e["cash_after"]
 
     def test_missing_benchmark_exit_2(self, out_dir):
         assert run(["backtest", "--seed", 3, "--out-dir", out_dir]) == 2

@@ -23,6 +23,7 @@ from annealfolio.model import (
     qubo_energy,
     qubo_to_ising,
 )
+from annealfolio.pipeline import _dollar_objective
 
 
 def all_states(n):
@@ -309,6 +310,19 @@ class TestEncodeInteger:
             reachable.add(sum(w * b for w, b in zip(enc.bit_weights, bits)))
         assert reachable == set(range(upper + 1))
 
+    def test_lower_offset(self):
+        enc = encode_integer(9, index=2, lower=4)
+        assert (enc.lower, enc.upper, enc.bit_weights) == (4, 9, (1, 2, 2))
+        assert enc.decode([0, 0, 0]) == 4 and enc.decode([1, 0, 1]) == 7 and enc.decode([1, 1, 1]) == 9
+        assert {enc.decode(b) for b in itertools.product((0, 1), repeat=3)} == set(range(4, 10))
+        assert enc.to_dict() == {"index": 2, "lower": 4, "upper": 9, "bit_weights": [1, 2, 2]}
+        assert encode_integer(5, lower=5).bit_weights == ()
+
+    def test_bad_lower_rejected(self):
+        for lower in (-1, 6):
+            with pytest.raises(InputError, match="lower bound"):
+                encode_integer(5, lower=lower)
+
 
 def make_stats(mu, sigma, tickers=None):
     mu = np.asarray(mu, dtype=float)
@@ -392,6 +406,44 @@ class TestBuildMptModel:
             build_mpt_model(stats, [-1.0], budget=100.0, q=1.0)
         with pytest.raises(InputError):
             build_mpt_model(stats, [50.0], budget=0.0, q=1.0)
+
+    def test_band_energy_is_dollar_objective(self):
+        rng = np.random.default_rng(8)
+        n = 3
+        A = rng.normal(0, 0.3, (n, n))
+        stats = make_stats(rng.uniform(-0.1, 0.4, n), A @ A.T)
+        prices = rng.uniform(20.0, 90.0, n)
+        budget, q = 1000.0, 1e-3
+        lower, upper = [2, 0, 5], [5, 3, 8]
+        cm = build_mpt_model(stats, prices, budget, q, lower, upper)
+        assert [(e.lower, e.upper) for e in cm.encodings] == list(zip(lower, upper))
+        assert cm.total_bits == 6
+        con = cm.constraints[0]
+        assert con.relation == "le" and con.rhs == pytest.approx(budget - prices @ lower, rel=1e-15)
+        seen = set()
+        for x in all_states(cm.total_bits):
+            counts = cm.decode_integers(x)
+            seen.add(tuple(counts))
+            exact = _dollar_objective(counts, prices, stats, q)
+            assert qubo_energy(cm.objective, x) == pytest.approx(exact, rel=1e-9, abs=1e-12)
+            assert con.coeffs @ x + prices @ lower == pytest.approx(prices @ counts, rel=1e-12)
+        assert seen == set(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper))))
+
+    def test_default_bounds_are_affordable_range(self):
+        stats = make_stats([0.1, 0.2], np.diag([0.01, 0.02]))
+        default = build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0)
+        explicit = build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [0, 0], [3, 2])
+        assert default.to_dict() == explicit.to_dict()
+        assert default.objective.offset == 0.0 and default.constraints[0].rhs == 100.0
+
+    def test_band_errors(self):
+        stats = make_stats([0.1, 0.2], np.zeros((2, 2)))
+        with pytest.raises(InputError, match="more than the budget"):
+            build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [2, 2], [3, 2])
+        with pytest.raises(InputError, match="match the number of assets"):
+            build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [0], [3])
+        with pytest.raises(InputError, match="lower bound"):
+            build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [3, 0], [2, 2])
 
     def test_variable_names_track_encoding(self):
         stats = make_stats([0.1, 0.2], np.zeros((2, 2)), tickers=("AA", "BB"))

@@ -8,9 +8,16 @@ from annealfolio import pipeline
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
-from annealfolio.model import build_mpt_model, build_mvo_qubo, penalize_inequality, qubo_energy
+from annealfolio.model import (
+    LinearConstraint,
+    affordable_shares,
+    build_mpt_model,
+    build_mvo_qubo,
+    penalize_equality,
+    qubo_energy,
+)
 from annealfolio.pipeline import (
-    SLACK_GRANULARITY,
+    BAND_HALF_WIDTH,
     Holdings,
     PipelineConfig,
     _dollar_objective,
@@ -261,10 +268,20 @@ class TestIntegerShares:
             assert h.cash >= 0
 
     def test_bit_cap(self):
-        stats = make_stats([0.1] * 8, np.zeros((8, 8)))
-        prices = {f"T{i}": 1.0 for i in range(8)}  # upper 10^6 each: way past the cap
-        with pytest.raises(SolverError, match="encoded bits"):
+        # equal returns, unit variances: the relaxation spreads 1e6 over all
+        # 22 names, so each band is the full 7 values (3 bits): 66 > 64 bits
+        n = 22
+        stats = make_stats([0.1] * n, np.eye(n))
+        prices = {f"T{i}": 1.0 for i in range(n)}
+        with pytest.raises(SolverError, match="66 encoded bits .*reduce the universe"):
             optimize_integer_shares(prices, stats, cfg_for(1e6, "fully_quantum"))
+
+    def test_large_budget_within_cap(self):
+        # eight names at 1e6 used to need 8 x 20 share bits plus 20 slack bits
+        stats = make_stats([0.1] * 8, np.zeros((8, 8)))
+        prices = {f"T{i}": 1.0 for i in range(8)}
+        h = optimize_integer_shares(prices, stats, cfg_for(1e6, "fully_quantum"))
+        assert sum(h.shares.values()) == 1_000_000 and h.cash == 0.0
 
 
 def random_share_instance(rng, n):
@@ -344,23 +361,26 @@ class TestBudgetRelaxation:
 
 
 def polished_candidates(prices_at, stats, cfg):
-    """The anneal's re-ranked winner and the floored relaxation, each polished."""
+    """The anneal's re-ranked winner over the band model and the floored relaxation, each polished."""
     p = [prices_at[t] for t in stats.tickers]
     q = cfg.q / cfg.budget
-    cm = build_mpt_model(stats, p, cfg.budget, q)
+    uppers = affordable_shares(p, cfg.budget).tolist()
+    floored = [min(int(y // pi), u) for y, pi, u in zip(_relaxed_dollars(stats, q, cfg.budget), p, uppers)]
+    lower = [max(f - BAND_HALF_WIDTH, 0) for f in floored]
+    upper = [min(f + BAND_HALF_WIDTH, u) for f, u in zip(floored, uppers)]
+    cm = build_mpt_model(stats, p, cfg.budget, q, lower, upper)
     con = cm.constraints[0]
-    penalized, _ = penalize_inequality(
-        cm.objective, con, _share_penalty(cm.objective, con.coeffs), SLACK_GRANULARITY
+    penalized = penalize_equality(
+        cm.objective, LinearConstraint(con.coeffs, "eq", con.rhs), _share_penalty(cm.objective, con.coeffs)
     )
     feasible = [
         cm.decode_integers(bits)
         for rec in simulated_anneal(penalized, cfg.sampler, cfg.seed).records
-        for bits in [state_to_array(rec.state)[: cm.objective.n]]
-        if con.coeffs @ bits <= cfg.budget + 1e-6
+        for bits in [state_to_array(rec.state)]
+        if con.coeffs @ bits <= con.rhs + 1e-6
     ]
-    uppers = [enc.upper for enc in cm.encodings]
     starts = [min(feasible, key=lambda c: _dollar_objective(c, p, stats, q))] if feasible else []
-    starts.append([min(int(y // pi), u) for y, pi, u in zip(_relaxed_dollars(stats, q, cfg.budget), p, uppers)])
+    starts.append(floored)
     return [_polish_shares(c, p, stats, q, cfg.budget, uppers) for c in starts]
 
 

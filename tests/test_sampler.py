@@ -21,7 +21,7 @@ from annealfolio.model import (
     qubo_to_ising,
     quadratic_symmetric,
 )
-from annealfolio.pipeline import SLACK_GRANULARITY, _share_penalty
+from annealfolio.pipeline import _share_penalty
 from annealfolio.sampler import (
     AnnealSchedule,
     SampleRecord,
@@ -360,7 +360,7 @@ class TestKernelMatchesReference:
         cm = build_mpt_model(stats, rng.uniform(40.0, 400.0, 5), budget, 1.0 / budget)
         budget_con = cm.constraints[0]
         lam = _share_penalty(cm.objective, budget_con.coeffs)
-        m, _ = penalize_inequality(cm.objective, budget_con, lam, SLACK_GRANULARITY)
+        m, _ = penalize_inequality(cm.objective, budget_con, lam, 1.0)
         assert m.n == 38
         assert_same_as_reference(m, AnnealSchedule(sweeps=130, restarts=128), seed=7)
 
