@@ -9,7 +9,7 @@ class InputError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """An optimization stage failed: infeasible problem, iteration limit, or no usable sample."""
+    """An optimization stage failed: infeasible problem, iteration limit, failed certificate, or nothing bought."""
 
 
 def check_field(name: str, value, kind, low=None, high=None, allow=()):

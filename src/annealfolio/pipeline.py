@@ -51,14 +51,7 @@ from .model import (
     penalize_equality,
     quadratic_symmetric,
 )
-from .sampler import (
-    EXHAUSTIVE_CAP,
-    AnnealSchedule,
-    best_feasible,
-    exhaustive_solve,
-    simulated_anneal,
-    state_to_array,
-)
+from .sampler import AnnealSchedule, best_feasible, simulated_anneal, state_to_array
 
 # Unused here; perfbench/tracer.py requires this name at this import site.
 from .model import penalize_inequality
@@ -75,6 +68,11 @@ SHARE_BIT_CAP = 64
 # Each share count is annealed within this many shares of the floored
 # relaxation (less where the band meets zero or floor(budget / price)).
 BAND_HALF_WIDTH = 3
+
+# The moves of _descend after each anneal: fully_quantum steps or shifts
+# shares, selection swaps a held name for one not held.
+SHARE_STEPS = ((1,), (-1,), (-1, 1), (-1, 2), (-2, 1))
+SWAP_STEPS = ((-1, 1),)
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,13 @@ def select_assets(
     schedule: AnnealSchedule,
     seed: int,
 ) -> tuple[str, ...]:
-    """Pick exactly k tickers by sampling the selection QUBO.
+    """Pick exactly k tickers: anneal the selection QUBO once, repair to k, swap-descend.
 
-    If no sampled state hits the cardinality, samples once more at double
-    the penalty, then solves exactly with :func:`exhaustive_solve` over the
-    states with k ones (n <= EXHAUSTIVE_CAP; ties go to the
-    lexicographically first state); raises SolverError when the universe is
-    too large to enumerate.
+    The anneal's best state with k ones (else its best state) is repaired
+    to k ones by dropping the worst held name, or adding the best other
+    one, by marginal q x'Sigma x - mu'x (ties to the first ticker), one at
+    a time. :func:`_descend` then swaps names on that objective, so no
+    single swap improves the result.
     """
     n = stats.n
     if not 1 <= k <= n:
@@ -161,21 +159,18 @@ def select_assets(
         return stats.tickers
     lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
     card = LinearConstraint(np.ones(n), "eq", float(k))
-
-    for attempt_lam in (lam_val, 2.0 * lam_val):
-        m = build_mvo_qubo(stats, q, k, attempt_lam)
-        s = simulated_anneal(m, schedule, seed)
-        state = best_feasible(s, [card], tolerance=1e-6)
-        if state is not None:
-            return _state_tickers(state, stats)
-    if n <= EXHAUSTIVE_CAP:
-        m = build_mvo_qubo(stats, q, k, lam_val)
-        return _state_tickers(exhaustive_solve(m, 1, [card]).best().state, stats)
-    raise SolverError(f"no feasible selection of {k} assets found")
-
-
-def _state_tickers(state: str, stats: AssetStats) -> tuple[str, ...]:
-    return tuple(t for t, ch in zip(stats.tickers, state) if ch == "1")
+    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule, seed)
+    x = state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state)
+    curv = q * np.diag(stats.sigma)
+    while (held := int(x.sum())) != k:
+        g = 2.0 * q * (stats.sigma @ x) - stats.mu
+        if held > k:  # dropping i changes the objective by curv_i - g_i
+            i = int(np.argmin(np.where(x == 1.0, curv - g, np.inf)))
+        else:  # adding i changes it by curv_i + g_i
+            i = int(np.argmin(np.where(x == 0.0, curv + g, np.inf)))
+        x[i] = 1.0 - x[i]
+    counts = _descend(x, np.ones(n), stats, q, float(k), np.ones(n), SWAP_STEPS)
+    return tuple(t for t, c in zip(stats.tickers, counts) if c)
 
 
 def to_shares(
@@ -336,51 +331,41 @@ def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
     return budget * z
 
 
-def _polish_shares(counts, prices, stats, q, budget, uppers, max_rounds=300):
-    """Best-improvement descent over single-share and swap moves within [0, uppers].
+def _descend(counts, prices, stats, q, budget, uppers, steps):
+    """Best-improvement descent on q y'Sigma y - mu'y, y = prices * counts, within [0, uppers].
 
-    Cleans up annealer output the way hybrid solvers post-process: the
-    budget penalty separates adjacent share vectors by ridges the sampler
-    sometimes fails to cross, and these moves are exactly the crossings.
-    Deterministic; never leaves the budget region.
+    The moves are each one-count step ``(d,)`` of ``steps`` at every i,
+    then each two-count step ``(d_i, d_j)`` at every i and j != i. A round
+    scores them all from the gradient 2q Sigma y - mu plus each move's
+    fixed curvature, masks those that leave [0, uppers] or overspend
+    ``budget``, and takes the first best while it lowers the objective by
+    more than 1e-12. This is the classical clean-up of hybrid solvers: the
+    penalty ridges the sampler fails to cross are exactly these moves.
     """
-    counts = list(counts)
+    counts = np.array(counts, dtype=np.int64)
+    p = np.asarray(prices, dtype=float)
+    uppers = np.asarray(uppers)
     n = len(counts)
-    current = _dollar_objective(counts, prices, stats, q)
-    moves = [((i, d),) for i in range(n) for d in (1, -1)]
+    moves = [(i, s[0], i, 0) for i in range(n) for s in steps if len(s) == 1]
     moves += [
-        ((i, di), (j, dj))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        for di, dj in ((-1, 1), (-1, 2), (-2, 1))
+        (i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in steps if len(s) == 2
     ]
-    for _ in range(max_rounds):
-        spend = float(np.dot(counts, prices))
-        best = None
-        for move in moves:
-            delta_spend = 0.0
-            ok = True
-            for i, d in move:
-                if not 0 <= counts[i] + d <= uppers[i]:
-                    ok = False
-                    break
-                delta_spend += d * prices[i]
-            if not ok or spend + delta_spend > budget + 1e-9:
-                continue
-            for i, d in move:
-                counts[i] += d
-            val = _dollar_objective(counts, prices, stats, q)
-            for i, d in move:
-                counts[i] -= d
-            if val < current - 1e-12 and (best is None or val < best[0]):
-                best = (val, move)
-        if best is None:
-            break
-        current = best[0]
-        for i, d in best[1]:
-            counts[i] += d
-    return counts
+    I, DI, J, DJ = np.array(moves).T
+    dy_i, dy_j = DI * p[I], DJ * p[J]
+    dspend = dy_i + dy_j
+    sig = stats.sigma
+    curv = q * (dy_i**2 * sig[I, I] + 2.0 * dy_i * dy_j * sig[I, J] + dy_j**2 * sig[J, J])
+    while True:
+        g = 2.0 * q * (sig @ (p * counts)) - stats.mu
+        ci, cj = counts[I] + DI, counts[J] + DJ
+        ok = (ci >= 0) & (ci <= uppers[I]) & (cj >= 0) & (cj <= uppers[J])
+        ok &= float(np.dot(counts, p)) + dspend <= budget + 1e-9
+        delta = np.where(ok, g[I] * dy_i + g[J] * dy_j + curv, np.inf)
+        best = int(np.argmin(delta))
+        if not delta[best] < -1e-12:
+            return counts.tolist()
+        counts[I[best]] += DI[best]
+        counts[J[best]] += DJ[best]
 
 
 def optimize_integer_shares(
@@ -399,8 +384,8 @@ def optimize_integer_shares(
     annealer samples that model with the configured schedule; sampled
     states that truly satisfy the budget are re-ranked by the exact dollar
     objective. The floored relaxation rides along as a second candidate.
-    Both get the single-share and swap polish over the full
-    [0, floor(budget / p)] range, so the polish may leave the band; the
+    Both get the :func:`_descend` descent with SHARE_STEPS over the full
+    [0, floor(budget / p)] range, so the descent may leave the band; the
     anneal's result is kept unless the floored relaxation's is better by
     more than 1e-12, and the relaxation's stands alone when no sample
     satisfies the budget.
@@ -454,7 +439,7 @@ def optimize_integer_shares(
     for start in (sampled, floored):
         if start is None:
             continue
-        counts = _polish_shares(start, price_vec, stats, q_dollar, cfg.budget, uppers)
+        counts = _descend(start, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS)
         obj = _dollar_objective(counts, price_vec, stats, q_dollar)
         if obj < best_obj - 1e-12:
             best, best_obj = counts, obj

@@ -3,8 +3,9 @@
 Two solvers share the :class:`SampleSet` result type: a seeded simulated
 annealer (the workhorse) and one exhaustive enumerator, the exact solver at
 small sizes. The enumerator takes optional linear constraints and then
-enumerates only the states that satisfy them; it is the annealer's oracle
-and the pipeline's fallback when no sampled selection is feasible.
+enumerates only the states that satisfy them; it is the annealer's oracle.
+The pipeline only anneals: its selection repairs and swap-descends the
+anneal's best state instead of enumerating.
 
 Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
@@ -159,15 +160,15 @@ def exhaustive_solve(
 ) -> SampleSet:
     """Enumerate all 2^n states; exact but capped at n <= EXHAUSTIVE_CAP variables.
 
-    The one exact solver: the oracle for the annealer and the selection
-    fallback of the pipeline. States stream in chunks; with
-    ``constraints`` each chunk keeps only the states that satisfy every
-    one (at tolerance 1e-9) before its energies are computed, so the
-    records may be empty. Records are in (energy, state) order, ties
-    broken by the lexicographically first state, and ``top_k`` (k >= 1)
-    returns exactly the first k records of that order while holding no
-    more than k states per chunk. Without top_k the SampleSet holds every
-    state, which gets heavy past n ~ 20; prefer a truncation there.
+    The one exact solver, the oracle the annealer is checked against.
+    States stream in chunks; with ``constraints`` each chunk keeps only the
+    states that satisfy every one (at tolerance 1e-9) before its energies
+    are computed, so the records may be empty. Records are in (energy,
+    state) order, ties broken by the lexicographically first state, and
+    ``top_k`` (k >= 1) returns exactly the first k records of that order
+    while holding no more than k states per chunk. Without top_k the
+    SampleSet holds every state, which gets heavy past n ~ 20; prefer a
+    truncation there.
     """
     if m.n > EXHAUSTIVE_CAP:
         raise InputError(f"exhaustive solve capped at n={EXHAUSTIVE_CAP}, got n={m.n}")

@@ -290,6 +290,13 @@ class TestGenData:
         sectors = (tmp_path / "synthetic_sectors.csv").read_bytes()
         assert sectors == Path(bundled_sectors_path()).read_bytes()
 
+    @pytest.mark.parametrize("days", [-5, 0, 1, 2])
+    def test_bad_days_exit_2(self, tmp_path, capsys, days):
+        out = tmp_path / "out"
+        assert run(["gen-data", "--out-dir", out, "--days", days]) == 2
+        assert f"days must be an integer >= 3, got {days}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_seed_differs(self, tmp_path):
         assert run(["gen-data", "--out-dir", tmp_path, "--seed", 1]) == 0
         assert (tmp_path / "synthetic_prices.csv").read_bytes() != Path(

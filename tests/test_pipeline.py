@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealfolio import pipeline
 from annealfolio.allocator import WeightVector
@@ -19,9 +21,11 @@ from annealfolio.model import (
 from annealfolio.pipeline import (
     BAND_HALF_WIDTH,
     Holdings,
+    SHARE_STEPS,
+    SWAP_STEPS,
     PipelineConfig,
+    _descend,
     _dollar_objective,
-    _polish_shares,
     _relaxed_dollars,
     _share_penalty,
     optimize_integer_shares,
@@ -85,14 +89,60 @@ class TestSelectAssets:
         with pytest.raises(InputError):
             select_assets(stats, 2, 1.0, "auto", FAST, seed=1)
 
-    def test_exhaustive_fallback_rescues_weak_penalty(self):
+    def test_repair_reaches_k_under_weak_penalty(self):
         # an explicit tiny penalty makes every sampled state infeasible
-        # (all-ones dominates), so selection must fall back to enumeration;
-        # the three one-asset picks tie, and the first state, "001", wins
+        # (all-ones dominates), so the anneal's best state is repaired to
+        # one name; the three names tie, so the first two are dropped
         stats = make_stats([10.0, 10.0, 10.0], np.zeros((3, 3)))
         weak = AnnealSchedule(sweeps=50, restarts=2)
         picked = select_assets(stats, 1, 1.0, 0.001, weak, seed=3)
         assert picked == ("T2",)
+
+    def test_large_universe_weak_penalty_anneals_once(self, monkeypatch):
+        # n = 30 is past every enumeration cap and no sample has k ones
+        calls = []
+
+        def spy(m, schedule, seed):
+            calls.append(m.n)
+            return simulated_anneal(m, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        stats = random_selection_stats(np.random.default_rng(30), 30)
+        picked = select_assets(stats, 6, 1.0, 0.001, FAST, seed=2)
+        assert calls == [30]
+        assert_swap_optimal(stats, 1.0, picked, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 10),
+        k_frac=st.floats(0.0, 1.0),
+        q=st.sampled_from([0.1, 1.0, 10.0]),
+        lam=st.sampled_from(["auto", 0.01]),
+    )
+    def test_no_single_swap_improves(self, seed, n, k_frac, q, lam):
+        k = 1 + int(k_frac * (n - 1))
+        stats = random_selection_stats(np.random.default_rng(seed), n)
+        picked = select_assets(stats, k, q, lam, AnnealSchedule(sweeps=20, restarts=2), seed)
+        assert_swap_optimal(stats, q, picked, k)
+
+
+def random_selection_stats(rng, n):
+    A = rng.normal(0, 0.15, (n, int(rng.integers(1, n + 1))))
+    return make_stats(rng.uniform(-0.1, 0.5, n), A @ A.T)
+
+
+def assert_swap_optimal(stats, q, picked, k):
+    """Exactly k names, and no swap of a held name for another lowers q x'Sigma x - mu'x."""
+    assert len(picked) == k and len(set(picked)) == k
+    x = [1 if t in picked else 0 for t in stats.tickers]
+    ones = np.ones(stats.n)
+    here = _dollar_objective(x, ones, stats, q)
+    for i, j in itertools.permutations(range(stats.n), 2):
+        if x[i] and not x[j]:
+            y = list(x)
+            y[i], y[j] = 0, 1
+            assert _dollar_objective(y, ones, stats, q) >= here - 1e-12
 
 
 class TestToShares:
@@ -381,7 +431,83 @@ def polished_candidates(prices_at, stats, cfg):
     ]
     starts = [min(feasible, key=lambda c: _dollar_objective(c, p, stats, q))] if feasible else []
     starts.append(floored)
-    return [_polish_shares(c, p, stats, q, cfg.budget, uppers) for c in starts]
+    return [_descend(c, p, stats, q, cfg.budget, uppers, SHARE_STEPS) for c in starts]
+
+
+def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_rounds=300):
+    """Move-by-move best-improvement descent, each move scored by a full objective evaluation.
+
+    The loop ``_descend`` replaced, kept as its reference: the same moves in
+    the same order, first best wins, a move must lower the objective by
+    more than 1e-12.
+    """
+    counts = list(counts)
+    n = len(counts)
+    current = _dollar_objective(counts, prices, stats, q)
+    moves = [((i, s[0]),) for i in range(n) for s in steps if len(s) == 1]
+    moves += [
+        ((i, s[0]), (j, s[1]))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for s in steps
+        if len(s) == 2
+    ]
+    for _ in range(max_rounds):
+        spend = float(np.dot(counts, prices))
+        best = None
+        for move in moves:
+            delta_spend = 0.0
+            ok = True
+            for i, d in move:
+                if not 0 <= counts[i] + d <= uppers[i]:
+                    ok = False
+                    break
+                delta_spend += d * prices[i]
+            if not ok or spend + delta_spend > budget + 1e-9:
+                continue
+            for i, d in move:
+                counts[i] += d
+            val = _dollar_objective(counts, prices, stats, q)
+            for i, d in move:
+                counts[i] -= d
+            if val < current - 1e-12 and (best is None or val < best[0]):
+                best = (val, move)
+        if best is None:
+            break
+        current = best[0]
+        for i, d in best[1]:
+            counts[i] += d
+    return counts
+
+
+class TestDescend:
+    def test_share_steps_match_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            stats, prices, budget = random_share_instance(rng, int(rng.integers(1, 6)))
+            p = [prices[t] for t in stats.tickers]
+            q = float(rng.uniform(0.2, 5.0)) / budget
+            uppers = affordable_shares(p, budget).tolist()
+            w = rng.dirichlet(np.ones(stats.n)) * rng.uniform(0.3, 1.0)
+            start = [int(wi * budget // pi) for wi, pi in zip(w, p)]
+            expected = reference_descent(start, p, stats, q, budget, uppers, SHARE_STEPS)
+            assert _descend(start, p, stats, q, budget, uppers, SHARE_STEPS) == expected
+
+    def test_swap_steps_match_reference(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(1, n))
+            stats = random_selection_stats(rng, n)
+            q = float(rng.choice([0.1, 1.0, 10.0]))
+            start = [0] * n
+            for i in rng.choice(n, k, replace=False):
+                start[i] = 1
+            ones, uppers = [1.0] * n, [1] * n
+            expected = reference_descent(start, ones, stats, q, float(k), uppers, SWAP_STEPS)
+            got = _descend(start, ones, stats, q, float(k), uppers, SWAP_STEPS)
+            assert got == expected and sum(got) == k
 
 
 class TestIntegerShareCandidates:
