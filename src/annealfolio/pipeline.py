@@ -212,12 +212,16 @@ def to_shares(
 
 
 def portfolio_value(h: Holdings, prices_at: Mapping[str, float]) -> float:
-    """Mark-to-market value: share counts times closes, plus cash."""
+    """Mark-to-market value: cash plus share counts times closes, added in ticker order.
+
+    The fixed order makes the value depend only on the book, not on the
+    order in which its positions were bought.
+    """
     total = h.cash
-    for t, count in h.shares.items():
+    for t in h.held_tickers():
         if t not in prices_at:
             raise InputError(f"no price available for held ticker {t!r}")
-        total += count * float(prices_at[t])
+        total += h.shares[t] * float(prices_at[t])
     return total
 
 

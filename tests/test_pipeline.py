@@ -219,6 +219,15 @@ class TestPortfolioValue:
         with pytest.raises(InputError):
             portfolio_value(h, {"B": 3.0})
 
+    def test_value_depends_only_on_the_book(self):
+        # summed in purchase order, C-B-A gives 0.6 and A-B-C 0.6000000000000001
+        prices = {"A": 0.1, "B": 0.2, "C": 0.3}
+        values = {
+            portfolio_value(Holdings({t: 1 for t in order}, 0.0), prices)
+            for order in itertools.permutations("ABC")
+        }
+        assert len(values) == 1
+
     def test_zero_position_needs_no_price(self):
         h = Holdings({"A": 0}, 3.0)
         assert portfolio_value(h, {}) == pytest.approx(3.0)
