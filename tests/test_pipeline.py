@@ -444,11 +444,10 @@ def polished_candidates(prices_at, stats, cfg):
 
 
 def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_rounds=300):
-    """Move-by-move best-improvement descent, each move scored by a full objective evaluation.
+    """Reference for ``_descend``: the same moves in the same order, each scored move by move.
 
-    The loop ``_descend`` replaced, kept as its reference: the same moves in
-    the same order, first best wins, a move must lower the objective by
-    more than 1e-12.
+    Every candidate is scored by a full objective evaluation; the first
+    best wins, and a move must lower the objective by more than 1e-12.
     """
     counts = list(counts)
     n = len(counts)
