@@ -1,20 +1,22 @@
 """Continuous weight allocation by Sharpe-ratio maximization.
 
-The non-convex max-Sharpe problem is solved through its convex
-reformulation
+One solver, :func:`active_set_qp`, serves both continuous problems of the
+package: it minimizes 1/2 z'Hz - c'z over z >= 0, optionally under
+sum(z) <= 1. The non-convex max-Sharpe problem is solved through its
+convex reformulation
 
-    min y' Sigma y   s.t.  (mu - r)' y = 1,  y >= 0
+    min y' Sigma y   s.t.  (mu - r)' y = 1,  y >= 0,
 
-and mapped back with w_i = y_i / sum(y). The solver is a small active-set
-iteration: solve the equality-constrained system on the current support,
-drop variables that go negative, re-admit excluded variables whose
-multiplier violates dual feasibility, and certify the result against the
-KKT conditions.
+whose solution is y* = z / (mu - r)'z for z minimizing z'Sigma z - (mu - r)'z
+over z >= 0 (Cornuejols & Tutuncu, *Optimization Methods in Finance*,
+ch. 8), and mapped back with w_i = y_i / sum(y); the result is certified
+against the reformulation's KKT conditions. The fully_quantum strategy's
+budgeted continuous relaxation (``pipeline._relaxed_dollars``) is the
+same solver with the budget row.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,24 +26,19 @@ import numpy as np
 from .errors import InputError, SolverError, check_field
 from .marketdata import AssetStats
 
-log = logging.getLogger(__name__)
-
 CARDINALITY_MODES = ("support", "y_sum")
+KKT_TOLERANCE = 1e-8  # max-Sharpe certificate: worst KKT violation accepted
 
 
 @dataclass(frozen=True)
 class AllocatorConfig:
     risk_free_rate: float = 0.0
-    kkt_tolerance: float = 1e-8
-    max_iterations: int | None = None  # None -> 3n + 10
     zero_weight_threshold: float = 1e-6
     cardinality_mode: str = "support"
 
     def __post_init__(self):
         for name, *rule in (
             ("risk_free_rate", float),
-            ("kkt_tolerance", float, 0),
-            ("max_iterations", int, 1, None, (None,)),
             ("zero_weight_threshold", float, 0),
             ("cardinality_mode", CARDINALITY_MODES),
         ):
@@ -95,32 +92,70 @@ class PortfolioMetrics:
         return d
 
 
-def _solve_support(sigma: np.ndarray, excess: np.ndarray, support: list[int]) -> tuple[np.ndarray, float, bool]:
-    """Solve 2 Sigma_SS y_S = nu (mu - r)_S with the budget-normalization row.
+def active_set_qp(H: np.ndarray, c: np.ndarray, budget_row: bool = False) -> tuple[np.ndarray, float]:
+    """Minimize 1/2 z'Hz - c'z over z >= 0, and sum(z) <= 1 with ``budget_row``.
 
-    Returns (y on support, nu, ridge_used).
+    Primal active-set iteration with ratio tests (Nocedal & Wright,
+    *Numerical Optimization*, sec. 16.5) on a positive semidefinite H,
+    started from z = 0. Each step heads for the minimizer on the working
+    set (the zero bounds held, plus the budget once it binds) and stops at
+    the first constraint it would cross, which joins the set; at a
+    working-set minimizer the constraint with the most negative multiplier
+    leaves it. A 1e-12 relative ridge keeps every reduced system
+    nonsingular when H is not; each reduced solve takes one refinement
+    step against the unridged system, and the multipliers come from the
+    unridged H. Returns z and the budget's multiplier (0 when the budget is
+    absent or slack). Callers certify the result by their own KKT
+    conditions; SolverError when 4n + 10 iterations do not converge.
     """
-    A = sigma[np.ix_(support, support)]
-    b = excess[support]
-    ridge_used = False
-    try:
-        z = np.linalg.solve(A, b)
-        if not np.all(np.isfinite(z)) or np.linalg.norm(A @ z - b) > 1e-6 * max(
-            1.0, np.linalg.norm(b)
-        ):
-            raise np.linalg.LinAlgError("ill-conditioned")
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * np.trace(sigma) / max(len(sigma), 1)
-        if ridge <= 0:
-            ridge = 1e-12
-        z = np.linalg.solve(A + ridge * np.eye(len(support)), b)
-        ridge_used = True
-        log.warning("singular covariance on support; applied ridge %.3e", ridge)
-    denom = float(b @ z)
-    if denom <= 0:
-        raise SolverError("reduced system is degenerate (no positive excess-return direction)")
-    nu = 2.0 / denom
-    return z / denom, nu, ridge_used
+    n = len(c)
+    ridge = 1e-12 * max(1.0, float(np.max(np.diag(H))))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(c))))
+    # the KKT matrix of every working set: H bordered by the budget's row (index n)
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = H
+    kkt[n, n] = 0.0
+    kkt_ridged = kkt + ridge * np.diag(np.arange(n + 1) < n)
+    rhs_full = np.append(c, 1.0)
+    z = np.zeros(n)
+    working = np.zeros(n + 1, dtype=bool)  # names off their zero bound, then the budget if it binds
+    for _ in range(4 * n + 10):
+        W = np.flatnonzero(working)
+        capped = bool(working[n])
+        F = W[: len(W) - capped]
+        ix = np.ix_(W, W)
+        K_ridged, rhs = kkt_ridged[ix], rhs_full[W]
+        sol = np.linalg.solve(K_ridged, rhs)
+        sol += np.linalg.solve(K_ridged, rhs - kkt[ix] @ sol)
+        target, nu = sol[: len(F)], float(sol[-1]) if capped else 0.0
+        step = target - z[F]
+        alpha, block = 1.0, None
+        falling = np.flatnonzero(step < 0)
+        if len(falling):
+            ratios = -z[F[falling]] / step[falling]
+            j = int(np.argmin(ratios))
+            if ratios[j] < alpha:
+                alpha, block = float(ratios[j]), int(F[falling[j]])
+        rise = float(step.sum())
+        if budget_row and not capped and rise > 0 and (1.0 - z.sum()) / rise < alpha:
+            alpha, block = (1.0 - z.sum()) / rise, n
+        if block is not None:
+            z[F] += alpha * step
+            if block < n:
+                z[block] = 0.0
+            working[block] = block == n  # a blocking name leaves; the budget joins
+            continue
+        z[F] = target
+        # multipliers of the zero bounds held; the budget's is nu
+        bound_mult = np.where(working[:n], np.inf, H @ z - c + nu)
+        i = int(np.argmin(bound_mult))
+        if capped and nu < min(float(bound_mult[i]), -tol):
+            working[n] = False
+        elif bound_mult[i] < -tol:
+            working[i] = True
+        else:
+            return np.clip(z, 0.0, None), nu
+    raise SolverError("active-set iteration limit reached")
 
 
 def max_sharpe_weights(
@@ -132,8 +167,8 @@ def max_sharpe_weights(
 
     Returns the normalized WeightVector and the raw solution y* of the
     convex program (aligned with the subset). Raises SolverError when no
-    asset beats the risk-free rate or the active-set iteration fails to
-    produce a KKT-certified point.
+    asset beats the risk-free rate or the solution fails its KKT
+    certificate.
     """
     cfg = cfg or AllocatorConfig()
     idx = list(range(stats.n)) if subset is None else [int(i) for i in subset]
@@ -143,53 +178,28 @@ def max_sharpe_weights(
     excess = sub.mu - cfg.risk_free_rate
     if float(np.max(excess)) <= 0:
         raise SolverError("no asset's expected return exceeds the risk-free rate")
-    n = sub.n
-    sigma = sub.sigma
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 3 * n + 10
-
-    support = list(range(n))
-    y = np.zeros(n)
-    nu = 0.0
-    converged = False
-    for _ in range(max_iter):
-        y_s, nu, _ = _solve_support(sigma, excess, support)
-        if np.min(y_s) < -1e-12:
-            worst = int(np.argmin(y_s))
-            support.pop(worst)
-            if not support:
-                raise SolverError("active-set emptied the support")
-            continue
-        y = np.zeros(n)
-        y[support] = np.clip(y_s, 0.0, None)
-        dual = 2.0 * sigma @ y - nu * excess
-        outside = [i for i in range(n) if i not in support]
-        if outside:
-            worst = min(outside, key=lambda i: dual[i])
-            if dual[worst] < -cfg.kkt_tolerance:
-                support.append(worst)
-                support.sort()
-                continue
-        converged = True
-        break
-    if not converged:
-        raise SolverError("active-set iteration limit reached without KKT convergence")
-
-    resid = _kkt_residual(sigma, excess, y, nu)
-    if resid > cfg.kkt_tolerance:
-        raise SolverError(f"KKT residual {resid:.3e} exceeds tolerance {cfg.kkt_tolerance:.1e}")
-    total = float(y.sum())
-    if total <= 0:
-        raise SolverError("solver returned a zero allocation")
-    weights = WeightVector(sub.tickers, y / total)
-    return weights, y
+    z, _ = active_set_qp(2.0 * sub.sigma, excess)
+    y = z / float(excess @ z)
+    resid = _kkt_residual(sub.sigma, excess, y)
+    if not resid <= KKT_TOLERANCE:
+        raise SolverError(f"KKT residual {resid:.3e} exceeds tolerance {KKT_TOLERANCE:.1e}")
+    return WeightVector(sub.tickers, y / y.sum()), y
 
 
-def _kkt_residual(sigma: np.ndarray, excess: np.ndarray, y: np.ndarray, nu: float) -> float:
-    """Worst violation across stationarity, feasibility, and complementarity."""
+def _kkt_residual(sigma: np.ndarray, excess: np.ndarray, y: np.ndarray) -> float:
+    """Worst violation across stationarity, feasibility, and complementarity.
+
+    The multiplier of the return row is recovered from stationarity
+    contracted with y: nu = 2 y'Sigma y / (mu - r)'y.
+    """
+    denom = float(excess @ y)
+    if denom <= 0:
+        return math.inf
+    nu = 2.0 * float(y @ sigma @ y) / denom
     dual = 2.0 * sigma @ y - nu * excess
     stationarity = float(np.max(np.abs(np.minimum(dual, 0.0))))  # dual >= 0
-    on_support = float(np.max(np.abs(dual * y))) if len(y) else 0.0  # dual_i y_i = 0
-    primal = abs(float(excess @ y) - 1.0)
+    on_support = float(np.max(np.abs(dual * y)))  # dual_i y_i = 0
+    primal = abs(denom - 1.0)
     return max(stationarity, on_support, primal)
 
 
@@ -199,14 +209,8 @@ def kkt_certificate(
 ) -> float:
     """Recompute the KKT residual of a solution (independent audit hook)."""
     cfg = cfg or AllocatorConfig()
-    idx = list(range(stats.n)) if subset is None else list(subset)
-    sub = stats.subset(idx)
-    excess = sub.mu - cfg.risk_free_rate
-    denom = float(excess @ y)
-    if denom <= 0:
-        return math.inf
-    nu = 2.0 * float(y @ sub.sigma @ y) / denom  # from stationarity contracted with y
-    return _kkt_residual(sub.sigma, excess, y, nu)
+    sub = stats.subset(list(range(stats.n)) if subset is None else list(subset))
+    return _kkt_residual(sub.sigma, sub.mu - cfg.risk_free_rate, y)
 
 
 def derive_cardinality(y_star: np.ndarray, cfg: AllocatorConfig | None = None) -> int:

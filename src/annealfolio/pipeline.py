@@ -17,7 +17,6 @@ every rebalance repurchase, which may buy nothing.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -28,6 +27,7 @@ import numpy as np
 from .allocator import (
     AllocatorConfig,
     WeightVector,
+    active_set_qp,
     compute_metrics,
     derive_cardinality,
     max_sharpe_weights,
@@ -55,8 +55,6 @@ from .sampler import AnnealSchedule, best_feasible, simulated_anneal, state_to_a
 
 # Unused here; perfbench/tracer.py requires this name at this import site.
 from .model import penalize_inequality
-
-log = logging.getLogger(__name__)
 
 STRATEGIES = ("hybrid", "fully_quantum")
 
@@ -261,66 +259,14 @@ def _dollar_objective(counts, prices, stats: AssetStats, q: float) -> float:
 def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
     """Dollar holdings y minimizing q * y'Sigma y - mu'y with sum(y) <= budget, y >= 0.
 
-    Primal active-set iteration on z = y / budget, whose objective is
-    budget * (Q z'Sigma z - mu'z) with Q = q * budget, started from all
-    cash. Each step heads for the minimizer on the working set (the zero
-    bounds held, plus the budget once it binds) and stops at the first
-    constraint it would cross, which joins the set; at a working-set
-    minimizer the constraint with the most negative multiplier leaves it.
-    A 1e-12 relative ridge keeps every reduced system nonsingular when
-    Sigma is not. The result is certified against the KKT conditions of
-    the unridged problem; SolverError if it fails them.
+    Solved by :func:`active_set_qp` on z = y / budget, whose objective is
+    budget * (Q z'Sigma z - mu'z) with Q = q * budget, and certified
+    against the KKT conditions of that problem; SolverError if it fails
+    them.
     """
-    n = stats.n
     mu = stats.mu
     H = 2.0 * q * budget * stats.sigma
-    Hr = H + 1e-12 * max(1.0, float(np.max(np.diag(H)))) * np.eye(n)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(mu))))
-    z = np.zeros(n)
-    free = np.zeros(n, dtype=bool)  # off their zero bound
-    capped = False  # the budget is in the working set
-    for _ in range(4 * n + 10):
-        F = np.flatnonzero(free)
-        k = len(F)
-        if capped:
-            K = np.ones((k + 1, k + 1))
-            K[:k, :k] = Hr[np.ix_(F, F)]
-            K[k, k] = 0.0
-            sol = np.linalg.solve(K, np.append(mu[F], 1.0))
-            target, nu = sol[:k], float(sol[k])
-        else:
-            target, nu = np.linalg.solve(Hr[np.ix_(F, F)], mu[F]), 0.0
-        step = target - z[F]
-        alpha, block = 1.0, None
-        falling = np.flatnonzero(step < 0)
-        if len(falling):
-            ratios = -z[F[falling]] / step[falling]
-            j = int(np.argmin(ratios))
-            if ratios[j] < alpha:
-                alpha, block = float(ratios[j]), int(F[falling[j]])
-        rise = float(step.sum())
-        if not capped and rise > 0 and (1.0 - z.sum()) / rise < alpha:
-            alpha, block = (1.0 - z.sum()) / rise, -1
-        if block is not None:
-            z[F] += alpha * step
-            if block < 0:
-                capped = True
-            else:
-                z[block], free[block] = 0.0, False
-            continue
-        z[F] = target
-        # multipliers of the zero bounds held; the budget's is nu
-        bound_mult = np.where(free, np.inf, Hr @ z - mu + nu)
-        i = int(np.argmin(bound_mult))
-        if capped and nu < min(float(bound_mult[i]), -tol):
-            capped = False
-        elif bound_mult[i] < -tol:
-            free[i] = True
-        else:
-            break
-    else:
-        raise SolverError("budgeted relaxation: active-set iteration limit reached")
-    z = np.clip(z, 0.0, None)
+    z, nu = active_set_qp(H, mu, budget_row=True)
     Hz = H @ z
     dual = Hz - mu + nu
     resid = max(

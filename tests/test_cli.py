@@ -53,6 +53,27 @@ class TestOptimizeCommand:
         assert result["shares"] and 0.0 < spend <= 1_000_000.0
         assert spend + result["cash"] == pytest.approx(1_000_000.0, abs=1e-6)
 
+    def test_three_day_data_both_strategies(self, tmp_path, capsys, caplog):
+        # two returns per name give a singular covariance; the allocator's
+        # ridge is part of its solver, not a warning per step
+        data = tmp_path / "data"
+        assert run(["gen-data", "--days", 3, "--out-dir", data]) == 0
+        expected = {
+            "hybrid": ({"ENRG1": 2, "FINA2": 92, "STPL1": 9, "STPL2": 136, "TECH1": 21, "TECH2": 25,
+                        "TELE1": 12}, 1431.14),
+            "fully_quantum": ({"STPL2": 349}, 523.33),
+        }
+        for strategy, (shares, cash) in expected.items():
+            out = tmp_path / strategy
+            assert run([
+                "optimize", "--seed", 1, "--strategy", strategy, "--out-dir", out,
+                "--prices", data / "synthetic_prices.csv", "--sectors", data / "synthetic_sectors.csv",
+            ]) == 0
+            result = json.loads((out / "optimize_result.json").read_text())
+            assert result["shares"] == shares
+            assert result["cash"] == pytest.approx(cash, abs=1e-6)
+        assert "applied ridge" not in capsys.readouterr().err + caplog.text
+
     def test_missing_price_file_exit_2(self, out_dir, capsys):
         code = run(["optimize", "--seed", 1, "--prices", "/nope/missing.csv", "--out-dir", out_dir])
         assert code == 2

@@ -612,5 +612,5 @@ class TestPipelineConfig:
         assert echo["lambda"] == 2.0 and "lambda_" not in echo
         assert echo["sampler"]["t_initial"] == 5 and type(echo["sampler"]["t_initial"]) is int
         assert set(echo["allocator"]) == {
-            "risk_free_rate", "kkt_tolerance", "max_iterations", "zero_weight_threshold", "cardinality_mode",
+            "risk_free_rate", "zero_weight_threshold", "cardinality_mode",
         }
