@@ -1,7 +1,8 @@
 """End-to-end demo on the bundled synthetic dataset.
 
-Runs both construction strategies, then the quarterly rebalancing backtest
-against a one-ticker benchmark, leaving all artifacts in ./demo_out.
+Runs both construction strategies, then a quarterly rebalancing backtest
+of each against a one-ticker benchmark, all at the same budget, leaving
+every artifact in ./demo_out.
 
     python scripts/demo_workflow.py [--seed 42] [--budget 1000000]
 """
@@ -33,14 +34,14 @@ def main():
 
     print("\n== integer-share construction ==")
     run(["optimize", "--seed", args.seed, "--strategy", "fully_quantum",
-         "--budget", min(args.budget, 100_000.0), "--out-dir", out / "shares"])
+         "--budget", args.budget, "--out-dir", out / "shares"])
 
-    print("\n== quarterly rebalancing backtest vs buy-and-hold TECH1 ==")
-    run(["backtest", "--seed", args.seed, "--budget", args.budget,
-         "--benchmark", "TECH1", "--out-dir", out / "backtest"])
-
-    report = json.loads((out / "backtest" / "backtest_report.json").read_text())
-    print(f"\nevents: {[e['date'] for e in report['events']]}")
+    for strategy, folder in (("hybrid", "backtest"), ("fully_quantum", "backtest_shares")):
+        print(f"\n== {strategy} quarterly rebalancing backtest vs buy-and-hold TECH1 ==")
+        run(["backtest", "--seed", args.seed, "--budget", args.budget, "--strategy", strategy,
+             "--benchmark", "TECH1", "--out-dir", out / folder])
+        report = json.loads((out / folder / "backtest_report.json").read_text())
+        print(f"\nevents: {[e['date'] for e in report['events']]}")
     print(f"artifacts under {out}/")
 
 

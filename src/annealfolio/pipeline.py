@@ -66,6 +66,11 @@ SHARE_BIT_CAP = 64
 # Each share count is annealed within this many shares of the floored
 # relaxation (less where the band meets zero or floor(budget / price)).
 BAND_HALF_WIDTH = 3
+# Sweeps of the band anneal when the schedule leaves them unset. Band models
+# are small and every feasible sample is descended, so 100 sweeps score at
+# least the oracle hits of 1000 while the anneal still reaches its own ground
+# state on about 90 % of them (sweep scan in CHANGES.md).
+BAND_SWEEPS = 100
 
 # The moves of _descend after each anneal: fully_quantum steps or shifts
 # shares, selection swaps a held name for one not held.
@@ -157,7 +162,8 @@ def select_assets(
         return stats.tickers
     lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
     card = LinearConstraint(np.ones(n), "eq", float(k))
-    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule, seed)
+    # resolved here, as for the band, so wrappers of simulated_anneal see the sweep count
+    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule.resolve_sweeps(), seed)
     x = state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state)
     curv = q * np.diag(stats.sigma)
     while (held := int(x.sum())) != k:
@@ -167,7 +173,7 @@ def select_assets(
         else:  # adding i changes it by curv_i + g_i
             i = int(np.argmin(np.where(x == 0.0, curv + g, np.inf)))
         x[i] = 1.0 - x[i]
-    counts = _descend(x, np.ones(n), stats, q, float(k), np.ones(n), SWAP_STEPS)
+    counts = _descend(x, np.ones(n), stats, q, float(k), np.ones(n), SWAP_STEPS)[0]
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 
 
@@ -242,7 +248,7 @@ def _share_penalty(m: QuboModel, dollar_coeffs: np.ndarray) -> float:
     neighbouring spends low enough for the annealer to cross. Composite
     moves with small net overspends slip through by design, and states
     that leave cash pay for it too; infeasible samples are filtered out
-    and the rest re-ranked by the exact objective afterwards.
+    and every other one is descended on the exact objective afterwards.
     """
     if m.n == 0:
         return 1.0
@@ -281,21 +287,23 @@ def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
     return budget * z
 
 
-def _descend(counts, prices, stats, q, budget, uppers, steps):
+def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     """Best-improvement descent on q y'Sigma y - mu'y, y = prices * counts, within [0, uppers].
 
-    The moves are each one-count step ``(d,)`` of ``steps`` at every i,
-    then each two-count step ``(d_i, d_j)`` at every i and j != i. A round
-    scores them all from the gradient 2q Sigma y - mu plus each move's
-    fixed curvature, masks those that leave [0, uppers] or overspend
-    ``budget``, and takes the first best while it lowers the objective by
-    more than 1e-12. This is the classical clean-up of hybrid solvers: the
-    penalty ridges the sampler fails to cross are exactly these moves.
+    ``starts`` is an (m, n) array of counts; every row descends on its own
+    and the (m, n) result is returned. The moves are each one-count step
+    ``(d,)`` of ``steps`` at every i, then each two-count step
+    ``(d_i, d_j)`` at every i and j != i. A round scores them all from the
+    gradient 2q Sigma y - mu plus each move's fixed curvature, masks those
+    that leave [0, uppers] or overspend ``budget``, and each row still
+    moving takes its first best while it lowers the objective by more than
+    1e-12. This is the classical clean-up of hybrid solvers: the penalty
+    ridges the sampler fails to cross are exactly these moves.
     """
-    counts = np.array(counts, dtype=np.int64)
+    counts = np.array(starts, dtype=np.int64, ndmin=2)
     p = np.asarray(prices, dtype=float)
     uppers = np.asarray(uppers)
-    n = len(counts)
+    n = counts.shape[1]
     moves = [(i, s[0], i, 0) for i in range(n) for s in steps if len(s) == 1]
     moves += [
         (i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in steps if len(s) == 2
@@ -305,17 +313,20 @@ def _descend(counts, prices, stats, q, budget, uppers, steps):
     dspend = dy_i + dy_j
     sig = stats.sigma
     curv = q * (dy_i**2 * sig[I, I] + 2.0 * dy_i * dy_j * sig[I, J] + dy_j**2 * sig[J, J])
-    while True:
-        g = 2.0 * q * (sig @ (p * counts)) - stats.mu
-        ci, cj = counts[I] + DI, counts[J] + DJ
+    rows = np.arange(len(counts))
+    while rows.size:
+        c = counts[rows]
+        g = 2.0 * q * (sig @ (p * c).T).T - stats.mu
+        ci, cj = c[:, I] + DI, c[:, J] + DJ
         ok = (ci >= 0) & (ci <= uppers[I]) & (cj >= 0) & (cj <= uppers[J])
-        ok &= float(np.dot(counts, p)) + dspend <= budget + 1e-9
-        delta = np.where(ok, g[I] * dy_i + g[J] * dy_j + curv, np.inf)
-        best = int(np.argmin(delta))
-        if not delta[best] < -1e-12:
-            return counts.tolist()
-        counts[I[best]] += DI[best]
-        counts[J[best]] += DJ[best]
+        ok &= (c @ p)[:, None] + dspend <= budget + 1e-9
+        delta = np.where(ok, g[:, I] * dy_i + g[:, J] * dy_j + curv, np.inf)
+        best = np.argmin(delta, axis=1)
+        moving = delta[np.arange(len(rows)), best] < -1e-12
+        rows, best = rows[moving], best[moving]
+        counts[rows, I[best]] += DI[best]
+        counts[rows, J[best]] += DJ[best]
+    return counts
 
 
 def optimize_integer_shares(
@@ -331,14 +342,13 @@ def optimize_integer_shares(
     centres the model: each count is encoded in a band of BAND_HALF_WIDTH
     shares either side of it, and the budget those bands leave is lowered
     into an equality penalty on the spend, with no slack bits. The
-    annealer samples that model with the configured schedule; sampled
-    states that truly satisfy the budget are re-ranked by the exact dollar
-    objective. The floored relaxation rides along as a second candidate.
-    Both get the :func:`_descend` descent with SHARE_STEPS over the full
-    [0, floor(budget / p)] range, so the descent may leave the band; the
-    anneal's result is kept unless the floored relaxation's is better by
-    more than 1e-12, and the relaxation's stands alone when no sample
-    satisfies the budget.
+    annealer samples that model once, for BAND_SWEEPS sweeps unless
+    ``cfg.sampler.sweeps`` is set. Every sampled state that truly
+    satisfies the budget, in sample order, and then the floored
+    relaxation go through one batched :func:`_descend` with SHARE_STEPS
+    over the full [0, floor(budget / p)] range, so a descent may leave the
+    band; the first best by exact dollar objective is kept, each later
+    one only if better by more than 1e-12.
     """
     price_vec = []
     for t in stats.tickers:
@@ -374,22 +384,13 @@ def optimize_integer_shares(
     else:
         lam = float(cfg.lambda_)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
-    s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
-    sampled, sampled_obj = None, math.inf
-    for rec in s.records:
-        bits = state_to_array(rec.state)
-        if float(budget_con.coeffs @ bits) > budget_con.rhs + 1e-6:
-            continue
-        counts = cm.decode_integers(bits)
-        obj = _dollar_objective(counts, price_vec, stats, q_dollar)
-        if obj < sampled_obj - 1e-12:
-            sampled_obj, sampled = obj, counts
-
+    schedule = cfg.sampler.resolve_sweeps(BAND_SWEEPS)
+    s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), schedule, cfg.seed)
+    bits = np.array([state_to_array(rec.state) for rec in s.records])
+    fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
+    starts = [cm.decode_integers(b) for b in fits] + [floored]
     best, best_obj = None, math.inf
-    for start in (sampled, floored):
-        if start is None:
-            continue
-        counts = _descend(start, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS)
+    for counts in _descend(starts, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS):
         obj = _dollar_objective(counts, price_vec, stats, q_dollar)
         if obj < best_obj - 1e-12:
             best, best_obj = counts, obj

@@ -31,7 +31,7 @@ the tests keep that pass as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .model import (
 EXHAUSTIVE_CAP = 24
 _ENUM_CHUNK = 1 << 18
 _SWEEP_BLOCK = 64  # sweeps of Metropolis uniforms drawn at once
+DEFAULT_SWEEPS = 1000  # what sweeps=None means unless a caller resolves it
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,15 @@ class AnnealSchedule:
 
     ``t_initial=None`` resolves per model to (max coefficient magnitude * n),
     floored at 10x ``t_final`` so the schedule stays valid for near-zero
-    models. One sweep is one Metropolis flip attempt per variable, in index
-    order.
+    models. ``sweeps=None`` resolves per model family: the pipeline's share
+    band anneals for ``pipeline.BAND_SWEEPS``, everything else for
+    DEFAULT_SWEEPS. One sweep is one Metropolis flip attempt per variable,
+    in index order.
     """
 
     t_initial: float | None = None
     t_final: float = 1e-3
-    sweeps: int = 1000
+    sweeps: int | None = None
     restarts: int = 32
     interpolation: str = "geometric"
 
@@ -72,9 +75,12 @@ class AnnealSchedule:
         check_field("t_final", self.t_final, float, low=0)
         if self.t_initial is not None and self.t_final >= self.t_initial:
             raise InputError("t_final must be below t_initial")
-        check_field("sweeps", self.sweeps, int, low=1)
+        check_field("sweeps", self.sweeps, int, low=1, allow=(None,))
         check_field("restarts", self.restarts, int, low=1)
         check_field("interpolation", self.interpolation, ("geometric", "linear"))
+
+    def resolve_sweeps(self, default: int = DEFAULT_SWEEPS) -> AnnealSchedule:
+        return self if self.sweeps is not None else replace(self, sweeps=default)
 
     def resolve_t_initial(self, model: QuboModel | IsingModel) -> float:
         if self.t_initial is not None:
@@ -352,17 +358,17 @@ def simulated_anneal(
     """Seeded single-flip Metropolis annealing.
 
     Each restart starts from a uniform random state and performs
-    ``schedule.sweeps`` sweeps while the temperature interpolates from
-    t_initial down to t_final; a move with energy change d is accepted when
-    d <= 0, otherwise with probability exp(-d / T). Ising inputs are
-    converted to the exact QUBO twin first, so reported energies match the
-    source model; states are bitstrings with s = 2x - 1.
+    ``schedule.sweeps`` sweeps (DEFAULT_SWEEPS when None) while the
+    temperature interpolates from t_initial down to t_final; a move with
+    energy change d is accepted when d <= 0, otherwise with probability
+    exp(-d / T). Ising inputs are converted to the exact QUBO twin first,
+    so reported energies match the source model; states are bitstrings
+    with s = 2x - 1.
 
     Deterministic: fixed (model, schedule, seed) reproduces the SampleSet
     bit for bit.
     """
-    if schedule is None:
-        schedule = AnnealSchedule()
+    schedule = (schedule or AnnealSchedule()).resolve_sweeps()
     qm = ising_to_qubo(m) if isinstance(m, IsingModel) else m
     if qm.n < 1:
         raise InputError("model must have at least one variable")

@@ -4,6 +4,7 @@ import warnings
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from annealfolio.cli import main, render_comparison
@@ -12,7 +13,8 @@ from annealfolio.data import (
     bundled_sectors_path,
     sample_comparison_path,
 )
-from annealfolio.marketdata import load_prices
+from annealfolio import synthetic
+from annealfolio.marketdata import PriceMatrix, compute_returns, estimate_stats, load_prices
 
 
 def run(argv):
@@ -52,6 +54,36 @@ class TestOptimizeCommand:
         spend = sum(count * closes[t] for t, count in result["shares"].items())
         assert result["shares"] and 0.0 < spend <= 1_000_000.0
         assert spend + result["cash"] == pytest.approx(1_000_000.0, abs=1e-6)
+
+    def test_fully_quantum_reaches_cash_leaving_optimum(self, tmp_path, out_dir):
+        # A five-name slice whose integer optimum leaves $679 unspent. The
+        # band model's equality penalty ranks that state far down, so the
+        # anneal's best sample misses it; descending every feasible sample
+        # reaches it. Checked against a brute force over the integer grid.
+        matrix, _ = synthetic.generate_dataset(seed=948871555, n_days=252)
+        cols = [1, 2, 5, 8, 9]
+        sliced = PriceMatrix(matrix.dates, tuple(matrix.tickers[j] for j in cols), matrix.values[:, cols])
+        prices = tmp_path / "prices.csv"
+        prices.write_text(synthetic.prices_to_csv(sliced))
+        budget = 36301.0
+        assert run([
+            "optimize", "--strategy", "fully_quantum", "--prices", prices, "--budget", budget,
+            "--seed", 1297366538, "--out-dir", out_dir,
+        ]) == 0
+        result = json.loads((out_dir / "optimize_result.json").read_text())
+        loaded = load_prices(prices)
+        stats = estimate_stats(compute_returns(loaded, "simple"), 252.0)
+        last = loaded.values[-1]
+        axes = [np.arange(int(budget // p) + 1) for p in last]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(last))
+        Y = grid * last
+        Y = Y[Y.sum(axis=1) <= budget]
+        objective = np.einsum("si,ij,sj->s", Y, stats.sigma, Y) / budget - Y @ stats.mu
+        y = np.array([result["shares"].get(t, 0) for t in loaded.tickers]) * last
+        got = float(y @ stats.sigma @ y) / budget - float(stats.mu @ y)
+        assert got <= objective.min() + 1e-9 * abs(objective.min())
+        assert result["shares"] == {"FINA1": 4, "FINA2": 7, "TELE1": 1}
+        assert result["cash"] == pytest.approx(679.01, abs=0.005)
 
     def test_three_day_data_both_strategies(self, tmp_path, capsys, caplog):
         # two returns per name give a singular covariance; the allocator's
@@ -120,6 +152,8 @@ class TestOptimizeCommand:
             ({"t_final": "cold"}, "t_final must be a number"),
             ({"sweep": 10}, "unknown sampler keys: ['sweep']"),
             ([10], "'sampler' config field must be a JSON object"),
+            ({"sweeps": 0}, "sweeps must be an integer >= 1"),
+            ({"sweeps": True}, "sweeps must be an integer"),
         ],
     )
     def test_malformed_sampler_config_exit_2(self, tmp_path, out_dir, capsys, sampler, message):
@@ -127,6 +161,15 @@ class TestOptimizeCommand:
         cfg.write_text(json.dumps({"seed": 1, "sampler": sampler}))
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
         assert message in capsys.readouterr().err
+
+    def test_null_sweeps_accepted(self, tmp_path, out_dir):
+        # null is the default: each anneal resolves its own sweep count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "sampler": {"sweeps": None}}))
+        assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 0
+        assert run(["optimize", "--seed", 1, "--out-dir", tmp_path / "default"]) == 0
+        for name in ("optimize_result.json", "optimize_result.txt"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "config, flags, field",

@@ -20,6 +20,7 @@ from annealfolio.model import (
 )
 from annealfolio.pipeline import (
     BAND_HALF_WIDTH,
+    BAND_SWEEPS,
     Holdings,
     SHARE_STEPS,
     SWAP_STEPS,
@@ -28,13 +29,14 @@ from annealfolio.pipeline import (
     _dollar_objective,
     _relaxed_dollars,
     _share_penalty,
+    buy,
     optimize_integer_shares,
     portfolio_value,
     run_pipeline,
     select_assets,
     to_shares,
 )
-from annealfolio.sampler import AnnealSchedule, simulated_anneal, state_to_array
+from annealfolio.sampler import DEFAULT_SWEEPS, AnnealSchedule, simulated_anneal, state_to_array
 
 from conftest import grw_matrix
 
@@ -419,8 +421,8 @@ class TestBudgetRelaxation:
         assert y.tolist() == [0.0, 0.0]
 
 
-def polished_candidates(prices_at, stats, cfg):
-    """The anneal's re-ranked winner over the band model and the floored relaxation, each polished."""
+def descended_candidates(prices_at, stats, cfg):
+    """Every feasible sample of the anneal over the band model, and the floored relaxation, each descended."""
     p = [prices_at[t] for t in stats.tickers]
     q = cfg.q / cfg.budget
     uppers = affordable_shares(p, cfg.budget).tolist()
@@ -432,15 +434,15 @@ def polished_candidates(prices_at, stats, cfg):
     penalized = penalize_equality(
         cm.objective, LinearConstraint(con.coeffs, "eq", con.rhs), _share_penalty(cm.objective, con.coeffs)
     )
-    feasible = [
+    schedule = cfg.sampler.resolve_sweeps(BAND_SWEEPS)
+    starts = [
         cm.decode_integers(bits)
-        for rec in simulated_anneal(penalized, cfg.sampler, cfg.seed).records
+        for rec in simulated_anneal(penalized, schedule, cfg.seed).records
         for bits in [state_to_array(rec.state)]
         if con.coeffs @ bits <= con.rhs + 1e-6
     ]
-    starts = [min(feasible, key=lambda c: _dollar_objective(c, p, stats, q))] if feasible else []
     starts.append(floored)
-    return [_descend(c, p, stats, q, cfg.budget, uppers, SHARE_STEPS) for c in starts]
+    return [_descend(c, p, stats, q, cfg.budget, uppers, SHARE_STEPS)[0] for c in starts]
 
 
 def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_rounds=300):
@@ -489,22 +491,35 @@ def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_round
     return counts
 
 
+def with_extra_rows(start, uppers, rng):
+    """``start`` and three more rows drawn within [0, uppers], as one (4, n) array of starts."""
+    extra = [[int(rng.integers(0, u + 1)) for u in uppers] for _ in range(3)]
+    return np.array([start, *extra])
+
+
 class TestDescend:
+    # Each instance descends a batch of rows: its seeded start plus three
+    # more drawn from a side stream, so the instances stay the seeded ones.
     def test_share_steps_match_reference(self):
         rng = np.random.default_rng(2024)
-        for _ in range(200):
+        for trial in range(200):
             stats, prices, budget = random_share_instance(rng, int(rng.integers(1, 6)))
             p = [prices[t] for t in stats.tickers]
             q = float(rng.uniform(0.2, 5.0)) / budget
             uppers = affordable_shares(p, budget).tolist()
             w = rng.dirichlet(np.ones(stats.n)) * rng.uniform(0.3, 1.0)
             start = [int(wi * budget // pi) for wi, pi in zip(w, p)]
-            expected = reference_descent(start, p, stats, q, budget, uppers, SHARE_STEPS)
-            assert _descend(start, p, stats, q, budget, uppers, SHARE_STEPS) == expected
+            # random rows may overspend; the descent only takes moves that fit
+            starts = with_extra_rows(start, uppers, np.random.default_rng([2024, trial]))
+            got = _descend(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            assert got.shape == starts.shape
+            for row, first in zip(got, starts):
+                expected = reference_descent(first, p, stats, q, budget, uppers, SHARE_STEPS)
+                assert row.tolist() == expected
 
     def test_swap_steps_match_reference(self):
         rng = np.random.default_rng(2025)
-        for _ in range(200):
+        for trial in range(200):
             n = int(rng.integers(2, 13))
             k = int(rng.integers(1, n))
             stats = random_selection_stats(rng, n)
@@ -512,10 +527,22 @@ class TestDescend:
             start = [0] * n
             for i in rng.choice(n, k, replace=False):
                 start[i] = 1
+            side = np.random.default_rng([2025, trial])
+            starts = np.array([start] + [side.permutation(start) for _ in range(3)])
             ones, uppers = [1.0] * n, [1] * n
-            expected = reference_descent(start, ones, stats, q, float(k), uppers, SWAP_STEPS)
-            got = _descend(start, ones, stats, q, float(k), uppers, SWAP_STEPS)
-            assert got == expected and sum(got) == k
+            got = _descend(starts, ones, stats, q, float(k), uppers, SWAP_STEPS)
+            for row, first in zip(got, starts):
+                expected = reference_descent(first, ones, stats, q, float(k), uppers, SWAP_STEPS)
+                assert row.tolist() == expected and sum(expected) == k
+
+    def test_one_row_matches_batch_of_one(self):
+        stats, prices, budget = random_share_instance(np.random.default_rng(5), 4)
+        p = [prices[t] for t in stats.tickers]
+        uppers = affordable_shares(p, budget).tolist()
+        one = _descend([0, 0, 0, 0], p, stats, 1.0 / budget, budget, uppers, SHARE_STEPS)
+        assert one.shape == (1, 4)
+        batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget, uppers, SHARE_STEPS)
+        assert (batch == one).all()
 
 
 class TestIntegerShareCandidates:
@@ -530,10 +557,22 @@ class TestIntegerShareCandidates:
             spend = float(np.dot(counts, p))
             assert spend <= budget + 1e-9 and h.cash == pytest.approx(budget - spend)
             got = _dollar_objective(counts, p, stats, cfg.q / budget)
-            for cand in polished_candidates(prices, stats, cfg):
+            for cand in descended_candidates(prices, stats, cfg):
                 assert got <= _dollar_objective(cand, p, stats, cfg.q / budget) + 1e-12
             again = optimize_integer_shares(prices, stats, cfg)
             assert again.shares == h.shares and again.cash == h.cash
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), q=st.sampled_from([0.3, 1.0, 3.0]))
+    def test_no_descended_sample_beats_the_result(self, seed, n, q):
+        # at the default schedule, so the band anneals for BAND_SWEEPS
+        stats, prices, budget = random_share_instance(np.random.default_rng(seed), n)
+        cfg = PipelineConfig(budget=budget, seed=seed, strategy="fully_quantum", q=q)
+        h = optimize_integer_shares(prices, stats, cfg)
+        p = [prices[t] for t in stats.tickers]
+        got = _dollar_objective([h.shares.get(t, 0) for t in stats.tickers], p, stats, q / budget)
+        for cand in descended_candidates(prices, stats, cfg):
+            assert got <= _dollar_objective(cand, p, stats, q / budget) + 1e-12
 
     def test_anneals_once_at_the_configured_schedule(self, monkeypatch):
         calls = []
@@ -555,6 +594,43 @@ class TestIntegerShareCandidates:
         )
         assert h.shares == {"T0": 3}
         assert h.cash == pytest.approx(10.0)
+
+
+def selection_stats(n=5):
+    # every name pays, so the hybrid's full-universe allocation holds some
+    rng = np.random.default_rng(11)
+    A = rng.normal(0, 0.1, (n, n))
+    return make_stats(rng.uniform(0.05, 0.3, n), A @ A.T)
+
+
+class TestSweepResolution:
+    """``sweeps=None`` means BAND_SWEEPS for the share band and DEFAULT_SWEEPS for selection."""
+
+    def anneal_sweeps(self, monkeypatch, sampler, strategy, k=None):
+        sweeps = []
+
+        def spy(m, schedule, seed):
+            sweeps.append(schedule.sweeps)
+            return simulated_anneal(m, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        stats = selection_stats()
+        prices = {t: 20.0 + 5.0 * i for i, t in enumerate(stats.tickers)}
+        cfg = PipelineConfig(budget=5000.0, seed=3, strategy=strategy, sampler=sampler)
+        buy(stats, prices, cfg, k=k)
+        return sweeps
+
+    def test_defaults_resolve_per_model_family(self, monkeypatch):
+        default = AnnealSchedule()
+        assert default.sweeps is None and BAND_SWEEPS < DEFAULT_SWEEPS == 1000
+        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum") == [BAND_SWEEPS]
+        assert self.anneal_sweeps(monkeypatch, default, "hybrid") == [1000]
+        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum", k=2) == [1000, BAND_SWEEPS]
+
+    def test_explicit_sweeps_reach_both_anneals(self, monkeypatch):
+        explicit = AnnealSchedule(sweeps=37, restarts=4)
+        assert self.anneal_sweeps(monkeypatch, explicit, "fully_quantum", k=2) == [37, 37]
+        assert self.anneal_sweeps(monkeypatch, explicit, "hybrid") == [37]
 
 
 class TestRunPipeline:

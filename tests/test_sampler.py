@@ -154,6 +154,15 @@ class TestSimulatedAnneal:
         assert s1 == s2
         assert json.dumps(s1.to_dict()) == json.dumps(s2.to_dict())
 
+    def test_default_sweeps_resolve_to_1000(self):
+        m = random_qubo(np.random.default_rng(8), 6)
+        schedule = AnnealSchedule(restarts=2)
+        assert schedule.sweeps is None
+        assert schedule.resolve_sweeps() == AnnealSchedule(sweeps=1000, restarts=2)
+        assert schedule.resolve_sweeps(7).sweeps == 7 and FAST.resolve_sweeps(7) is FAST
+        expected = simulated_anneal(m, AnnealSchedule(sweeps=1000, restarts=2), seed=4)
+        assert simulated_anneal(m, schedule, seed=4) == expected
+
     def test_finds_tied_minimum(self):
         s = simulated_anneal(tied_minima_model(), FAST, seed=7)
         assert s.best_energy == pytest.approx(-1.0)
