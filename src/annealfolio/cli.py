@@ -66,18 +66,22 @@ def _parse_date(value) -> date | None:
         raise InputError(f"bad date {value!r} (expected YYYY-MM-DD)") from None
 
 
+def _read_json_object(path, what: str) -> dict:
+    if not Path(path).exists():
+        raise InputError(f"{what} not found: {path}")
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"config file not found: {path}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
+    data = _read_json_object(path, "config file")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -129,13 +133,7 @@ def _resolve_benchmark(spec, tickers) -> WeightVector | str:
         return _weights_from_mapping(spec)
     spec = str(spec)
     if Path(spec).exists():
-        try:
-            data = json.loads(Path(spec).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"benchmark weights file {spec} is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise InputError("benchmark weights file must hold a JSON object of ticker: weight")
-        return _weights_from_mapping(data)
+        return _weights_from_mapping(_read_json_object(spec, "benchmark weights file"))
     if spec in tickers:
         return spec
     raise InputError(f"benchmark {spec!r} is neither a known ticker nor an existing weights file")
@@ -259,16 +257,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.result)
-    if not path.exists():
-        raise InputError(f"result file not found: {path}")
-    try:
-        result = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"result file {path} is not valid JSON: {exc}") from None
-    if not isinstance(result, dict):
-        raise InputError("result file must hold a JSON object")
-    print(render_comparison(result))
+    print(render_comparison(_read_json_object(args.result, "result file")))
     return 0
 
 
@@ -277,9 +266,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     # optimize needs at least two returns, so three closes
     days = synthetic.DEFAULT_DAYS if args.days is None else check_field("days", args.days, int, low=3)
     start = _parse_date(args.start) or synthetic.DEFAULT_START
-    out_dir = Path(
-        args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    )
+    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix, sectors = synthetic.generate_dataset(seed=seed, n_days=days, start=start)
     prices_path = out_dir / "synthetic_prices.csv"
@@ -353,15 +340,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -47,14 +47,14 @@ from .model import (
     affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
-    default_selection_penalty,
     penalize_equality,
     quadratic_symmetric,
 )
-from .sampler import AnnealSchedule, best_feasible, simulated_anneal, state_to_array
+from .sampler import AnnealSchedule, simulated_anneal
 
-# Unused here; perfbench/tracer.py requires this name at this import site.
+# Unused here; perfbench/tracer.py requires these names at this import site.
 from .model import penalize_inequality
+from .sampler import best_feasible
 
 STRATEGIES = ("hybrid", "fully_quantum")
 
@@ -71,6 +71,10 @@ BAND_HALF_WIDTH = 3
 # least the oracle hits of 1000 while the anneal still reaches its own ground
 # state on about 90 % of them (sweep scan in CHANGES.md).
 BAND_SWEEPS = 100
+# Sweeps of the selection anneal when the schedule leaves them unset. Every
+# restart is repaired and swap-descended, so 300 hit more exact optima than a
+# one-start selection at 1000 on scripts/sampler_quality.py --family hedged.
+SELECT_SWEEPS = 300
 
 # The moves of _descend after each anneal: fully_quantum steps or shifts
 # shares, selection swaps a held name for one not held.
@@ -147,34 +151,41 @@ def select_assets(
     schedule: AnnealSchedule,
     seed: int,
 ) -> tuple[str, ...]:
-    """Pick exactly k tickers: anneal the selection QUBO once, repair to k, swap-descend.
+    """Pick exactly k tickers: anneal the selection QUBO once, repair every restart to k, swap-descend.
 
-    The anneal's best state with k ones (else its best state) is repaired
-    to k ones by dropping the worst held name, or adding the best other
-    one, by marginal q x'Sigma x - mu'x (ties to the first ticker), one at
-    a time. :func:`_descend` then swaps names on that objective, so no
-    single swap improves the result.
+    The anneal runs SELECT_SWEEPS sweeps unless ``schedule.sweeps`` is
+    set. Every record of its sample set is repaired to k ones by
+    :func:`_repair_to_k`, and all of them swap names on q x'Sigma x - mu'x
+    in one batched :func:`_descend`; the first best in record order is
+    kept, so no single swap improves the result.
     """
     n = stats.n
     if not 1 <= k <= n:
         raise InputError(f"cardinality k={k} must be in [1, {n}]")
     if k == n:
         return stats.tickers
-    lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
-    card = LinearConstraint(np.ones(n), "eq", float(k))
+    model = build_mvo_qubo(stats, q, k, None if lam == "auto" else float(lam))
     # resolved here, as for the band, so wrappers of simulated_anneal see the sweep count
-    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule.resolve_sweeps(), seed)
-    x = state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state)
-    curv = q * np.diag(stats.sigma)
-    while (held := int(x.sum())) != k:
-        g = 2.0 * q * (stats.sigma @ x) - stats.mu
-        if held > k:  # dropping i changes the objective by curv_i - g_i
-            i = int(np.argmin(np.where(x == 1.0, curv - g, np.inf)))
-        else:  # adding i changes it by curv_i + g_i
-            i = int(np.argmin(np.where(x == 0.0, curv + g, np.inf)))
-        x[i] = 1.0 - x[i]
-    counts = _descend(x, np.ones(n), stats, q, float(k), np.ones(n), SWAP_STEPS)[0]
+    s = simulated_anneal(model, schedule.resolve_sweeps(SELECT_SWEEPS), seed)
+    ones = np.ones(n)
+    starts = _repair_to_k(s.state_array(), stats, q, k)
+    counts = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
+
+
+def _repair_to_k(states, stats: AssetStats, q: float, k: int) -> np.ndarray:
+    """Each 0/1 row of ``states`` brought to k ones: rows off k step together, each dropping the
+    held name, or adding the other one, that raises q x'Sigma x - mu'x least (ties to the first)."""
+    x = np.array(states, dtype=float, ndmin=2)
+    curv = q * np.diag(stats.sigma)
+    while (rows := np.flatnonzero(x.sum(axis=1) != k)).size:
+        r = x[rows]
+        over = r.sum(axis=1, keepdims=True) > k
+        g = 2.0 * q * (stats.sigma @ r.T).T - stats.mu
+        # dropping i changes the objective by curv_i - g_i, adding it by curv_i + g_i
+        i = np.argmin(np.where(r == over, curv - np.where(over, g, -g), np.inf), axis=1)
+        x[rows, i] = 1.0 - x[rows, i]
+    return x
 
 
 def to_shares(
@@ -329,6 +340,16 @@ def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     return counts
 
 
+def _best_descent(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
+    """The first best row of :func:`_descend` by exact objective; a later row wins only by more than 1e-12."""
+    best, best_obj = None, math.inf
+    for counts in _descend(starts, prices, stats, q, budget, uppers, steps):
+        obj = _dollar_objective(counts, prices, stats, q)
+        if obj < best_obj - 1e-12:
+            best, best_obj = counts, obj
+    return best
+
+
 def optimize_integer_shares(
     prices_at: Mapping[str, float],
     stats: AssetStats,
@@ -345,16 +366,13 @@ def optimize_integer_shares(
     annealer samples that model once, for BAND_SWEEPS sweeps unless
     ``cfg.sampler.sweeps`` is set. Every sampled state that truly
     satisfies the budget, in sample order, and then the floored
-    relaxation go through one batched :func:`_descend` with SHARE_STEPS
-    over the full [0, floor(budget / p)] range, so a descent may leave the
-    band; the first best by exact dollar objective is kept, each later
-    one only if better by more than 1e-12.
+    relaxation go through :func:`_best_descent` with SHARE_STEPS over the
+    full [0, floor(budget / p)] range, so a descent may leave the band.
     """
-    price_vec = []
-    for t in stats.tickers:
-        if t not in prices_at:
-            raise InputError(f"no price available for {t!r}")
-        price_vec.append(float(prices_at[t]))
+    missing = [t for t in stats.tickers if t not in prices_at]
+    if missing:
+        raise InputError(f"no price available for {missing[0]!r}")
+    price_vec = [float(prices_at[t]) for t in stats.tickers]
     # cfg.q is budget-normalized (risk vs return on invested fractions); the
     # dollar-scale model coefficient is q / budget so both strategies share
     # one dimensionless risk knob.
@@ -379,21 +397,14 @@ def optimize_integer_shares(
         return Holdings({}, cfg.budget, as_of)
 
     budget_con = cm.constraints[0]
-    if cfg.lambda_ == "auto":
-        lam = _share_penalty(cm.objective, budget_con.coeffs)
-    else:
-        lam = float(cfg.lambda_)
+    lam = _share_penalty(cm.objective, budget_con.coeffs) if cfg.lambda_ == "auto" else float(cfg.lambda_)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
     schedule = cfg.sampler.resolve_sweeps(BAND_SWEEPS)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), schedule, cfg.seed)
-    bits = np.array([state_to_array(rec.state) for rec in s.records])
+    bits = s.state_array()
     fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
     starts = [cm.decode_integers(b) for b in fits] + [floored]
-    best, best_obj = None, math.inf
-    for counts in _descend(starts, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS):
-        obj = _dollar_objective(counts, price_vec, stats, q_dollar)
-        if obj < best_obj - 1e-12:
-            best, best_obj = counts, obj
+    best = _best_descent(starts, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS)
     shares = {t: int(c) for t, c in zip(stats.tickers, best)}
     spend = sum(shares[t] * p for t, p in zip(stats.tickers, price_vec))
     return Holdings(shares, cfg.budget - spend, as_of)
@@ -441,11 +452,10 @@ def buy(
             stats = stats.subset(subset_idx)
         holdings = optimize_integer_shares(prices_at, stats, cfg, as_of)
     if opening and not holdings.shares:
-        raise SolverError(
-            "integer-share optimum holds only cash at this risk aversion; lower q"
-            if target is None
-            else f"budget {cfg.budget} too small to buy any share of the selected assets"
-        )
+        if target is None and affordable_shares([prices_at[t] for t in stats.tickers], cfg.budget).any():
+            raise SolverError("integer-share optimum holds only cash at this risk aversion; lower q")
+        whose = "" if target is None else " of the selected assets"
+        raise SolverError(f"budget {cfg.budget} too small to buy any share{whose}")
     return holdings, target
 
 

@@ -4,8 +4,8 @@ Two solvers share the :class:`SampleSet` result type: a seeded simulated
 annealer (the workhorse) and one exhaustive enumerator, the exact solver at
 small sizes. The enumerator takes optional linear constraints and then
 enumerates only the states that satisfy them; it is the annealer's oracle.
-The pipeline only anneals: its selection repairs and swap-descends the
-anneal's best state instead of enumerating.
+The pipeline only anneals: its selection repairs and swap-descends every
+restart's state instead of enumerating.
 
 Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
@@ -59,9 +59,10 @@ class AnnealSchedule:
     ``t_initial=None`` resolves per model to (max coefficient magnitude * n),
     floored at 10x ``t_final`` so the schedule stays valid for near-zero
     models. ``sweeps=None`` resolves per model family: the pipeline's share
-    band anneals for ``pipeline.BAND_SWEEPS``, everything else for
-    DEFAULT_SWEEPS. One sweep is one Metropolis flip attempt per variable,
-    in index order.
+    band anneals for ``pipeline.BAND_SWEEPS``, its selection (every restart
+    repaired to k and swap-descended) for ``pipeline.SELECT_SWEEPS`` (300),
+    and anything else for DEFAULT_SWEEPS. One sweep is one Metropolis flip
+    attempt per variable, in index order.
     """
 
     t_initial: float | None = None
@@ -116,6 +117,11 @@ class SampleSet:
     @property
     def best_energy(self) -> float:
         return self.records[0].energy
+
+    def state_array(self) -> np.ndarray:
+        """Every record's state as one (records, n) array of 0.0 and 1.0, in record order."""
+        chars = np.frombuffer("".join(r.state for r in self.records).encode(), np.uint8)
+        return (chars == ord("1")).reshape(-1, self.model_n).astype(float)
 
     def to_dict(self) -> dict:
         return {

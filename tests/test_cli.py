@@ -233,6 +233,14 @@ class TestOptimizeCommand:
     def test_budget_too_small_exit_1(self, out_dir):
         assert run(["optimize", "--seed", 1, "--budget", 5, "--out-dir", out_dir]) == 1
 
+    @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
+    def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
+        # the cheapest bundled close is 2,199.41; a lower q cannot help
+        argv = ["optimize", "--seed", 1, "--strategy", strategy, "--budget", 60, "--out-dir", out_dir]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "budget 60.0 too small to buy any share" in err and "lower q" not in err
+
 
 class TestBacktestCommand:
     def test_quarterly_on_bundled_data(self, out_dir):

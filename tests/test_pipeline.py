@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from annealfolio.model import (
     affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
+    default_selection_penalty,
     penalize_equality,
     qubo_energy,
 )
@@ -22,12 +25,14 @@ from annealfolio.pipeline import (
     BAND_HALF_WIDTH,
     BAND_SWEEPS,
     Holdings,
+    SELECT_SWEEPS,
     SHARE_STEPS,
     SWAP_STEPS,
     PipelineConfig,
     _descend,
     _dollar_objective,
     _relaxed_dollars,
+    _repair_to_k,
     _share_penalty,
     buy,
     optimize_integer_shares,
@@ -36,7 +41,13 @@ from annealfolio.pipeline import (
     select_assets,
     to_shares,
 )
-from annealfolio.sampler import DEFAULT_SWEEPS, AnnealSchedule, simulated_anneal, state_to_array
+from annealfolio.sampler import (
+    DEFAULT_SWEEPS,
+    AnnealSchedule,
+    best_feasible,
+    simulated_anneal,
+    state_to_array,
+)
 
 from conftest import grw_matrix
 
@@ -145,6 +156,95 @@ def assert_swap_optimal(stats, q, picked, k):
             y = list(x)
             y[i], y[j] = 0, 1
             assert _dollar_objective(y, ones, stats, q) >= here - 1e-12
+
+
+def reference_repair(x, stats, q, k):
+    """One row brought to k ones: drop the worst held name, or add the best other one, one at a time."""
+    x = np.array(x, dtype=float)
+    curv = q * np.diag(stats.sigma)
+    while (held := int(x.sum())) != k:
+        g = 2.0 * q * (stats.sigma @ x) - stats.mu
+        if held > k:  # dropping i changes the objective by curv_i - g_i
+            i = int(np.argmin(np.where(x == 1.0, curv - g, np.inf)))
+        else:  # adding i changes it by curv_i + g_i
+            i = int(np.argmin(np.where(x == 0.0, curv + g, np.inf)))
+        x[i] = 1.0 - x[i]
+    return x
+
+
+def single_start_objective(stats, k, q, lam, schedule, seed):
+    """Objective of the one-start selection: the anneal's best record with k ones
+    (else its best record), repaired to k and swap-descended."""
+    lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
+    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule.resolve_sweeps(SELECT_SWEEPS), seed)
+    card = LinearConstraint(np.ones(stats.n), "eq", float(k))
+    x = reference_repair(state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state), stats, q, k)
+    ones = np.ones(stats.n)
+    return _dollar_objective(_descend(x, ones, stats, q, float(k), ones, SWAP_STEPS)[0], ones, stats, q)
+
+
+def selection_objective(stats, q, picked):
+    return _dollar_objective([t in picked for t in stats.tickers], np.ones(stats.n), stats, q)
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSelectionRestarts:
+    def test_batched_repair_matches_reference(self):
+        rng = np.random.default_rng(2026)
+        sides = {-1: 0, 0: 0, 1: 0}
+        for trial in range(120):
+            n = int(rng.integers(2, 15))
+            k = int(rng.integers(1, n))
+            stats = random_selection_stats(rng, n)
+            q = float(rng.choice([0.1, 1.0, 10.0]))
+            # a weak penalty leaves annealed rows over and under k; random rows add both
+            lam = float(rng.choice([1e-4, 0.01])) if trial % 2 else default_selection_penalty(stats, q)
+            s = simulated_anneal(build_mvo_qubo(stats, q, k, lam), AnnealSchedule(sweeps=20, restarts=4), trial)
+            side = np.random.default_rng([2026, trial])
+            rows = np.vstack([s.state_array(), side.integers(0, 2, (3, n))]).astype(float)
+            for held in rows.sum(axis=1):
+                sides[int(np.sign(held - k))] += 1
+            got = _repair_to_k(rows, stats, q, k)
+            assert got.shape == rows.shape
+            for row, start in zip(got, rows):
+                assert row.tolist() == reference_repair(start, stats, q, k).tolist()
+        assert min(sides.values()) > 50
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 12),
+        k_frac=st.floats(0.0, 1.0),
+        q=st.sampled_from([0.1, 1.0, 10.0]),
+        lam=st.sampled_from(["auto", 0.01]),
+        sweeps=st.sampled_from([5, 50, None]),
+    )
+    def test_never_worse_than_the_single_start_selection(self, seed, n, k_frac, q, lam, sweeps):
+        k = 1 + int(k_frac * (n - 1))
+        stats = random_selection_stats(np.random.default_rng(seed), n)
+        schedule = AnnealSchedule(sweeps=sweeps, restarts=8)
+        picked = select_assets(stats, k, q, lam, schedule, seed)
+        assert selection_objective(stats, q, picked) <= single_start_objective(stats, k, q, lam, schedule, seed) + 1e-12
+
+    @pytest.mark.parametrize("candidate", [0, 10, 12])
+    def test_hard_hedged_instances_reach_the_optimum(self, candidate):
+        # screened hedged markets where the one-start selection at 1000
+        # sweeps stops in a worse swap-local minimum
+        family = load_script("sampler_quality")
+        stats, k, best, hard = family.hedged_candidate(7, candidate)
+        assert hard
+        q = family.HEDGED_Q
+        one_start = single_start_objective(stats, k, q, "auto", AnnealSchedule(sweeps=1000), candidate)
+        assert one_start > best + 1e-9
+        picked = select_assets(stats, k, q, "auto", AnnealSchedule(), candidate)
+        assert selection_objective(stats, q, picked) <= best + 1e-9
 
 
 class TestToShares:
@@ -604,7 +704,7 @@ def selection_stats(n=5):
 
 
 class TestSweepResolution:
-    """``sweeps=None`` means BAND_SWEEPS for the share band and DEFAULT_SWEEPS for selection."""
+    """``sweeps=None`` means BAND_SWEEPS for the share band and SELECT_SWEEPS for selection."""
 
     def anneal_sweeps(self, monkeypatch, sampler, strategy, k=None):
         sweeps = []
@@ -622,10 +722,10 @@ class TestSweepResolution:
 
     def test_defaults_resolve_per_model_family(self, monkeypatch):
         default = AnnealSchedule()
-        assert default.sweeps is None and BAND_SWEEPS < DEFAULT_SWEEPS == 1000
+        assert default.sweeps is None and BAND_SWEEPS < SELECT_SWEEPS == 300 < DEFAULT_SWEEPS == 1000
         assert self.anneal_sweeps(monkeypatch, default, "fully_quantum") == [BAND_SWEEPS]
-        assert self.anneal_sweeps(monkeypatch, default, "hybrid") == [1000]
-        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum", k=2) == [1000, BAND_SWEEPS]
+        assert self.anneal_sweeps(monkeypatch, default, "hybrid") == [SELECT_SWEEPS]
+        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum", k=2) == [SELECT_SWEEPS, BAND_SWEEPS]
 
     def test_explicit_sweeps_reach_both_anneals(self, monkeypatch):
         explicit = AnnealSchedule(sweeps=37, restarts=4)
