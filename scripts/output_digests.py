@@ -1,13 +1,15 @@
-"""SHA-256 of every artifact the CLI writes for six fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for eight fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
 
     PYTHONPATH=src python scripts/output_digests.py
 
-The runs are ``optimize --seed 42`` (hybrid), ``optimize --seed 42
---strategy fully_quantum`` at ``--budget 100000`` and at the default
-budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
+The runs are ``optimize --seed 42`` (hybrid), the same at
+``--cardinality 1`` and ``--cardinality 9`` (k = 1 and k = n - 1 of the
+10 bundled tickers, the selections that skip the anneal), ``optimize
+--seed 42 --strategy fully_quantum`` at ``--budget 100000`` and at the
+default budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
 TECH1`` once per strategy, and a backtest from a config file that sets
 every config key (its ``out_dir`` is overridden by ``--out-dir``). The
 config file and the artifacts go to a temporary directory that is
@@ -27,6 +29,8 @@ from annealfolio.data import bundled_prices_path, bundled_sectors_path
 
 RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
+    "optimize-hybrid-k1": ["optimize", "--seed", "42", "--cardinality", "1"],
+    "optimize-hybrid-k9": ["optimize", "--seed", "42", "--cardinality", "9"],
     "optimize-fully_quantum": ["optimize", "--seed", "42", "--strategy", "fully_quantum",
                                "--budget", "100000"],
     "optimize-fully_quantum-default": ["optimize", "--seed", "42", "--strategy", "fully_quantum"],

@@ -158,17 +158,28 @@ def select_assets(
     :func:`_repair_to_k`, and all of them swap names on q x'Sigma x - mu'x
     in one batched :func:`_descend`; the first best in record order is
     kept, so no single swap improves the result.
+
+    At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
+    descent's first move reaches the exact optimum from any start. Then
+    nothing is annealed (``lam``, ``schedule`` and ``seed`` go unused):
+    the first k tickers are swap-descended alone. A swap must lower the
+    objective by more than 1e-12 and the first best swap is taken, so on
+    an exact tie the start is kept, else the swap earliest in ticker order
+    (k = 1: the added name; k = n - 1: the dropped one).
     """
     n = stats.n
     if not 1 <= k <= n:
         raise InputError(f"cardinality k={k} must be in [1, {n}]")
     if k == n:
         return stats.tickers
-    model = build_mvo_qubo(stats, q, k, None if lam == "auto" else float(lam))
-    # resolved here, as for the band, so wrappers of simulated_anneal see the sweep count
-    s = simulated_anneal(model, schedule.resolve_sweeps(SELECT_SWEEPS), seed)
     ones = np.ones(n)
-    starts = _repair_to_k(s.state_array(), stats, q, k)
+    if k in (1, n - 1):
+        starts = np.arange(n) < k
+    else:
+        model = build_mvo_qubo(stats, q, k, None if lam == "auto" else float(lam))
+        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep count
+        s = simulated_anneal(model, schedule.resolve_sweeps(SELECT_SWEEPS), seed)
+        starts = _repair_to_k(s.state_array(), stats, q, k)
     counts = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 

@@ -344,10 +344,14 @@ def run_backtest(
     the next trading date; boundaries past the end of the range stop the
     rebalancing but valuation continues. Every boundary inside the range
     produces exactly one event (possibly a no-op). Event k derives its
-    sampler seed as cfg.seed + k so rebalances are reproducible.
+    sampler seed as cfg.seed + k so rebalances are reproducible. A price
+    ticker without a sector raises InputError before anything is bought.
     """
     if not initial_budget > 0:
         raise InputError("initial budget must be positive")
+    missing = sorted(set(prices.tickers) - set(sectors.entries))
+    if missing:
+        raise InputError(f"no sector recorded for ticker {missing[0]!r}")
     first, last = prices.dates[0], prices.dates[-1]
     start = prices.first_date_on_or_after(start or first)
     if start is None:

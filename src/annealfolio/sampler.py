@@ -4,8 +4,9 @@ Two solvers share the :class:`SampleSet` result type: a seeded simulated
 annealer (the workhorse) and one exhaustive enumerator, the exact solver at
 small sizes. The enumerator takes optional linear constraints and then
 enumerates only the states that satisfy them; it is the annealer's oracle.
-The pipeline only anneals: its selection repairs and swap-descends every
-restart's state instead of enumerating.
+The pipeline never enumerates: its selection repairs and swap-descends
+every restart's state, and at k = 1 or k = n - 1, where one swap reaches
+every k-subset, it swap-descends one start without annealing.
 
 Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are

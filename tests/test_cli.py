@@ -296,6 +296,16 @@ class TestBacktestCommand:
     def test_missing_benchmark_exit_2(self, out_dir):
         assert run(["backtest", "--seed", 3, "--out-dir", out_dir]) == 2
 
+    def test_sector_file_missing_a_ticker_exit_2(self, tmp_path, out_dir, capsys):
+        lines = Path(bundled_sectors_path()).read_text().splitlines(keepends=True)
+        partial = tmp_path / "sectors.csv"
+        partial.write_text("".join(l for l in lines if not l.startswith(("FINA1,", "TELE1,"))))
+        assert run([
+            "backtest", "--seed", 42, "--benchmark", "TECH1", "--sectors", partial, "--out-dir", out_dir,
+        ]) == 2
+        assert "no sector recorded for ticker 'FINA1'" in capsys.readouterr().err
+        assert not (out_dir / "backtest_report.json").exists()
+
     def test_weights_file_benchmark(self, tmp_path, out_dir):
         bench = tmp_path / "bench.json"
         bench.write_text(json.dumps({"TECH1": 50, "ENRG1": 50}))

@@ -104,12 +104,63 @@ class TestSelectAssets:
 
     def test_repair_reaches_k_under_weak_penalty(self):
         # an explicit tiny penalty makes every sampled state infeasible
-        # (all-ones dominates), so the anneal's best state is repaired to
-        # one name; the three names tie, so the first two are dropped
-        stats = make_stats([10.0, 10.0, 10.0], np.zeros((3, 3)))
+        # (all-ones dominates), so each restart is repaired to two names;
+        # the four names tie, so the first two are dropped
+        stats = make_stats([10.0] * 4, np.zeros((4, 4)))
         weak = AnnealSchedule(sweeps=50, restarts=2)
-        picked = select_assets(stats, 1, 1.0, 0.001, weak, seed=3)
-        assert picked == ("T2",)
+        s = simulated_anneal(build_mvo_qubo(stats, 1.0, 2, 0.001), weak, 3)
+        assert (s.state_array().sum(axis=1) == 4).all()
+        picked = select_assets(stats, 2, 1.0, 0.001, weak, seed=3)
+        assert picked == ("T2", "T3")
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_one_swap_cardinalities_are_exact(self, n):
+        # at k = 1 and k = n - 1 one swap reaches every k-subset, so the
+        # result is the brute-force optimum whatever the seed, schedule or penalty
+        rng = np.random.default_rng([15, n])
+        for k in sorted({1, n - 1}):
+            for trial in range(4):
+                stats = random_selection_stats(rng, n)
+                q = float(rng.choice([0.1, 1.0, 10.0]))
+                best = min(
+                    itertools.combinations(stats.tickers, k),
+                    key=lambda sub: selection_objective(stats, q, sub),
+                )
+                picks = {
+                    select_assets(stats, k, q, lam, schedule, seed)
+                    for seed in (0, 1, 2)
+                    for lam in ("auto", 0.001, 5.0)
+                    for schedule in (FAST, AnnealSchedule(sweeps=1, restarts=1), AnnealSchedule())
+                }
+                assert picks == {best}
+
+    @pytest.mark.parametrize("n, k, anneals", [
+        (2, 1, 0), (5, 1, 0), (5, 4, 0), (5, 5, 0), (5, 2, 1), (5, 3, 1), (12, 6, 1),
+    ])
+    def test_anneals_only_past_one_swap(self, monkeypatch, n, k, anneals):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, wrapped)
+
+        spy("build_mvo_qubo", build_mvo_qubo)
+        spy("simulated_anneal", simulated_anneal)
+        stats = random_selection_stats(np.random.default_rng(n * 100 + k), n)
+        assert len(select_assets(stats, k, 1.0, "auto", FAST, seed=4)) == k
+        assert calls == ["build_mvo_qubo", "simulated_anneal"] * anneals
+
+    @pytest.mark.parametrize("mu, k, picked", [
+        ([10.0, 10.0, 10.0], 1, ("T0",)),  # every name ties: the start is kept
+        ([1.0, 5.0, 5.0], 1, ("T1",)),  # the first best name is added
+        ([1.0, 1.0, 5.0], 2, ("T1", "T2")),  # the first worst name is dropped
+        ([5.0, 5.0, 5.0, 5.0], 3, ("T0", "T1", "T2")),
+    ])
+    def test_one_swap_ties(self, mu, k, picked):
+        stats = make_stats(mu, np.zeros((len(mu), len(mu))))
+        assert select_assets(stats, k, 1.0, 0.001, FAST, seed=3) == picked
 
     def test_large_universe_weak_penalty_anneals_once(self, monkeypatch):
         # n = 30 is past every enumeration cap and no sample has k ones

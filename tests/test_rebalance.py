@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealfolio import rebalance
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import (
@@ -467,6 +468,15 @@ class TestRunBacktest:
         cfg = cfg_for(50_000.0)
         with pytest.raises(InputError):
             run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(), "ZZZ")
+
+    def test_incomplete_sector_map_rejected_before_any_purchase(self, monkeypatch):
+        bought = []
+        monkeypatch.setattr(rebalance, "buy", lambda *a, **kw: bought.append(a))
+        partial = SectorMap({t: s for t, s in SECTORS5.entries.items() if t not in ("BBB", "DDD")})
+        cfg = cfg_for(50_000.0)
+        with pytest.raises(InputError, match="no sector recorded for ticker 'BBB'"):
+            run_backtest(quarterly_prices(), partial, 50_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
+        assert bought == []
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_opening_purchase_is_run_pipeline(self, strategy):
