@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for eight fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for nine fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -7,13 +7,16 @@ the outputs byte-identical (or to see exactly which files it changes):
 
 The runs are ``optimize --seed 42`` (hybrid), the same at
 ``--cardinality 1`` and ``--cardinality 9`` (k = 1 and k = n - 1 of the
-10 bundled tickers, the selections that skip the anneal), ``optimize
+10 bundled tickers, the selections that skip the anneal), the same at
+``--cardinality 3 --lambda 0.000001`` (a penalty so weak that every
+restart ends off k and goes through the repair to k names), ``optimize
 --seed 42 --strategy fully_quantum`` at ``--budget 100000`` and at the
 default budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
 TECH1`` once per strategy, and a backtest from a config file that sets
-every config key (its ``out_dir`` is overridden by ``--out-dir``). The
-config file and the artifacts go to a temporary directory that is
-removed afterwards.
+every config key and every sampler key (its ``out_dir`` is overridden by
+``--out-dir``); the script fails when that file misses a key the CLI
+accepts. The config file and the artifacts go to a temporary directory
+that is removed afterwards.
 """
 
 import contextlib
@@ -24,13 +27,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from annealfolio.cli import main as cli
+from annealfolio.cli import _CONFIG_KEYS, _SAMPLER_KEYS, main as cli
 from annealfolio.data import bundled_prices_path, bundled_sectors_path
 
 RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
     "optimize-hybrid-k1": ["optimize", "--seed", "42", "--cardinality", "1"],
     "optimize-hybrid-k9": ["optimize", "--seed", "42", "--cardinality", "9"],
+    "optimize-hybrid-repair": ["optimize", "--seed", "42", "--cardinality", "3", "--lambda", "0.000001"],
     "optimize-fully_quantum": ["optimize", "--seed", "42", "--strategy", "fully_quantum",
                                "--budget", "100000"],
     "optimize-fully_quantum-default": ["optimize", "--seed", "42", "--strategy", "fully_quantum"],
@@ -46,12 +50,17 @@ ALL_KEYS_CONFIG = {
     "cardinality": 3, "q": 1, "lambda": 2, "seed": 42, "period_months": 3,
     "risk_return_threshold": 0, "risk_vol_quantile": 0.8, "lookback_days": 63,
     "returns_method": "log", "annualization_factor": 252, "risk_free_rate": 0,
-    "cardinality_mode": "support", "sampler": {"sweeps": 200, "restarts": 8, "t_initial": 5},
+    "sampler": {"sweeps": 200, "restarts": 8, "t_initial": 5, "t_final": 0.001},
     "start": "2023-03-01", "end": "2023-12-29", "out_dir": "x",
 }
 
 
 def main() -> int:
+    missing = sorted(_CONFIG_KEYS - {"prices", "sectors", *ALL_KEYS_CONFIG})
+    missing += sorted(f"sampler.{k}" for k in _SAMPLER_KEYS - set(ALL_KEYS_CONFIG["sampler"]))
+    if missing:
+        print(f"ALL_KEYS_CONFIG misses {missing}", file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "all_keys.json"
         config.write_text(json.dumps(

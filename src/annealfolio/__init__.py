@@ -2,7 +2,6 @@
 allocation, integer-share purchasing, and quarterly rebalancing backtests."""
 
 from .allocator import (
-    AllocatorConfig,
     PortfolioMetrics,
     WeightVector,
     compute_metrics,

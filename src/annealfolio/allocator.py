@@ -23,26 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, SolverError, check_field
+from .errors import InputError, SolverError
 from .marketdata import AssetStats
 
-CARDINALITY_MODES = ("support", "y_sum")
 KKT_TOLERANCE = 1e-8  # max-Sharpe certificate: worst KKT violation accepted
-
-
-@dataclass(frozen=True)
-class AllocatorConfig:
-    risk_free_rate: float = 0.0
-    zero_weight_threshold: float = 1e-6
-    cardinality_mode: str = "support"
-
-    def __post_init__(self):
-        for name, *rule in (
-            ("risk_free_rate", float),
-            ("zero_weight_threshold", float, 0),
-            ("cardinality_mode", CARDINALITY_MODES),
-        ):
-            object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
+ZERO_WEIGHT = 1e-6  # y* entries at or below this are not held
 
 
 @dataclass(frozen=True)
@@ -161,7 +146,7 @@ def active_set_qp(H: np.ndarray, c: np.ndarray, budget_row: bool = False) -> tup
 def max_sharpe_weights(
     stats: AssetStats,
     subset: Sequence[int] | None = None,
-    cfg: AllocatorConfig | None = None,
+    risk_free_rate: float = 0.0,
 ) -> tuple[WeightVector, np.ndarray]:
     """Globally Sharpe-optimal long-only weights for the chosen assets.
 
@@ -170,12 +155,11 @@ def max_sharpe_weights(
     asset beats the risk-free rate or the solution fails its KKT
     certificate.
     """
-    cfg = cfg or AllocatorConfig()
     idx = list(range(stats.n)) if subset is None else [int(i) for i in subset]
     if not idx:
         raise InputError("subset must contain at least one asset")
     sub = stats.subset(idx)
-    excess = sub.mu - cfg.risk_free_rate
+    excess = sub.mu - risk_free_rate
     if float(np.max(excess)) <= 0:
         raise SolverError("no asset's expected return exceeds the risk-free rate")
     z, _ = active_set_qp(2.0 * sub.sigma, excess)
@@ -204,39 +188,26 @@ def _kkt_residual(sigma: np.ndarray, excess: np.ndarray, y: np.ndarray) -> float
 
 
 def kkt_certificate(
-    stats: AssetStats, y: np.ndarray, cfg: AllocatorConfig | None = None,
+    stats: AssetStats, y: np.ndarray, risk_free_rate: float = 0.0,
     subset: Sequence[int] | None = None,
 ) -> float:
     """Recompute the KKT residual of a solution (independent audit hook)."""
-    cfg = cfg or AllocatorConfig()
     sub = stats.subset(list(range(stats.n)) if subset is None else list(subset))
-    return _kkt_residual(sub.sigma, sub.mu - cfg.risk_free_rate, y)
+    return _kkt_residual(sub.sigma, sub.mu - risk_free_rate, y)
 
 
-def derive_cardinality(y_star: np.ndarray, cfg: AllocatorConfig | None = None) -> int:
-    """Number of assets the discrete selection stage should pick.
-
-    Mode ``support`` (default) counts entries above the zero-weight
-    threshold. Mode ``y_sum`` rounds sum(y*) half-up and clamps it into
-    [1, n]; it is kept for comparison but the sum is a scaled quantity,
-    not a count, which is why support counting is the default.
-    """
-    cfg = cfg or AllocatorConfig()
-    y = np.asarray(y_star, dtype=float)
-    n = len(y)
-    if cfg.cardinality_mode == "support":
-        k = int(np.sum(y > cfg.zero_weight_threshold))
-        if k == 0:
-            raise SolverError("degenerate solution: no entry above the zero-weight threshold")
-        return k
-    k = int(math.floor(float(y.sum()) + 0.5))
-    return max(1, min(k, n))
+def derive_cardinality(y_star: np.ndarray) -> int:
+    """Number of assets the discrete selection stage should pick: the entries of y* above ZERO_WEIGHT."""
+    k = int(np.sum(np.asarray(y_star, dtype=float) > ZERO_WEIGHT))
+    if k == 0:
+        raise SolverError("degenerate solution: no entry above the zero-weight threshold")
+    return k
 
 
 def compute_metrics(
     weights: WeightVector,
     stats: AssetStats,
-    cfg: AllocatorConfig | None = None,
+    risk_free_rate: float = 0.0,
 ) -> PortfolioMetrics:
     """Expected return, volatility, Sharpe, and diversification ratio.
 
@@ -244,7 +215,6 @@ def compute_metrics(
     volatilities divided by the portfolio volatility (>= 1 for any valid
     covariance by Cauchy-Schwarz).
     """
-    cfg = cfg or AllocatorConfig()
     try:
         idx = [stats.tickers.index(t) for t in weights.tickers]
     except ValueError as exc:
@@ -254,7 +224,7 @@ def compute_metrics(
     er = float(sub.mu @ w)
     variance = float(w @ sub.sigma @ w)
     risk = math.sqrt(max(variance, 0.0))
-    excess = er - cfg.risk_free_rate
+    excess = er - risk_free_rate
     if risk > 0:
         sharpe = excess / risk
     elif excess > 0:

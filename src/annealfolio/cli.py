@@ -9,12 +9,11 @@ name: the CLI's own defaults (budget 1e6, the bundled price and sector
 files, ``$ANNEALFOLIO_OUT_DIR`` or ``.``), then the JSON config file, then
 the flags that were given; later sources win. The CLI itself reads only
 the file paths, the benchmark and the date range. Every other key goes to
-the library dataclass that owns it (``PipelineConfig``,
-``AllocatorConfig``, ``RebalancePolicy``, and ``AnnealSchedule`` for the
-``sampler`` object), and only the keys that are set are passed, so those
-dataclasses hold the defaults, check the values and echo them. A seed is
-mandatory so every run is reproducible. Exit codes: 0 success, 1
-runtime/solver failure, 2 input/config failure.
+the library dataclass that owns it (``PipelineConfig``, ``RebalancePolicy``,
+and ``AnnealSchedule`` for the ``sampler`` object), and only the keys that
+are set are passed, so those dataclasses hold the defaults, check the
+values and echo them. A seed is mandatory so every run is reproducible.
+Exit codes: 0 success, 1 runtime/solver failure, 2 input/config failure.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import AllocatorConfig, WeightVector
+from .allocator import WeightVector
 from .data import bundled_prices_path, bundled_sectors_path
 from .errors import InputError, SolverError, check_field
 from .marketdata import load_prices, load_sectors
@@ -45,10 +44,9 @@ OUT_DIR_ENV = "ANNEALFOLIO_OUT_DIR"
 # config keys each dataclass owns; "lambda" is PipelineConfig.lambda_
 _OWNED_KEYS = {
     PipelineConfig: (
-        "budget", "seed", "strategy", "cardinality", "q", "lambda", "returns_method",
-        "annualization_factor",
+        "budget", "seed", "strategy", "cardinality", "q", "lambda", "risk_free_rate",
+        "returns_method", "annualization_factor",
     ),
-    AllocatorConfig: ("risk_free_rate", "cardinality_mode"),
     RebalancePolicy: ("period_months", "risk_return_threshold", "risk_vol_quantile", "lookback_days"),
 }
 _CONFIG_KEYS = {k for keys in _OWNED_KEYS.values() for k in keys} | {
@@ -117,11 +115,7 @@ def build_run_config(args: argparse.Namespace) -> tuple[dict, PipelineConfig, Re
     def owned(owner) -> dict:
         return {k.replace("lambda", "lambda_"): settings[k] for k in _OWNED_KEYS[owner] if k in settings}
 
-    cfg = PipelineConfig(
-        **owned(PipelineConfig),
-        sampler=AnnealSchedule(**sampler),
-        allocator=AllocatorConfig(**owned(AllocatorConfig)),
-    )
+    cfg = PipelineConfig(**owned(PipelineConfig), sampler=AnnealSchedule(**sampler))
     return settings, cfg, RebalancePolicy(**owned(RebalancePolicy))
 
 

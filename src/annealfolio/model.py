@@ -105,17 +105,6 @@ class QuboModel:
         """Largest coefficient magnitude across linear and quadratic terms."""
         return _max_abs(self.linear, self.quadratic)
 
-    def to_dict(self) -> dict:
-        """Deterministic dump: the nonzero quadratic entries in (i, j) order."""
-        rows, cols = np.nonzero(self.quadratic)
-        values = self.quadratic[rows, cols]
-        return {
-            "n": self.n,
-            "linear": [float(v) for v in self.linear],
-            "quadratic": [list(e) for e in zip(rows.tolist(), cols.tolist(), values.tolist())],
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -167,9 +156,6 @@ class LinearConstraint:
             return np.abs(lhs - self.rhs) <= tolerance
         return lhs <= self.rhs + tolerance
 
-    def to_dict(self) -> dict:
-        return {"coeffs": [float(v) for v in self.coeffs], "relation": self.relation, "rhs": self.rhs}
-
 
 @dataclass(frozen=True)
 class IntegerEncoding:
@@ -194,14 +180,6 @@ class IntegerEncoding:
         if len(bits) != self.width:
             raise InputError(f"expected {self.width} bits, got {len(bits)}")
         return self.lower + int(sum(w * int(b) for w, b in zip(self.bit_weights, bits)))
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lower": self.lower,
-            "upper": self.upper,
-            "bit_weights": list(self.bit_weights),
-        }
 
 
 @dataclass(frozen=True)
@@ -228,12 +206,10 @@ class ConstrainedModel:
     objective: QuboModel
     constraints: tuple[LinearConstraint, ...]
     encodings: tuple[IntegerEncoding, ...] = ()
-    variable_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "encodings", tuple(self.encodings))
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
         for c in self.constraints:
             if len(c.coeffs) != self.objective.n:
                 raise InputError("constraint length does not match objective variable count")
@@ -250,13 +226,6 @@ class ConstrainedModel:
             out.append(enc.decode(bits[pos : pos + enc.width]))
             pos += enc.width
         return out
-
-    def to_dict(self) -> dict:
-        d = self.objective.to_dict()
-        d["constraints"] = [c.to_dict() for c in self.constraints]
-        d["encodings"] = [e.to_dict() for e in self.encodings]
-        d["variable_names"] = list(self.variable_names)
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +455,12 @@ def build_mpt_model(
         raise InputError(f"lower share bounds cost {y0.sum()}, more than the budget {budget}")
 
     encodings = []
-    names: list[str] = []
     dollar: list[float] = []
     owner: list[int] = []
-    for i, ticker in enumerate(stats.tickers):
+    for i in range(n):
         enc = encode_integer(int(hi[i]), index=i, lower=int(lo[i]))
         encodings.append(enc)
-        for j, w in enumerate(enc.bit_weights):
-            names.append(f"{ticker}[{j}]")
+        for w in enc.bit_weights:
             dollar.append(p[i] * w)
             owner.append(i)
 
@@ -507,4 +474,4 @@ def build_mpt_model(
     offset = q * float(y0 @ sigma_y0) - float(stats.mu @ y0)
     objective = QuboModel(nbits, linear, 2.0 * q * np.triu(M, 1), offset)
     budget_con = (LinearConstraint(c, "le", rest),) if nbits else ()
-    return ConstrainedModel(objective, budget_con, tuple(encodings), tuple(names))
+    return ConstrainedModel(objective, budget_con, tuple(encodings))

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .allocator import (
-    AllocatorConfig,
     WeightVector,
     active_set_qp,
     compute_metrics,
@@ -91,7 +90,7 @@ class PipelineConfig:
     q: float = 1.0
     lambda_: float | str = "auto"
     sampler: AnnealSchedule = field(default_factory=AnnealSchedule)
-    allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
+    risk_free_rate: float = 0.0
     returns_method: str = "simple"
     annualization_factor: float = DAILY_ANNUALIZATION
 
@@ -103,6 +102,7 @@ class PipelineConfig:
             ("cardinality", int, 1, None, ("auto",)),
             ("q", float, 0),
             ("lambda_", float, 0, None, ("auto",)),
+            ("risk_free_rate", float),
             ("returns_method", RETURN_METHODS),
             ("annualization_factor", float, 0),
         ):
@@ -445,8 +445,8 @@ def buy(
     opening = k is None
     if opening and cfg.strategy == "hybrid":
         if cfg.cardinality == "auto":
-            _, y_full = max_sharpe_weights(stats, None, cfg.allocator)
-            k = derive_cardinality(y_full, cfg.allocator)
+            _, y_full = max_sharpe_weights(stats, None, cfg.risk_free_rate)
+            k = derive_cardinality(y_full)
         else:
             k = cfg.cardinality
             if k > stats.n:
@@ -455,7 +455,7 @@ def buy(
         subset = select_assets(stats, k, cfg.q, cfg.lambda_, cfg.sampler, cfg.seed)
         subset_idx = [stats.tickers.index(t) for t in subset]
     if cfg.strategy == "hybrid":
-        target, _ = max_sharpe_weights(stats, subset_idx, cfg.allocator)
+        target, _ = max_sharpe_weights(stats, subset_idx, cfg.risk_free_rate)
         holdings = to_shares(target, prices_at, cfg.budget, as_of)
     else:
         target = None
@@ -480,7 +480,7 @@ def run_pipeline(
     The returned dict is the machine-readable pipeline report: strategy,
     selected tickers, target and realized weights (identical for the
     integer-share strategy), share counts, residual cash, metrics of the
-    realized weights, seed, and the cardinality mode in force.
+    realized weights, seed, cardinality and date.
     """
     as_of = as_of or prices.dates[-1]
     prices_at = prices.prices_at(as_of)
@@ -490,7 +490,7 @@ def run_pipeline(
     holdings, target = buy(stats, prices_at, cfg, as_of)
     selected = holdings.held_tickers() if target is None else target.tickers
     realized = realized_weights(holdings, prices_at, selected)
-    metrics = compute_metrics(realized, stats, cfg.allocator)
+    metrics = compute_metrics(realized, stats, cfg.risk_free_rate)
     return {
         "strategy": cfg.strategy,
         "selected": list(selected),
@@ -500,7 +500,6 @@ def run_pipeline(
         "cash": holdings.cash,
         "metrics": metrics.to_dict(realized),
         "seed": cfg.seed,
-        "cardinality_mode": cfg.allocator.cardinality_mode,
         "cardinality": len(selected),
         "as_of": as_of.isoformat(),
     }

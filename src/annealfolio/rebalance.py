@@ -65,7 +65,6 @@ class RebalancePolicy:
     risk_return_threshold: float = 0.0
     risk_vol_quantile: float = 0.8
     lookback_days: int = 63
-    min_candidates_per_sector: int = 1
 
     def __post_init__(self):
         for name, *rule in (
@@ -73,7 +72,6 @@ class RebalancePolicy:
             ("risk_return_threshold", float),
             ("risk_vol_quantile", float, 0, 1),
             ("lookback_days", int, 2),
-            ("min_candidates_per_sector", int, 0),
         ):
             object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
 
@@ -156,15 +154,21 @@ def add_months(d: date, months: int) -> date:
     return date(year, month, day)
 
 
-def _trailing_stats(
-    returns: ReturnsMatrix, held: Sequence[str], as_of: date, lookback: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and volatility (ddof 1) of each held ticker's last ``lookback`` returns up to ``as_of``."""
+def _history_end(returns: ReturnsMatrix, as_of: date, lookback: int) -> int:
+    """How many returns fall on or before ``as_of``; InputError when fewer than ``lookback``."""
     end = bisect_right(returns.dates, as_of)
     if end < lookback:
         raise InputError(
             f"insufficient history: need {lookback} daily returns up to {as_of}, have {end}"
         )
+    return end
+
+
+def _trailing_stats(
+    returns: ReturnsMatrix, held: Sequence[str], as_of: date, lookback: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and volatility (ddof 1) of each held ticker's last ``lookback`` returns up to ``as_of``."""
+    end = _history_end(returns, as_of, lookback)
     cols = []
     for t in held:
         if t not in returns.tickers:
@@ -209,23 +213,18 @@ def _candidate_universe(
     held: Sequence[str],
     universe: Sequence[str],
     sectors: SectorMap,
-    min_per_sector: int,
 ) -> tuple[tuple[str, ...], bool]:
     """Same-sector replacements first; widen to the full universe if too thin.
 
-    Too thin means fewer candidates than names to replace, or any sold
-    sector contributing fewer than ``min_per_sector`` candidates.
+    Too thin means fewer candidates than names to replace, or a sold
+    sector that supplies no candidate.
     """
     sold_sectors = {sectors.sector_of(t) for t in flagged}
     excluded = set(flagged) | set(held)
     in_sector = tuple(
         t for t in sorted(universe) if t not in excluded and sectors.sector_of(t) in sold_sectors
     )
-    per_sector_ok = all(
-        sum(1 for t in in_sector if sectors.sector_of(t) == s) >= min_per_sector
-        for s in sold_sectors
-    )
-    if len(in_sector) >= len(flagged) and per_sector_ok:
+    if len(in_sector) >= len(flagged) and {sectors.sector_of(t) for t in in_sector} == sold_sectors:
         return in_sector, False
     widened = tuple(t for t in sorted(universe) if t not in excluded)
     return widened, True
@@ -238,7 +237,6 @@ def rebalance_step(
     sectors: SectorMap,
     stats_provider: StatsProvider,
     cfg: PipelineConfig,
-    policy: RebalancePolicy,
     as_of: date,
 ) -> tuple[Holdings, RebalanceEvent]:
     """Sell every flagged holding and redeploy the proceeds.
@@ -276,9 +274,7 @@ def rebalance_step(
     n_replace = len(flagged)
     remaining_held = tuple(t for t in held if t not in sold)
     universe = tuple(sorted(prices_at.keys()))
-    candidates, widened = _candidate_universe(
-        flagged, remaining_held, universe, sectors, policy.min_candidates_per_sector
-    )
+    candidates, widened = _candidate_universe(flagged, remaining_held, universe, sectors)
     note = "widened to all sectors" if widened else ""
 
     if len(candidates) < n_replace:
@@ -345,7 +341,8 @@ def run_backtest(
     rebalancing but valuation continues. Every boundary inside the range
     produces exactly one event (possibly a no-op). Event k derives its
     sampler seed as cfg.seed + k so rebalances are reproducible. A price
-    ticker without a sector raises InputError before anything is bought.
+    ticker without a sector, or fewer than ``lookback_days`` returns up to
+    the first review, raises InputError before anything is bought.
     """
     if not initial_budget > 0:
         raise InputError("initial budget must be positive")
@@ -369,10 +366,6 @@ def run_backtest(
         benchmark = WeightVector((benchmark,), np.array([1.0]))
     bench_holdings = to_shares(benchmark, prices.prices_at(start), initial_budget, start)
 
-    buy_cfg = replace(cfg, budget=initial_budget)
-    holdings = _initial_portfolio(prices, buy_cfg, start)
-    initial_holdings = holdings.to_dict()
-
     boundaries: list[date] = []
     k = 1
     while True:
@@ -392,6 +385,13 @@ def run_backtest(
         )
 
     returns_all = compute_returns(prices, cfg.returns_method)
+    if boundaries:
+        # the opening purchase always holds something, so the first review needs this history
+        _history_end(returns_all, boundaries[0], policy.lookback_days)
+
+    buy_cfg = replace(cfg, budget=initial_budget)
+    holdings = _initial_portfolio(prices, buy_cfg, start)
+    initial_holdings = holdings.to_dict()
 
     def make_provider(as_of: date) -> StatsProvider:
         def provider(tickers: Sequence[str]) -> AssetStats:
@@ -418,7 +418,6 @@ def run_backtest(
                 sectors,
                 make_provider(d),
                 event_cfg,
-                policy,
                 d,
             )
             events.append(event)

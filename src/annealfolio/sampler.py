@@ -2,11 +2,10 @@
 
 Two solvers share the :class:`SampleSet` result type: a seeded simulated
 annealer (the workhorse) and one exhaustive enumerator, the exact solver at
-small sizes. The enumerator takes optional linear constraints and then
-enumerates only the states that satisfy them; it is the annealer's oracle.
-The pipeline never enumerates: its selection repairs and swap-descends
-every restart's state, and at k = 1 or k = n - 1, where one swap reaches
-every k-subset, it swap-descends one start without annealing.
+small sizes and the annealer's oracle. The pipeline never enumerates: its
+selection repairs and swap-descends every restart's state, and at k = 1 or
+k = n - 1, where one swap reaches every k-subset, it swap-descends one
+start without annealing.
 
 Reproducibility contract: the random stream is numpy's PCG64. Restart r
 draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
@@ -63,14 +62,14 @@ class AnnealSchedule:
     band anneals for ``pipeline.BAND_SWEEPS``, its selection (every restart
     repaired to k and swap-descended) for ``pipeline.SELECT_SWEEPS`` (300),
     and anything else for DEFAULT_SWEEPS. One sweep is one Metropolis flip
-    attempt per variable, in index order.
+    attempt per variable, in index order. Cooling is geometric: sweep s of
+    S runs at t_initial * (t_final / t_initial) ** (s / (S - 1)).
     """
 
     t_initial: float | None = None
     t_final: float = 1e-3
     sweeps: int | None = None
     restarts: int = 32
-    interpolation: str = "geometric"
 
     def __post_init__(self):
         check_field("t_initial", self.t_initial, float, low=0, allow=(None,))
@@ -79,7 +78,6 @@ class AnnealSchedule:
             raise InputError("t_final must be below t_initial")
         check_field("sweeps", self.sweeps, int, low=1, allow=(None,))
         check_field("restarts", self.restarts, int, low=1)
-        check_field("interpolation", self.interpolation, ("geometric", "linear"))
 
     def resolve_sweeps(self, default: int = DEFAULT_SWEEPS) -> AnnealSchedule:
         return self if self.sweeps is not None else replace(self, sweeps=default)
@@ -93,9 +91,7 @@ class AnnealSchedule:
         if self.sweeps == 1:
             return np.array([t0])
         frac = np.arange(self.sweeps) / (self.sweeps - 1)
-        if self.interpolation == "geometric":
-            return t0 * (self.t_final / t0) ** frac
-        return t0 + (self.t_final - t0) * frac
+        return t0 * (self.t_final / t0) ** frac
 
 
 class SampleRecord(NamedTuple):
@@ -123,15 +119,6 @@ class SampleSet:
         """Every record's state as one (records, n) array of 0.0 and 1.0, in record order."""
         chars = np.frombuffer("".join(r.state for r in self.records).encode(), np.uint8)
         return (chars == ord("1")).reshape(-1, self.model_n).astype(float)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.model_n,
-            "samples": [
-                {"state": r.state, "energy": r.energy, "count": r.count} for r in self.records
-            ],
-        }
 
 
 def state_to_array(state: str) -> np.ndarray:
@@ -166,30 +153,20 @@ def _first_rows(X: np.ndarray, E: np.ndarray, k: int | None, place: np.ndarray):
     return X[order], E[order]
 
 
-def exhaustive_solve(
-    m: QuboModel,
-    top_k: int | None = None,
-    constraints: Sequence[LinearConstraint] = (),
-) -> SampleSet:
+def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
     """Enumerate all 2^n states; exact but capped at n <= EXHAUSTIVE_CAP variables.
 
     The one exact solver, the oracle the annealer is checked against.
-    States stream in chunks; with ``constraints`` each chunk keeps only the
-    states that satisfy every one (at tolerance 1e-9) before its energies
-    are computed, so the records may be empty. Records are in (energy,
-    state) order, ties broken by the lexicographically first state, and
-    ``top_k`` (k >= 1) returns exactly the first k records of that order
-    while holding no more than k states per chunk. Without top_k the
-    SampleSet holds every state, which gets heavy past n ~ 20; prefer a
-    truncation there.
+    States stream in chunks. Records are in (energy, state) order, ties
+    broken by the lexicographically first state, and ``top_k`` (k >= 1)
+    returns exactly the first k records of that order while holding no
+    more than k states per chunk. Without top_k the SampleSet holds every
+    state, which gets heavy past n ~ 20; prefer a truncation there.
     """
     if m.n > EXHAUSTIVE_CAP:
         raise InputError(f"exhaustive solve capped at n={EXHAUSTIVE_CAP}, got n={m.n}")
     if top_k is not None and top_k < 1:
         raise InputError("top_k must be at least 1")
-    for c in constraints:
-        if len(c.coeffs) != m.n:
-            raise InputError("constraint length does not match model variable count")
     size = 1 << m.n
     bit_cols = np.arange(m.n, dtype=np.uint32)
     # x @ place orders states as their bitstrings sort: x_0 is the leading bit
@@ -201,8 +178,6 @@ def exhaustive_solve(
         hi = min(lo + _ENUM_CHUNK, size)
         codes = np.arange(lo, hi, dtype=np.uint32)
         X = ((codes[:, None] >> bit_cols) & 1).astype(float)
-        for c in constraints:
-            X = X[c.satisfied_by(X)]
         E = qubo_energies(m, X)
         if top_k is not None:
             X, E = _first_rows(X, E, top_k, place)
@@ -366,7 +341,7 @@ def simulated_anneal(
 
     Each restart starts from a uniform random state and performs
     ``schedule.sweeps`` sweeps (DEFAULT_SWEEPS when None) while the
-    temperature interpolates from t_initial down to t_final; a move with
+    temperature cools geometrically from t_initial to t_final; a move with
     energy change d is accepted when d <= 0, otherwise with probability
     exp(-d / T). Ising inputs are converted to the exact QUBO twin first,
     so reported energies match the source model; states are bitstrings

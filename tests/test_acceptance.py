@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from annealfolio.allocator import (
-    AllocatorConfig,
     WeightVector,
     compute_metrics,
     kkt_certificate,
@@ -128,11 +127,10 @@ def test_criterion_3_penalty_feasibility():
 def test_criterion_4_sharpe_solver_correctness():
     """KKT-certified solutions dominating a dense simplex scan."""
     t0 = time.perf_counter()
-    cfg = AllocatorConfig()
     # analytic case first
     stats = make_stats([0.1, 0.2], np.diag([0.01, 0.04]))
-    w, y = max_sharpe_weights(stats, cfg=cfg)
-    sharpe = compute_metrics(w, stats, cfg).sharpe
+    w, y = max_sharpe_weights(stats)
+    sharpe = compute_metrics(w, stats).sharpe
     assert abs(sharpe - math.sqrt(2)) <= 1e-6
     assert np.max(np.abs(w.weights - np.array([2 / 3, 1 / 3]))) <= 1e-8
 
@@ -143,9 +141,9 @@ def test_criterion_4_sharpe_solver_correctness():
         sigma = A @ A.T + 1e-6 * np.eye(n)
         sigma = (sigma + sigma.T) / 2
         stats = make_stats(rng.uniform(0.01, 0.3, n), sigma)
-        w, y = max_sharpe_weights(stats, cfg=cfg)
-        assert kkt_certificate(stats, y, cfg) <= 1e-8
-        solver_sharpe = compute_metrics(w, stats, cfg).sharpe
+        w, y = max_sharpe_weights(stats)
+        assert kkt_certificate(stats, y) <= 1e-8
+        solver_sharpe = compute_metrics(w, stats).sharpe
         # 10^6-point scan of the weight simplex
         W = rng.dirichlet(np.ones(n), size=1_000_000)
         rets = W @ stats.mu
@@ -158,13 +156,12 @@ def test_criterion_4_sharpe_solver_correctness():
 
 def test_criterion_5_metric_identities():
     """Closed-form checks on the reported metrics."""
-    cfg = AllocatorConfig()
     single = make_stats([0.12], [[0.04]])
-    m1 = compute_metrics(WeightVector(single.tickers, np.array([1.0])), single, cfg)
+    m1 = compute_metrics(WeightVector(single.tickers, np.array([1.0])), single)
     assert m1.diversification_ratio == 1.0
 
     pair = make_stats([0.1, 0.1], np.diag([0.04, 0.04]))
-    m2 = compute_metrics(WeightVector(pair.tickers, np.array([0.5, 0.5])), pair, cfg)
+    m2 = compute_metrics(WeightVector(pair.tickers, np.array([0.5, 0.5])), pair)
     assert abs(m2.diversification_ratio - math.sqrt(2)) <= 1e-9
 
     rng = np.random.default_rng(505)
@@ -173,7 +170,7 @@ def test_criterion_5_metric_identities():
         A = rng.normal(0, 0.2, (n, n))
         stats = make_stats(rng.uniform(-0.2, 0.4, n), A @ A.T + 1e-9 * np.eye(n))
         w = WeightVector(stats.tickers, rng.dirichlet(np.ones(n)))
-        m = compute_metrics(w, stats, cfg)
+        m = compute_metrics(w, stats)
         if m.risk > 0:
             assert abs(m.sharpe - m.expected_return / m.risk) <= 1e-12
     print("\nPASS criterion 5: metric identities (DR=1, DR=sqrt 2, sharpe=return/risk)")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealfolio.allocator import (
-    AllocatorConfig,
     WeightVector,
     compute_metrics,
     derive_cardinality,
@@ -15,6 +14,7 @@ from annealfolio.allocator import (
 )
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
+from annealfolio.pipeline import PipelineConfig
 
 
 def make_stats(mu, sigma, tickers=None):
@@ -81,9 +81,8 @@ class TestMaxSharpe:
 
     def test_infeasible_when_nothing_beats_risk_free(self):
         stats = make_stats([0.01, 0.02], np.diag([0.01, 0.01]))
-        cfg = AllocatorConfig(risk_free_rate=0.05)
         with pytest.raises(SolverError, match="risk-free"):
-            max_sharpe_weights(stats, cfg=cfg)
+            max_sharpe_weights(stats, risk_free_rate=0.05)
 
     def test_subset_selection(self):
         stats = make_stats([0.1, 0.5, 0.2], np.diag([0.01, 0.04, 0.02]))
@@ -165,27 +164,22 @@ class TestDeriveCardinality:
     def test_support_mode(self):
         assert derive_cardinality(np.array([5.0, 2.5, 0.0])) == 2
 
-    def test_sum_mode_rounds_half_up_then_clamps(self):
-        cfg = AllocatorConfig(cardinality_mode="y_sum")
-        assert derive_cardinality(np.array([5.0, 2.5]), cfg) == 2  # round(7.5)=8 -> clamp to n=2
-        assert derive_cardinality(np.array([0.4, 0.4, 0.4]), cfg) == 1  # sum 1.2 -> 1
-        assert derive_cardinality(np.array([1.0, 1.5, 0.1]), cfg) == 3  # sum 2.6 -> 3
-
     def test_degenerate_support_errors(self):
         with pytest.raises(SolverError):
             derive_cardinality(np.array([1e-9, 1e-8]))
 
     def test_bad_mode_rejected(self):
+        # The cardinality mode and the risk-free rate that feeds y* are
+        # validated where they are set: on PipelineConfig.
         for bad in (
-            {"cardinality_mode": "guess"},
-            {"cardinality_mode": None},
+            {"cardinality": "guess"},
+            {"cardinality": None},
             {"risk_free_rate": "x"},
             {"risk_free_rate": True},
             {"risk_free_rate": float("inf")},
-            {"zero_weight_threshold": -1e-6},
         ):
             with pytest.raises(InputError, match=next(iter(bad))):
-                AllocatorConfig(**bad)
+                PipelineConfig(budget=1.0, seed=1, **bad)
 
 
 class TestComputeMetrics:

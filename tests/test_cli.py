@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annealfolio.cli import main, render_comparison
+from annealfolio.cli import _CONFIG_KEYS, _SAMPLER_KEYS, main, render_comparison
 from annealfolio.data import (
     bundled_prices_path,
     bundled_sectors_path,
@@ -139,6 +139,12 @@ class TestOptimizeCommand:
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
         assert "budgte" in capsys.readouterr().err
 
+    def test_retired_config_key_exit_2(self, tmp_path, out_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "cardinality_mode": "support"}))
+        assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['cardinality_mode']\n"
+
     def test_malformed_config_exit_2(self, tmp_path, out_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -154,6 +160,7 @@ class TestOptimizeCommand:
             ([10], "'sampler' config field must be a JSON object"),
             ({"sweeps": 0}, "sweeps must be an integer >= 1"),
             ({"sweeps": True}, "sweeps must be an integer"),
+            ({"interpolation": "linear"}, "unknown sampler keys: ['interpolation']"),
         ],
     )
     def test_malformed_sampler_config_exit_2(self, tmp_path, out_dir, capsys, sampler, message):
@@ -293,6 +300,15 @@ class TestBacktestCommand:
                 shares[t] = shares.get(t, 0) + v["shares"]
             cash = e["cash_after"]
 
+    def test_lookback_beyond_first_review_exit_2(self, tmp_path, out_dir, capsys):
+        # the first review (2023-04-03) has 65 daily returns behind it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 42, "benchmark": "TECH1", "lookback_days": 500}))
+        assert run(["backtest", "--config", cfg, "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: insufficient history: need 500 daily returns up to 2023-04-03, have 65\n"
+        assert not (out_dir / "backtest_report.json").exists()
+
     def test_missing_benchmark_exit_2(self, out_dir):
         assert run(["backtest", "--seed", 3, "--out-dir", out_dir]) == 2
 
@@ -391,3 +407,12 @@ class TestEnvDefaults:
         monkeypatch.setenv("ANNEALFOLIO_OUT_DIR", str(tmp_path / "envout"))
         assert run(["optimize", "--seed", 42]) == 0
         assert (tmp_path / "envout" / "optimize_result.json").exists()
+
+
+class TestReadme:
+    def test_config_table_lists_exactly_the_accepted_keys(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text[text.index("| key | owner | default | value |"):].split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.M)
+        accepted = _CONFIG_KEYS | {f"sampler.{k}" for k in _SAMPLER_KEYS}
+        assert sorted(documented) == sorted(accepted)

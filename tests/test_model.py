@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -84,7 +83,6 @@ class TestEnergy:
         m = QuboModel(3, lin, U)
         im = IsingModel(3, lin, U)
         assert np.array_equal(m.quadratic, QuboModel(3, np.zeros(3), {(0, 1): 1.0, (1, 2): -2.5}).quadratic)
-        assert m.to_dict()["quadratic"] == [[0, 1, 1.0], [1, 2, -2.5]]
         assert np.array_equal(im.J, U)
         U[1, 0] = 7.0  # each model keeps its own read-only copies
         lin[0] = np.inf
@@ -312,10 +310,9 @@ class TestEncodeInteger:
 
     def test_lower_offset(self):
         enc = encode_integer(9, index=2, lower=4)
-        assert (enc.lower, enc.upper, enc.bit_weights) == (4, 9, (1, 2, 2))
+        assert (enc.index, enc.lower, enc.upper, enc.bit_weights) == (2, 4, 9, (1, 2, 2))
         assert enc.decode([0, 0, 0]) == 4 and enc.decode([1, 0, 1]) == 7 and enc.decode([1, 1, 1]) == 9
         assert {enc.decode(b) for b in itertools.product((0, 1), repeat=3)} == set(range(4, 10))
-        assert enc.to_dict() == {"index": 2, "lower": 4, "upper": 9, "bit_weights": [1, 2, 2]}
         assert encode_integer(5, lower=5).bit_weights == ()
 
     def test_bad_lower_rejected(self):
@@ -433,8 +430,12 @@ class TestBuildMptModel:
         stats = make_stats([0.1, 0.2], np.diag([0.01, 0.02]))
         default = build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0)
         explicit = build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [0, 0], [3, 2])
-        assert default.to_dict() == explicit.to_dict()
-        assert default.objective.offset == 0.0 and default.constraints[0].rhs == 100.0
+        assert default.encodings == explicit.encodings
+        assert np.array_equal(default.objective.linear, explicit.objective.linear)
+        assert np.array_equal(default.objective.quadratic, explicit.objective.quadratic)
+        assert np.array_equal(default.constraints[0].coeffs, explicit.constraints[0].coeffs)
+        assert default.objective.offset == explicit.objective.offset == 0.0
+        assert default.constraints[0].rhs == explicit.constraints[0].rhs == 100.0
 
     def test_band_errors(self):
         stats = make_stats([0.1, 0.2], np.zeros((2, 2)))
@@ -445,25 +446,8 @@ class TestBuildMptModel:
         with pytest.raises(InputError, match="lower bound"):
             build_mpt_model(stats, [30.0, 40.0], 100.0, 1.0, [3, 0], [2, 2])
 
-    def test_variable_names_track_encoding(self):
-        stats = make_stats([0.1, 0.2], np.zeros((2, 2)), tickers=("AA", "BB"))
-        cm = build_mpt_model(stats, [30.0, 40.0], budget=100.0, q=1.0)
-        assert cm.variable_names[: cm.encodings[0].width] == ("AA[0]", "AA[1]")
-
 
 class TestModelDump:
-    def test_deterministic_sorted_dump(self):
-        m = QuboModel(3, np.array([1.0, 2.0, 3.0]), {(1, 2): 5.0, (0, 1): 4.0}, 7.0)
-        d = m.to_dict()
-        assert d["quadratic"] == [[0, 1, 4.0], [1, 2, 5.0]]
-        assert json.dumps(d) == json.dumps(m.to_dict())
-
-    def test_constrained_dump_includes_sections(self):
-        stats = make_stats([0.1], [[0.0]])
-        cm = build_mpt_model(stats, [50.0], budget=100.0, q=1.0)
-        d = cm.to_dict()
-        assert "constraints" in d and "encodings" in d and "variable_names" in d
-
     def test_builders_are_pure(self):
         stats = make_stats([0.1, 0.2], np.diag([0.01, 0.02]))
         m1 = build_mvo_qubo(stats, q=1.5, B=1)

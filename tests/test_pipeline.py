@@ -793,9 +793,9 @@ class TestRunPipeline:
         result = run_pipeline(prices, cfg_for(5000.0, seed=9))
         expected_keys = {
             "strategy", "selected", "weights_target", "weights_realized", "shares",
-            "cash", "metrics", "seed", "cardinality_mode", "cardinality", "as_of",
+            "cash", "metrics", "seed", "cardinality", "as_of",
         }
-        assert expected_keys <= set(result)
+        assert set(result) == expected_keys
         assert result["strategy"] == "hybrid"
         assert sum(result["weights_realized"].values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(result["metrics"]["weights"].values()) == pytest.approx(100.0, abs=0.01)
@@ -824,20 +824,22 @@ class TestPipelineConfig:
             {"seed": 1.0},
             {"annualization_factor": -1.0},
             {"returns_method": "cubic"},
+            {"risk_free_rate": "x"},
+            {"risk_free_rate": True},
+            {"risk_free_rate": float("inf")},
         ):
             with pytest.raises(InputError, match=next(iter(bad)).rstrip("_")):
                 PipelineConfig(**{"budget": 1.0, "seed": 1, **bad})
 
     def test_stored_forms_and_echo(self):
         cfg = PipelineConfig(
-            budget=100000, seed=np.int64(3), q=1, lambda_=2, sampler=AnnealSchedule(t_initial=5)
+            budget=100000, seed=np.int64(3), q=1, lambda_=2, risk_free_rate=0,
+            sampler=AnnealSchedule(t_initial=5),
         )
         assert (cfg.budget, cfg.q, cfg.lambda_, cfg.annualization_factor) == (100000.0, 1.0, 2.0, 252.0)
-        assert all(type(v) is float for v in (cfg.budget, cfg.q, cfg.lambda_))
+        assert all(type(v) is float for v in (cfg.budget, cfg.q, cfg.lambda_, cfg.risk_free_rate))
         assert type(cfg.seed) is int
         echo = cfg.to_dict()
         assert echo["lambda"] == 2.0 and "lambda_" not in echo
         assert echo["sampler"]["t_initial"] == 5 and type(echo["sampler"]["t_initial"]) is int
-        assert set(echo["allocator"]) == {
-            "risk_free_rate", "zero_weight_threshold", "cardinality_mode",
-        }
+        assert echo["risk_free_rate"] == 0.0 and "allocator" not in echo

@@ -195,12 +195,11 @@ class TestRebalanceStep:
         self.prices_at = self.prices.prices_at(self.as_of)
         self.provider = flat_stats_provider(self.prices)
         self.cfg = cfg_for(10_000.0)
-        self.policy = RebalancePolicy(lookback_days=20)
 
     def test_noop_when_nothing_flagged(self):
         h = Holdings({"AAA": 10, "BBB": 5}, 12.0)
         out, event = rebalance_step(
-            h, set(), self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+            h, set(), self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
         )
         assert out is h
         assert event.sold == {} and event.bought == {}
@@ -208,7 +207,7 @@ class TestRebalanceStep:
     def test_same_sector_replacement(self):
         h = Holdings({"AAA": 10, "CCC": 5}, 0.0)
         out, event = rebalance_step(
-            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
         )
         # AAA is Tech; the only other Tech name is BBB
         assert event.universe_used == ("BBB",)
@@ -219,7 +218,7 @@ class TestRebalanceStep:
     def test_cash_conservation(self):
         h = Holdings({"AAA": 10, "CCC": 5}, 7.5)
         out, event = rebalance_step(
-            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
         )
         proceeds = sum(p for _, p in event.sold.values())
         cost = sum(c for _, c in event.bought.values())
@@ -230,7 +229,7 @@ class TestRebalanceStep:
     def test_widening_when_sector_exhausted(self):
         h = Holdings({"AAA": 10, "BBB": 5}, 0.0)  # both Tech names held
         out, event = rebalance_step(
-            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
         )
         assert "widened" in event.note
         assert set(event.universe_used) == {"CCC", "DDD", "EEE"}
@@ -265,28 +264,16 @@ class TestRebalanceStep:
         # though Tech alone could cover N=2: the per-sector floor widens
         h = Holdings({"AAA": 4, "CCC": 4, "DDD": 4, "EEE": 4}, 0.0)
         out, event = rebalance_step(
-            h, {"AAA", "CCC"}, prices_at, sectors, provider, self.cfg, self.policy, as_of
+            h, {"AAA", "CCC"}, prices_at, sectors, provider, self.cfg, as_of
         )
         assert "widened" in event.note
         assert set(event.universe_used) == {"BBB", "FFF", "GGG"}
-
-    def test_per_sector_minimum_disabled(self):
-        from dataclasses import replace
-
-        prices_at, sectors, provider, as_of = self.wide_fixture()
-        h = Holdings({"AAA": 4, "CCC": 4, "DDD": 4, "EEE": 4}, 0.0)
-        policy = replace(self.policy, min_candidates_per_sector=0)
-        out, event = rebalance_step(
-            h, {"AAA", "CCC"}, prices_at, sectors, provider, self.cfg, policy, as_of
-        )
-        assert event.note == ""
-        assert set(event.universe_used) == {"BBB", "FFF"}
 
     def test_degenerate_holds_cash(self):
         # every candidate is either sold or held: nothing to buy
         h = Holdings({"AAA": 2, "BBB": 2, "CCC": 2, "DDD": 2, "EEE": 2}, 0.0)
         out, event = rebalance_step(
-            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
         )
         assert "degenerate" in event.note
         assert event.bought == {}
@@ -297,7 +284,7 @@ class TestRebalanceStep:
         h = Holdings({"AAA": 10, "BBB": 5}, 7.5)
         cfg = cfg_for(10_000.0, "fully_quantum")
         out, event = rebalance_step(
-            h, {"AAA"}, self.prices_at, self.sectors, self.provider, cfg, self.policy, self.as_of
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, cfg, self.as_of
         )
         assert set(event.universe_used) == {"CCC", "DDD", "EEE"}
         assert len(event.bought) == 1 and event.note == "widened to all sectors"
@@ -310,7 +297,7 @@ class TestRebalanceStep:
         h = Holdings({"AAA": 1}, 0.0)
         with pytest.raises(InputError):
             rebalance_step(
-                h, {"ZZZ"}, self.prices_at, self.sectors, self.provider, self.cfg, self.policy, self.as_of
+                h, {"ZZZ"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
             )
 
 
@@ -478,6 +465,19 @@ class TestRunBacktest:
             run_backtest(quarterly_prices(), partial, 50_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
         assert bought == []
 
+    def test_short_history_at_first_review_rejected_before_any_purchase(self, monkeypatch):
+        prices = quarterly_prices()
+        review = prices.first_date_on_or_after(add_months(prices.dates[0], 3))
+        have = sum(1 for d in prices.dates[1:] if d <= review)  # daily returns up to the first review
+        cfg = cfg_for(50_000.0)
+        report = run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(lookback_days=have), "AAA")
+        assert report.events[0].date == review
+        bought = []
+        monkeypatch.setattr(rebalance, "buy", lambda *a, **kw: bought.append(a))
+        with pytest.raises(InputError, match=f"need {have + 1} daily returns up to {review}, have {have}$"):
+            run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(lookback_days=have + 1), "AAA")
+        assert bought == []
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_opening_purchase_is_run_pipeline(self, strategy):
         prices = quarterly_prices()
@@ -578,7 +578,6 @@ class TestPolicyValidation:
             {"risk_vol_quantile": float("inf")},
             {"risk_vol_quantile": 1.5},
             {"risk_vol_quantile": "0.8"},
-            {"min_candidates_per_sector": -1},
         ):
             with pytest.raises(InputError, match=next(iter(bad))):
                 RebalancePolicy(**bad)

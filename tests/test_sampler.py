@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -120,30 +119,6 @@ class TestExhaustiveOrder:
         zero = QuboModel(20, np.zeros(20))
         assert [r.state for r in exhaustive_solve(zero, top_k=2).records] == ["0" * 20, "0" * 19 + "1"]
 
-    @pytest.mark.parametrize("chunk", [4, sampler._ENUM_CHUNK], ids=["chunks-of-4", "one-chunk"])
-    def test_constraints_keep_the_feasible_records_in_order(self, chunk, monkeypatch):
-        monkeypatch.setattr(sampler, "_ENUM_CHUNK", chunk)
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            n = int(rng.integers(1, 8))
-            m = small_integer_qubo(rng, n)
-            cs = [
-                LinearConstraint(np.ones(n), "eq", float(rng.integers(0, n + 1))),
-                LinearConstraint(rng.integers(1, 4, n).astype(float), "le", float(rng.integers(0, 2 * n))),
-            ]
-            feasible = tuple(
-                r for r in exhaustive_solve(m).records
-                if all(c.satisfied_by(state_to_array(r.state)) for c in cs)
-            )
-            assert exhaustive_solve(m, constraints=cs).records == feasible
-            assert exhaustive_solve(m, top_k=2, constraints=cs).records == feasible[:2]
-
-    def test_no_feasible_state_gives_no_records(self):
-        m = QuboModel(2, np.zeros(2))
-        assert exhaustive_solve(m, constraints=[LinearConstraint(np.ones(2), "eq", 5.0)]).records == ()
-        with pytest.raises(InputError):
-            exhaustive_solve(m, constraints=[LinearConstraint(np.ones(3), "eq", 1.0)])
-
 
 class TestSimulatedAnneal:
     def test_determinism(self):
@@ -152,7 +127,6 @@ class TestSimulatedAnneal:
         s1 = simulated_anneal(m, FAST, seed=99)
         s2 = simulated_anneal(m, FAST, seed=99)
         assert s1 == s2
-        assert json.dumps(s1.to_dict()) == json.dumps(s2.to_dict())
 
     def test_default_sweeps_resolve_to_1000(self):
         m = random_qubo(np.random.default_rng(8), 6)
@@ -220,17 +194,16 @@ class TestSimulatedAnneal:
             spins = 2 * state_to_array(rec.state) - 1
             assert rec.energy == pytest.approx(ising_energy(im, spins), abs=1e-9)
 
-    def test_linear_interpolation_schedule(self):
-        sched = AnnealSchedule(t_initial=10.0, t_final=1.0, sweeps=3, restarts=2, interpolation="linear")
-        assert sched.temperatures(10.0).tolist() == [10.0, 5.5, 1.0]
+    def test_geometric_schedule(self):
+        sched = AnnealSchedule(t_initial=10.0, t_final=0.1, sweeps=3, restarts=2)
+        assert sched.temperatures(10.0) == pytest.approx([10.0, 1.0, 0.1], rel=1e-15)
+        assert AnnealSchedule(sweeps=1).temperatures(4.0).tolist() == [4.0]
 
     def test_schedule_validation(self):
         with pytest.raises(InputError):
             AnnealSchedule(t_initial=1.0, t_final=2.0)
         with pytest.raises(InputError):
             AnnealSchedule(sweeps=0)
-        with pytest.raises(InputError):
-            AnnealSchedule(interpolation="sudden")
         for bad in (
             {"sweeps": 10.5},
             {"sweeps": True},
@@ -244,12 +217,10 @@ class TestSimulatedAnneal:
                 AnnealSchedule(**bad)
         assert AnnealSchedule(sweeps=np.int64(10), restarts=np.int64(2)).sweeps == 10
 
-    def test_serialization_layout(self):
+    def test_records_in_energy_order(self):
         s = simulated_anneal(tied_minima_model(), AnnealSchedule(sweeps=20, restarts=3), seed=2)
-        d = s.to_dict()
-        assert d["seed"] == 2
-        assert [set(rec) for rec in d["samples"]] == [{"state", "energy", "count"}] * len(d["samples"])
-        energies = [rec["energy"] for rec in d["samples"]]
+        assert s.seed == 2 and sum(r.count for r in s.records) == 3
+        energies = [r.energy for r in s.records]
         assert energies == sorted(energies)
 
 
@@ -329,9 +300,9 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize(
         "schedule",
         [
-            AnnealSchedule(sweeps=300, restarts=16, interpolation="linear"),
+            AnnealSchedule(t_final=0.5, sweeps=300, restarts=16),
             AnnealSchedule(t_initial=3.0, t_final=0.01, sweeps=129, restarts=8),
-            AnnealSchedule(t_initial=0.5, sweeps=200, restarts=5, interpolation="linear"),
+            AnnealSchedule(t_initial=0.5, t_final=0.05, sweeps=200, restarts=5),
             AnnealSchedule(t_initial=0.3, t_final=0.01, sweeps=200, restarts=32),
         ],
     )
