@@ -4,9 +4,10 @@ Prices arrive as CSV (``date,ticker,close``), are aligned on the
 intersection of dates where every ticker trades, and feed the expected
 return vector and covariance matrix used by every optimizer downstream.
 
-Ingest is columnar: one ``csv.reader`` pass over the decoded text, then
-checks on whole columns and an aligned matrix filled by index. A leading
-UTF-8 byte order mark is dropped; bytes that are not UTF-8 are rejected
+Ingest is columnar: the decoded text is split into columns (at its line
+ends and commas when it has no quotes, else by one ``csv.reader`` pass),
+checked as whole columns, and filled by index into an aligned matrix. A
+leading UTF-8 byte order mark is dropped; bytes that are not UTF-8 are rejected
 with the offset of the first bad one. Errors name the line of the first bad
 record in file order; a bad header or field count anywhere is reported
 before any bad value.
@@ -17,11 +18,10 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import compress, count
-from operator import itemgetter
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import Sequence
 
@@ -86,12 +86,9 @@ class PriceMatrix:
 
     def window(self, start: date | None = None, end: date | None = None) -> "PriceMatrix":
         """Row subset with start <= date <= end."""
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        return PriceMatrix(tuple(self.dates[i] for i in keep), self.tickers, self.values[keep])
+        lo = 0 if start is None else bisect_left(self.dates, start)
+        hi = len(self.dates) if end is None else bisect_right(self.dates, end)
+        return PriceMatrix(self.dates[lo:hi], self.tickers, self.values[lo:hi].copy())
 
     def first_date_on_or_after(self, d: date) -> date | None:
         row = bisect_left(self.dates, d)
@@ -205,40 +202,74 @@ def _read_text(source) -> str:
     return _decode(data, name) if isinstance(data, bytes) else data.removeprefix("\ufeff")
 
 
+def _split_quote_free(text: str) -> list[str] | None:
+    """The records of ``text`` as lines, when ``csv.reader`` would split each at its commas.
+
+    That holds for text with no quote and no NUL whose lines all fit within
+    ``csv.field_size_limit()``: every ``\\r\\n``-, ``\\r``- or ``\\n``-terminated
+    line is then one record, ``line.split(",")``. Other text gives None.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # text that ends with a line end, or no text at all
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
 def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str]]]:
-    """Parse CSV into the line numbers of its data records and their stripped columns.
+    """Parse CSV into the record numbers of its data records and their stripped columns.
 
     Blank records are skipped. The first other record must match ``header``
     (case-insensitively) and every later one must have as many fields; the
-    first record in file order that breaks either rule is reported.
+    first record in file order that breaks either rule is reported, and
+    then one that ``csv.reader`` cannot read. Line numbers count records,
+    so a quoted line break does not start a new one. Quote-free text is
+    split at its line ends and commas; ``csv.reader`` reads the rest.
     """
-    records: list[list[str]] = []
+    text = _read_text(source)
+    lines = _split_quote_free(text)
     unreadable = None
-    try:
-        records.extend(csv.reader(io.StringIO(_read_text(source), newline="")))
-    except csv.Error as exc:
-        # extend keeps the records read before the error; their header or
-        # field-count errors are reported first
-        unreadable = exc
-    # a record's field count, or 0 for a blank one
-    widths = [len(f) if len(f) > 1 or f and f[0].strip() else 0 for f in records]
-    lines = list(compress(count(1), widths))
-    if lines:
-        head = [f.strip() for f in records[lines[0] - 1]]
+    if lines is None:
+        records = []
+        try:
+            records.extend(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            # extend keeps the records read before the error; their header or
+            # field-count errors are reported first
+            unreadable = f"line {len(records) + 1}: unreadable CSV record ({exc})"
+        # a record's field count, or 0 for a blank one
+        widths = [len(f) if len(f) > 1 or f and f[0].strip() else 0 for f in records]
+    else:
+        records = lines
+        widths = [n + 1 if (n := s.count(",")) or s.strip() else 0 for s in lines]
+    # the fields of every non-blank record, header first, in one flat list
+    if lines is None:
+        fields = list(chain.from_iterable(compress(records, widths)))
+    else:
+        joined = ",".join(compress(lines, widths))
+        # free the lines before the split makes every field, so ingest's
+        # memory peak stays where csv.reader's records put it
+        del records, lines, text
+        fields = joined.split(",")
+    numbers = list(compress(count(1), widths))
+    if numbers:
+        head = [f.strip() for f in fields[: widths[numbers[0] - 1]]]
         if [f.lower() for f in head] != list(header):
             raise InputError(
-                f"line {lines[0]}: expected header {','.join(header)!r}, got {','.join(head)!r}"
+                f"line {numbers[0]}: expected header {','.join(header)!r}, got {','.join(head)!r}"
             )
     width = len(header)
     if set(widths) - {0, width}:
         lineno, got = next((n, w) for n, w in zip(count(1), widths) if w not in (0, width))
         raise InputError(f"line {lineno}: expected {width} fields, got {got}")
     if unreadable is not None:
-        raise unreadable
-    if not lines:
+        raise InputError(unreadable)
+    if not numbers:
         raise InputError("empty input: missing header row")
-    rows = list(compress(records, widths))[1:]
-    return lines[1:], [list(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
+    return numbers[1:], [list(map(str.strip, fields[width + j :: width])) for j in range(width)]
 
 
 def _parse_day(text: str) -> date | None:

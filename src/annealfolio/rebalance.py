@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import calendar
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from datetime import date
 from typing import Callable, Mapping, Sequence
@@ -162,6 +162,23 @@ def _history_end(returns: ReturnsMatrix, as_of: date, lookback: int) -> int:
             f"insufficient history: need {lookback} daily returns up to {as_of}, have {end}"
         )
     return end
+
+
+def _book_values(h: Holdings, prices: PriceMatrix, lo: int, hi: int) -> list[float]:
+    """Values of book ``h`` on price rows lo..hi-1, as :func:`portfolio_value` gives them.
+
+    Cash heads a column of each held ticker's shares x close, added down in
+    ticker order by one reduction along the outer axis. numpy adds such a
+    reduction a row at a time only while each row has two or more lanes (a
+    lone lane is summed pairwise), hence the spare lane when hi - lo = 1.
+    """
+    held = h.held_tickers()
+    cols = [prices.tickers.index(t) for t in held]
+    terms = np.zeros((1 + len(held), max(hi - lo, 2)))
+    terms[0] = h.cash
+    shares = np.array([h.shares[t] for t in held], dtype=float)
+    terms[1:, : hi - lo] = prices.values[lo:hi, cols].T * shares[:, None]
+    return np.add.reduce(terms, axis=0)[: hi - lo].tolist()
 
 
 def _trailing_stats(
@@ -356,7 +373,8 @@ def run_backtest(
     end = end if end is not None else last
     if end < start:
         raise InputError("end date precedes start date")
-    trading = [d for d in prices.dates if start <= d <= end]
+    lo, hi = bisect_left(prices.dates, start), bisect_right(prices.dates, end)
+    trading = prices.dates[lo:hi]
     if not trading:
         raise InputError("no trading dates in the requested range")
 
@@ -394,35 +412,41 @@ def run_backtest(
     initial_holdings = holdings.to_dict()
 
     def make_provider(as_of: date) -> StatsProvider:
+        # compute_returns on the window up to as_of gives the first rows of
+        # returns_all, ratio for ratio; take copies them in C order, as that
+        # window is laid out, so estimate_stats adds them in the same order
+        end_row = bisect_right(returns_all.dates, as_of)
+
         def provider(tickers: Sequence[str]) -> AssetStats:
-            window = prices.restrict(tickers).window(end=as_of)
-            rets = compute_returns(window, cfg.returns_method)
+            cols = [returns_all.tickers.index(t) for t in tickers]
+            rets = ReturnsMatrix(
+                returns_all.dates[:end_row], tickers, returns_all.values[:end_row].take(cols, axis=1)
+            )
             return estimate_stats(rets, cfg.annualization_factor)
 
         return provider
 
+    # the book is constant between reviews, so each holding period is valued
+    # at once; a review day belongs to the period after the review
+    reviews = list(dict.fromkeys(boundaries))
+    cuts = [bisect_left(prices.dates, d) for d in reviews] + [hi]
     events: list[RebalanceEvent] = []
-    algo_values: list[float] = []
-    bench_values: list[float] = []
-    boundary_set = set(boundaries)
-    for d in trading:
+    algo_values = _book_values(holdings, prices, lo, cuts[0])
+    for k, d in enumerate(reviews, start=1):
         prices_at = prices.prices_at(d)
-        if d in boundary_set:
-            event_seed = cfg.seed + len(events) + 1
-            event_cfg = replace(cfg, seed=event_seed)
-            report = health_check(holdings, prices_at, returns_all, policy, d, initial_budget)
-            holdings, event = rebalance_step(
-                holdings,
-                set(report.flagged),
-                prices_at,
-                sectors,
-                make_provider(d),
-                event_cfg,
-                d,
-            )
-            events.append(event)
-        algo_values.append(portfolio_value(holdings, prices_at))
-        bench_values.append(portfolio_value(bench_holdings, prices_at))
+        report = health_check(holdings, prices_at, returns_all, policy, d, initial_budget)
+        holdings, event = rebalance_step(
+            holdings,
+            set(report.flagged),
+            prices_at,
+            sectors,
+            make_provider(d),
+            replace(cfg, seed=cfg.seed + k),
+            d,
+        )
+        events.append(event)
+        algo_values += _book_values(holdings, prices, cuts[k - 1], cuts[k])
+    bench_values = _book_values(bench_holdings, prices, lo, hi)
 
     config_echo = {
         "pipeline": cfg.to_dict(),
@@ -434,7 +458,7 @@ def run_backtest(
         "seed": cfg.seed,
     }
     return BacktestReport(
-        tuple(trading),
+        trading,
         tuple(algo_values),
         tuple(bench_values),
         tuple(events),

@@ -49,6 +49,8 @@ from .model import (
 EXHAUSTIVE_CAP = 24
 _ENUM_CHUNK = 1 << 18
 _SWEEP_BLOCK = 64  # sweeps of Metropolis uniforms drawn at once
+# numpy's PCG64 jump, (golden ratio - 1) * 2**128: jumped(r) advances r of them
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 DEFAULT_SWEEPS = 1000  # what sweeps=None means unless a caller resolves it
 
 
@@ -232,8 +234,10 @@ def _restart_bests(
     Bsym = quadratic_symmetric(qm)
 
     X = np.empty((R, n))
-    base = np.random.PCG64(seed)
-    gens = [np.random.Generator(base.jumped(r)) for r in range(R)]
+    # PCG64(seed).jumped(r), built without the throwaway generator that
+    # jumped() seeds from OS entropy on every call
+    seeds = np.random.SeedSequence(seed)
+    gens = [np.random.Generator(np.random.PCG64(seeds).advance(r * _PCG64_JUMP)) for r in range(R)]
     for r, gen in enumerate(gens):
         X[r] = (gen.random(n) < 0.5).astype(float)
 

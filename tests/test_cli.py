@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -237,6 +238,14 @@ class TestOptimizeCommand:
         assert run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir]) == 2
         assert "line 3: non-finite close inf" in capsys.readouterr().err
 
+    def test_over_long_price_field_exit_2(self, tmp_path, out_dir, capsys):
+        limit = csv.field_size_limit()
+        prices = tmp_path / "huge.csv"
+        prices.write_text("date,ticker,close\n2023-01-02,A,10\n2023-01-03,A," + "9" * (limit + 1) + "\n")
+        assert run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: unreadable CSV record (field larger than field limit ({limit}))\n"
+
     def test_budget_too_small_exit_1(self, out_dir):
         assert run(["optimize", "--seed", 1, "--budget", 5, "--out-dir", out_dir]) == 1
 
@@ -320,6 +329,17 @@ class TestBacktestCommand:
             "backtest", "--seed", 42, "--benchmark", "TECH1", "--sectors", partial, "--out-dir", out_dir,
         ]) == 2
         assert "no sector recorded for ticker 'FINA1'" in capsys.readouterr().err
+        assert not (out_dir / "backtest_report.json").exists()
+
+    def test_over_long_sector_field_exit_2(self, tmp_path, out_dir, capsys):
+        limit = csv.field_size_limit()
+        sectors = tmp_path / "huge.csv"
+        sectors.write_text('ticker,sector\nTECH1,Tech\nENRG1,"' + "x" * (limit + 1) + '"\n')
+        assert run([
+            "backtest", "--seed", 1, "--benchmark", "TECH1", "--sectors", sectors, "--out-dir", out_dir,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: unreadable CSV record (field larger than field limit ({limit}))\n"
         assert not (out_dir / "backtest_report.json").exists()
 
     def test_weights_file_benchmark(self, tmp_path, out_dir):

@@ -16,7 +16,14 @@ from annealfolio.marketdata import (
     compute_returns,
     estimate_stats,
 )
-from annealfolio.pipeline import STRATEGIES, Holdings, PipelineConfig, portfolio_value, run_pipeline
+from annealfolio.pipeline import (
+    STRATEGIES,
+    Holdings,
+    PipelineConfig,
+    portfolio_value,
+    run_pipeline,
+    to_shares,
+)
 from annealfolio.rebalance import (
     RebalancePolicy,
     _initial_portfolio,
@@ -521,6 +528,123 @@ class TestRunBacktest:
         assert event.universe_used == ("DDD",) and event.bought == {}
         assert event.note == "degenerate: repurchase bought nothing, holding cash"
         assert event.cash_after == event.new_budget
+
+
+def per_day_values(prices, report, benchmark, budget):
+    """Both series valued day by day with portfolio_value, replaying the event ledger.
+
+    A review day is valued with the book the review leaves.
+    """
+    start = report.dates[0]
+    if isinstance(benchmark, str):
+        benchmark = WeightVector((benchmark,), np.array([1.0]))
+    bench = to_shares(benchmark, prices.prices_at(start), budget, start)
+    shares, cash = dict(report.initial_holdings["shares"]), report.initial_holdings["cash"]
+    events = {e.date: e for e in report.events}
+    algo, bench_values = [], []
+    for d in report.dates:
+        prices_at = prices.prices_at(d)
+        if d in events:
+            for t in events[d].sold:
+                del shares[t]
+            for t, (count, _) in events[d].bought.items():
+                shares[t] = shares.get(t, 0) + count
+            cash = events[d].cash_after
+        algo.append(portfolio_value(Holdings(shares, cash), prices_at))
+        bench_values.append(portfolio_value(bench, prices_at))
+    return algo, bench_values
+
+
+class TestValuationAndWindows:
+    """Per-period valuation and the repurchase windows give the per-day route's exact values."""
+
+    def assert_per_day(self, prices, report, benchmark, budget):
+        algo, bench = per_day_values(prices, report, benchmark, budget)
+        assert list(report.algo_values) == algo
+        assert list(report.bench_values) == bench
+        assert (report.final_algo, report.final_bench) == (algo[-1], bench[-1])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bundled_data(self, bundled_prices, bundled_sectors, strategy):
+        cfg = PipelineConfig(budget=100_000.0, seed=42, strategy=strategy)
+        report = run_backtest(bundled_prices, bundled_sectors, 100_000.0, cfg, RebalancePolicy(), "TECH1")
+        assert any(e.bought for e in report.events)
+        self.assert_per_day(bundled_prices, report, "TECH1", 100_000.0)
+
+    def wide_market(self):
+        # numpy sums a lone lane pairwise once it has eight terms, so the
+        # one-row periods below value books of seven or more names
+        params = [(f"T{j:02d}", 20.0 + 5 * j, 0.0010 + 0.0001 * (j % 4), 0.008 + 0.0004 * j) for j in range(12)]
+        prices = grw_matrix(params, n_days=200, seed=3)
+        return prices, SectorMap({t: "ABC"[j % 3] for j, t in enumerate(prices.tickers)})
+
+    def test_review_on_the_last_trading_day(self):
+        prices, sectors = self.wide_market()
+        end = prices.first_date_on_or_after(add_months(prices.dates[0], 6))
+        cfg = cfg_for(1_000_000.0, cardinality=10)
+        keep = RebalancePolicy(lookback_days=40, risk_return_threshold=-1.0, risk_vol_quantile=1.0)
+        report = run_backtest(prices, sectors, 1_000_000.0, cfg, keep, "T00", end=end)
+        assert report.dates[-1] == report.events[-1].date == end
+        assert all(not e.sold for e in report.events) and len(report.initial_holdings["shares"]) >= 7
+        self.assert_per_day(prices, report, "T00", 1_000_000.0)
+
+    def test_one_day_backtest(self):
+        # both series are one row; the benchmark holds eight names
+        prices, sectors = self.wide_market()
+        day = prices.dates[120]
+        cfg = cfg_for(1_000_000.0, cardinality=10)
+        bench = WeightVector(prices.tickers[:8], np.full(8, 0.125))
+        report = run_backtest(
+            prices, sectors, 1_000_000.0, cfg, RebalancePolicy(lookback_days=40), bench, start=day, end=day
+        )
+        assert report.dates == (day,) and report.events == ()
+        assert len(report.initial_holdings["shares"]) >= 7
+        self.assert_per_day(prices, report, bench, 1_000_000.0)
+
+    def test_one_row_books_add_in_ticker_order(self):
+        prices, _ = self.wide_market()
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            names = rng.choice(prices.tickers, size=rng.integers(7, 13), replace=False)
+            book = Holdings({t: int(rng.integers(1, 5000)) for t in names}, float(rng.uniform(0, 1000)))
+            row = int(rng.integers(len(prices.dates)))
+            expected = portfolio_value(book, prices.prices_at(prices.dates[row]))
+            assert rebalance._book_values(book, prices, row, row + 1) == [expected]
+
+    def test_cash_only_book(self):
+        # every held name is flagged and no candidate is left, so the book becomes cash
+        prices = quarterly_prices()
+        cfg = cfg_for(50_000.0, cardinality=5)
+        policy = RebalancePolicy(lookback_days=40, risk_return_threshold=1.0)
+        report = run_backtest(prices, SECTORS5, 50_000.0, cfg, policy, "AAA")
+        first = report.events[0]
+        assert first.bought == {} and set(first.sold) == set(report.initial_holdings["shares"])
+        after = report.algo_values[report.dates.index(first.date):]
+        assert set(after) == {first.cash_after}
+        self.assert_per_day(prices, report, "AAA", 50_000.0)
+
+    @pytest.mark.parametrize("method", ["simple", "log"])
+    def test_repurchase_stats_match_the_restricted_window(self, monkeypatch, method):
+        providers = []
+        step = rebalance.rebalance_step
+
+        def spy(holdings, flagged, prices_at, sectors, provider, cfg, as_of):
+            providers.append((provider, as_of))
+            return step(holdings, flagged, prices_at, sectors, provider, cfg, as_of)
+
+        monkeypatch.setattr(rebalance, "rebalance_step", spy)
+        prices = quarterly_prices()
+        cfg = cfg_for(50_000.0, returns_method=method)
+        run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
+        assert len(providers) == 4
+        for provider, as_of in providers:
+            for tickers in (prices.tickers, ("EEE", "AAA", "CCC"), ("BBB",)):
+                got = provider(tickers)
+                rets = compute_returns(prices.restrict(tickers).window(end=as_of), method)
+                want = estimate_stats(rets, cfg.annualization_factor)
+                assert got.tickers == want.tickers
+                assert got.mu.tobytes() == want.mu.tobytes()
+                assert got.sigma.tobytes() == want.sigma.tobytes()
 
 
 def assert_ledger(report, budget):

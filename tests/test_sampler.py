@@ -281,6 +281,17 @@ def assert_same_as_reference(qm, schedule, seed):
     assert energies.tobytes() == ref_energies.tobytes()
 
 
+class TestRestartStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+    def test_advanced_streams_are_numpys_jumps(self, seed):
+        # _restart_bests advances one SeedSequence's PCG64 by r jumps; the
+        # contract names PCG64(seed).jumped(r), so a change to numpy's jump fails here
+        seeds = np.random.SeedSequence(seed)
+        for r in (0, 1, 31, 63):
+            advanced = np.random.PCG64(seeds).advance(r * sampler._PCG64_JUMP)
+            assert advanced.state == np.random.PCG64(seed).jumped(r).state
+
+
 class TestKernelMatchesReference:
     """The block-streamed, run-skipping kernel against the step-by-step loop.
 
