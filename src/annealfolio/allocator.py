@@ -82,9 +82,11 @@ def active_set_qp(H: np.ndarray, c: np.ndarray, budget_row: bool = False) -> tup
 
     Primal active-set iteration with ratio tests (Nocedal & Wright,
     *Numerical Optimization*, sec. 16.5) on a positive semidefinite H,
-    started from z = 0. Each step heads for the minimizer on the working
-    set (the zero bounds held, plus the budget once it binds) and stops at
-    the first constraint it would cross, which joins the set; at a
+    started from z = 0. Without the budget row every name of positive c
+    starts free, so the iteration drops the names it will not hold instead
+    of adding the ones it will. Each step heads for the minimizer on the
+    working set (the zero bounds held, plus the budget once it binds) and
+    stops at the first constraint it would cross, which joins the set; at a
     working-set minimizer the constraint with the most negative multiplier
     leaves it. A 1e-12 relative ridge keeps every reduced system
     nonsingular when H is not; each reduced solve takes one refinement
@@ -104,6 +106,8 @@ def active_set_qp(H: np.ndarray, c: np.ndarray, budget_row: bool = False) -> tup
     rhs_full = np.append(c, 1.0)
     z = np.zeros(n)
     working = np.zeros(n + 1, dtype=bool)  # names off their zero bound, then the budget if it binds
+    if not budget_row:
+        working[:n] = c > 0
     for _ in range(4 * n + 10):
         W = np.flatnonzero(working)
         capped = bool(working[n])

@@ -176,11 +176,6 @@ class IntegerEncoding:
     def width(self) -> int:
         return len(self.bit_weights)
 
-    def decode(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.width:
-            raise InputError(f"expected {self.width} bits, got {len(bits)}")
-        return self.lower + int(sum(w * int(b) for w, b in zip(self.bit_weights, bits)))
-
 
 @dataclass(frozen=True)
 class SlackEncoding:
@@ -218,14 +213,15 @@ class ConstrainedModel:
     def total_bits(self) -> int:
         return sum(e.width for e in self.encodings)
 
-    def decode_integers(self, bits: Sequence[int]) -> list[int]:
-        """Recover the integer variables from a bit assignment (encoding order)."""
-        out = []
-        pos = 0
-        for enc in self.encodings:
-            out.append(enc.decode(bits[pos : pos + enc.width]))
-            pos += enc.width
-        return out
+    def decode_integers(self, bits) -> np.ndarray:
+        """The integers (encoding order) a bit vector, or each row of a 2-D array of them, encodes."""
+        bits = np.asarray(bits)
+        if bits.shape[-1:] != (self.total_bits,):
+            raise InputError(f"expected {self.total_bits} bits, got {bits.shape[-1:]}")
+        weights = np.zeros((self.total_bits, len(self.encodings)), dtype=np.int64)
+        owner = np.repeat(np.arange(len(self.encodings)), [e.width for e in self.encodings])
+        weights[np.arange(self.total_bits), owner] = [w for e in self.encodings for w in e.bit_weights]
+        return bits.astype(np.int64) @ weights + [e.lower for e in self.encodings]
 
 
 # ---------------------------------------------------------------------------

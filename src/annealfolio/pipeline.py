@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -325,12 +326,7 @@ def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     counts = np.array(starts, dtype=np.int64, ndmin=2)
     p = np.asarray(prices, dtype=float)
     uppers = np.asarray(uppers)
-    n = counts.shape[1]
-    moves = [(i, s[0], i, 0) for i in range(n) for s in steps if len(s) == 1]
-    moves += [
-        (i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in steps if len(s) == 2
-    ]
-    I, DI, J, DJ = np.array(moves).T
+    I, DI, J, DJ = _moves(counts.shape[1], steps)
     dy_i, dy_j = DI * p[I], DJ * p[J]
     dspend = dy_i + dy_j
     sig = stats.sigma
@@ -351,14 +347,28 @@ def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=64)
+def _moves(n: int, steps) -> tuple[np.ndarray, ...]:
+    """The read-only move table (I, DI, J, DJ) of :func:`_descend` for n names, built once per (n, steps)."""
+    moves = [(i, s[0], i, 0) for i in range(n) for s in steps if len(s) == 1]
+    moves += [(i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in steps if len(s) == 2]
+    table = np.array(moves).T
+    table.flags.writeable = False
+    return tuple(table)
+
+
 def _best_descent(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
-    """The first best row of :func:`_descend` by exact objective; a later row wins only by more than 1e-12."""
+    """The first best row of :func:`_descend` by exact objective; a later row wins only by more than 1e-12.
+
+    Each distinct row is scored once, where it first occurs, since a repeat can never win.
+    """
+    rows = _descend(starts, prices, stats, q, budget, uppers, steps).tolist()
     best, best_obj = None, math.inf
-    for counts in _descend(starts, prices, stats, q, budget, uppers, steps):
+    for counts in dict.fromkeys(map(tuple, rows)):
         obj = _dollar_objective(counts, prices, stats, q)
         if obj < best_obj - 1e-12:
             best, best_obj = counts, obj
-    return best
+    return np.array(best)
 
 
 def optimize_integer_shares(
@@ -414,7 +424,7 @@ def optimize_integer_shares(
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), schedule, cfg.seed)
     bits = s.state_array()
     fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
-    starts = [cm.decode_integers(b) for b in fits] + [floored]
+    starts = np.vstack([cm.decode_integers(fits), floored])
     best = _best_descent(starts, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS)
     shares = {t: int(c) for t, c in zip(stats.tickers, best)}
     spend = sum(shares[t] * p for t, p in zip(stats.tickers, price_vec))

@@ -22,11 +22,12 @@ update at every step without testing for an acceptance. Once sweeps turn
 cold it skips runs of rejected moves, comparing the rest of a sweep at
 once, and after a sweep that accepts nothing it compares the same deltas
 with every later sweep of the block and jumps to the first that accepts.
-The once-per-sweep bookkeeping uses only exact operations: flip directions
-change sign by an XOR of the sign bit, and the accepted deltas are summed
-in step order. None of this changes a result: the SampleSet is bit-for-bit
-the one a step-by-step pass over one up-front array of uniforms gives, and
-the tests keep that pass as the reference.
+The once-per-sweep bookkeeping uses only exact float operations on the
+signs each step keeps: flip directions change sign by subtracting them
+twice, and the accepted deltas are summed in step order. None of this
+changes a result: the SampleSet is bit-for-bit the one a step-by-step pass
+over one up-front array of uniforms gives, and the tests keep that pass as
+the reference.
 """
 
 from __future__ import annotations
@@ -200,21 +201,27 @@ def _restart_bests(
     the local fields G are (n, R) arrays, so one variable's lanes are
     contiguous. Metropolis thresholds are drawn per block of sweeps as
     (-T) * log(u) in one multiply; negation is exact and rounding to
-    nearest is symmetric in sign, so that is T * -log(u) bit for bit. The
-    best-so-far is refreshed at every sweep boundary and
-    energies are re-evaluated exactly at the end.
+    nearest is symmetric in sign, so that is T * -log(u) bit for bit. A
+    sweep's threshold row views are bound the first time it runs hot. The
+    initial states come from one buffer of draws, compared once. The
+    best-so-far is refreshed at every sweep boundary and energies are
+    re-evaluated exactly at the end.
 
     A step only updates G, by the rank-1 product of coupling column i and
     the step's signs sgn = D[i] * accept (one BLAS call). Each sgn entry is
     -1, 0 or +1, so every product is exact whatever the BLAS: G gets the
     same additions, in the same order, as a step-by-step pass. A hot sweep
     runs every step without a branch, since adding the +-0 of a rejected
-    step leaves G as it was. Flip directions and energies are brought up
-    to date at the sweep boundary. Each D entry is +-1, so the accepted
-    ones change sign by an XOR of the sign bit, which is negation exactly.
-    The sweep's accepted deltas sit in the rows under E, and one reduction
-    along that outer axis sums them; numpy adds such a reduction a row at a
-    time, so E gets them in step order, as a step-by-step pass adds them.
+    step leaves G as it was. Each step keeps its signs in its own row of
+    sgns (a cold sweep zeroes them first), and flip directions and
+    energies are brought up to date from them at the sweep boundary with
+    same-dtype float operations, all exact: sgns * D is 1 where a restart
+    flipped the variable and +-0 elsewhere, so its row sums count the
+    variables that flipped, and D - sgns - sgns negates exactly the
+    flipped +-1 entries. The sweep's accepted deltas, deltas * that 1 or
+    +-0, sit in the rows under E, and one reduction along that outer axis
+    sums them; numpy adds such a reduction a row at a time, so E gets them
+    in step order, as a step-by-step pass adds them.
 
     After a sweep in which at most half the variables flipped in any
     restart, the next sweep compares all its remaining steps at once and
@@ -233,20 +240,24 @@ def _restart_bests(
     a = qm.linear
     Bsym = quadratic_symmetric(qm)
 
-    X = np.empty((R, n))
+    block = min(S, _SWEEP_BLOCK)
+    u = np.empty((R, block * n))
     # PCG64(seed).jumped(r), built without the throwaway generator that
     # jumped() seeds from OS entropy on every call
     seeds = np.random.SeedSequence(seed)
     gens = [np.random.Generator(np.random.PCG64(seeds).advance(r * _PCG64_JUMP)) for r in range(R)]
-    for r, gen in enumerate(gens):
-        X[r] = (gen.random(n) < 0.5).astype(float)
+    for gen, row in zip(gens, u):
+        gen.random(out=row[:n])
+    X = np.less(u[:, :n], 0.5).astype(float)
 
     G = np.ascontiguousarray((a + X @ Bsym).T)
     D = np.ascontiguousarray((1.0 - 2.0 * X).T)
-    D_bits = D.view(np.uint64)
-    flip_bits = np.empty((n, R), dtype=np.uint64)
     deltas = np.empty((n, R))
     accepts = np.empty((n, R), dtype=bool)
+    sgns = np.empty((n, R))
+    took = np.empty((n, R))
+    per_var = np.empty(n)
+    ones = np.ones(R)
     # The energy E heads a column of every step's accepted delta, summed
     # down in step order at the sweep boundary. numpy adds a reduction's
     # rows one at a time only while each row has two or more lanes (a lone
@@ -258,25 +269,23 @@ def _restart_bests(
     E[:] = qubo_energies(qm, X)
     bestD = D.copy()
     bestE = E.copy()
-    sgn = np.empty(R)
-    sgn_row = sgn[None, :]
+    improved = np.empty(R, dtype=bool)
     dG = np.empty((n, R))
     # Each variable's row views, bound once (the arrays are only written in
-    # place), and its coupling column Bsym[:, i] (= row i) as a contiguous (n, 1).
-    steps = list(zip(D, G, deltas, accepts, Bsym[:, :, None]))
-    multiply, less, dot, add = np.multiply, np.less, np.dot, np.add
+    # place): its signs also as a (1, R) row, and its coupling column
+    # Bsym[:, i] (= row i) as a contiguous (n, 1).
+    steps = list(zip(D, G, deltas, accepts, sgns, sgns[:, None, :], Bsym[:, :, None]))
+    multiply, less, dot, add, subtract = np.multiply, np.less, np.dot, np.add, np.subtract
 
-    block = min(S, _SWEEP_BLOCK)
-    u = np.empty((R, block * n))
     thresholds = np.empty((block, n, R))
-    threshold_rows = [list(th) for th in thresholds]
+    threshold_rows = [None] * block  # a sweep's row views, bound when it first runs hot
     frozen = np.empty((block, n, R), dtype=bool)
     hot = True
     for b0 in range(0, S, block):
         nb = min(block, S - b0)
         ub = u[:, : nb * n]
-        for r, gen in enumerate(gens):
-            gen.random(out=ub[r])
+        for gen, row in zip(gens, ub):
+            gen.random(out=row)
         with np.errstate(divide="ignore"):
             np.log(ub, out=ub)
         multiply(
@@ -287,16 +296,18 @@ def _restart_bests(
         k = 0
         while k < nb:
             if hot:
-                for (Di, Gi, delta, accept, column), th_i in zip(steps, threshold_rows[k]):
+                if threshold_rows[k] is None:
+                    threshold_rows[k] = list(thresholds[k])
+                for (Di, Gi, delta, accept, sgn, sgn_row, column), th_i in zip(steps, threshold_rows[k]):
                     multiply(Di, Gi, delta)
                     less(delta, th_i, accept)
                     multiply(Di, accept, sgn)
                     dot(column, sgn_row, dG)
                     add(G, dG, G)
-                flips = np.count_nonzero(accepts.any(axis=1))
             else:
                 th = thresholds[k]
                 flips = 0
+                sgns.fill(0.0)
                 i = 0
                 while i < n:
                     multiply(D[i:], G[i:], deltas[i:])
@@ -305,7 +316,7 @@ def _restart_bests(
                     if not rest[first]:
                         break
                     i += first // R
-                    Di, _, _, accept, column = steps[i]
+                    Di, _, _, accept, sgn, sgn_row, column = steps[i]
                     multiply(Di, accept, sgn)
                     dot(column, sgn_row, dG)
                     add(G, dG, G)
@@ -318,22 +329,24 @@ def _restart_bests(
                     later = less(deltas, thresholds[k + 1 : nb], frozen[k + 1 : nb]).reshape(-1)
                     k = k + 1 + int(later.argmax()) // (n * R) if later.any() else nb
                     continue
+            multiply(sgns, D, took)  # 1 where a restart flipped the variable, else +-0
+            if hot:
+                flips = np.count_nonzero(dot(took, ones, per_var))
             hot = 2 * flips > n
-            if flips:
-                multiply(deltas, accepts, accepted_deltas)
-                add.reduce(energy_steps, 0, None, energy_sum)
-                E[:] = energy_sum[:R]
-                np.left_shift(accepts, np.uint64(63), flip_bits, dtype=np.uint64)
-                np.bitwise_xor(D_bits, flip_bits, D_bits)
-                improved = E < bestE
-                if improved.any():
-                    np.copyto(bestE, E, where=improved)
-                    np.copyto(bestD, D, where=improved)
+            multiply(deltas, took, accepted_deltas)
+            add.reduce(energy_steps, 0, None, energy_sum)
+            E[:] = energy_sum[:R]
+            subtract(D, sgns, D)  # D - 2 sgn negates exactly the flipped +-1 entries
+            subtract(D, sgns, D)
+            if np.count_nonzero(less(E, bestE, improved)):
+                np.copyto(bestE, E, where=improved)
+                np.copyto(bestD, D, where=improved)
             k += 1
 
     bestX = np.ascontiguousarray((1.0 - bestD.T) / 2.0)
     final_E = qubo_energies(qm, bestX)
-    return [_array_to_state(row) for row in bestX], final_E
+    text = (bestX.astype(np.uint8) + ord("0")).tobytes().decode()
+    return [text[r * n : (r + 1) * n] for r in range(R)], final_E
 
 
 def simulated_anneal(

@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+from contextlib import contextmanager
 from datetime import date, datetime, timedelta
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from annealfolio.marketdata import (
     compute_returns,
     estimate_stats,
     _parse_day,
+    _uniform_fields,
     load_prices,
     load_sectors,
 )
@@ -311,11 +314,12 @@ class TestAssetStats:
 
 
 def _reference_text_lines(source):
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    if isinstance(source, bytes):  # always inline CSV content
+        yield from io.StringIO(source.decode("utf-8"), newline="")
+        return
     if isinstance(source, (str, Path)):
         text = str(source)
-        if "\n" in text:  # inline CSV content
+        if isinstance(source, str) and ("\n" in text or "\r" in text):  # inline CSV content
             yield from io.StringIO(text, newline="")
             return
         if not Path(text).exists():
@@ -333,20 +337,24 @@ def _reference_read_csv(source, header):
     reader = csv.reader(_reference_text_lines(source))
     rows = []
     got_header = False
-    for lineno, fields in enumerate(reader, start=1):
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue
-        fields = [f.strip() for f in fields]
-        if not got_header:
-            if [f.lower() for f in fields] != list(header):
-                raise InputError(
-                    f"line {lineno}: expected header {','.join(header)!r}, got {','.join(fields)!r}"
-                )
-            got_header = True
-            continue
-        if len(fields) != len(header):
-            raise InputError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
-        rows.append((lineno, fields))
+    lineno = 0
+    try:
+        for lineno, fields in enumerate(reader, start=1):
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            fields = [f.strip() for f in fields]
+            if not got_header:
+                if [f.lower() for f in fields] != list(header):
+                    raise InputError(
+                        f"line {lineno}: expected header {','.join(header)!r}, got {','.join(fields)!r}"
+                    )
+                got_header = True
+                continue
+            if len(fields) != len(header):
+                raise InputError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+            rows.append((lineno, fields))
+    except csv.Error as exc:  # the record after the last one read
+        raise InputError(f"line {lineno + 1}: unreadable CSV record ({exc})") from None
     if not got_header:
         raise InputError("empty input: missing header row")
     return rows
@@ -423,32 +431,67 @@ def as_source(text, kind):
     }[kind]
 
 
-PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+# a pad around a field: none, ASCII whitespace (control-character whitespace
+# too), or a no-break space, which makes the text non-ASCII
+PAD = st.sampled_from(["", "", " ", "  ", "\t", "\x1f", "\xa0"])
+# how a table pads its fields: not at all (no strip needed), in one pad
+# slot only, or each slot at random
+PADDINGS = st.sampled_from(["none", "one", "each"])
 # how a table writes its fields: all bare (the split path), or some quoted
 # around a comma, a line break or a doubled quote (the csv.reader path)
 QUOTINGS = st.sampled_from([("{}",), ("{}",) * 4 + ('"{}"', '"{},x"', '"{}\nx"', '"{}""x"')])
 EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+# lines inserted between records: a blank one and whitespace-only ones
+BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=3)
+# csv.field_size_limit() while a table loads: the default, or one that
+# some fields exceed, so quote-free lines over it go to csv.reader
+FIELD_LIMITS = st.sampled_from([None] * 6 + [10, 16])
 
 
 def table_text(draw, header, lines):
-    """``header`` and ``lines`` joined by mixed line ends, at least one of them a newline.
-
-    Text without a newline names a file, so the first line end is never a bare CR.
-    """
-    eols = [draw(st.sampled_from(["\n", "\r\n"]))] + [draw(EOLS) for _ in lines]
-    text = "".join(line + eol for line, eol in zip([header] + lines, eols))
+    """``header`` and ``lines`` joined by one line end throughout or by mixed ones, maybe after the last."""
+    eol = draw(st.sampled_from([None, "\n", "\r\n", "\r"]))
+    eols = [eol or draw(EOLS) for _ in range(len(lines) + 1)]
+    text = "".join(line + e for line, e in zip([header] + lines, eols))
     return text if draw(st.booleans()) else text.removesuffix(eols[-1])
 
 
 def table_lines(draw, rows):
     quoting = draw(QUOTINGS)
-    return [",".join(draw(st.sampled_from(quoting)).format(draw(PAD) + f + draw(PAD)) for f in row) for row in rows]
+    padding = draw(PADDINGS)
+    padded = draw(st.integers(0, 2 * sum(map(len, rows))))  # the one slot padded under "one"
+    slots = count()
+
+    def pad():
+        if padding == "each":
+            return draw(PAD)
+        return draw(PAD.filter(bool)) if padding == "one" and next(slots) == padded else ""
+
+    return [",".join(draw(st.sampled_from(quoting)).format(pad() + f + pad()) for f in row) for row in rows]
+
+
+def short_and_long(draw, rows, width):
+    """Make one record short and, when there are two, another one long."""
+    i, j = draw(st.permutations(range(len(rows))))[:2] if len(rows) > 1 else (0, None)
+    rows[i] = rows[i][: width - 1]
+    if j is not None:
+        rows[j] = rows[j] + ["x"]
+
+
+@contextmanager
+def field_limit(limit):
+    old = csv.field_size_limit()
+    csv.field_size_limit(old if limit is None else limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
 
 
 CLOSE_FORMATS = (repr, "{:.2f}".format, "{:.6e}".format, lambda x: str(int(x) + 1))
 PRICE_CORRUPTIONS = (
     None, "bad date", "repeated bad date", "bad close", "non-finite", "non-positive",
-    "empty ticker", "unpadded duplicate", "field count",
+    "empty ticker", "unpadded duplicate", "field count", "short and long",
 )
 
 
@@ -491,12 +534,14 @@ def price_tables(draw):
         elif corruption == "unpadded duplicate":
             d = date.fromisoformat(rows[i][0])
             rows.insert(draw(st.integers(0, len(rows))), [f"{d.year}-{d.month}-{d.day}", rows[i][1], "7"])
-        else:
+        elif corruption == "field count":
             rows[i] = rows[i][:2] if draw(st.booleans()) else rows[i] + ["x"]
+        else:
+            short_and_long(draw, rows, 3)
     rows = draw(st.permutations(rows))
     lines = table_lines(draw, rows)
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    for blank in draw(BLANK_LINES):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
     header = draw(st.sampled_from(["date,ticker,close"] * 6 + [" Date , TICKER,close", "date,ticker,price"]))
     return table_text(draw, header, lines)
 
@@ -510,9 +555,11 @@ def sector_tables(draw):
     if rows and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = rows[i][:1] if draw(st.booleans()) else rows[i] + ["x"]
+    elif rows and draw(st.booleans()):
+        short_and_long(draw, rows, 2)
     lines = table_lines(draw, rows)
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    for blank in draw(BLANK_LINES):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
     header = draw(st.sampled_from(["ticker,sector"] * 4 + ["Ticker, Sector", "ticker"]))
     return table_text(draw, header, lines)
 
@@ -524,14 +571,16 @@ class TestLoadersMatchReference:
     """The columnar loaders return the reference's bytes or raise its exact message."""
 
     @settings(max_examples=300, deadline=None)
-    @given(price_tables(), SOURCE_KINDS)
-    def test_load_prices_matches_reference(self, text, kind):
-        assert outcome(load_prices, as_source(text, kind)) == outcome(reference_load_prices, as_source(text, kind))
+    @given(price_tables(), SOURCE_KINDS, FIELD_LIMITS)
+    def test_load_prices_matches_reference(self, text, kind, limit):
+        with field_limit(limit):
+            assert outcome(load_prices, as_source(text, kind)) == outcome(reference_load_prices, as_source(text, kind))
 
     @settings(max_examples=150, deadline=None)
-    @given(sector_tables(), SOURCE_KINDS)
-    def test_load_sectors_matches_reference(self, text, kind):
-        assert outcome(load_sectors, as_source(text, kind)) == outcome(reference_load_sectors, as_source(text, kind))
+    @given(sector_tables(), SOURCE_KINDS, FIELD_LIMITS)
+    def test_load_sectors_matches_reference(self, text, kind, limit):
+        with field_limit(limit):
+            assert outcome(load_sectors, as_source(text, kind)) == outcome(reference_load_sectors, as_source(text, kind))
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -563,6 +612,59 @@ class TestLoadersMatchReference:
         assert outcome(load_prices, text) == ("error", "line 2: expected 3 fields, got 2")
         with pytest.raises(InputError, match=r"^line 3: unreadable CSV record \(field larger than field limit"):
             load_prices(csv_text(["2023-01-02,A,1"]) + huge)
+
+    @pytest.mark.parametrize("text, uniform", [
+        ("date,ticker,close\n2023-01-02,A,1\n", True),
+        ("date,ticker,close\r\n2023-01-02,A,1", True),
+        ("date,ticker,close\r2023-01-02, A ,1\r", True),
+        ("date,ticker,close\n\n2023-01-02,A,1\n", False),  # a blank line
+        ("date,ticker,close\n2023-01-02,A,1\n \n", False),  # a whitespace-only line
+        ("date,ticker,close\n2023-01-02,A\n2023-01-03,A,1,x\n", False),  # a short and a long record
+        ('date,ticker,close\n2023-01-02,"A",1\n', False),
+        ("", False),
+    ])
+    def test_uniform_text_is_split_at_once(self, text, uniform):
+        fields = _uniform_fields(text, 3)
+        assert (fields is not None) == uniform
+        if uniform:
+            assert fields == [f for record in csv.reader(io.StringIO(text, newline="")) for f in record]
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000"])
+    def test_one_padded_field_in_uniform_text_is_stripped(self, pad):
+        # the pad is the text's only character that str.strip removes
+        text = csv_text(["2023-01-02,A,1", f"2023-01-03,{pad}A,2"])
+        assert outcome(load_prices, text) == outcome(reference_load_prices, text)
+        assert load_prices(text).tickers == ("A",)
+
+    @pytest.mark.parametrize("field", [100, csv.field_size_limit() + 1])
+    def test_quote_free_line_over_the_field_limit(self, field):
+        # a quote-free line longer than the limit goes to csv.reader, which reads
+        # its fields when each one fits and rejects the record otherwise
+        text = csv_text(["2023-01-02,A,1", "2023-01-03,A," + "0" * (csv.field_size_limit() - field) + "9" * field])
+        assert outcome(load_prices, text) == outcome(reference_load_prices, text)
+        assert outcome(load_prices, text)[0] == ("prices" if field == 100 else "error")
+
+
+class TestBareCarriageReturns:
+    """Inline text whose only line ends are bare CRs (classic Mac exports) is content, not a file name."""
+
+    @pytest.mark.parametrize("rows", [2, 300])
+    @pytest.mark.parametrize("kind", ["str", "bytes"])
+    def test_load_prices(self, rows, kind):
+        lines = [f"{date(2023, 1, 2) + timedelta(days=d)},A,{d + 1}" for d in range(rows)]
+        text = "date,ticker,close\r" + "\r".join(lines) + "\r"
+        m = load_prices(as_source(text, kind))
+        assert m.values[:, 0].tolist() == [float(d + 1) for d in range(rows)]
+
+    @pytest.mark.parametrize("rows", [2, 300])
+    @pytest.mark.parametrize("kind", ["str", "bytes"])
+    def test_load_sectors(self, rows, kind):
+        text = "ticker,sector\r" + "".join(f"T{i},S{i % 3}\r" for i in range(rows))
+        assert outcome(load_sectors, as_source(text, kind)) == ("sectors", [(f"T{i}", f"S{i % 3}") for i in range(rows)])
+
+    def test_bytes_without_a_line_end_are_content(self):
+        with pytest.raises(InputError, match="^no price rows found$"):
+            load_prices(b"date,ticker,close")
 
 
 class TestNotUtf8:

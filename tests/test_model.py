@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from annealfolio.errors import InputError
 from annealfolio.marketdata import AssetStats
 from annealfolio.model import (
+    ConstrainedModel,
     IsingModel,
     LinearConstraint,
     QuboModel,
@@ -311,8 +312,9 @@ class TestEncodeInteger:
     def test_lower_offset(self):
         enc = encode_integer(9, index=2, lower=4)
         assert (enc.index, enc.lower, enc.upper, enc.bit_weights) == (2, 4, 9, (1, 2, 2))
-        assert enc.decode([0, 0, 0]) == 4 and enc.decode([1, 0, 1]) == 7 and enc.decode([1, 1, 1]) == 9
-        assert {enc.decode(b) for b in itertools.product((0, 1), repeat=3)} == set(range(4, 10))
+        decode = ConstrainedModel(QuboModel(3, np.zeros(3)), (), (enc,)).decode_integers
+        assert decode([0, 0, 0]).tolist() == [4] and decode([1, 0, 1]).tolist() == [7] and decode([1, 1, 1]).tolist() == [9]
+        assert {int(decode(b)[0]) for b in itertools.product((0, 1), repeat=3)} == set(range(4, 10))
         assert encode_integer(5, lower=5).bit_weights == ()
 
     def test_bad_lower_rejected(self):
@@ -403,6 +405,21 @@ class TestBuildMptModel:
             build_mpt_model(stats, [-1.0], budget=100.0, q=1.0)
         with pytest.raises(InputError):
             build_mpt_model(stats, [50.0], budget=0.0, q=1.0)
+
+    def test_batched_decode_matches_each_row(self):
+        # every row of a 2-D bit array decodes as that row alone, and as lower
+        # plus the weighted bits of its encoding; the band has nonzero lower bounds
+        stats = make_stats([0.1, 0.2, 0.05], np.diag([0.01, 0.02, 0.03]))
+        cm = build_mpt_model(stats, [30.0, 45.0, 20.0], 1000.0, 1e-3, [2, 0, 5], [5, 3, 12])
+        X = np.array(all_states(cm.total_bits))
+        batch = cm.decode_integers(X)
+        assert batch.shape == (len(X), 3) and batch.dtype == np.int64
+        starts = np.cumsum([0] + [e.width for e in cm.encodings])
+        for x, row in zip(X, batch):
+            expected = [e.lower + int(x[a:b] @ e.bit_weights) for e, a, b in zip(cm.encodings, starts, starts[1:])]
+            assert row.tolist() == cm.decode_integers(x).tolist() == expected
+        with pytest.raises(InputError, match="expected 7 bits"):
+            cm.decode_integers(X[:, :6])
 
     def test_band_energy_is_dollar_objective(self):
         rng = np.random.default_rng(8)

@@ -29,6 +29,7 @@ from annealfolio.pipeline import (
     SHARE_STEPS,
     SWAP_STEPS,
     PipelineConfig,
+    _best_descent,
     _descend,
     _dollar_objective,
     _relaxed_dollars,
@@ -694,6 +695,43 @@ class TestDescend:
         assert one.shape == (1, 4)
         batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget, uppers, SHARE_STEPS)
         assert (batch == one).all()
+
+
+class TestBestDescent:
+    def test_first_of_repeated_exact_ties_kept(self):
+        # two identical names at a budget for one share: [1, 0] and [0, 1] tie
+        # exactly and neither moves, so the first row that occurs wins
+        stats = make_stats([0.1, 0.1], np.diag([0.04, 0.04]))
+        for starts in ([[1, 0], [0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]):
+            got = _best_descent(starts, [10.0, 10.0], stats, 1e-3, 10.0, [1, 1], SHARE_STEPS)
+            assert got.tolist() == starts[0]
+
+    def test_scores_each_distinct_row_once_and_matches_scoring_every_row(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        scored = []
+
+        def spy(counts, prices, stats, q):
+            scored.append(tuple(counts))
+            return _dollar_objective(counts, prices, stats, q)
+
+        monkeypatch.setattr(pipeline, "_dollar_objective", spy)
+        for _ in range(40):
+            stats, prices, budget = random_share_instance(rng, int(rng.integers(1, 5)))
+            p = [prices[t] for t in stats.tickers]
+            q = 1.0 / budget
+            uppers = affordable_shares(p, budget).tolist()
+            starts = [[int(rng.integers(0, u + 1)) for u in uppers] for _ in range(4)]
+            starts = [starts[i] for i in rng.integers(0, 4, 12)]  # rows repeat
+            rows = _descend(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            best, best_obj = None, np.inf
+            for row in rows:  # the first best over every row, repeats included
+                obj = _dollar_objective(row, p, stats, q)
+                if obj < best_obj - 1e-12:
+                    best, best_obj = row, obj
+            scored.clear()
+            got = _best_descent(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            assert got.tolist() == best.tolist()
+            assert scored == list(dict.fromkeys(map(tuple, rows.tolist())))
 
 
 class TestIntegerShareCandidates:
