@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for nine fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for ten fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -15,8 +15,12 @@ default budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
 TECH1`` once per strategy, and a backtest from a config file that sets
 every config key and every sampler key (its ``out_dir`` is overridden by
 ``--out-dir``); the script fails when that file misses a key the CLI
-accepts. The config file and the artifacts go to a temporary directory
-that is removed afterwards.
+accepts. A tenth run repeats ``optimize --seed 42`` on a rewritten copy of
+the bundled prices, with unpadded dates (``2023-1-2``), one quoted field
+and CRLF line ends, so ingest takes its per-string date parse and
+``csv.reader`` paths; the script fails unless its artifacts hash as the
+plain run's do. The config file, the rewritten prices and the artifacts go
+to a temporary directory that is removed afterwards.
 """
 
 import contextlib
@@ -25,6 +29,7 @@ import io
 import json
 import sys
 import tempfile
+from datetime import date
 from pathlib import Path
 
 from annealfolio.cli import _CONFIG_KEYS, _SAMPLER_KEYS, main as cli
@@ -43,6 +48,7 @@ RUNS = {
     "backtest-fully_quantum": ["backtest", "--seed", "42", "--budget", "100000",
                                "--benchmark", "TECH1", "--strategy", "fully_quantum"],
     "backtest-config": ["backtest", "--config", "{config}"],
+    "optimize-hybrid-rewritten-csv": ["optimize", "--seed", "42", "--prices", "{rewritten}"],
 }
 
 ALL_KEYS_CONFIG = {
@@ -53,6 +59,19 @@ ALL_KEYS_CONFIG = {
     "sampler": {"sweeps": 200, "restarts": 8, "t_initial": 5, "t_final": 0.001},
     "start": "2023-03-01", "end": "2023-12-29", "out_dir": "x",
 }
+
+
+def rewritten_prices() -> str:
+    """The bundled prices with unpadded dates, the first ticker quoted, and CRLF line ends."""
+    header, *records = Path(bundled_prices_path()).read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for record in records:
+        day, ticker, close = record.split(",")
+        d = date.fromisoformat(day)
+        lines.append(f"{d.year}-{d.month}-{d.day},{ticker},{close}")
+    day, ticker, close = lines[1].split(",")
+    lines[1] = f'{day},"{ticker}",{close}'
+    return "\r\n".join(lines) + "\r\n"
 
 
 def main() -> int:
@@ -66,16 +85,23 @@ def main() -> int:
         config.write_text(json.dumps(
             {"prices": bundled_prices_path(), "sectors": bundled_sectors_path(), **ALL_KEYS_CONFIG}
         ), encoding="utf-8")
+        rewritten = Path(tmp) / "rewritten_prices.csv"
+        rewritten.write_bytes(rewritten_prices().encode("utf-8"))
+        digests: dict[str, dict[str, str]] = {}
         for name, argv in RUNS.items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli([a.format(config=config) for a in argv] + ["--out-dir", str(out)])
+                code = cli([a.format(config=config, rewritten=rewritten) for a in argv] + ["--out-dir", str(out)])
             if code != 0:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 return 1
+            digests[name] = {}
             for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                digest = digests[name][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{path.name}")
+    if digests["optimize-hybrid-rewritten-csv"] != digests["optimize-hybrid"]:
+        print("optimize-hybrid-rewritten-csv: artifacts differ from optimize-hybrid's", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -142,7 +142,13 @@ class AssetStats:
         n = len(self.tickers)
         if mu.shape != (n,) or sigma.shape != (n, n):
             raise InputError("stats dimensions do not match ticker count")
-        if n and not np.allclose(sigma, sigma.T, atol=0.0, rtol=0.0):
+        finite_mu, finite_sigma = np.isfinite(mu), np.isfinite(sigma)
+        if not (finite_mu.all() and finite_sigma.all()):
+            bad = ~(finite_mu & finite_sigma.all(axis=0) & finite_sigma.all(axis=1))
+            i = int(bad.argmax())
+            what = "covariance" if finite_mu[i] else "expected return"
+            raise InputError(f"non-finite {what} for {self.tickers[i]}")
+        if n and not np.array_equal(sigma, sigma.T):
             raise InputError("covariance matrix must be exactly symmetric")
         if n:
             eigs = np.linalg.eigvalsh(sigma)
@@ -300,6 +306,19 @@ def _parse_day(text: str) -> date | None:
         return None
 
 
+def _canonical_dates(strs: list[str]) -> list[date] | None:
+    """The dates of ``strs`` by one C-level map, or None unless all are valid canonical ASCII
+    ``YYYY-MM-DD`` (what :func:`_parse_day` reads with ``date.fromisoformat``): one string
+    per date, which sort as their dates do."""
+    joined, dashes = "".join(strs), "-" * len(strs)
+    if set(map(len, strs)) == {10} and joined.isascii() and joined[4::10] == joined[7::10] == dashes:
+        try:
+            return list(map(date.fromisoformat, strs))
+        except ValueError:  # e.g. "2021-02-30", which _parse_day reports
+            pass
+    return None
+
+
 def load_prices(source) -> PriceMatrix:
     """Parse ``date,ticker,close`` CSV into an aligned PriceMatrix.
 
@@ -310,18 +329,24 @@ def load_prices(source) -> PriceMatrix:
     (date, ticker) pairs.
 
     The checks run on whole columns: each distinct date string is parsed
-    once, every close goes through ``float``, and the matrix is filled by
-    index. When several records are bad, the first in file order is
+    once (all in one map when all are canonical), every close goes through
+    ``float``, and the matrix is filled by index. When several records are bad, the first in file order is
     reported, with the first of its checks that fails in the order date,
     close, finiteness, sign, ticker, duplicate.
     """
     lines, (date_strs, tickers, close_strs) = _read_csv(source, ("date", "ticker", "close"))
     if not lines:
         raise InputError("no price rows found")
-    days = {s: _parse_day(s) for s in dict.fromkeys(date_strs)}
-    dates = sorted({d for d in days.values() if d is not None})
-    row_of = dict(zip(dates, range(len(dates))))
-    row_of_str = {s: -1 if d is None else row_of[d] for s, d in days.items()}
+    distinct = sorted(set(date_strs))
+    dates = _canonical_dates(distinct)
+    if dates is not None:
+        days = dict(zip(distinct, dates))
+        row_of_str = dict(zip(distinct, range(len(dates))))
+    else:
+        days = {s: _parse_day(s) for s in distinct}
+        dates = sorted({d for d in days.values() if d is not None})
+        row_of = dict(zip(dates, range(len(dates))))
+        row_of_str = {s: -1 if d is None else row_of[d] for s, d in days.items()}
     date_idx = np.fromiter(map(row_of_str.__getitem__, date_strs), np.intp, len(lines))
     names = sorted(set(tickers))
     col_of = dict(zip(names, range(len(names))))
@@ -394,13 +419,25 @@ def load_sectors(source) -> SectorMap:
 
 
 def compute_returns(prices: PriceMatrix, method: str = "simple") -> ReturnsMatrix:
-    """Per-period returns; ``simple`` is p_t/p_{t-1} - 1, ``log`` is ln(p_t/p_{t-1})."""
+    """Per-period returns; ``simple`` is p_t/p_{t-1} - 1, ``log`` is ln(p_t/p_{t-1}).
+
+    A return that is not finite (a ratio of closes beyond the float range)
+    raises InputError naming the ticker and date of the first one.
+    """
     if method not in RETURN_METHODS:
         raise InputError(f"unknown return method {method!r}")
     if len(prices.dates) < 2:
         raise InputError("need at least 2 dates to compute returns")
-    ratio = prices.values[1:] / prices.values[:-1]
-    vals = ratio - 1.0 if method == "simple" else np.log(ratio)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = prices.values[1:] / prices.values[:-1]
+        vals = ratio - 1.0 if method == "simple" else np.log(ratio)
+    if not np.isfinite(vals).all():
+        t, j = divmod(int(np.isfinite(vals).argmin()), vals.shape[1])
+        before, after = prices.values[t : t + 2, j]
+        raise InputError(
+            f"non-finite {method} return for {prices.tickers[j]} on {prices.dates[t + 1]} "
+            f"(close {before:g} to {after:g})"
+        )
     return ReturnsMatrix(prices.dates[1:], prices.tickers, vals)
 
 
@@ -416,8 +453,10 @@ def estimate_stats(
     vals = returns.values
     if vals.shape[0] < 2:
         raise InputError("need at least 2 return rows to estimate covariance")
-    mu = vals.mean(axis=0) * annualization_factor
-    sigma = np.cov(vals, rowvar=False, ddof=1) * annualization_factor
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    sigma = (sigma + sigma.T) / 2.0
+    # returns too large to square overflow; AssetStats names the ticker
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = vals.mean(axis=0) * annualization_factor
+        sigma = np.cov(vals, rowvar=False, ddof=1) * annualization_factor
+        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        sigma = (sigma + sigma.T) / 2.0
     return AssetStats(returns.tickers, mu, sigma)

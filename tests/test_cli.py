@@ -238,6 +238,26 @@ class TestOptimizeCommand:
         assert run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir]) == 2
         assert "line 3: non-finite close inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("closes, method, message", [
+        # the ratio of closes overflows: the return itself is not finite
+        ("1e-300 1e300 1e300", "simple", "non-finite simple return for A on 2023-01-03 (close 1e-300 to 1e+300)"),
+        ("1e300 1e-300 1e-300", "log", "non-finite log return for A on 2023-01-03 (close 1e+300 to 1e-300)"),
+        # finite returns whose squares overflow the covariance
+        ("1e-150 1e150 1e-150", "simple", "non-finite covariance for A"),
+    ])
+    def test_non_finite_statistics_exit_2(self, tmp_path, out_dir, capsys, closes, method, message):
+        prices = tmp_path / "prices.csv"
+        days = ["2023-01-02", "2023-01-03", "2023-01-04"]
+        rows = [f"{d},A,{c}" for d, c in zip(days, closes.split())] + [f"{d},B,{10 + k}" for k, d in enumerate(days)]
+        prices.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"returns_method": method}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run(["optimize", "--seed", 1, "--config", cfg, "--prices", prices, "--out-dir", out_dir])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_over_long_price_field_exit_2(self, tmp_path, out_dir, capsys):
         limit = csv.field_size_limit()
         prices = tmp_path / "huge.csv"

@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+import warnings
 from contextlib import contextmanager
 from datetime import date, datetime, timedelta
 from itertools import count
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from annealfolio.marketdata import (
     SectorMap,
     compute_returns,
     estimate_stats,
+    _canonical_dates,
     _parse_day,
     _uniform_fields,
     load_prices,
@@ -203,6 +206,18 @@ class TestReturns:
         with pytest.raises(InputError):
             compute_returns(price_matrix([[100.0], [110.0]]), "weird")
 
+    @pytest.mark.parametrize("method, closes, message", [
+        ("simple", [1e-300, 1e300], "non-finite simple return for T1 on 2023-01-02 (close 1e-300 to 1e+300)"),
+        ("log", [1e300, 1e-300], "non-finite log return for T1 on 2023-01-02 (close 1e+300 to 1e-300)"),
+    ])
+    def test_non_finite_return_names_ticker_and_date(self, method, closes, message):
+        m = price_matrix([[10.0, c] for c in closes])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as info:
+                compute_returns(m, method)
+        assert str(info.value) == message
+
     @given(
         st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=3, max_size=40)
     )
@@ -294,6 +309,39 @@ class TestAssetStats:
         sig = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(InputError):
             AssetStats(("A", "B"), np.zeros(2), sig)
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ([0.1, np.nan], np.eye(2), "non-finite expected return for B"),
+        ([0.1, np.inf], np.eye(2), "non-finite expected return for B"),
+        ([0.1, 0.2], [[1.0, np.nan], [np.nan, 1.0]], "non-finite covariance for A"),
+        ([0.1, 0.2], [[1.0, 0.0], [0.0, np.inf]], "non-finite covariance for B"),
+        # checked before symmetry: a lone non-finite entry is not reported as asymmetry
+        ([0.1, 0.2], [[1.0, 0.0], [np.nan, 1.0]], "non-finite covariance for A"),
+    ])
+    def test_non_finite_rejected(self, mu, sigma, message):
+        with pytest.raises(InputError) as info:
+            AssetStats(("A", "B"), mu, sigma)
+        assert str(info.value) == message
+
+    def test_overflowing_estimate_rejected_without_warnings(self):
+        returns = compute_returns(price_matrix([[1e-150, 10.0], [1e150, 11.0], [1e-150, 12.0]], ("A", "B")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^non-finite covariance for A$"):
+                estimate_stats(returns)
+
+    @pytest.mark.parametrize("upper, lower, symmetric", [
+        (0.5, 0.5, True),
+        (0.0, -0.0, True),
+        (0.5, np.nextafter(0.5, 1.0), False),
+    ])
+    def test_symmetry_is_exact_equality(self, upper, lower, symmetric):
+        sig = np.array([[1.0, upper], [lower, 1.0]])
+        if symmetric:
+            AssetStats(("A", "B"), np.zeros(2), sig)
+        else:
+            with pytest.raises(InputError, match="^covariance matrix must be exactly symmetric$"):
+                AssetStats(("A", "B"), np.zeros(2), sig)
 
     def test_non_psd_rejected(self):
         sig = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
@@ -643,6 +691,64 @@ class TestLoadersMatchReference:
         text = csv_text(["2023-01-02,A,1", "2023-01-03,A," + "0" * (csv.field_size_limit() - field) + "9" * field])
         assert outcome(load_prices, text) == outcome(reference_load_prices, text)
         assert outcome(load_prices, text)[0] == ("prices" if field == 100 else "error")
+
+
+# date strings that are not canonical ASCII YYYY-MM-DD, or are but name no date
+OFF_FORM_DATES = (
+    "2021-02-30", "2021-13-01", "2021-00-10",  # canonical shape, no such date
+    "20210104", "2021-W01-1",  # only fromisoformat reads these
+    "\uff12\uff10\uff12\uff11-01-04", "2021-01-0\u0664",  # non-ASCII digits
+    "2021-01- 4", "04/01/2021",
+)
+
+
+@st.composite
+def date_columns(draw):
+    """Canonical ``date,ticker,close`` text, maybe with one record's date in another form.
+
+    The other form is an unpadded date (``2021-1-4``), which may name a day
+    the file already has in canonical form, or one of OFF_FORM_DATES.
+    """
+    days = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True)))
+    rows = [[(date(2021, 1, 4) + timedelta(days=k)).isoformat(), t, f"{10 + k + j}.5"]
+            for k in days for j, t in enumerate(draw(st.sampled_from([("A",), ("A", "B")])))]
+    form = draw(st.sampled_from(["canonical", "unpadded", "off-form"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if form == "unpadded":
+        d = date(2021, 1, 4) + timedelta(days=draw(st.integers(0, 60)))
+        rows[i][0] = f"{d.year}-{d.month}-{d.day}"
+    elif form == "off-form":
+        rows[i][0] = draw(st.sampled_from(OFF_FORM_DATES))
+    return csv_text(",".join(r) for r in draw(st.permutations(rows)))
+
+
+class TestCanonicalDates:
+    """Dates parsed at once when all are canonical give what ``_parse_day`` gives one by one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(date_columns())
+    def test_same_outcome_as_parse_day_path(self, text):
+        fast = outcome(load_prices, text)
+        with mock.patch("annealfolio.marketdata._canonical_dates", return_value=None):
+            assert fast == outcome(load_prices, text)
+
+    @pytest.mark.parametrize("strs, canonical", [
+        (["2021-01-04", "2021-01-05"], True),
+        (["2021-01-04", "2021-1-5"], False),
+        (["2021-01-04", "2021-02-30"], False),
+        (["20210104"], False),
+        (["2021-01-0\u0664"], False),
+        (["2021-01-041", "2021-01-0"], False),  # lengths that average 10
+    ])
+    def test_whole_column_shape_check(self, strs, canonical):
+        dates = _canonical_dates(strs)
+        assert (dates is not None) == canonical
+        if canonical:
+            assert dates == [_parse_day(s) for s in strs]
+
+    def test_collision_with_an_unpadded_date_is_a_duplicate(self):
+        text = csv_text(["2021-01-04,A,1", "2021-01-05,A,2", "2021-1-4,A,3"])
+        assert outcome(load_prices, text) == ("error", "line 4: duplicate entry for (2021-01-04, A)")
 
 
 class TestBareCarriageReturns:

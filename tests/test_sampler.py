@@ -284,12 +284,18 @@ def assert_same_as_reference(qm, schedule, seed):
 class TestRestartStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
     def test_advanced_streams_are_numpys_jumps(self, seed):
-        # _restart_bests advances one SeedSequence's PCG64 by r jumps; the
-        # contract names PCG64(seed).jumped(r), so a change to numpy's jump fails here
-        seeds = np.random.SeedSequence(seed)
+        # _restart_bests expands SeedSequence(seed) once and advances a PCG64
+        # built from those words by r jumps; the contract names
+        # PCG64(seed).jumped(r), so a change to numpy's SeedSequence or jump fails here
+        gens = sampler._restart_generators(seed, 64)
         for r in (0, 1, 31, 63):
-            advanced = np.random.PCG64(seeds).advance(r * sampler._PCG64_JUMP)
-            assert advanced.state == np.random.PCG64(seed).jumped(r).state
+            jumped = np.random.Generator(np.random.PCG64(seed).jumped(r))
+            assert gens[r].bit_generator.state == jumped.bit_generator.state
+            assert gens[r].random(5).tobytes() == jumped.random(5).tobytes()
+
+    def test_fewer_restarts_are_a_prefix(self):
+        few, many = sampler._restart_generators(7, 3), sampler._restart_generators(7, 32)
+        assert [g.bit_generator.state for g in few] == [g.bit_generator.state for g in many[:3]]
 
 
 class TestKernelMatchesReference:
