@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for ten fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for eleven fixed runs on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -14,13 +14,16 @@ restart ends off k and goes through the repair to k names), ``optimize
 default budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
 TECH1`` once per strategy, and a backtest from a config file that sets
 every config key and every sampler key (its ``out_dir`` is overridden by
-``--out-dir``); the script fails when that file misses a key the CLI
-accepts. A tenth run repeats ``optimize --seed 42`` on a rewritten copy of
-the bundled prices, with unpadded dates (``2023-1-2``), one quoted field
-and CRLF line ends, so ingest takes its per-string date parse and
-``csv.reader`` paths; the script fails unless its artifacts hash as the
-plain run's do. The config file, the rewritten prices and the artifacts go
-to a temporary directory that is removed afterwards.
+``--out-dir``), once as it is (hybrid) and once with ``--strategy
+fully_quantum``, the one run whose fully_quantum opening purchase
+estimates from a window before its start date; the script fails when
+that file misses a key the CLI accepts. An eleventh run repeats
+``optimize --seed 42`` on a rewritten copy of the bundled prices, with
+unpadded dates (``2023-1-2``), one quoted field and CRLF line ends, so
+ingest takes its per-string date parse and ``csv.reader`` paths; the
+script fails unless its artifacts hash as the plain run's do. The config
+file, the rewritten prices and the artifacts go to a temporary directory
+that is removed afterwards.
 """
 
 import contextlib
@@ -48,6 +51,7 @@ RUNS = {
     "backtest-fully_quantum": ["backtest", "--seed", "42", "--budget", "100000",
                                "--benchmark", "TECH1", "--strategy", "fully_quantum"],
     "backtest-config": ["backtest", "--config", "{config}"],
+    "backtest-config-fully_quantum": ["backtest", "--config", "{config}", "--strategy", "fully_quantum"],
     "optimize-hybrid-rewritten-csv": ["optimize", "--seed", "42", "--prices", "{rewritten}"],
 }
 

@@ -41,13 +41,11 @@ from . import synthetic
 
 OUT_DIR_ENV = "ANNEALFOLIO_OUT_DIR"
 
-# config keys each dataclass owns; "lambda" is PipelineConfig.lambda_
+# config key -> field of each dataclass that owns it ("lambda" is PipelineConfig.lambda_);
+# the "sampler" object builds PipelineConfig.sampler
 _OWNED_KEYS = {
-    PipelineConfig: (
-        "budget", "seed", "strategy", "cardinality", "q", "lambda", "risk_free_rate",
-        "returns_method", "annualization_factor",
-    ),
-    RebalancePolicy: ("period_months", "risk_return_threshold", "risk_vol_quantile", "lookback_days"),
+    owner: {f.name.rstrip("_"): f.name for f in fields(owner) if f.name != "sampler"}
+    for owner in (PipelineConfig, RebalancePolicy)
 }
 _CONFIG_KEYS = {k for keys in _OWNED_KEYS.values() for k in keys} | {
     "prices", "sectors", "out_dir", "benchmark", "start", "end", "sampler",
@@ -113,7 +111,7 @@ def build_run_config(args: argparse.Namespace) -> tuple[dict, PipelineConfig, Re
         raise InputError(f"unknown sampler keys: {sorted(unknown)}")
 
     def owned(owner) -> dict:
-        return {k.replace("lambda", "lambda_"): settings[k] for k in _OWNED_KEYS[owner] if k in settings}
+        return {name: settings[k] for k, name in _OWNED_KEYS[owner].items() if k in settings}
 
     cfg = PipelineConfig(**owned(PipelineConfig), sampler=AnnealSchedule(**sampler))
     return settings, cfg, RebalancePolicy(**owned(RebalancePolicy))

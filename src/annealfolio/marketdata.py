@@ -292,14 +292,8 @@ def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str
 
 
 def _parse_day(text: str) -> date | None:
-    # canonical ASCII dates take the fast parser; strptime stays the spec and
-    # reads the rest (e.g. "2021-1-4", "2021-01- 4"), while the dash test
-    # keeps out forms only fromisoformat accepts ("20210104", "2021-W01-1")
-    if len(text) == 10 and text[4] == text[7] == "-" and text.isascii():
-        try:
-            return date.fromisoformat(text)
-        except ValueError:
-            pass
+    # the spec for one date string; load_prices calls it only on a column that
+    # _canonical_dates cannot read whole (one holding "2021-1-4" or "2021-02-30")
     try:
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError:
@@ -308,8 +302,9 @@ def _parse_day(text: str) -> date | None:
 
 def _canonical_dates(strs: list[str]) -> list[date] | None:
     """The dates of ``strs`` by one C-level map, or None unless all are valid canonical ASCII
-    ``YYYY-MM-DD`` (what :func:`_parse_day` reads with ``date.fromisoformat``): one string
-    per date, which sort as their dates do."""
+    ``YYYY-MM-DD``, read as :func:`_parse_day` reads them: one string per date, which sort
+    as their dates do. The dash test keeps out forms only ``date.fromisoformat`` accepts
+    (``20210104``, ``2021-W01-1``)."""
     joined, dashes = "".join(strs), "-" * len(strs)
     if set(map(len, strs)) == {10} and joined.isascii() and joined[4::10] == joined[7::10] == dashes:
         try:

@@ -480,19 +480,15 @@ def buy(
     return holdings, target
 
 
-def run_pipeline(
-    prices: PriceMatrix,
-    cfg: PipelineConfig,
-    as_of: date | None = None,
-) -> dict:
-    """Estimate from ``prices``, :func:`buy` at the ``as_of`` closes, and build the result record.
+def run_pipeline(prices: PriceMatrix, cfg: PipelineConfig) -> dict:
+    """Estimate from ``prices``, :func:`buy` at their last closes, and build the result record.
 
     The returned dict is the machine-readable pipeline report: strategy,
     selected tickers, target and realized weights (identical for the
     integer-share strategy), share counts, residual cash, metrics of the
     realized weights, seed, cardinality and date.
     """
-    as_of = as_of or prices.dates[-1]
+    as_of = prices.dates[-1]
     prices_at = prices.prices_at(as_of)
     returns = compute_returns(prices, cfg.returns_method)
     stats = estimate_stats(returns, cfg.annualization_factor)

@@ -10,12 +10,12 @@ asks it for as many names as were sold, and one that buys nothing or
 fails in the solver leaves the proceeds in cash with a note on the event.
 A buy-and-hold benchmark runs alongside for comparison.
 
-Estimation windows: every decision uses only price data up to its own
-date: the initial purchase estimates from history up to the start date,
-and each rebalance from history up to its event date. When the backtest
-starts at the very first price date (no prior history exists), the
-initial purchase falls back to estimating over the full provided series,
-which reproduces the usual single-period experiment design.
+Estimation windows: every purchase, the opening one and each repurchase,
+estimates from the returns on or before its own date, a prefix of the one
+returns series of the whole price range. An opening purchase with fewer
+than two such returns (a start on the first or second price date) is the
+one exception: it estimates over the full series, which reproduces the
+usual single-period experiment design.
 """
 
 from __future__ import annotations
@@ -271,10 +271,9 @@ def rebalance_step(
     if any(t not in held for t in flagged):
         raise InputError("flagged tickers must be currently held")
     if not flagged:
-        event = RebalanceEvent(
+        return holdings, RebalanceEvent(
             as_of, {}, {}, holdings.cash, (), holdings.cash, "no holdings flagged"
         )
-        return holdings, event
 
     sold: dict[str, tuple[int, float]] = {}
     proceeds = 0.0
@@ -288,57 +287,31 @@ def rebalance_step(
         proceeds += amount
     new_budget = proceeds + holdings.cash
 
-    n_replace = len(flagged)
     remaining_held = tuple(t for t in held if t not in sold)
     universe = tuple(sorted(prices_at.keys()))
     candidates, widened = _candidate_universe(flagged, remaining_held, universe, sectors)
-    note = "widened to all sectors" if widened else ""
+    notes = ["widened to all sectors"] if widened else []
 
-    if len(candidates) < n_replace:
-        note = (note + "; " if note else "") + "degenerate: not enough candidates, holding cash"
-        event = RebalanceEvent(as_of, sold, {}, new_budget, candidates, new_budget, note)
-        return Holdings(retained, new_budget, as_of), event
+    bought_holdings = Holdings({}, new_budget, as_of)
+    if len(candidates) < len(flagged):
+        notes.append("degenerate: not enough candidates, holding cash")
+    else:
+        try:
+            bought_holdings, _ = buy(
+                stats_provider(candidates), prices_at, replace(cfg, budget=new_budget), k=len(flagged)
+            )
+        except SolverError as exc:
+            notes.append(f"degenerate: repurchase failed ({exc}), holding cash")
+            log.warning("rebalance on %s could not repurchase: %s", as_of, exc)
+        else:
+            if not bought_holdings.shares:
+                notes.append("degenerate: repurchase bought nothing, holding cash")
 
-    try:
-        bought_holdings, _ = buy(
-            stats_provider(candidates), prices_at, replace(cfg, budget=new_budget), k=n_replace
-        )
-    except SolverError as exc:
-        note = (note + "; " if note else "") + f"degenerate: repurchase failed ({exc}), holding cash"
-        log.warning("rebalance on %s could not repurchase: %s", as_of, exc)
-        event = RebalanceEvent(as_of, sold, {}, new_budget, candidates, new_budget, note)
-        return Holdings(retained, new_budget, as_of), event
-
-    bought: dict[str, tuple[int, float]] = {}
-    for t, count in bought_holdings.shares.items():
-        bought[t] = (count, count * float(prices_at[t]))
-        retained[t] = retained.get(t, 0) + count
-    if not bought:
-        note = (note + "; " if note else "") + "degenerate: repurchase bought nothing, holding cash"
-    new_holdings = Holdings(retained, bought_holdings.cash, as_of)
-    event = RebalanceEvent(as_of, sold, bought, new_budget, candidates, new_holdings.cash, note)
-    return new_holdings, event
-
-
-def _initial_portfolio(
-    prices: PriceMatrix,
-    cfg: PipelineConfig,
-    start: date,
-) -> Holdings:
-    """Buy the opening portfolio at the start date's closes.
-
-    Statistics come from the history up to the start date; with fewer than
-    three price rows available there (a backtest starting at the first
-    date), the full series is used instead.
-    """
-    history = prices.window(end=start)
-    if len(history.dates) < 3:
-        log.info("no pre-start history; initial estimates use the full series")
-        history = prices
-    returns = compute_returns(history, cfg.returns_method)
-    stats = estimate_stats(returns, cfg.annualization_factor)
-    holdings, _ = buy(stats, prices.prices_at(start), cfg, start)
-    return holdings
+    # candidates exclude every name still held, so a purchase only adds names
+    bought = {t: (n, n * float(prices_at[t])) for t, n in bought_holdings.shares.items()}
+    cash = bought_holdings.cash
+    event = RebalanceEvent(as_of, sold, bought, new_budget, candidates, cash, "; ".join(notes))
+    return Holdings({**retained, **bought_holdings.shares}, cash, as_of), event
 
 
 def run_backtest(
@@ -355,8 +328,9 @@ def run_backtest(
 
     Review boundaries fall at start + k * period_months, rolled forward to
     the next trading date; boundaries past the end of the range stop the
-    rebalancing but valuation continues. Every boundary inside the range
-    produces exactly one event (possibly a no-op). Event k derives its
+    rebalancing but valuation continues. Each distinct review day inside
+    the range produces exactly one event (possibly a no-op), so boundaries
+    that roll forward to the same trading day share one. Event k derives its
     sampler seed as cfg.seed + k so rebalances are reproducible. A price
     ticker without a sector, or fewer than ``lookback_days`` returns up to
     the first review, raises InputError before anything is bought.
@@ -407,10 +381,6 @@ def run_backtest(
         # the opening purchase always holds something, so the first review needs this history
         _history_end(returns_all, boundaries[0], policy.lookback_days)
 
-    buy_cfg = replace(cfg, budget=initial_budget)
-    holdings = _initial_portfolio(prices, buy_cfg, start)
-    initial_holdings = holdings.to_dict()
-
     def make_provider(as_of: date) -> StatsProvider:
         # compute_returns on the window up to as_of gives the first rows of
         # returns_all, ratio for ratio; take copies them in C order, as that
@@ -425,6 +395,16 @@ def run_backtest(
             return estimate_stats(rets, cfg.annualization_factor)
 
         return provider
+
+    # the opening purchase estimates up to start, or over the full series
+    # when fewer than two returns fall on or before start
+    history_end = start
+    if bisect_right(returns_all.dates, start) < 2:
+        log.info("fewer than two returns up to %s; initial estimates use the full series", start)
+        history_end = last
+    opening_stats = make_provider(history_end)(prices.tickers)
+    holdings, _ = buy(opening_stats, prices.prices_at(start), replace(cfg, budget=initial_budget), start)
+    initial_holdings = holdings.to_dict()
 
     # the book is constant between reviews, so each holding period is valued
     # at once; a review day belongs to the period after the review

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import itertools
 from datetime import date
@@ -881,3 +883,29 @@ class TestPipelineConfig:
         assert echo["lambda"] == 2.0 and "lambda_" not in echo
         assert echo["sampler"]["t_initial"] == 5 and type(echo["sampler"]["t_initial"]) is int
         assert echo["risk_free_rate"] == 0.0 and "allocator" not in echo
+
+
+def test_tracer_sites_resolve():
+    """Every required site of the benchmark tracer names something its module has.
+
+    The tracer is read as text, not imported, so this needs nothing from
+    the benchmark harness; it catches an import marked as required by the
+    tracer being dropped from ``src`` before a traced run does.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SITES", "METHOD_SITES")
+    }
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr, _, required in tables["SITES"]
+        if required and not hasattr(importlib.import_module(f"annealfolio.{mod}"), attr)
+    ]
+    missing += [
+        f"{mod}.{cls}.{attr}"
+        for mod, cls, attr, _ in tables["METHOD_SITES"]
+        if attr not in vars(getattr(importlib.import_module(f"annealfolio.{mod}"), cls))
+    ]
+    assert len(tables["SITES"]) > 20 and missing == []

@@ -1,4 +1,5 @@
 import json
+import logging
 from datetime import date, timedelta
 
 import numpy as np
@@ -10,6 +11,7 @@ from annealfolio import rebalance
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import (
+    AssetStats,
     PriceMatrix,
     ReturnsMatrix,
     SectorMap,
@@ -26,7 +28,6 @@ from annealfolio.pipeline import (
 )
 from annealfolio.rebalance import (
     RebalancePolicy,
-    _initial_portfolio,
     add_months,
     health_check,
     rebalance_step,
@@ -300,6 +301,55 @@ class TestRebalanceStep:
         proceeds = sum(p for _, p in event.sold.values())
         assert proceeds + h.cash == pytest.approx(cost + out.cash, abs=1e-6)
 
+    @staticmethod
+    def losing_provider(tickers):
+        # every expected return at or below the default risk-free rate of 0
+        n = len(tickers)
+        return AssetStats(tickers, np.full(n, -0.05), 0.04 * np.eye(n))
+
+    FAILED = "degenerate: repurchase failed (no asset's expected return exceeds the risk-free rate), holding cash"
+
+    @pytest.mark.parametrize("shares, losing, strategy, q, note", [
+        pytest.param(
+            {"AAA": 2, "BBB": 2, "CCC": 2, "DDD": 2, "EEE": 2}, False, "hybrid", 1.0,
+            "widened to all sectors; degenerate: not enough candidates, holding cash",
+            id="not_enough_candidates",
+        ),
+        pytest.param({"AAA": 10, "CCC": 5}, True, "hybrid", 1.0, FAILED, id="solver_error"),
+        pytest.param(
+            {"AAA": 10, "CCC": 5}, False, "fully_quantum", 1e9,
+            "degenerate: repurchase bought nothing, holding cash", id="bought_nothing",
+        ),
+        pytest.param(
+            {"AAA": 10, "BBB": 5}, True, "hybrid", 1.0, "widened to all sectors; " + FAILED,
+            id="widened_then_failed",
+        ),
+    ])
+    def test_hold_cash_exits(self, caplog, shares, losing, strategy, q, note):
+        h = Holdings(shares, 7.5)
+        provider = self.losing_provider if losing else self.provider
+        cfg = cfg_for(10_000.0, strategy, q=q)
+        with caplog.at_level(logging.WARNING, logger="annealfolio.rebalance"):
+            out, event = rebalance_step(h, {"AAA"}, self.prices_at, self.sectors, provider, cfg, self.as_of)
+        assert event.note == note
+        assert event.bought == {}
+        assert event.new_budget == shares["AAA"] * self.prices_at["AAA"] + 7.5
+        assert event.cash_after == out.cash == event.new_budget
+        assert out.shares == {t: n for t, n in shares.items() if t != "AAA"}
+        warned = [f"rebalance on {self.as_of} could not repurchase: no asset's expected return exceeds the risk-free rate"]
+        assert caplog.messages == (warned if losing else [])
+
+    def test_widened_then_bought(self):
+        h = Holdings({"AAA": 10, "BBB": 5}, 7.5)
+        out, event = rebalance_step(
+            h, {"AAA"}, self.prices_at, self.sectors, self.provider, self.cfg, self.as_of
+        )
+        assert event.note == "widened to all sectors"
+        assert event.bought
+        assert out.shares == {"BBB": 5, **{t: n for t, (n, _) in event.bought.items()}}
+        cost = sum(c for _, c in event.bought.values())
+        assert event.cash_after == out.cash == pytest.approx(event.new_budget - cost, abs=1e-9)
+
     def test_flagged_must_be_held(self):
         h = Holdings({"AAA": 1}, 0.0)
         with pytest.raises(InputError):
@@ -361,7 +411,7 @@ class TestRunBacktest:
         )
         report = run_backtest(prices, SECTORS5, 50_000.0, cfg, policy, "AAA")
         assert all(e.sold == {} and e.bought == {} for e in report.events)
-        initial = _initial_portfolio(prices, cfg, prices.dates[0])
+        initial = Holdings(report.initial_holdings["shares"], report.initial_holdings["cash"])
         manual = [portfolio_value(initial, prices.prices_at(d)) for d in prices.dates]
         assert np.allclose(report.algo_values, manual)
 
@@ -397,9 +447,8 @@ class TestRunBacktest:
         sellers = [e for e in report.events if "CCC" in e.sold]
         assert sellers, "crashing asset was never flagged"
         # replay the share ledger: CCC never reappears after its sale
-        initial = _initial_portfolio(prices, cfg, start)
-        assert initial.shares.get("CCC", 0) > 0
-        shares = dict(initial.shares)
+        shares = dict(report.initial_holdings["shares"])
+        assert shares.get("CCC", 0) > 0
         sold_on = sellers[0].date
         for e in report.events:
             for t, (count, _) in e.sold.items():
@@ -486,15 +535,24 @@ class TestRunBacktest:
         assert bought == []
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_opening_purchase_is_run_pipeline(self, strategy):
+    @pytest.mark.parametrize("row", [0, 1, 2, 70])
+    def test_opening_purchase_is_run_pipeline(self, strategy, row):
+        # the last closes repeat the start's, so run_pipeline on the full
+        # series buys at the same closes as the opening purchase
         prices = quarterly_prices()
+        values = prices.values.copy()
+        values[-1] = values[row]
+        prices = PriceMatrix(prices.dates, prices.tickers, values)
         cfg = cfg_for(20_000.0, strategy)
-        start = prices.dates[70]
+        start = prices.dates[row]
         report = run_backtest(
             prices, SECTORS5, 20_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA", start=start
         )
-        result = run_pipeline(prices.window(end=start), cfg, start)
-        assert report.initial_holdings == {k: result[k] for k in ("shares", "cash", "as_of")}
+        # fewer than two returns up to the start: estimates over the full series
+        history = prices if row < 2 else prices.window(end=start)
+        result = run_pipeline(history, cfg)
+        opening = {"shares": result["shares"], "cash": result["cash"], "as_of": start.isoformat()}
+        assert report.initial_holdings == opening
 
     def test_fully_quantum_all_cash_opening_raises(self):
         prices = quarterly_prices()
