@@ -1,4 +1,4 @@
-"""Measure solution quality against exact enumeration, for one of two families.
+"""Measure solution quality against exact enumeration, for one of three families.
 
 ``--family random`` (the default) draws random dense QUBOs, solves each
 with the seeded annealer and with exhaustive enumeration, and reports the
@@ -12,8 +12,21 @@ how often ``pipeline.select_assets`` hits that optimum and its ms per
 selection. The oracle and the screening descent are this script's own
 numpy code, not the package's.
 
+``--family select`` draws one-factor random-walk markets of 12-20 names,
+one year of daily closes, with k the support size of the full-universe
+max-Sharpe allocation (as ``pipeline.buy`` takes it), and keeps those
+whose selection is annealed (2 <= k <= n - 2). Per instance it reports
+whether the anneal's best restart, on the schedule
+``pipeline.selection_schedule`` resolves, reaches the selection QUBO's
+enumerated ground energy; whether ``pipeline.select_assets`` hits the
+exact k-subset optimum; and the ms per selection.
+
+Every family anneals on its own default schedule unless ``--sweeps`` or
+``--restarts`` is given.
+
     python scripts/sampler_quality.py --n 16 --instances 100 --seed 7
     python scripts/sampler_quality.py --family hedged --instances 100 --sweeps 300
+    python scripts/sampler_quality.py --family select --instances 150 --seed 11
 """
 
 import argparse
@@ -22,13 +35,16 @@ import time
 
 import numpy as np
 
+from annealfolio import pipeline
+from annealfolio.allocator import derive_cardinality, max_sharpe_weights
 from annealfolio.marketdata import AssetStats
-from annealfolio.model import QuboModel
-from annealfolio.pipeline import select_assets
+from annealfolio.model import QuboModel, build_mvo_qubo
 from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anneal
 
 HEDGED_Q = 10.0
 HEDGED_SCREEN_STARTS = 20
+SELECT_DAYS = 252
+SELECT_Q = 1.0  # PipelineConfig's default risk aversion
 
 
 def random_qubo(rng, n, scale):
@@ -116,7 +132,7 @@ def run_hedged(args):
         if not hard:
             continue
         t0 = time.perf_counter()
-        picked = select_assets(stats, k, HEDGED_Q, "auto", schedule, seed=c)
+        picked = pipeline.select_assets(stats, k, HEDGED_Q, "auto", schedule, seed=c)
         elapsed += time.perf_counter() - t0
         x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
         hit = subset_objective(stats, HEDGED_Q, x) <= best + 1e-9
@@ -124,15 +140,73 @@ def run_hedged(args):
         found += 1
         if args.verbose:
             print(f"candidate {c}: n={stats.n} k={k} {'hit' if hit else 'MISS'}")
-    sweeps = "default" if args.sweeps is None else args.sweeps
-    print(f"family=hedged  instances={found} (of {screened} screened)  sweeps={sweeps}  restarts={args.restarts}  seed={args.seed}")
+    print(f"family=hedged  instances={found} (of {screened} screened)  {schedule_text(args)}  seed={args.seed}")
+    print(f"optimum found : {hits}/{found}")
+    print(f"select_assets : {elapsed / max(found, 1) * 1000:.1f} ms/selection")
+
+
+def schedule_text(args):
+    fields = (("sweeps", args.sweeps), ("restarts", args.restarts))
+    return " ".join(f"{name}={'default' if v is None else v}" for name, v in fields)
+
+
+def select_candidate(seed, c):
+    """Candidate c of the select family: (stats, k), or None when max-Sharpe has no solution.
+
+    One-factor geometric random walk, r_it = a_i + b_i f_t + s_i e_it, over
+    SELECT_DAYS closes; stats are the annualized sample mean and covariance
+    of its simple returns. Each candidate draws from its own
+    ``default_rng([seed, c])``.
+    """
+    rng = np.random.default_rng([seed, c])
+    n = int(rng.integers(12, 21))
+    alpha = rng.uniform(-0.0006, 0.0012, n)
+    beta = rng.uniform(0.4, 1.4, n)
+    idio = rng.uniform(0.006, 0.02, n)
+    factor = rng.normal(0.0, 0.009, SELECT_DAYS - 1)
+    shocks = rng.normal(0.0, 1.0, (SELECT_DAYS - 1, n))
+    returns = np.expm1(alpha + np.outer(factor, beta) + idio * shocks)
+    tickers = tuple(f"U{i:02d}" for i in range(n))
+    stats = AssetStats(tickers, 252 * returns.mean(axis=0), 252 * np.cov(returns, rowvar=False))
+    if not (stats.mu > 0).any():
+        return None
+    return stats, derive_cardinality(max_sharpe_weights(stats)[1])
+
+
+def run_select(args):
+    schedule = AnnealSchedule(sweeps=args.sweeps, restarts=args.restarts)
+    ground_hits = hits = found = screened = 0
+    elapsed = 0.0
+    while found < args.instances:
+        c, screened = screened, screened + 1
+        drawn = select_candidate(args.seed, c)
+        if drawn is None or not 2 <= drawn[1] <= drawn[0].n - 2:
+            continue
+        stats, k = drawn
+        t0 = time.perf_counter()
+        picked = pipeline.select_assets(stats, k, SELECT_Q, "auto", schedule, seed=c)
+        elapsed += time.perf_counter() - t0
+        model = build_mvo_qubo(stats, SELECT_Q, k, None)
+        sa = simulated_anneal(model, pipeline.selection_schedule(schedule, model), seed=c)
+        ground = exhaustive_solve(model, top_k=1).best_energy
+        ground_hit = sa.best_energy <= ground + 1e-9 * max(1.0, abs(ground))
+        x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
+        hit = subset_objective(stats, SELECT_Q, x) <= k_subset_optimum(stats, SELECT_Q, k) + 1e-9
+        ground_hits += ground_hit
+        hits += hit
+        found += 1
+        if args.verbose:
+            anneal, select = "ground" if ground_hit else "above", "hit" if hit else "MISS"
+            print(f"candidate {c}: n={stats.n} k={k} anneal {anneal} select {select}")
+    print(f"family=select  instances={found} (of {screened} screened)  {schedule_text(args)}  seed={args.seed}")
+    print(f"anneal ground : {ground_hits}/{found}")
     print(f"optimum found : {hits}/{found}")
     print(f"select_assets : {elapsed / max(found, 1) * 1000:.1f} ms/selection")
 
 
 def run_random(args):
     rng = np.random.default_rng(args.seed)
-    schedule = AnnealSchedule(sweeps=args.sweeps, restarts=args.restarts).resolve_sweeps()
+    schedule = AnnealSchedule(sweeps=args.sweeps, restarts=args.restarts).resolve()
     hits = 0
     worst_gap = 0.0
     t0 = time.perf_counter()
@@ -146,7 +220,7 @@ def run_random(args):
             hits += 1
     elapsed = time.perf_counter() - t0
 
-    print(f"n={args.n}  instances={args.instances}  sweeps={schedule.sweeps}  restarts={args.restarts}")
+    print(f"n={args.n}  instances={args.instances}  sweeps={schedule.sweeps}  restarts={schedule.restarts}")
     print(f"optimum found : {hits}/{args.instances}")
     print(f"worst rel gap : {worst_gap:.4%}")
     print(f"elapsed       : {elapsed:.1f}s ({elapsed / args.instances * 1000:.0f} ms/instance)")
@@ -154,16 +228,19 @@ def run_random(args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--family", choices=("random", "hedged"), default="random")
+    ap.add_argument("--family", choices=tuple(FAMILIES), default="random")
     ap.add_argument("--n", type=int, default=16, help="variables per random instance (<= 24)")
     ap.add_argument("--instances", type=int, default=100)
     ap.add_argument("--scale", type=float, default=1.0, help="random coefficient range [-scale, scale]")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--sweeps", type=int, default=None, help="default: the schedule's own per-family count")
-    ap.add_argument("--restarts", type=int, default=32)
-    ap.add_argument("--verbose", action="store_true", help="hedged: one line per instance")
+    ap.add_argument("--restarts", type=int, default=None, help="default: the schedule's own per-family count")
+    ap.add_argument("--verbose", action="store_true", help="hedged, select: one line per instance")
     args = ap.parse_args()
-    (run_hedged if args.family == "hedged" else run_random)(args)
+    FAMILIES[args.family](args)
+
+
+FAMILIES = {"random": run_random, "hedged": run_hedged, "select": run_select}
 
 
 if __name__ == "__main__":

@@ -261,6 +261,11 @@ def quadratic_symmetric(m: QuboModel) -> np.ndarray:
     return m.quadratic + m.quadratic.T
 
 
+def flip_costs(m: QuboModel) -> np.ndarray:
+    """Each variable's largest single-flip energy change, |a_i| + sum_j |B_ij|."""
+    return np.abs(m.linear) + np.abs(quadratic_symmetric(m)).sum(axis=1)
+
+
 def qubo_energies(m: QuboModel, X: np.ndarray) -> np.ndarray:
     """Vectorized energies for a batch of states (rows of ``X``)."""
     X = np.asarray(X, dtype=float)

@@ -47,8 +47,8 @@ from .model import (
     affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
+    flip_costs,
     penalize_equality,
-    quadratic_symmetric,
 )
 from .sampler import AnnealSchedule, simulated_anneal
 
@@ -71,10 +71,12 @@ BAND_HALF_WIDTH = 3
 # least the oracle hits of 1000 while the anneal still reaches its own ground
 # state on about 90 % of them (sweep scan in CHANGES.md).
 BAND_SWEEPS = 100
-# Sweeps of the selection anneal when the schedule leaves them unset. Every
-# restart is repaired and swap-descended, so 300 hit more exact optima than a
-# one-start selection at 1000 on scripts/sampler_quality.py --family hedged.
-SELECT_SWEEPS = 300
+# Sweeps and restarts of the selection anneal when the schedule leaves them unset: the
+# fastest pair whose anneal reached the QUBO's ground state as often as the former 300 x 32
+# (scripts/sampler_quality.py --family select; scan in CHANGES.md).
+SELECT_SWEEPS = 100
+SELECT_RESTARTS = 128
+_DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay small
 
 # The moves of _descend after each anneal: fully_quantum steps or shifts
 # shares, selection swaps a held name for one not held.
@@ -154,11 +156,11 @@ def select_assets(
 ) -> tuple[str, ...]:
     """Pick exactly k tickers: anneal the selection QUBO once, repair every restart to k, swap-descend.
 
-    The anneal runs SELECT_SWEEPS sweeps unless ``schedule.sweeps`` is
-    set. Every record of its sample set is repaired to k ones by
-    :func:`_repair_to_k`, and all of them swap names on q x'Sigma x - mu'x
-    in one batched :func:`_descend`; the first best in record order is
-    kept, so no single swap improves the result.
+    The anneal runs on :func:`selection_schedule`. Every record of its
+    sample set is repaired to k ones by :func:`_repair_to_k`, and all of
+    them swap names on q x'Sigma x - mu'x in batched :func:`_descend`
+    passes; the first best in record order is kept, so no single swap
+    improves the result.
 
     At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
     descent's first move reaches the exact optimum from any start. Then
@@ -178,11 +180,18 @@ def select_assets(
         starts = np.arange(n) < k
     else:
         model = build_mvo_qubo(stats, q, k, None if lam == "auto" else float(lam))
-        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep count
-        s = simulated_anneal(model, schedule.resolve_sweeps(SELECT_SWEEPS), seed)
+        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep and restart counts
+        s = simulated_anneal(model, selection_schedule(schedule, model), seed)
         starts = _repair_to_k(s.state_array(), stats, q, k)
     counts = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
+
+
+def selection_schedule(schedule: AnnealSchedule, model: QuboModel) -> AnnealSchedule:
+    """``schedule`` as :func:`select_assets` anneals ``model``: unset fields take SELECT_SWEEPS,
+    SELECT_RESTARTS, and the QUBO's largest single-flip energy change floored at 10x t_final."""
+    t_initial = max(float(flip_costs(model).max()), 10.0 * schedule.t_final)
+    return schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS, t_initial)
 
 
 def _repair_to_k(states, stats: AssetStats, q: float, k: int) -> np.ndarray:
@@ -275,9 +284,7 @@ def _share_penalty(m: QuboModel, dollar_coeffs: np.ndarray) -> float:
     """
     if m.n == 0:
         return 1.0
-    coupling = np.abs(quadratic_symmetric(m)).sum(axis=1)
-    swings = np.abs(m.linear) + coupling
-    return float(np.max(swings / dollar_coeffs**2)) * 1.25 + 0.01
+    return float(np.max(flip_costs(m) / dollar_coeffs**2)) * 1.25 + 0.01
 
 
 def _dollar_objective(counts, prices, stats: AssetStats, q: float) -> float:
@@ -360,9 +367,12 @@ def _moves(n: int, steps) -> tuple[np.ndarray, ...]:
 def _best_descent(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     """The first best row of :func:`_descend` by exact objective; a later row wins only by more than 1e-12.
 
-    Each distinct row is scored once, where it first occurs, since a repeat can never win.
+    Rows descend independently, _DESCENT_CHUNK at a time. Each distinct row is scored once,
+    where it first occurs, since a repeat can never win.
     """
-    rows = _descend(starts, prices, stats, q, budget, uppers, steps).tolist()
+    starts = np.array(starts, ndmin=2)
+    chunks = np.split(starts, range(_DESCENT_CHUNK, len(starts), _DESCENT_CHUNK))
+    rows = [row for c in chunks for row in _descend(c, prices, stats, q, budget, uppers, steps).tolist()]
     best, best_obj = None, math.inf
     for counts in dict.fromkeys(map(tuple, rows)):
         obj = _dollar_objective(counts, prices, stats, q)
@@ -420,7 +430,7 @@ def optimize_integer_shares(
     budget_con = cm.constraints[0]
     lam = _share_penalty(cm.objective, budget_con.coeffs) if cfg.lambda_ == "auto" else float(cfg.lambda_)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
-    schedule = cfg.sampler.resolve_sweeps(BAND_SWEEPS)
+    schedule = cfg.sampler.resolve(BAND_SWEEPS)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), schedule, cfg.seed)
     bits = s.state_array()
     fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]

@@ -14,15 +14,17 @@ execution merges to the same SampleSet. The seed is expanded once per
 anneal, and every restart's stream is built from those words.
 
 Restarts run in lockstep, so a step is a handful of numpy calls whose
-cost hardly depends on their number: one 16-variable, 300-sweep
-selection anneal takes about 14 ms at 1 restart, 23 ms at 32 and 28 ms
-at 64 (2-core x86 host). Restarts are therefore cheap coverage; anneal
-time scales with sweeps x variables, so that is where a cheaper schedule
-has to look.
+cost grows slowly with their number: a 16-variable selection anneal of
+100 sweeps from its largest flip cost takes about 3 ms at 1 restart,
+4.5 ms at 32, 9 ms at 128 and 14-17 ms at 256 (2-core x86 host, median
+of 21). Up to about a hundred restarts are cheap coverage, so the
+selection spends its sweeps on many short restarts.
 
-The annealer streams each restart's Metropolis uniforms in blocks of
-``_SWEEP_BLOCK`` sweeps (chunked draws continue the same PCG64 stream), so
-its memory is O(R * n * block) rather than O(R * n * sweeps). Each accepted
+The annealer streams each restart's Metropolis uniforms in blocks of at
+most ``_SWEEP_BLOCK`` sweeps and ``_BLOCK_DRAWS`` restart-sweeps (chunked
+draws continue the same PCG64 stream), so a block holds at most
+_BLOCK_DRAWS * n of them (one sweep's past that many restarts) whatever
+the sweep count. Each accepted
 move updates the local fields with one BLAS rank-1 product, coupling column
 times the restarts' flip signs; the signs are -1, 0 or +1, so the products
 are exact under any BLAS, FMA use or thread count, and hot sweeps apply the
@@ -57,30 +59,31 @@ from .model import (
 
 EXHAUSTIVE_CAP = 24
 _ENUM_CHUNK = 1 << 18
-_SWEEP_BLOCK = 64  # sweeps of Metropolis uniforms drawn at once
+_SWEEP_BLOCK = 64  # most sweeps of Metropolis uniforms drawn at once
+_BLOCK_DRAWS = 2048  # most restart-sweeps of them drawn at once
 # numpy's PCG64 jump, (golden ratio - 1) * 2**128: jumped(r) advances r of them
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 DEFAULT_SWEEPS = 1000  # what sweeps=None means unless a caller resolves it
+DEFAULT_RESTARTS = 32  # likewise for restarts=None
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Cooling schedule for :func:`simulated_anneal`.
 
-    ``t_initial=None`` resolves per model to (max coefficient magnitude * n),
-    floored at 10x ``t_final`` so the schedule stays valid for near-zero
-    models. ``sweeps=None`` resolves per model family: the pipeline's share
-    band anneals for ``pipeline.BAND_SWEEPS``, its selection (every restart
-    repaired to k and swap-descended) for ``pipeline.SELECT_SWEEPS`` (300),
-    and anything else for DEFAULT_SWEEPS. One sweep is one Metropolis flip
-    attempt per variable, in index order. Cooling is geometric: sweep s of
-    S runs at t_initial * (t_final / t_initial) ** (s / (S - 1)).
+    Unset fields (None) resolve per model family: the pipeline's selection
+    takes its own sweeps, restarts and start (``pipeline.selection_schedule``).
+    Every other anneal runs DEFAULT_RESTARTS restarts from (max coefficient
+    magnitude * n), floored at 10x ``t_final``, for ``pipeline.BAND_SWEEPS``
+    (the share band) or DEFAULT_SWEEPS sweeps. One sweep is one Metropolis
+    flip attempt per variable, in index order. Cooling is geometric: sweep
+    s of S runs at t_initial * (t_final / t_initial) ** (s / (S - 1)).
     """
 
     t_initial: float | None = None
     t_final: float = 1e-3
     sweeps: int | None = None
-    restarts: int = 32
+    restarts: int | None = None
 
     def __post_init__(self):
         check_field("t_initial", self.t_initial, float, low=0, allow=(None,))
@@ -88,10 +91,12 @@ class AnnealSchedule:
         if self.t_initial is not None and self.t_final >= self.t_initial:
             raise InputError("t_final must be below t_initial")
         check_field("sweeps", self.sweeps, int, low=1, allow=(None,))
-        check_field("restarts", self.restarts, int, low=1)
+        check_field("restarts", self.restarts, int, low=1, allow=(None,))
 
-    def resolve_sweeps(self, default: int = DEFAULT_SWEEPS) -> AnnealSchedule:
-        return self if self.sweeps is not None else replace(self, sweeps=default)
+    def resolve(self, sweeps=DEFAULT_SWEEPS, restarts=DEFAULT_RESTARTS, t_initial=None) -> AnnealSchedule:
+        """This schedule with its unset fields set to a model family's defaults."""
+        t_initial = self.t_initial or t_initial
+        return replace(self, sweeps=self.sweeps or sweeps, restarts=self.restarts or restarts, t_initial=t_initial)
 
     def resolve_t_initial(self, model: QuboModel | IsingModel) -> float:
         if self.t_initial is not None:
@@ -269,7 +274,7 @@ def _restart_bests(
     a = qm.linear
     Bsym = quadratic_symmetric(qm)
 
-    block = min(S, _SWEEP_BLOCK)
+    block = min(S, _SWEEP_BLOCK, max(_BLOCK_DRAWS // R, 1))
     u = np.empty((R, block * n))
     gens = _restart_generators(seed, R)
     for gen, row in zip(gens, u):
@@ -383,17 +388,17 @@ def simulated_anneal(
     """Seeded single-flip Metropolis annealing.
 
     Each restart starts from a uniform random state and performs
-    ``schedule.sweeps`` sweeps (DEFAULT_SWEEPS when None) while the
-    temperature cools geometrically from t_initial to t_final; a move with
-    energy change d is accepted when d <= 0, otherwise with probability
-    exp(-d / T). Ising inputs are converted to the exact QUBO twin first,
-    so reported energies match the source model; states are bitstrings
-    with s = 2x - 1.
+    ``schedule.sweeps`` sweeps (DEFAULT_SWEEPS x DEFAULT_RESTARTS when unset)
+    while the temperature cools geometrically from t_initial to t_final; a
+    move with energy change d is accepted when d <= 0, otherwise with
+    probability exp(-d / T). Ising inputs are converted to the exact QUBO
+    twin first, so reported energies match the source model; states are
+    bitstrings with s = 2x - 1.
 
     Deterministic: fixed (model, schedule, seed) reproduces the SampleSet
     bit for bit.
     """
-    schedule = (schedule or AnnealSchedule()).resolve_sweeps()
+    schedule = (schedule or AnnealSchedule()).resolve()
     qm = ising_to_qubo(m) if isinstance(m, IsingModel) else m
     if qm.n < 1:
         raise InputError("model must have at least one variable")

@@ -750,6 +750,18 @@ class TestCanonicalDates:
         text = csv_text(["2021-01-04,A,1", "2021-01-05,A,2", "2021-1-4,A,3"])
         assert outcome(load_prices, text) == ("error", "line 4: duplicate entry for (2021-01-04, A)")
 
+    @pytest.mark.parametrize("text", [
+        "2021-01-04", "2021-1-4", "2021-01- 4", "2021-02-29", "2020-02-29", "0001-01-01", "9999-12-31",
+        "0000-01-01", "20210104", "2021-W01-1", "2021-01-04T00", "\uff12\uff10\uff12\uff11-01-04",
+        "2021-01-0\u0664", "2021-13-01", "2021-00-10", "2021-01-32", "2021/01/04", "",
+    ])
+    def test_one_date_loads_as_strptime_reads_it(self, text):
+        try:
+            expected = ("prices", (datetime.strptime(text, "%Y-%m-%d").date(),), ("A",), (1, 1), np.ones(1).tobytes())
+        except ValueError:
+            expected = ("error", f"line 2: bad date {text!r} (expected YYYY-MM-DD)")
+        assert outcome(load_prices, csv_text([f"{text},A,1"])) == expected
+
 
 class TestBareCarriageReturns:
     """Inline text whose only line ends are bare CRs (classic Mac exports) is content, not a file name."""
@@ -807,19 +819,6 @@ class TestNotUtf8:
         stream = io.TextIOWrapper(io.BytesIO(self.PRICES), encoding="utf-8")
         with pytest.raises(InputError, match="cannot decode text"):
             load_prices(stream)
-
-
-@pytest.mark.parametrize("text", [
-    "2021-01-04", "2021-1-4", "2021-01- 4", "2021-02-29", "2020-02-29", "0001-01-01", "9999-12-31",
-    "0000-01-01", "20210104", "2021-W01-1", "2021-01-04T00", "\uff12\uff10\uff12\uff11-01-04",
-    "2021-01-0\u0664", "2021-13-01", "2021-00-10", "2021-01-32", "2021/01/04", "",
-])
-def test_parse_day_agrees_with_strptime(text):
-    try:
-        expected = datetime.strptime(text, "%Y-%m-%d").date()
-    except ValueError:
-        expected = None
-    assert _parse_day(text) == expected
 
 
 class TestByteOrderMark:

@@ -27,6 +27,7 @@ from annealfolio.pipeline import (
     BAND_HALF_WIDTH,
     BAND_SWEEPS,
     Holdings,
+    SELECT_RESTARTS,
     SELECT_SWEEPS,
     SHARE_STEPS,
     SWAP_STEPS,
@@ -42,9 +43,11 @@ from annealfolio.pipeline import (
     portfolio_value,
     run_pipeline,
     select_assets,
+    selection_schedule,
     to_shares,
 )
 from annealfolio.sampler import (
+    DEFAULT_RESTARTS,
     DEFAULT_SWEEPS,
     AnnealSchedule,
     best_feasible,
@@ -226,11 +229,13 @@ def reference_repair(x, stats, q, k):
     return x
 
 
-def single_start_objective(stats, k, q, lam, schedule, seed):
+def single_start_objective(stats, k, q, lam, schedule, seed, resolve=selection_schedule):
     """Objective of the one-start selection: the anneal's best record with k ones
-    (else its best record), repaired to k and swap-descended."""
+    (else its best record), repaired to k and swap-descended. The anneal runs on
+    ``resolve(schedule, model)``, by default the schedule select_assets resolves."""
     lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
-    s = simulated_anneal(build_mvo_qubo(stats, q, k, lam_val), schedule.resolve_sweeps(SELECT_SWEEPS), seed)
+    model = build_mvo_qubo(stats, q, k, lam_val)
+    s = simulated_anneal(model, resolve(schedule, model), seed)
     card = LinearConstraint(np.ones(stats.n), "eq", float(k))
     x = reference_repair(state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state), stats, q, k)
     ones = np.ones(stats.n)
@@ -290,12 +295,14 @@ class TestSelectionRestarts:
     @pytest.mark.parametrize("candidate", [0, 10, 12])
     def test_hard_hedged_instances_reach_the_optimum(self, candidate):
         # screened hedged markets where the one-start selection at 1000
-        # sweeps stops in a worse swap-local minimum
+        # sweeps and 32 restarts from max|coef| x n stops in a worse
+        # swap-local minimum
         family = load_script("sampler_quality")
         stats, k, best, hard = family.hedged_candidate(7, candidate)
         assert hard
         q = family.HEDGED_Q
-        one_start = single_start_objective(stats, k, q, "auto", AnnealSchedule(sweeps=1000), candidate)
+        one_start_schedule = AnnealSchedule(sweeps=1000, restarts=32)
+        one_start = single_start_objective(stats, k, q, "auto", one_start_schedule, candidate, lambda s, m: s)
         assert one_start > best + 1e-9
         picked = select_assets(stats, k, q, "auto", AnnealSchedule(), candidate)
         assert selection_objective(stats, q, picked) <= best + 1e-9
@@ -588,7 +595,7 @@ def descended_candidates(prices_at, stats, cfg):
     penalized = penalize_equality(
         cm.objective, LinearConstraint(con.coeffs, "eq", con.rhs), _share_penalty(cm.objective, con.coeffs)
     )
-    schedule = cfg.sampler.resolve_sweeps(BAND_SWEEPS)
+    schedule = cfg.sampler.resolve(BAND_SWEEPS)
     starts = [
         cm.decode_integers(bits)
         for rec in simulated_anneal(penalized, schedule, cfg.seed).records
@@ -735,6 +742,32 @@ class TestBestDescent:
             assert got.tolist() == best.tolist()
             assert scored == list(dict.fromkeys(map(tuple, rows.tolist())))
 
+    def test_chunked_rows_match_one_unchunked_pass(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        n, k, q = 14, 5, 1.0
+        stats = random_selection_stats(rng, n)
+        starts = np.zeros((150, n))
+        for row in starts:
+            row[rng.choice(n, k, replace=False)] = 1.0
+        ones = np.ones(n)
+        whole = _descend(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
+        best, best_obj = None, np.inf
+        for row in whole:
+            obj = _dollar_objective(row, ones, stats, q)
+            if obj < best_obj - 1e-12:
+                best, best_obj = row, obj
+        chunks = []
+
+        def spy(rows, *args):
+            chunks.append(_descend(rows, *args))
+            return chunks[-1]
+
+        monkeypatch.setattr(pipeline, "_descend", spy)
+        got = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
+        assert len(chunks) > 1 and max(map(len, chunks)) == pipeline._DESCENT_CHUNK <= 64
+        assert np.vstack(chunks).tolist() == whole.tolist()
+        assert got.tolist() == best.tolist()
+
 
 class TestIntegerShareCandidates:
     def test_never_worse_than_either_candidate(self):
@@ -795,13 +828,14 @@ def selection_stats(n=5):
 
 
 class TestSweepResolution:
-    """``sweeps=None`` means BAND_SWEEPS for the share band and SELECT_SWEEPS for selection."""
+    """Unset schedule fields resolve per family: the share band takes BAND_SWEEPS, DEFAULT_RESTARTS
+    and max|coef| x n; selection takes SELECT_SWEEPS, SELECT_RESTARTS and its largest flip cost."""
 
-    def anneal_sweeps(self, monkeypatch, sampler, strategy, k=None):
-        sweeps = []
+    def anneal_calls(self, monkeypatch, sampler, strategy, k=None):
+        calls = []
 
         def spy(m, schedule, seed):
-            sweeps.append(schedule.sweeps)
+            calls.append((m, schedule))
             return simulated_anneal(m, schedule, seed)
 
         monkeypatch.setattr(pipeline, "simulated_anneal", spy)
@@ -809,19 +843,38 @@ class TestSweepResolution:
         prices = {t: 20.0 + 5.0 * i for i, t in enumerate(stats.tickers)}
         cfg = PipelineConfig(budget=5000.0, seed=3, strategy=strategy, sampler=sampler)
         buy(stats, prices, cfg, k=k)
-        return sweeps
+        return calls
+
+    def assert_selection(self, m, schedule):
+        flip = float(np.max(np.abs(m.linear) + np.abs(m.quadratic + m.quadratic.T).sum(axis=1)))
+        assert flip != m.max_coefficient() * m.n
+        assert schedule == AnnealSchedule(t_initial=flip, sweeps=SELECT_SWEEPS, restarts=SELECT_RESTARTS)
+
+    def assert_band(self, m, schedule):
+        assert schedule == AnnealSchedule(sweeps=BAND_SWEEPS, restarts=DEFAULT_RESTARTS)
+        assert schedule.resolve_t_initial(m) == m.max_coefficient() * m.n
 
     def test_defaults_resolve_per_model_family(self, monkeypatch):
         default = AnnealSchedule()
-        assert default.sweeps is None and BAND_SWEEPS < SELECT_SWEEPS == 300 < DEFAULT_SWEEPS == 1000
-        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum") == [BAND_SWEEPS]
-        assert self.anneal_sweeps(monkeypatch, default, "hybrid") == [SELECT_SWEEPS]
-        assert self.anneal_sweeps(monkeypatch, default, "fully_quantum", k=2) == [SELECT_SWEEPS, BAND_SWEEPS]
+        assert default.sweeps is None and default.restarts is None and default.t_initial is None
+        assert max(SELECT_SWEEPS, BAND_SWEEPS) < DEFAULT_SWEEPS == 1000
+        assert DEFAULT_RESTARTS == 32 < SELECT_RESTARTS
+        [band] = self.anneal_calls(monkeypatch, default, "fully_quantum")
+        self.assert_band(*band)
+        [select] = self.anneal_calls(monkeypatch, default, "hybrid")
+        self.assert_selection(*select)
+        [select, band] = self.anneal_calls(monkeypatch, default, "fully_quantum", k=2)
+        self.assert_selection(*select)
+        self.assert_band(*band)
 
-    def test_explicit_sweeps_reach_both_anneals(self, monkeypatch):
-        explicit = AnnealSchedule(sweeps=37, restarts=4)
-        assert self.anneal_sweeps(monkeypatch, explicit, "fully_quantum", k=2) == [37, 37]
-        assert self.anneal_sweeps(monkeypatch, explicit, "hybrid") == [37]
+    def test_explicit_fields_reach_both_anneals(self, monkeypatch):
+        explicit = AnnealSchedule(t_initial=7.5, sweeps=37, restarts=4)
+        assert [s for _, s in self.anneal_calls(monkeypatch, explicit, "fully_quantum", k=2)] == [explicit] * 2
+        assert [s for _, s in self.anneal_calls(monkeypatch, explicit, "hybrid")] == [explicit]
+
+    def test_selection_start_floored_at_ten_final_temperatures(self):
+        m = build_mvo_qubo(selection_stats(), 1.0, 2, 0.01)
+        assert selection_schedule(AnnealSchedule(t_final=1.0), m).t_initial == 10.0
 
 
 class TestRunPipeline:

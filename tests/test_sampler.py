@@ -132,8 +132,9 @@ class TestSimulatedAnneal:
         m = random_qubo(np.random.default_rng(8), 6)
         schedule = AnnealSchedule(restarts=2)
         assert schedule.sweeps is None
-        assert schedule.resolve_sweeps() == AnnealSchedule(sweeps=1000, restarts=2)
-        assert schedule.resolve_sweeps(7).sweeps == 7 and FAST.resolve_sweeps(7) is FAST
+        assert schedule.resolve() == AnnealSchedule(sweeps=1000, restarts=2)
+        assert schedule.resolve(7).sweeps == 7 and FAST.resolve(7, 3) == FAST
+        assert AnnealSchedule().resolve(7, 3, 2.0) == AnnealSchedule(t_initial=2.0, sweeps=7, restarts=3)
         expected = simulated_anneal(m, AnnealSchedule(sweeps=1000, restarts=2), seed=4)
         assert simulated_anneal(m, schedule, seed=4) == expected
 
@@ -382,6 +383,16 @@ class TestKernelMatchesReference:
         # energy, and the accepted deltas must be added in step order
         m = QuboModel(n, np.full(n, c), {(i, j): q for i in range(n) for j in range(i + 1, n)})
         assert_same_as_reference(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=seed)
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    def test_draw_block_size(self, monkeypatch, cap):
+        # 128 restarts draw 16-sweep blocks; blocks of 1 and of 64 sweeps give the same result
+        m = build_mvo_qubo(random_stats(np.random.default_rng(23), 14), q=1.0, B=4)
+        schedule = AnnealSchedule(sweeps=75, restarts=128)
+        expected = simulated_anneal(m, schedule, seed=8)
+        monkeypatch.setattr(sampler, "_SWEEP_BLOCK", cap)
+        monkeypatch.setattr(sampler, "_BLOCK_DRAWS", cap * 128)
+        assert simulated_anneal(m, schedule, seed=8) == expected
 
     def test_all_zero_variable(self):
         # variable 3 has no terms: its delta is exactly +-0 and is accepted at
