@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for eleven fixed runs on the bundled data.
+"""SHA-256 of every artifact the CLI writes for twelve fixed runs, eleven on the bundled data.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -21,9 +21,13 @@ that file misses a key the CLI accepts. An eleventh run repeats
 ``optimize --seed 42`` on a rewritten copy of the bundled prices, with
 unpadded dates (``2023-1-2``), one quoted field and CRLF line ends, so
 ingest takes its per-string date parse and ``csv.reader`` paths; the
-script fails unless its artifacts hash as the plain run's do. The config
-file, the rewritten prices and the artifacts go to a temporary directory
-that is removed afterwards.
+script fails unless its artifacts hash as the plain run's do. A twelfth
+runs ``optimize --seed 42`` on 20 tickers, the ``gen-data`` markets of
+seeds 1 and 2 side by side with the second one's tickers renamed, so a
+128-restart selection anneal and its swap descent run at the universe
+sizes the benchmark's ``select`` workload uses. The config file, the
+rewritten and 20-ticker prices and sectors, and the artifacts go to a
+temporary directory that is removed afterwards.
 """
 
 import contextlib
@@ -35,8 +39,12 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
+from annealfolio import synthetic
 from annealfolio.cli import _CONFIG_KEYS, _SAMPLER_KEYS, main as cli
 from annealfolio.data import bundled_prices_path, bundled_sectors_path
+from annealfolio.marketdata import PriceMatrix, SectorMap
 
 RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
@@ -53,6 +61,7 @@ RUNS = {
     "backtest-config": ["backtest", "--config", "{config}"],
     "backtest-config-fully_quantum": ["backtest", "--config", "{config}", "--strategy", "fully_quantum"],
     "optimize-hybrid-rewritten-csv": ["optimize", "--seed", "42", "--prices", "{rewritten}"],
+    "optimize-hybrid-20-tickers": ["optimize", "--seed", "42", "--prices", "{wide}", "--sectors", "{wide_sectors}"],
 }
 
 ALL_KEYS_CONFIG = {
@@ -78,6 +87,14 @@ def rewritten_prices() -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def wide_market() -> tuple[str, str]:
+    """Prices and sectors CSV of 20 tickers: ``gen-data`` seeds 1 and 2, the second's tickers suffixed ``X``."""
+    (a, a_sectors), (b, b_sectors) = synthetic.generate_dataset(seed=1), synthetic.generate_dataset(seed=2)
+    prices = PriceMatrix(a.dates, a.tickers + tuple(t + "X" for t in b.tickers), np.hstack([a.values, b.values]))
+    sectors = SectorMap({**a_sectors.entries, **{t + "X": s for t, s in b_sectors.entries.items()}})
+    return synthetic.prices_to_csv(prices), synthetic.sectors_to_csv(sectors)
+
+
 def main() -> int:
     missing = sorted(_CONFIG_KEYS - {"prices", "sectors", *ALL_KEYS_CONFIG})
     missing += sorted(f"sampler.{k}" for k in _SAMPLER_KEYS - set(ALL_KEYS_CONFIG["sampler"]))
@@ -91,11 +108,15 @@ def main() -> int:
         ), encoding="utf-8")
         rewritten = Path(tmp) / "rewritten_prices.csv"
         rewritten.write_bytes(rewritten_prices().encode("utf-8"))
+        wide, wide_sectors = Path(tmp) / "wide_prices.csv", Path(tmp) / "wide_sectors.csv"
+        for path, text in zip((wide, wide_sectors), wide_market()):
+            path.write_text(text, encoding="utf-8")
+        paths = {"config": config, "rewritten": rewritten, "wide": wide, "wide_sectors": wide_sectors}
         digests: dict[str, dict[str, str]] = {}
         for name, argv in RUNS.items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli([a.format(config=config, rewritten=rewritten) for a in argv] + ["--out-dir", str(out)])
+                code = cli([a.format(**paths) for a in argv] + ["--out-dir", str(out)])
             if code != 0:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 return 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -58,7 +59,7 @@ class PriceMatrix:
                 f"price matrix shape {vals.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.tickers)} tickers"
             )
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise InputError("dates must be strictly increasing")
         if vals.size and not (np.all(vals > 0) and np.all(np.isfinite(vals))):
             raise InputError("all prices must be positive and finite")
@@ -397,7 +398,7 @@ def load_prices(source) -> PriceMatrix:
     kept = keep[date_idx]
     matrix = np.empty((int(keep.sum()), len(names)))
     matrix[(np.cumsum(keep) - 1)[date_idx[kept]], ticker_idx[kept]] = values[kept]
-    return PriceMatrix(tuple(d for d, k in zip(dates, keep) if k), tuple(names), matrix)
+    return PriceMatrix(tuple(compress(dates, keep.tolist())), tuple(names), matrix)
 
 
 def load_sectors(source) -> SectorMap:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,10 +78,9 @@ SELECT_SWEEPS = 100
 SELECT_RESTARTS = 128
 _DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay small
 
-# The moves of _descend after each anneal: fully_quantum steps or shifts
-# shares, selection swaps a held name for one not held.
+# The moves _descend scores at every name and ordered pair after the share anneal: buy or sell one share, or
+# move shares between two names (1 for 1, 1 for 2, 2 for 1). Selection's _swap_descent scores k(n - k) swaps.
 SHARE_STEPS = ((1,), (-1,), (-1, 1), (-1, 2), (-2, 1))
-SWAP_STEPS = ((-1, 1),)
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,9 @@ def select_assets(
 
     The anneal runs on :func:`selection_schedule`. Every record of its
     sample set is repaired to k ones by :func:`_repair_to_k`, and all of
-    them swap names on q x'Sigma x - mu'x in batched :func:`_descend`
-    passes; the first best in record order is kept, so no single swap
-    improves the result.
+    them descend on q x'Sigma x - mu'x over the k(n - k) swaps of a held
+    name for another in batched :func:`_swap_descent` passes; the first
+    best in record order is kept, so no single swap improves the result.
 
     At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
     descent's first move reaches the exact optimum from any start. Then
@@ -175,7 +174,6 @@ def select_assets(
         raise InputError(f"cardinality k={k} must be in [1, {n}]")
     if k == n:
         return stats.tickers
-    ones = np.ones(n)
     if k in (1, n - 1):
         starts = np.arange(n) < k
     else:
@@ -183,7 +181,7 @@ def select_assets(
         # resolved here, as for the band, so wrappers of simulated_anneal see the sweep and restart counts
         s = simulated_anneal(model, selection_schedule(schedule, model), seed)
         starts = _repair_to_k(s.state_array(), stats, q, k)
-    counts = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
+    counts = _best_descent(starts, lambda rows: _swap_descent(rows, stats, q), np.ones(n), stats, q)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 
 
@@ -317,12 +315,12 @@ def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
     return budget * z
 
 
-def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
-    """Best-improvement descent on q y'Sigma y - mu'y, y = prices * counts, within [0, uppers].
+def _descend(starts, prices, stats, q, budget, uppers) -> np.ndarray:
+    """Best-improvement share descent on q y'Sigma y - mu'y, y = prices * counts, within [0, uppers].
 
     ``starts`` is an (m, n) array of counts; every row descends on its own
     and the (m, n) result is returned. The moves are each one-count step
-    ``(d,)`` of ``steps`` at every i, then each two-count step
+    ``(d,)`` of SHARE_STEPS at every i, then each two-count step
     ``(d_i, d_j)`` at every i and j != i. A round scores them all from the
     gradient 2q Sigma y - mu plus each move's fixed curvature, masks those
     that leave [0, uppers] or overspend ``budget``, and each row still
@@ -333,7 +331,7 @@ def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
     counts = np.array(starts, dtype=np.int64, ndmin=2)
     p = np.asarray(prices, dtype=float)
     uppers = np.asarray(uppers)
-    I, DI, J, DJ = _moves(counts.shape[1], steps)
+    I, DI, J, DJ = _moves(counts.shape[1])
     dy_i, dy_j = DI * p[I], DJ * p[J]
     dspend = dy_i + dy_j
     sig = stats.sigma
@@ -355,24 +353,49 @@ def _descend(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _moves(n: int, steps) -> tuple[np.ndarray, ...]:
-    """The read-only move table (I, DI, J, DJ) of :func:`_descend` for n names, built once per (n, steps)."""
-    moves = [(i, s[0], i, 0) for i in range(n) for s in steps if len(s) == 1]
-    moves += [(i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in steps if len(s) == 2]
+def _moves(n: int) -> tuple[np.ndarray, ...]:
+    """The read-only move table (I, DI, J, DJ) of :func:`_descend` for n names, built once per n."""
+    moves = [(i, s[0], i, 0) for i in range(n) for s in SHARE_STEPS if len(s) == 1]
+    moves += [(i, s[0], j, s[1]) for i in range(n) for j in range(n) if i != j for s in SHARE_STEPS if len(s) > 1]
     table = np.array(moves).T
     table.flags.writeable = False
     return tuple(table)
 
 
-def _best_descent(starts, prices, stats, q, budget, uppers, steps) -> np.ndarray:
-    """The first best row of :func:`_descend` by exact objective; a later row wins only by more than 1e-12.
+def _swap_descent(starts, stats, q) -> np.ndarray:
+    """Best-improvement swap descent on q x'Sigma x - mu'x of each (m, n) 0/1 row on its own; all rows hold k names.
 
-    Rows descend independently, _DESCENT_CHUNK at a time. Each distinct row is scored once,
-    where it first occurs, since a repeat can never win.
+    A round scores only the k(n - k) swaps of a held name i for a free name j of each row still moving, in one
+    (rows, k, n - k) array, as (g_j - g_i) + q((Sigma_ii - 2 Sigma_ij) + Sigma_jj) with g = 2q Sigma x - mu.
+    A row takes its first best (held, then free, names ascending) while it lowers the objective by over 1e-12.
+    """
+    x = np.array(starts, dtype=float, ndmin=2)
+    sig, d = stats.sigma, np.diag(stats.sigma)
+    curv = q * ((d[:, None] - 2.0 * sig) + d)
+    rows = np.arange(len(x))
+    while rows.size:
+        c, at = x[rows], np.arange(len(rows))
+        g = 2.0 * q * (sig @ c.T).T - stats.mu
+        held, free = (np.nonzero(c == v)[1].reshape(len(rows), -1) for v in (1.0, 0.0))
+        dg = g[at[:, None], free][:, None, :] - g[at[:, None], held][:, :, None]
+        delta = (dg + curv[held[:, :, None], free[:, None, :]]).reshape(len(rows), -1)
+        best = delta.argmin(axis=1)
+        moving = delta[at, best] < -1e-12
+        out, into = np.divmod(best, free.shape[1])
+        rows = rows[moving]
+        x[rows, held[at, out][moving]], x[rows, free[at, into][moving]] = 0.0, 1.0
+    return x
+
+
+def _best_descent(starts, descend, prices, stats, q) -> np.ndarray:
+    """The first best row of ``descend(starts)`` by exact objective; a later row wins only by more than 1e-12.
+
+    ``descend`` (:func:`_swap_descent` or :func:`_descend`) moves each row on its own and gets them _DESCENT_CHUNK
+    at a time. Each distinct row is scored once, where it first occurs, since a repeat can never win.
     """
     starts = np.array(starts, ndmin=2)
     chunks = np.split(starts, range(_DESCENT_CHUNK, len(starts), _DESCENT_CHUNK))
-    rows = [row for c in chunks for row in _descend(c, prices, stats, q, budget, uppers, steps).tolist()]
+    rows = [row for c in chunks for row in descend(c).tolist()]
     best, best_obj = None, math.inf
     for counts in dict.fromkeys(map(tuple, rows)):
         obj = _dollar_objective(counts, prices, stats, q)
@@ -397,7 +420,7 @@ def optimize_integer_shares(
     annealer samples that model once, for BAND_SWEEPS sweeps unless
     ``cfg.sampler.sweeps`` is set. Every sampled state that truly
     satisfies the budget, in sample order, and then the floored
-    relaxation go through :func:`_best_descent` with SHARE_STEPS over the
+    relaxation go through :func:`_best_descent` by :func:`_descend` over the
     full [0, floor(budget / p)] range, so a descent may leave the band.
     """
     missing = [t for t in stats.tickers if t not in prices_at]
@@ -435,7 +458,8 @@ def optimize_integer_shares(
     bits = s.state_array()
     fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
     starts = np.vstack([cm.decode_integers(fits), floored])
-    best = _best_descent(starts, price_vec, stats, q_dollar, cfg.budget, uppers, SHARE_STEPS)
+    descend = partial(_descend, prices=price_vec, stats=stats, q=q_dollar, budget=cfg.budget, uppers=uppers)
+    best = _best_descent(starts, descend, price_vec, stats, q_dollar)
     shares = {t: int(c) for t, c in zip(stats.tickers, best)}
     spend = sum(shares[t] * p for t, p in zip(stats.tickers, price_vec))
     return Holdings(shares, cfg.budget - spend, as_of)

@@ -30,7 +30,6 @@ from annealfolio.pipeline import (
     SELECT_RESTARTS,
     SELECT_SWEEPS,
     SHARE_STEPS,
-    SWAP_STEPS,
     PipelineConfig,
     _best_descent,
     _descend,
@@ -38,6 +37,7 @@ from annealfolio.pipeline import (
     _relaxed_dollars,
     _repair_to_k,
     _share_penalty,
+    _swap_descent,
     buy,
     optimize_integer_shares,
     portfolio_value,
@@ -238,8 +238,7 @@ def single_start_objective(stats, k, q, lam, schedule, seed, resolve=selection_s
     s = simulated_anneal(model, resolve(schedule, model), seed)
     card = LinearConstraint(np.ones(stats.n), "eq", float(k))
     x = reference_repair(state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state), stats, q, k)
-    ones = np.ones(stats.n)
-    return _dollar_objective(_descend(x, ones, stats, q, float(k), ones, SWAP_STEPS)[0], ones, stats, q)
+    return _dollar_objective(_swap_descent(x, stats, q)[0], np.ones(stats.n), stats, q)
 
 
 def selection_objective(stats, q, picked):
@@ -603,11 +602,17 @@ def descended_candidates(prices_at, stats, cfg):
         if con.coeffs @ bits <= con.rhs + 1e-6
     ]
     starts.append(floored)
-    return [_descend(c, p, stats, q, cfg.budget, uppers, SHARE_STEPS)[0] for c in starts]
+    return [_descend(c, p, stats, q, cfg.budget, uppers)[0] for c in starts]
+
+
+# Selection's moves in the form of SHARE_STEPS: one name out, another in.
+SWAP_STEPS = ((-1, 1),)
 
 
 def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_rounds=300):
-    """Reference for ``_descend``: the same moves in the same order, each scored move by move.
+    """Reference for ``_descend`` (``steps`` SHARE_STEPS) and ``_swap_descent`` (SWAP_STEPS at
+    prices and uppers of one and a budget of k): the same moves in the same order, each scored
+    move by move.
 
     Every candidate is scored by a full objective evaluation; the first
     best wins, and a move must lower the objective by more than 1e-12.
@@ -672,7 +677,7 @@ class TestDescend:
             start = [int(wi * budget // pi) for wi, pi in zip(w, p)]
             # random rows may overspend; the descent only takes moves that fit
             starts = with_extra_rows(start, uppers, np.random.default_rng([2024, trial]))
-            got = _descend(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            got = _descend(starts, p, stats, q, budget, uppers)
             assert got.shape == starts.shape
             for row, first in zip(got, starts):
                 expected = reference_descent(first, p, stats, q, budget, uppers, SHARE_STEPS)
@@ -691,18 +696,50 @@ class TestDescend:
             side = np.random.default_rng([2025, trial])
             starts = np.array([start] + [side.permutation(start) for _ in range(3)])
             ones, uppers = [1.0] * n, [1] * n
-            got = _descend(starts, ones, stats, q, float(k), uppers, SWAP_STEPS)
+            got = _swap_descent(starts, stats, q)
+            assert got.shape == starts.shape
             for row, first in zip(got, starts):
                 expected = reference_descent(first, ones, stats, q, float(k), uppers, SWAP_STEPS)
                 assert row.tolist() == expected and sum(expected) == k
+
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_swap_batches_at_select_sizes_match_reference(self, n):
+        # 128 rows, as a selection anneal's restarts; k = 1, n - 1 and in between across n
+        rng = np.random.default_rng([2026, n])
+        k = {12: 1, 13: n - 1, 20: n - 1}.get(n, int(rng.integers(2, n - 1)))
+        stats = random_selection_stats(rng, n)
+        q = float(rng.choice([0.1, 1.0, 10.0]))
+        starts = np.array([rng.permutation(np.arange(n) < k) for _ in range(128)], dtype=float)
+        got = _swap_descent(starts, stats, q)
+        ones, uppers = [1.0] * n, [1] * n
+        for row, first in zip(got, starts):
+            assert row.tolist() == reference_descent(first, ones, stats, q, float(k), uppers, SWAP_STEPS)
+
+    @pytest.mark.parametrize(
+        "mu, start, expected",
+        [
+            # k = 1: T1 and T2 tie as the name to add; the earlier one is added
+            ([0.25, 0.5, 0.5, 0.25], [1, 0, 0, 0], [0, 1, 0, 0]),
+            # k = n - 1: T1 and T2 tie as the name to drop; the earlier one is dropped
+            ([0.5, 0.25, 0.25, 0.5], [1, 1, 1, 0], [1, 0, 1, 1]),
+            # k = 2: T3 and T4 tie to leave for T0, then T1 and T2 tie to come in
+            ([0.75, 0.5, 0.5, 0.25, 0.25], [0, 0, 0, 1, 1], [1, 1, 0, 0, 0]),
+        ],
+    )
+    def test_exact_swap_ties_go_to_the_first_held_then_free_name(self, mu, start, expected):
+        # diagonal covariance in binary fractions, so every tied swap scores the same float
+        stats = make_stats(mu, np.diag([0.25] * len(mu)))
+        assert _swap_descent(start, stats, 1.0).tolist() == [expected]
+        ones = [1.0] * len(mu)
+        assert reference_descent(start, ones, stats, 1.0, sum(start), [1] * len(mu), SWAP_STEPS) == expected
 
     def test_one_row_matches_batch_of_one(self):
         stats, prices, budget = random_share_instance(np.random.default_rng(5), 4)
         p = [prices[t] for t in stats.tickers]
         uppers = affordable_shares(p, budget).tolist()
-        one = _descend([0, 0, 0, 0], p, stats, 1.0 / budget, budget, uppers, SHARE_STEPS)
+        one = _descend([0, 0, 0, 0], p, stats, 1.0 / budget, budget, uppers)
         assert one.shape == (1, 4)
-        batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget, uppers, SHARE_STEPS)
+        batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget, uppers)
         assert (batch == one).all()
 
 
@@ -711,8 +748,9 @@ class TestBestDescent:
         # two identical names at a budget for one share: [1, 0] and [0, 1] tie
         # exactly and neither moves, so the first row that occurs wins
         stats = make_stats([0.1, 0.1], np.diag([0.04, 0.04]))
+        p = [10.0, 10.0]
         for starts in ([[1, 0], [0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]):
-            got = _best_descent(starts, [10.0, 10.0], stats, 1e-3, 10.0, [1, 1], SHARE_STEPS)
+            got = _best_descent(starts, lambda rows: _descend(rows, p, stats, 1e-3, 10.0, [1, 1]), p, stats, 1e-3)
             assert got.tolist() == starts[0]
 
     def test_scores_each_distinct_row_once_and_matches_scoring_every_row(self, monkeypatch):
@@ -731,18 +769,18 @@ class TestBestDescent:
             uppers = affordable_shares(p, budget).tolist()
             starts = [[int(rng.integers(0, u + 1)) for u in uppers] for _ in range(4)]
             starts = [starts[i] for i in rng.integers(0, 4, 12)]  # rows repeat
-            rows = _descend(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            rows = _descend(starts, p, stats, q, budget, uppers)
             best, best_obj = None, np.inf
             for row in rows:  # the first best over every row, repeats included
                 obj = _dollar_objective(row, p, stats, q)
                 if obj < best_obj - 1e-12:
                     best, best_obj = row, obj
             scored.clear()
-            got = _best_descent(starts, p, stats, q, budget, uppers, SHARE_STEPS)
+            got = _best_descent(starts, lambda c: _descend(c, p, stats, q, budget, uppers), p, stats, q)
             assert got.tolist() == best.tolist()
             assert scored == list(dict.fromkeys(map(tuple, rows.tolist())))
 
-    def test_chunked_rows_match_one_unchunked_pass(self, monkeypatch):
+    def test_chunked_rows_match_one_unchunked_pass(self):
         rng = np.random.default_rng(41)
         n, k, q = 14, 5, 1.0
         stats = random_selection_stats(rng, n)
@@ -750,7 +788,7 @@ class TestBestDescent:
         for row in starts:
             row[rng.choice(n, k, replace=False)] = 1.0
         ones = np.ones(n)
-        whole = _descend(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
+        whole = _swap_descent(starts, stats, q)
         best, best_obj = None, np.inf
         for row in whole:
             obj = _dollar_objective(row, ones, stats, q)
@@ -758,12 +796,11 @@ class TestBestDescent:
                 best, best_obj = row, obj
         chunks = []
 
-        def spy(rows, *args):
-            chunks.append(_descend(rows, *args))
+        def spy(rows):
+            chunks.append(_swap_descent(rows, stats, q))
             return chunks[-1]
 
-        monkeypatch.setattr(pipeline, "_descend", spy)
-        got = _best_descent(starts, ones, stats, q, float(k), ones, SWAP_STEPS)
+        got = _best_descent(starts, spy, ones, stats, q)
         assert len(chunks) > 1 and max(map(len, chunks)) == pipeline._DESCENT_CHUNK <= 64
         assert np.vstack(chunks).tolist() == whole.tolist()
         assert got.tolist() == best.tolist()
