@@ -9,8 +9,8 @@ hit rate and worst relative gap.
 k = n // 4, q = 10. It keeps only the hard ones, where some of 20
 random-start swap descents miss the exact k-subset optimum, and reports
 how often ``pipeline.select_assets`` hits that optimum and its ms per
-selection. The oracle and the screening descent are this script's own
-numpy code, not the package's.
+selection. The oracle is this script's own numpy code, not the package's;
+the screening descent is the selection's own, ``pipeline._swap_descent``.
 
 ``--family select`` draws one-factor random-walk markets of 12-20 names,
 one year of daily closes, with k the support size of the full-universe
@@ -79,25 +79,6 @@ def k_subset_optimum(stats, q, k):
     return float(np.min(q * risk - stats.mu[idx].sum(axis=1)))
 
 
-def swap_descent(stats, q, x):
-    """Best-improvement descent over swaps of one held name for one not held."""
-    x = x.copy()
-    diag = np.diag(stats.sigma)
-    while True:
-        g = 2.0 * q * (stats.sigma @ x) - stats.mu
-        held, free = np.flatnonzero(x), np.flatnonzero(x == 0)
-        # moving one unit from i to j changes the objective by g_j - g_i + q (S_ii + S_jj - 2 S_ij)
-        delta = (
-            g[free][None, :]
-            - g[held][:, None]
-            + q * (diag[held][:, None] + diag[free][None, :] - 2.0 * stats.sigma[np.ix_(held, free)])
-        )
-        a, b = np.unravel_index(np.argmin(delta), delta.shape)
-        if delta[a, b] >= -1e-12:
-            return x
-        x[held[a]], x[free[b]] = 0.0, 1.0
-
-
 def hedged_candidate(seed, c):
     """Candidate c of the hedged family: (stats, k, k-subset optimum, whether it is hard).
 
@@ -116,7 +97,7 @@ def hedged_candidate(seed, c):
         return x
 
     hard = any(
-        subset_objective(stats, HEDGED_Q, swap_descent(stats, HEDGED_Q, random_start())) > best + 1e-9
+        subset_objective(stats, HEDGED_Q, pipeline._swap_descent(random_start(), stats, HEDGED_Q)[0]) > best + 1e-9
         for _ in range(HEDGED_SCREEN_STARTS)
     )
     return stats, k, best, hard

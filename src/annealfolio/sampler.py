@@ -14,30 +14,32 @@ execution merges to the same SampleSet. The seed is expanded once per
 anneal, and every restart's stream is built from those words.
 
 Restarts run in lockstep, so a step is a handful of numpy calls whose
-cost grows slowly with their number: a 16-variable selection anneal of
-100 sweeps from its largest flip cost takes about 3 ms at 1 restart,
-4.5 ms at 32, 9 ms at 128 and 14-17 ms at 256 (2-core x86 host, median
-of 21). Up to about a hundred restarts are cheap coverage, so the
+cost grows far slower than their number: a 16-variable selection anneal
+of 100 sweeps from its largest flip cost takes about 2.2 ms at 1 restart,
+4 ms at 32, 7-7.5 ms at 128 and 12-13 ms at 256 (2-core x86 host, median
+of 41). 128 restarts cost about 3.3 times one, not 128 times, so the
 selection spends its sweeps on many short restarts.
 
-The annealer streams each restart's Metropolis uniforms in blocks of at
-most ``_SWEEP_BLOCK`` sweeps and ``_BLOCK_DRAWS`` restart-sweeps (chunked
-draws continue the same PCG64 stream), so a block holds at most
-_BLOCK_DRAWS * n of them (one sweep's past that many restarts) whatever
-the sweep count. Each accepted
-move updates the local fields with one BLAS rank-1 product, coupling column
-times the restarts' flip signs; the signs are -1, 0 or +1, so the products
-are exact under any BLAS, FMA use or thread count, and hot sweeps apply the
-update at every step without testing for an acceptance. Once sweeps turn
-cold it skips runs of rejected moves, comparing the rest of a sweep at
-once, and after a sweep that accepts nothing it compares the same deltas
-with every later sweep of the block and jumps to the first that accepts.
-The once-per-sweep bookkeeping uses only exact float operations on the
-signs each step keeps: flip directions change sign by subtracting them
-twice, and the accepted deltas are summed in step order. None of this
-changes a result: the SampleSet is bit-for-bit the one a step-by-step pass
-over one up-front array of uniforms gives, and the tests keep that pass as
-the reference.
+Each restart's uniforms come from one call that covers its initial state
+and as many sweeps as fit ``_DRAW_VALUES`` over all restarts; a longer
+anneal draws again in whole threshold blocks, continuing the same PCG64
+streams. Thresholds are made per block of at most ``_SWEEP_BLOCK`` sweeps
+and ``_BLOCK_DRAWS`` restart-sweeps. Whatever the sweep count, an anneal
+holds at most 8 * max(_DRAW_VALUES, R * n * (block + 1)) bytes of uniforms
+(2 MiB unless one block needs more) and 8 * n * max(_BLOCK_DRAWS, R) bytes
+of thresholds. Each accepted move updates the local fields with one BLAS
+rank-1 product, coupling column times the restarts' flip signs; the signs
+are -1, 0 or +1, so the products are exact under any BLAS, FMA use or
+thread count, and hot sweeps apply the update at every step without
+testing for an acceptance. Once sweeps turn cold it skips runs of rejected
+moves, comparing the rest of a sweep at once, and after a sweep that
+accepts nothing it compares the same deltas with every later sweep of the
+block and jumps to the first that accepts. The once-per-sweep bookkeeping
+uses only exact float operations on the signs each step keeps: flip
+directions change sign by subtracting them twice, and the accepted deltas
+are summed in step order. None of this changes a result: the SampleSet is
+bit-for-bit the one a step-by-step pass over one up-front array of
+uniforms gives, and the tests keep that pass as the reference.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ from .model import (
 
 EXHAUSTIVE_CAP = 24
 _ENUM_CHUNK = 1 << 18
-_SWEEP_BLOCK = 64  # most sweeps of Metropolis uniforms drawn at once
-_BLOCK_DRAWS = 2048  # most restart-sweeps of them drawn at once
+_SWEEP_BLOCK = 64  # most sweeps of Metropolis thresholds held at once
+_BLOCK_DRAWS = 2048  # most restart-sweeps of them held at once
+_DRAW_VALUES = 1 << 18  # uniforms (2 MiB) one draw of every restart holds, unless one block needs more
 # numpy's PCG64 jump, (golden ratio - 1) * 2**128: jumped(r) advances r of them
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 DEFAULT_SWEEPS = 1000  # what sweeps=None means unless a caller resolves it
@@ -233,13 +236,17 @@ def _restart_bests(
     All restarts run in lockstep (vectorized), each on its own PCG64
     stream. The state is restart-minor: the flip direction D = 1 - 2x and
     the local fields G are (n, R) arrays, so one variable's lanes are
-    contiguous. Metropolis thresholds are drawn per block of sweeps as
-    (-T) * log(u) in one multiply; negation is exact and rounding to
-    nearest is symmetric in sign, so that is T * -log(u) bit for bit. A
-    sweep's threshold row views are bound the first time it runs hot. The
-    initial states come from one buffer of draws, compared once. The
-    best-so-far is refreshed at every sweep boundary and energies are
-    re-evaluated exactly at the end.
+    contiguous. One ``random`` call per restart draws its initial state
+    and every sweep that fits _DRAW_VALUES uniforms over all restarts; a
+    longer stream takes further draws of whole blocks. The draw buffer
+    holds at most 8 * max(_DRAW_VALUES, R * n * (block + 1)) bytes, 2 MiB
+    unless one block needs more. log(u) is taken once per draw, and
+    Metropolis thresholds are made per block of sweeps as (-T) * log(u) in
+    one multiply; negation is exact and rounding to nearest is symmetric
+    in sign, so that is T * -log(u) bit for bit. A sweep's threshold row
+    views are bound the first time it runs hot. The best-so-far is
+    refreshed at every sweep boundary and energies are re-evaluated
+    exactly at the end.
 
     A step only updates G, by the rank-1 product of coupling column i and
     the step's signs sgn = D[i] * accept (one BLAS call). Each sgn entry is
@@ -275,11 +282,15 @@ def _restart_bests(
     Bsym = quadratic_symmetric(qm)
 
     block = min(S, _SWEEP_BLOCK, max(_BLOCK_DRAWS // R, 1))
-    u = np.empty((R, block * n))
+    # a draw holds the initial state and every sweep that fits _DRAW_VALUES; whole blocks unless it ends the stream
+    fit = _DRAW_VALUES // (R * n) - 1
+    per_draw = S if S <= fit else max(fit // block, 1) * block
+    u = np.empty((R, (per_draw + 1) * n))
     gens = _restart_generators(seed, R)
     for gen, row in zip(gens, u):
-        gen.random(out=row[:n])
+        gen.random(out=row)
     X = np.less(u[:, :n], 0.5).astype(float)
+    sweep_u = u.reshape(R, per_draw + 1, n)[:, 1:]
 
     G = np.ascontiguousarray((a + X @ Bsym).T)
     D = np.ascontiguousarray((1.0 - 2.0 * X).T)
@@ -313,17 +324,15 @@ def _restart_bests(
     frozen = np.empty((block, n, R), dtype=bool)
     hot = True
     for b0 in range(0, S, block):
-        nb = min(block, S - b0)
-        ub = u[:, : nb * n]
-        for gen, row in zip(gens, ub):
-            gen.random(out=row)
-        with np.errstate(divide="ignore"):
-            np.log(ub, out=ub)
-        multiply(
-            neg_temps[b0 : b0 + nb, None, None],
-            ub.reshape(R, nb, n).transpose(1, 2, 0),
-            thresholds[:nb],
-        )
+        nb, d = min(block, S - b0), b0 % per_draw
+        if not d:
+            drawn = u[:, n : n + min(per_draw, S - b0) * n]
+            if b0:
+                for gen, row in zip(gens, drawn):
+                    gen.random(out=row)
+            with np.errstate(divide="ignore"):
+                np.log(drawn, out=drawn)
+        multiply(neg_temps[b0 : b0 + nb, None, None], sweep_u[:, d : d + nb].transpose(1, 2, 0), thresholds[:nb])
         k = 0
         while k < nb:
             if hot:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,51 @@ class TestRestartStreams:
         assert [g.bit_generator.state for g in few] == [g.bit_generator.state for g in many[:3]]
 
 
+def count_random_calls(monkeypatch):
+    """A list that gets one entry per ``random`` call on the generators ``_restart_generators`` returns."""
+    calls = []
+    make = sampler._restart_generators
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, *args, **kwargs):
+            calls.append(1)
+            return self.gen.random(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "_restart_generators", lambda seed, restarts: [Counted(g) for g in make(seed, restarts)])
+    return calls
+
+
+class TestUniformDraws:
+    def test_one_draw_per_restart_at_selection_size(self, monkeypatch):
+        # 128 restarts x 20 variables x (1 + 100 sweeps) uniforms fit one draw per restart
+        m = build_mvo_qubo(random_stats(np.random.default_rng(20), 20), q=1.0, B=5)
+        calls = count_random_calls(monkeypatch)
+        simulated_anneal(m, AnnealSchedule(sweeps=100, restarts=128), seed=3)
+        assert len(calls) == 128
+
+    def test_memory_does_not_grow_with_sweeps(self):
+        # 12 variables x 32 restarts: 500 sweeps take one draw, 1,000 and 5,000
+        # take draws of 640 sweeps, the most whole 64-sweep blocks the budget holds
+        n, restarts = 12, 32
+        m = random_qubo(np.random.default_rng(31), n)
+        peaks = {}
+        for sweeps in (500, 1000, 5000):
+            tracemalloc.start()
+            try:
+                simulated_anneal(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=1)
+                peaks[sweeps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the draw budget and one threshold block, 8 bytes a value, plus the
+        # (n, restarts) state, the bound row views and the 8-byte-a-sweep schedule
+        bound = 8 * (sampler._DRAW_VALUES + sampler._SWEEP_BLOCK * n * restarts) + (384 << 10)
+        assert peaks[500] <= peaks[5000] <= bound
+        assert abs(peaks[5000] - peaks[1000]) < 64 << 10
+
+
 class TestKernelMatchesReference:
     """The block-streamed, run-skipping kernel against the step-by-step loop.
 
@@ -384,15 +430,20 @@ class TestKernelMatchesReference:
         m = QuboModel(n, np.full(n, c), {(i, j): q for i in range(n) for j in range(i + 1, n)})
         assert_same_as_reference(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=seed)
 
-    @pytest.mark.parametrize("cap", [1, 64])
-    def test_draw_block_size(self, monkeypatch, cap):
-        # 128 restarts draw 16-sweep blocks; blocks of 1 and of 64 sweeps give the same result
-        m = build_mvo_qubo(random_stats(np.random.default_rng(23), 14), q=1.0, B=4)
-        schedule = AnnealSchedule(sweeps=75, restarts=128)
-        expected = simulated_anneal(m, schedule, seed=8)
-        monkeypatch.setattr(sampler, "_SWEEP_BLOCK", cap)
-        monkeypatch.setattr(sampler, "_BLOCK_DRAWS", cap * 128)
-        assert simulated_anneal(m, schedule, seed=8) == expected
+    @pytest.mark.parametrize("restarts", [1, 3, 128])
+    @pytest.mark.parametrize("draw", ["one block", "partial last", "default"])
+    def test_draw_budget(self, monkeypatch, draw, restarts):
+        # 150 sweeps in threshold blocks of 64 (16 at 128 restarts): a draw of one
+        # block, one of two blocks and a short last draw, or the whole stream at once
+        n, sweeps = 10, 150
+        m = build_mvo_qubo(random_stats(np.random.default_rng(23), n), q=1.0, B=3)
+        block = min(sampler._SWEEP_BLOCK, sampler._BLOCK_DRAWS // restarts)
+        per_draw = {"one block": block, "partial last": 2 * block, "default": sweeps}[draw]
+        if draw != "default":
+            monkeypatch.setattr(sampler, "_DRAW_VALUES", restarts * n * (per_draw + 1))
+        calls = count_random_calls(monkeypatch)
+        assert_same_as_reference(m, AnnealSchedule(sweeps=sweeps, restarts=restarts), seed=8)
+        assert len(calls) == restarts * -(-sweeps // per_draw)
 
     def test_all_zero_variable(self):
         # variable 3 has no terms: its delta is exactly +-0 and is accepted at
