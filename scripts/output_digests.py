@@ -8,11 +8,13 @@ the outputs byte-identical (or to see exactly which files it changes):
 The runs are ``optimize --seed 42`` (hybrid), the same at
 ``--cardinality 1`` and ``--cardinality 9`` (k = 1 and k = n - 1 of the
 10 bundled tickers, the selections that skip the anneal), the same at
-``--cardinality 3 --lambda 0.000001`` (a penalty so weak that every
-restart ends off k and goes through the repair to k names), ``optimize
---seed 42 --strategy fully_quantum`` at ``--budget 100000`` and at the
-default budget of 1,000,000, ``backtest --seed 42 --budget 100000 --benchmark
-TECH1`` once per strategy, and a backtest from a config file that sets
+``--cardinality 3 --lambda 0.000001`` (lambda weights only the
+fully_quantum spend penalty now, so this hybrid run exercises no repair;
+it keeps the name ``optimize-hybrid-repair`` from when a weak penalty
+sent every restart through one, so its lines compare across checkouts),
+``optimize --seed 42 --strategy fully_quantum`` at ``--budget 100000``
+and at the default budget of 1,000,000, ``backtest --seed 42 --budget
+100000 --benchmark TECH1`` once per strategy, and a backtest from a config file that sets
 every config key and every sampler key (its ``out_dir`` is overridden by
 ``--out-dir``), once as it is (hybrid) and once with ``--strategy
 fully_quantum``, the one run whose fully_quantum opening purchase
@@ -23,11 +25,11 @@ unpadded dates (``2023-1-2``), one quoted field and CRLF line ends, so
 ingest takes its per-string date parse and ``csv.reader`` paths; the
 script fails unless its artifacts hash as the plain run's do. A twelfth
 runs ``optimize --seed 42`` on 20 tickers, the ``gen-data`` markets of
-seeds 1 and 2 side by side with the second one's tickers renamed, so a
-128-restart selection anneal and its swap descent run at the universe
-sizes the benchmark's ``select`` workload uses. The config file, the
-rewritten and 20-ticker prices and sectors, and the artifacts go to a
-temporary directory that is removed afterwards.
+seeds 1 and 2 side by side with the second one's tickers renamed, so the
+selection's swap anneal over k-subsets and its swap descent run at the
+universe sizes the benchmark's ``select`` workload uses. The config file,
+the rewritten and 20-ticker prices and sectors, and the artifacts go to
+a temporary directory that is removed afterwards.
 """
 
 import contextlib

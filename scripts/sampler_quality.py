@@ -7,19 +7,21 @@ hit rate and worst relative gap.
 ``--family hedged`` draws hedged sector-factor markets: a market factor,
 5 sector factors and half the names on negative beta, n = 16-20 names,
 k = n // 4, q = 10. It keeps only the hard ones, where some of 20
-random-start swap descents miss the exact k-subset optimum, and reports
-how often ``pipeline.select_assets`` hits that optimum and its ms per
-selection. The oracle is this script's own numpy code, not the package's;
-the screening descent is the selection's own, ``pipeline._swap_descent``.
+random-start swap descents miss the exact k-subset optimum. The
+screening descent is the selection's own, ``pipeline._swap_descent``.
 
 ``--family select`` draws one-factor random-walk markets of 12-20 names,
 one year of daily closes, with k the support size of the full-universe
 max-Sharpe allocation (as ``pipeline.buy`` takes it), and keeps those
-whose selection is annealed (2 <= k <= n - 2). Per instance it reports
-whether the anneal's best restart, on the schedule
-``pipeline.selection_schedule`` resolves, reaches the selection QUBO's
-enumerated ground energy; whether ``pipeline.select_assets`` hits the
-exact k-subset optimum; and the ms per selection.
+whose selection is annealed (2 <= k <= n - 2).
+
+Both selection families report two things against the exact k-subset
+optimum, which this script enumerates with its own numpy code. The raw
+swap anneal (``sampler.swap_anneal`` on the schedule ``select_assets``
+resolves) hits when its best restart's objective equals that optimum,
+before any descent; its hits per second of anneal time are printed.
+``pipeline.select_assets`` hits when its pick does. Either family exits
+1 when ``select_assets`` misses on any instance.
 
 Every family anneals on its own default schedule unless ``--sweeps`` or
 ``--restarts`` is given.
@@ -31,6 +33,7 @@ Every family anneals on its own default schedule unless ``--sweeps`` or
 
 import argparse
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -38,8 +41,8 @@ import numpy as np
 from annealfolio import pipeline
 from annealfolio.allocator import derive_cardinality, max_sharpe_weights
 from annealfolio.marketdata import AssetStats
-from annealfolio.model import QuboModel, build_mvo_qubo
-from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anneal
+from annealfolio.model import QuboModel
+from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anneal, swap_anneal
 
 HEDGED_Q = 10.0
 HEDGED_SCREEN_STARTS = 20
@@ -103,27 +106,48 @@ def hedged_candidate(seed, c):
     return stats, k, best, hard
 
 
-def run_hedged(args):
+def run_selections(args, family, draw):
+    """Score the raw swap anneal and ``select_assets`` on instances ``draw(seed, c)`` -> (stats, q, k, optimum) or None."""
     schedule = AnnealSchedule(sweeps=args.sweeps, restarts=args.restarts)
-    hits = found = screened = 0
-    elapsed = 0.0
+    resolved = schedule.resolve(pipeline.SELECT_SWEEPS, pipeline.SELECT_RESTARTS)
+    raw_hits = hits = found = screened = 0
+    anneal_s = select_s = 0.0
     while found < args.instances:
         c, screened = screened, screened + 1
-        stats, k, best, hard = hedged_candidate(args.seed, c)
-        if not hard:
+        drawn = draw(args.seed, c)
+        if drawn is None:
             continue
+        stats, q, k, best = drawn
         t0 = time.perf_counter()
-        picked = pipeline.select_assets(stats, k, HEDGED_Q, "auto", schedule, seed=c)
-        elapsed += time.perf_counter() - t0
+        states = swap_anneal(stats.mu, stats.sigma, q, k, resolved, seed=c)
+        t1 = time.perf_counter()
+        picked = pipeline.select_assets(stats, k, q, schedule, seed=c)
+        t2 = time.perf_counter()
+        anneal_s, select_s = anneal_s + t1 - t0, select_s + t2 - t1
+        raw_hit = min(subset_objective(stats, q, x) for x in states) <= best + 1e-9
         x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
-        hit = subset_objective(stats, HEDGED_Q, x) <= best + 1e-9
+        hit = subset_objective(stats, q, x) <= best + 1e-9
+        raw_hits += raw_hit
         hits += hit
         found += 1
         if args.verbose:
-            print(f"candidate {c}: n={stats.n} k={k} {'hit' if hit else 'MISS'}")
-    print(f"family=hedged  instances={found} (of {screened} screened)  {schedule_text(args)}  seed={args.seed}")
+            anneal, select = "hit" if raw_hit else "miss", "hit" if hit else "MISS"
+            print(f"candidate {c}: n={stats.n} k={k} anneal {anneal} select {select}")
+    print(f"family={family}  instances={found} (of {screened} screened)  {schedule_text(args)}  seed={args.seed}")
+    print(f"anneal optimum: {raw_hits}/{found}  {anneal_s / found * 1000:.2f} ms/anneal  "
+          f"{raw_hits / anneal_s:.0f} hits/s")
     print(f"optimum found : {hits}/{found}")
-    print(f"select_assets : {elapsed / max(found, 1) * 1000:.1f} ms/selection")
+    print(f"select_assets : {select_s / found * 1000:.1f} ms/selection")
+    return 0 if hits == found else 1
+
+
+def hedged_instance(seed, c):
+    stats, k, best, hard = hedged_candidate(seed, c)
+    return (stats, HEDGED_Q, k, best) if hard else None
+
+
+def run_hedged(args):
+    return run_selections(args, "hedged", hedged_instance)
 
 
 def schedule_text(args):
@@ -154,35 +178,16 @@ def select_candidate(seed, c):
     return stats, derive_cardinality(max_sharpe_weights(stats)[1])
 
 
+def select_instance(seed, c):
+    drawn = select_candidate(seed, c)
+    if drawn is None or not 2 <= drawn[1] <= drawn[0].n - 2:
+        return None
+    stats, k = drawn
+    return stats, SELECT_Q, k, k_subset_optimum(stats, SELECT_Q, k)
+
+
 def run_select(args):
-    schedule = AnnealSchedule(sweeps=args.sweeps, restarts=args.restarts)
-    ground_hits = hits = found = screened = 0
-    elapsed = 0.0
-    while found < args.instances:
-        c, screened = screened, screened + 1
-        drawn = select_candidate(args.seed, c)
-        if drawn is None or not 2 <= drawn[1] <= drawn[0].n - 2:
-            continue
-        stats, k = drawn
-        t0 = time.perf_counter()
-        picked = pipeline.select_assets(stats, k, SELECT_Q, "auto", schedule, seed=c)
-        elapsed += time.perf_counter() - t0
-        model = build_mvo_qubo(stats, SELECT_Q, k, None)
-        sa = simulated_anneal(model, pipeline.selection_schedule(schedule, model), seed=c)
-        ground = exhaustive_solve(model, top_k=1).best_energy
-        ground_hit = sa.best_energy <= ground + 1e-9 * max(1.0, abs(ground))
-        x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
-        hit = subset_objective(stats, SELECT_Q, x) <= k_subset_optimum(stats, SELECT_Q, k) + 1e-9
-        ground_hits += ground_hit
-        hits += hit
-        found += 1
-        if args.verbose:
-            anneal, select = "ground" if ground_hit else "above", "hit" if hit else "MISS"
-            print(f"candidate {c}: n={stats.n} k={k} anneal {anneal} select {select}")
-    print(f"family=select  instances={found} (of {screened} screened)  {schedule_text(args)}  seed={args.seed}")
-    print(f"anneal ground : {ground_hits}/{found}")
-    print(f"optimum found : {hits}/{found}")
-    print(f"select_assets : {elapsed / max(found, 1) * 1000:.1f} ms/selection")
+    return run_selections(args, "select", select_instance)
 
 
 def run_random(args):
@@ -205,6 +210,7 @@ def run_random(args):
     print(f"optimum found : {hits}/{args.instances}")
     print(f"worst rel gap : {worst_gap:.4%}")
     print(f"elapsed       : {elapsed:.1f}s ({elapsed / args.instances * 1000:.0f} ms/instance)")
+    return 0
 
 
 def main():
@@ -218,11 +224,11 @@ def main():
     ap.add_argument("--restarts", type=int, default=None, help="default: the schedule's own per-family count")
     ap.add_argument("--verbose", action="store_true", help="hedged, select: one line per instance")
     args = ap.parse_args()
-    FAMILIES[args.family](args)
+    return FAMILIES[args.family](args)
 
 
 FAMILIES = {"random": run_random, "hedged": run_hedged, "select": run_select}
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
         p.add_argument("--cardinality", type=_auto_or(int), help="number of assets to select, or 'auto'")
         p.add_argument("--q", type=float, help="risk aversion coefficient")
-        p.add_argument("--lambda", type=_auto_or(float), help="constraint penalty weight, or 'auto'")
+        p.add_argument("--lambda", type=_auto_or(float), help="fully_quantum spend penalty weight, or 'auto'")
         p.add_argument("--period-months", dest="period_months", type=int, help="rebalance cadence")
         p.add_argument("--benchmark", help="benchmark ticker or weights JSON path (backtest)")
 

@@ -2,11 +2,14 @@
 
 Two strategies produce integer share counts under a budget:
 
-- ``hybrid``: annealer-style binary selection picks which assets to hold,
-  then the convex max-Sharpe allocator weights them and the weights are
-  rounded to whole shares.
+- ``hybrid``: a k-asset selection picks which assets to hold, then the
+  convex max-Sharpe allocator weights them and the weights are rounded to
+  whole shares. The selection anneals q x'Sigma x - mu'x over k-subsets
+  with swap moves, which keep the count at k, so it needs no cardinality
+  penalty and no repair; every restart's best state is swap-descended.
 - ``fully_quantum``: share counts are optimized directly as encoded
-  integers in the budgeted mean-variance model.
+  integers in the budgeted mean-variance model, annealed as a QUBO with
+  the budget as a spend penalty weighted by ``lambda``.
 
 :func:`buy` is the one purchase path and the only code that picks a
 solver by strategy. ``run_pipeline`` calls it for an opening purchase,
@@ -46,14 +49,13 @@ from .model import (
     QuboModel,
     affordable_shares,
     build_mpt_model,
-    build_mvo_qubo,
     flip_costs,
     penalize_equality,
 )
-from .sampler import AnnealSchedule, simulated_anneal
+from .sampler import AnnealSchedule, simulated_anneal, swap_anneal, swap_curvature
 
 # Unused here; perfbench/tracer.py requires these names at this import site.
-from .model import penalize_inequality
+from .model import build_mvo_qubo, penalize_inequality
 from .sampler import best_feasible
 
 STRATEGIES = ("hybrid", "fully_quantum")
@@ -71,11 +73,12 @@ BAND_HALF_WIDTH = 3
 # least the oracle hits of 1000 while the anneal still reaches its own ground
 # state on about 90 % of them (sweep scan in CHANGES.md).
 BAND_SWEEPS = 100
-# Sweeps and restarts of the selection anneal when the schedule leaves them unset: the
-# fastest pair whose anneal reached the QUBO's ground state as often as the former 300 x 32
-# (scripts/sampler_quality.py --family select; scan in CHANGES.md).
+# Sweeps (one proposed swap per restart each) and restarts of the selection's swap anneal
+# when the schedule leaves them unset: the pair with the most raw hits per second of anneal
+# time (scripts/sampler_quality.py --family select and --family hedged) among those that
+# keep every benchmark metric within its bound (scan in CHANGES.md).
 SELECT_SWEEPS = 100
-SELECT_RESTARTS = 128
+SELECT_RESTARTS = 32
 _DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay small
 
 # The moves _descend scores at every name and ordered pair after the share anneal: buy or sell one share, or
@@ -149,25 +152,24 @@ def select_assets(
     stats: AssetStats,
     k: int,
     q: float,
-    lam: float | str,
     schedule: AnnealSchedule,
     seed: int,
 ) -> tuple[str, ...]:
-    """Pick exactly k tickers: anneal the selection QUBO once, repair every restart to k, swap-descend.
+    """Pick exactly k tickers: swap-anneal the k-subsets of q x'Sigma x - mu'x once, then swap-descend.
 
-    The anneal runs on :func:`selection_schedule`. Every record of its
-    sample set is repaired to k ones by :func:`_repair_to_k`, and all of
-    them descend on q x'Sigma x - mu'x over the k(n - k) swaps of a held
-    name for another in batched :func:`_swap_descent` passes; the first
-    best in record order is kept, so no single swap improves the result.
+    :func:`sampler.swap_anneal` runs on ``schedule``, whose unset sweeps
+    and restarts take SELECT_SWEEPS and SELECT_RESTARTS. Every restart's
+    best state descends over the k(n - k) swaps of a held name for another
+    in batched :func:`_swap_descent` passes; the first best in restart
+    order is kept, so no single swap improves the result.
 
     At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
     descent's first move reaches the exact optimum from any start. Then
-    nothing is annealed (``lam``, ``schedule`` and ``seed`` go unused):
-    the first k tickers are swap-descended alone. A swap must lower the
-    objective by more than 1e-12 and the first best swap is taken, so on
-    an exact tie the start is kept, else the swap earliest in ticker order
-    (k = 1: the added name; k = n - 1: the dropped one).
+    nothing is annealed (``schedule`` and ``seed`` go unused): the first
+    k tickers are swap-descended alone. A swap must lower the objective
+    by more than 1e-12 and the first best swap is taken, so on an exact
+    tie the start is kept, else the swap earliest in ticker order (k = 1:
+    the added name; k = n - 1: the dropped one).
     """
     n = stats.n
     if not 1 <= k <= n:
@@ -177,34 +179,9 @@ def select_assets(
     if k in (1, n - 1):
         starts = np.arange(n) < k
     else:
-        model = build_mvo_qubo(stats, q, k, None if lam == "auto" else float(lam))
-        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep and restart counts
-        s = simulated_anneal(model, selection_schedule(schedule, model), seed)
-        starts = _repair_to_k(s.state_array(), stats, q, k)
+        starts = swap_anneal(stats.mu, stats.sigma, q, k, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed)
     counts = _best_descent(starts, lambda rows: _swap_descent(rows, stats, q), np.ones(n), stats, q)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
-
-
-def selection_schedule(schedule: AnnealSchedule, model: QuboModel) -> AnnealSchedule:
-    """``schedule`` as :func:`select_assets` anneals ``model``: unset fields take SELECT_SWEEPS,
-    SELECT_RESTARTS, and the QUBO's largest single-flip energy change floored at 10x t_final."""
-    t_initial = max(float(flip_costs(model).max()), 10.0 * schedule.t_final)
-    return schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS, t_initial)
-
-
-def _repair_to_k(states, stats: AssetStats, q: float, k: int) -> np.ndarray:
-    """Each 0/1 row of ``states`` brought to k ones: rows off k step together, each dropping the
-    held name, or adding the other one, that raises q x'Sigma x - mu'x least (ties to the first)."""
-    x = np.array(states, dtype=float, ndmin=2)
-    curv = q * np.diag(stats.sigma)
-    while (rows := np.flatnonzero(x.sum(axis=1) != k)).size:
-        r = x[rows]
-        over = r.sum(axis=1, keepdims=True) > k
-        g = 2.0 * q * (stats.sigma @ r.T).T - stats.mu
-        # dropping i changes the objective by curv_i - g_i, adding it by curv_i + g_i
-        i = np.argmin(np.where(r == over, curv - np.where(over, g, -g), np.inf), axis=1)
-        x[rows, i] = 1.0 - x[rows, i]
-    return x
 
 
 def to_shares(
@@ -370,8 +347,7 @@ def _swap_descent(starts, stats, q) -> np.ndarray:
     A row takes its first best (held, then free, names ascending) while it lowers the objective by over 1e-12.
     """
     x = np.array(starts, dtype=float, ndmin=2)
-    sig, d = stats.sigma, np.diag(stats.sigma)
-    curv = q * ((d[:, None] - 2.0 * sig) + d)
+    sig, curv = stats.sigma, swap_curvature(stats.sigma, q)
     rows = np.arange(len(x))
     while rows.size:
         c, at = x[rows], np.arange(len(rows))
@@ -496,7 +472,7 @@ def buy(
             if k > stats.n:
                 raise InputError(f"cardinality {k} exceeds universe size {stats.n}")
     if k is not None:
-        subset = select_assets(stats, k, cfg.q, cfg.lambda_, cfg.sampler, cfg.seed)
+        subset = select_assets(stats, k, cfg.q, cfg.sampler, cfg.seed)
         subset_idx = [stats.tickers.index(t) for t in subset]
     if cfg.strategy == "hybrid":
         target, _ = max_sharpe_weights(stats, subset_idx, cfg.risk_free_rate)

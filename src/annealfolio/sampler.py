@@ -1,24 +1,26 @@
-"""Low-energy state search for QUBO/Ising models.
+"""Low-energy state search for QUBO/Ising models and for k-subset selection.
 
 Two solvers share the :class:`SampleSet` result type: a seeded simulated
-annealer (the workhorse) and one exhaustive enumerator, the exact solver at
-small sizes and the annealer's oracle. The pipeline never enumerates: its
-selection repairs and swap-descends every restart's state, and at k = 1 or
-k = n - 1, where one swap reaches every k-subset, it swap-descends one
-start without annealing.
+annealer of QUBO/Ising models (the fully_quantum share band) and one
+exhaustive enumerator, the exact solver at small sizes and the annealer's
+oracle. A third, :func:`swap_anneal`, anneals the hybrid selection
+q x'Sigma x - mu'x over k-subsets only: its moves swap a held name for a
+free one, so the count stays k with no penalty. The pipeline never
+enumerates: its selection swap-descends every restart's best state, and
+at k = 1 or k = n - 1, where one swap reaches every k-subset, it
+swap-descends one start without annealing.
 
-Reproducibility contract: the random stream is numpy's PCG64. Restart r
-draws from ``PCG64(seed).jumped(r)``, so the first r restarts are
-identical no matter how many run in total, and parallel or serial
-execution merges to the same SampleSet. The seed is expanded once per
-anneal, and every restart's stream is built from those words.
+Reproducibility contract: the random stream is numpy's PCG64. In both
+annealers restart r draws from ``PCG64(seed).jumped(r)``, so the first r
+restarts are identical no matter how many run in total, and parallel or
+serial execution merges to the same result. The seed is expanded once
+per anneal, and every restart's stream is built from those words.
 
-Restarts run in lockstep, so a step is a handful of numpy calls whose
-cost grows far slower than their number: a 16-variable selection anneal
-of 100 sweeps from its largest flip cost takes about 2.2 ms at 1 restart,
-4 ms at 32, 7-7.5 ms at 128 and 12-13 ms at 256 (2-core x86 host, median
-of 41). 128 restarts cost about 3.3 times one, not 128 times, so the
-selection spends its sweeps on many short restarts.
+Restarts run in lockstep in both annealers, so a step is a handful of
+numpy calls whose cost grows far slower than their number; the selection
+spends its budget on many short restarts. The swap anneal's steps are
+elementwise per restart (:func:`_swap_walk`). What follows is the QUBO
+annealer's.
 
 Each restart's uniforms come from one call that covers its initial state
 and as many sweeps as fit ``_DRAW_VALUES`` over all restarts; a longer
@@ -72,15 +74,20 @@ DEFAULT_RESTARTS = 32  # likewise for restarts=None
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Cooling schedule for :func:`simulated_anneal`.
+    """Cooling schedule for :func:`simulated_anneal` and :func:`swap_anneal`.
 
-    Unset fields (None) resolve per model family: the pipeline's selection
-    takes its own sweeps, restarts and start (``pipeline.selection_schedule``).
-    Every other anneal runs DEFAULT_RESTARTS restarts from (max coefficient
-    magnitude * n), floored at 10x ``t_final``, for ``pipeline.BAND_SWEEPS``
-    (the share band) or DEFAULT_SWEEPS sweeps. One sweep is one Metropolis
-    flip attempt per variable, in index order. Cooling is geometric: sweep
-    s of S runs at t_initial * (t_final / t_initial) ** (s / (S - 1)).
+    Unset fields (None) resolve per model family. For
+    :func:`simulated_anneal` one sweep is one Metropolis flip attempt per
+    variable, in index order, and an unset start is (max coefficient
+    magnitude * n); it runs DEFAULT_RESTARTS restarts of
+    ``pipeline.BAND_SWEEPS`` (the share band) or DEFAULT_SWEEPS sweeps.
+    For :func:`swap_anneal` one sweep is one proposed swap in every
+    restart, and an unset start is ptp(mu) plus the largest
+    q(Sigma_ii - 2 Sigma_ij + Sigma_jj), the scale of one swap's cost; the
+    selection runs ``pipeline.SELECT_RESTARTS`` restarts of
+    ``pipeline.SELECT_SWEEPS`` sweeps. Every unset start is floored at 10x
+    ``t_final``. Cooling is geometric: sweep s of S runs at
+    t_initial * (t_final / t_initial) ** (s / (S - 1)).
     """
 
     t_initial: float | None = None
@@ -413,6 +420,114 @@ def simulated_anneal(
         raise InputError("model must have at least one variable")
     states, energies = _restart_bests(qm, schedule, seed)
     return _make_sampleset(states, energies, seed, qm.n)
+
+
+def swap_curvature(sigma: np.ndarray, q: float) -> np.ndarray:
+    """q((Sigma_ii - 2 Sigma_ij) + Sigma_jj) for every (i, j): swapping held i for free j changes
+    q x'Sigma x - mu'x by g_j - g_i plus this, with g = 2q Sigma x - mu."""
+    d = np.diag(sigma)
+    return q * ((d[:, None] - 2.0 * sigma) + d)
+
+
+def _swap_walk(mu: np.ndarray, sigma: np.ndarray, q: float, k: int, schedule: AnnealSchedule, seed: int):
+    """Every step of :func:`swap_anneal`'s restarts, in lockstep.
+
+    Resolves ``schedule`` as :func:`swap_anneal` documents, then yields
+    (held, E) at the start and after each step: held is the (R, k) array
+    of each restart's held names and E its objective, both updated in
+    place. Each restart also keeps its free names, so a swap of held slot
+    a for free slot b exchanges two entries and the count stays k.
+
+    Restart r's uniforms come from its own ``PCG64(seed).jumped(r)``
+    stream: n for the start (its k smallest name the held set), then
+    three per step for the held slot, the free slot and the Metropolis
+    threshold. One ``random`` call per restart covers the start and as
+    many steps as fit _DRAW_VALUES uniforms over all restarts; a longer
+    anneal draws again, continuing the same streams. Every update is
+    elementwise per restart, so no result depends on the BLAS, on the
+    thread count or on how many other restarts run.
+    """
+    curv = swap_curvature(sigma, q)
+    schedule = schedule.resolve(t_initial=max(float(np.ptp(mu) + curv.max()), 10.0 * schedule.t_final))
+    n, R, S = len(mu), schedule.restarts, schedule.sweeps
+    neg_temps = -schedule.temperatures(schedule.t_initial)
+    gens = _restart_generators(seed, R)
+    block = min(S, max(_DRAW_VALUES // (3 * R), 1))
+    rows = np.arange(R)
+    # held, free and G are indexed through flat views: restart r's slot a of held is held_at[r * k + a]
+    row_n = rows * n
+    for b0 in range(0, S, block):
+        nb = min(block, S - b0)
+        u = np.empty((R, (0 if b0 else n) + 3 * nb))
+        for gen, row in zip(gens, u):
+            gen.random(out=row)
+        if not b0:
+            order = np.argsort(u[:, :n], axis=1, kind="stable")
+            held, free = order[:, :k].copy(), order[:, k:].copy()
+            held_at, free_at = held.reshape(-1), free.reshape(-1)
+            field = sigma[held].sum(axis=1)  # Sigma x, adding the held rows in slot order
+            G = 2.0 * q * field - mu
+            G_at = G.reshape(-1)
+            E = (q * np.take_along_axis(field, held, 1) - mu[held]).sum(axis=1)
+            yield held, E
+        steps = u[:, u.shape[1] - 3 * nb :].reshape(R, nb, 3).transpose(2, 1, 0)
+        outs = (steps[0] * k).astype(np.intp) + rows * k  # (nb, R) flat slots of held
+        intos = (steps[1] * (n - k)).astype(np.intp) + rows * (n - k)
+        with np.errstate(divide="ignore"):
+            thresholds = neg_temps[b0 : b0 + nb, None] * np.log(steps[2])  # T * -log(u), bit for bit
+        for a, b, th in zip(outs, intos, thresholds):
+            i, j = held_at[a], free_at[b]
+            delta = (G_at[row_n + j] - G_at[row_n + i]) + curv[i, j]
+            acc = (delta < th).nonzero()[0]
+            if acc.size:
+                i, j = i[acc], j[acc]
+                held_at[a[acc]], free_at[b[acc]] = j, i
+                dG = np.subtract(sigma.take(j, 0), sigma.take(i, 0))
+                dG *= 2.0 * q
+                G[acc] = dG + G.take(acc, 0)  # G + 2q(Sigma_j - Sigma_i), bit for bit
+                E[acc] += delta[acc]
+            yield held, E
+
+
+def swap_anneal(
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    q: float,
+    k: int,
+    schedule: AnnealSchedule | None = None,
+    seed: int = 0,
+) -> np.ndarray:
+    """Seeded Metropolis annealing of q x'Sigma x - mu'x over the 0/1 x with exactly k ones.
+
+    Each restart starts from a uniform random k-subset. A step proposes
+    swapping a uniform random held name i for a uniform random free name
+    j, scores it as (g_j - g_i) + q((Sigma_ii - 2 Sigma_ij) + Sigma_jj)
+    with g = 2q Sigma x - mu, and accepts when that is below -T log(u).
+    Only the restarts that accept update g, by 2q(Sigma_j - Sigma_i). One
+    sweep is one step of every restart, and the temperature cools
+    geometrically over the sweeps. An unset start is ptp(mu) + the largest
+    q(Sigma_ii - 2 Sigma_ij + Sigma_jj), at least 10x ``t_final``;
+    DEFAULT_SWEEPS and DEFAULT_RESTARTS fill the other unset fields.
+
+    Returns each restart's best visited state, an (R, n) array of 0.0 and
+    1.0 in restart order. Restart r's row depends only on the model, the
+    schedule, ``seed`` and r. Requires 1 <= k < n.
+    """
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    n = len(mu)
+    if not 1 <= k < n:
+        raise InputError(f"swap anneal needs 1 <= k < n, got k={k}, n={n}")
+    walk = _swap_walk(mu, sigma, q, k, schedule or AnnealSchedule(), seed)
+    held, E = next(walk)
+    best_held, best_E = held.copy(), E.copy()
+    improved = np.empty(len(E), dtype=bool)
+    for held, E in walk:
+        if np.count_nonzero(np.less(E, best_E, improved)):
+            np.copyto(best_E, E, where=improved)
+            np.copyto(best_held, held, where=improved[:, None])
+    x = np.zeros((len(E), n))
+    np.put_along_axis(x, best_held, 1.0, axis=1)
+    return x
 
 
 def best_feasible(

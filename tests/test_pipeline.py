@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealfolio import pipeline
+from annealfolio import pipeline, sampler
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
@@ -19,7 +19,6 @@ from annealfolio.model import (
     affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
-    default_selection_penalty,
     penalize_equality,
     qubo_energy,
 )
@@ -35,7 +34,6 @@ from annealfolio.pipeline import (
     _descend,
     _dollar_objective,
     _relaxed_dollars,
-    _repair_to_k,
     _share_penalty,
     _swap_descent,
     buy,
@@ -43,16 +41,16 @@ from annealfolio.pipeline import (
     portfolio_value,
     run_pipeline,
     select_assets,
-    selection_schedule,
     to_shares,
 )
 from annealfolio.sampler import (
     DEFAULT_RESTARTS,
     DEFAULT_SWEEPS,
     AnnealSchedule,
-    best_feasible,
     simulated_anneal,
     state_to_array,
+    swap_anneal,
+    swap_curvature,
 )
 
 from conftest import grw_matrix
@@ -73,12 +71,12 @@ def cfg_for(budget, strategy="hybrid", seed=7, **kw):
 class TestSelectAssets:
     def test_zero_covariance_picks_top_returns(self):
         stats = make_stats([0.1, 0.2, 0.3], np.zeros((3, 3)))
-        picked = select_assets(stats, 2, 1.0, "auto", FAST, seed=1)
+        picked = select_assets(stats, 2, 1.0, FAST, seed=1)
         assert picked == ("T1", "T2")
 
     def test_full_universe_shortcut(self):
         stats = make_stats([0.1, 0.2], np.diag([1.0, 1.0]))
-        assert select_assets(stats, 2, 1.0, "auto", FAST, seed=1) == ("T0", "T1")
+        assert select_assets(stats, 2, 1.0, FAST, seed=1) == ("T0", "T1")
 
     def test_matches_exhaustive_feasible_optimum(self):
         # default schedule, annualized-scale statistics
@@ -89,7 +87,7 @@ class TestSelectAssets:
             A = rng.normal(0, 0.15, (n, n))
             stats = make_stats(rng.uniform(0.0, 0.5, n), A @ A.T)
             k = int(rng.integers(2, 6))
-            picked = select_assets(stats, k, 1.0, "auto", AnnealSchedule(), seed=trial)
+            picked = select_assets(stats, k, 1.0, AnnealSchedule(), seed=trial)
             assert len(picked) == k
             m = build_mvo_qubo(stats, 1.0, k)
             x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
@@ -106,23 +104,22 @@ class TestSelectAssets:
     def test_cardinality_out_of_range(self):
         stats = make_stats([0.1], [[0.0]])
         with pytest.raises(InputError):
-            select_assets(stats, 2, 1.0, "auto", FAST, seed=1)
+            select_assets(stats, 2, 1.0, FAST, seed=1)
 
-    def test_repair_reaches_k_under_weak_penalty(self):
-        # an explicit tiny penalty makes every sampled state infeasible
-        # (all-ones dominates), so each restart is repaired to two names;
-        # the four names tie, so the first two are dropped
+    def test_exact_ties_keep_the_first_restarts_start(self):
+        # every 2-subset of four equal names ties: no restart ever improves on
+        # its start, no swap descends, and the first row wins, restart 0's
+        # start, the two smallest of the first four uniforms of PCG64(seed)
         stats = make_stats([10.0] * 4, np.zeros((4, 4)))
-        weak = AnnealSchedule(sweeps=50, restarts=2)
-        s = simulated_anneal(build_mvo_qubo(stats, 1.0, 2, 0.001), weak, 3)
-        assert (s.state_array().sum(axis=1) == 4).all()
-        picked = select_assets(stats, 2, 1.0, 0.001, weak, seed=3)
-        assert picked == ("T2", "T3")
+        u = np.random.Generator(np.random.PCG64(4)).random(4)
+        start = tuple(stats.tickers[i] for i in sorted(np.argsort(u, kind="stable")[:2]))
+        assert start == ("T1", "T3")
+        assert select_assets(stats, 2, 1.0, AnnealSchedule(sweeps=50, restarts=2), seed=4) == start
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_one_swap_cardinalities_are_exact(self, n):
         # at k = 1 and k = n - 1 one swap reaches every k-subset, so the
-        # result is the brute-force optimum whatever the seed, schedule or penalty
+        # result is the brute-force optimum whatever the seed or schedule
         rng = np.random.default_rng([15, n])
         for k in sorted({1, n - 1}):
             for trial in range(4):
@@ -133,9 +130,8 @@ class TestSelectAssets:
                     key=lambda sub: selection_objective(stats, q, sub),
                 )
                 picks = {
-                    select_assets(stats, k, q, lam, schedule, seed)
+                    select_assets(stats, k, q, schedule, seed)
                     for seed in (0, 1, 2)
-                    for lam in ("auto", 0.001, 5.0)
                     for schedule in (FAST, AnnealSchedule(sweeps=1, restarts=1), AnnealSchedule())
                 }
                 assert picks == {best}
@@ -154,9 +150,10 @@ class TestSelectAssets:
 
         spy("build_mvo_qubo", build_mvo_qubo)
         spy("simulated_anneal", simulated_anneal)
+        spy("swap_anneal", swap_anneal)
         stats = random_selection_stats(np.random.default_rng(n * 100 + k), n)
-        assert len(select_assets(stats, k, 1.0, "auto", FAST, seed=4)) == k
-        assert calls == ["build_mvo_qubo", "simulated_anneal"] * anneals
+        assert len(select_assets(stats, k, 1.0, FAST, seed=4)) == k
+        assert calls == ["swap_anneal"] * anneals
 
     @pytest.mark.parametrize("mu, k, picked", [
         ([10.0, 10.0, 10.0], 1, ("T0",)),  # every name ties: the start is kept
@@ -166,21 +163,33 @@ class TestSelectAssets:
     ])
     def test_one_swap_ties(self, mu, k, picked):
         stats = make_stats(mu, np.zeros((len(mu), len(mu))))
-        assert select_assets(stats, k, 1.0, 0.001, FAST, seed=3) == picked
+        assert select_assets(stats, k, 1.0, FAST, seed=3) == picked
 
-    def test_large_universe_weak_penalty_anneals_once(self, monkeypatch):
-        # n = 30 is past every enumeration cap and no sample has k ones
+    def test_large_universe_anneals_once(self, monkeypatch):
+        # n = 30 is past every enumeration cap; the swap anneal has no size limit
         calls = []
 
-        def spy(m, schedule, seed):
-            calls.append(m.n)
-            return simulated_anneal(m, schedule, seed)
+        def spy(mu, sigma, q, k, schedule, seed):
+            calls.append((len(mu), k, schedule))
+            return swap_anneal(mu, sigma, q, k, schedule, seed)
 
-        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        monkeypatch.setattr(pipeline, "swap_anneal", spy)
         stats = random_selection_stats(np.random.default_rng(30), 30)
-        picked = select_assets(stats, 6, 1.0, 0.001, FAST, seed=2)
-        assert calls == [30]
+        picked = select_assets(stats, 6, 1.0, FAST, seed=2)
+        assert calls == [(30, 6, FAST)]
         assert_swap_optimal(stats, 1.0, picked, 6)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_equals_enumeration_at_every_annealed_cardinality(self, n):
+        # the default schedule finds the exact k-subset optimum for every 2 <= k <= n - 2
+        rng = np.random.default_rng([16, n])
+        for trial in range(3):
+            stats = random_selection_stats(rng, n)
+            q = float(rng.choice([0.1, 1.0, 10.0]))
+            for k in range(2, n - 1):
+                best = min(selection_objective(stats, q, sub) for sub in itertools.combinations(stats.tickers, k))
+                picked = select_assets(stats, k, q, AnnealSchedule(), seed=trial)
+                assert len(picked) == k and selection_objective(stats, q, picked) <= best + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -188,12 +197,11 @@ class TestSelectAssets:
         n=st.integers(2, 10),
         k_frac=st.floats(0.0, 1.0),
         q=st.sampled_from([0.1, 1.0, 10.0]),
-        lam=st.sampled_from(["auto", 0.01]),
     )
-    def test_no_single_swap_improves(self, seed, n, k_frac, q, lam):
+    def test_no_single_swap_improves(self, seed, n, k_frac, q):
         k = 1 + int(k_frac * (n - 1))
         stats = random_selection_stats(np.random.default_rng(seed), n)
-        picked = select_assets(stats, k, q, lam, AnnealSchedule(sweeps=20, restarts=2), seed)
+        picked = select_assets(stats, k, q, AnnealSchedule(sweeps=20, restarts=2), seed)
         assert_swap_optimal(stats, q, picked, k)
 
 
@@ -215,29 +223,13 @@ def assert_swap_optimal(stats, q, picked, k):
             assert _dollar_objective(y, ones, stats, q) >= here - 1e-12
 
 
-def reference_repair(x, stats, q, k):
-    """One row brought to k ones: drop the worst held name, or add the best other one, one at a time."""
-    x = np.array(x, dtype=float)
-    curv = q * np.diag(stats.sigma)
-    while (held := int(x.sum())) != k:
-        g = 2.0 * q * (stats.sigma @ x) - stats.mu
-        if held > k:  # dropping i changes the objective by curv_i - g_i
-            i = int(np.argmin(np.where(x == 1.0, curv - g, np.inf)))
-        else:  # adding i changes it by curv_i + g_i
-            i = int(np.argmin(np.where(x == 0.0, curv + g, np.inf)))
-        x[i] = 1.0 - x[i]
-    return x
-
-
-def single_start_objective(stats, k, q, lam, schedule, seed, resolve=selection_schedule):
-    """Objective of the one-start selection: the anneal's best record with k ones
-    (else its best record), repaired to k and swap-descended. The anneal runs on
-    ``resolve(schedule, model)``, by default the schedule select_assets resolves."""
-    lam_val = default_selection_penalty(stats, q) if lam == "auto" else float(lam)
-    model = build_mvo_qubo(stats, q, k, lam_val)
-    s = simulated_anneal(model, resolve(schedule, model), seed)
-    card = LinearConstraint(np.ones(stats.n), "eq", float(k))
-    x = reference_repair(state_to_array(best_feasible(s, [card], tolerance=1e-6) or s.best().state), stats, q, k)
+def single_start_objective(stats, k, q, schedule, seed):
+    """Objective of the one-start selection: restart 0's best state of the swap anneal
+    select_assets runs (the first k tickers when it anneals nothing), swap-descended."""
+    if 2 <= k <= stats.n - 2:
+        x = swap_anneal(stats.mu, stats.sigma, q, k, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed)[0]
+    else:
+        x = (np.arange(stats.n) < k).astype(float)
     return _dollar_objective(_swap_descent(x, stats, q)[0], np.ones(stats.n), stats, q)
 
 
@@ -254,56 +246,30 @@ def load_script(name):
 
 
 class TestSelectionRestarts:
-    def test_batched_repair_matches_reference(self):
-        rng = np.random.default_rng(2026)
-        sides = {-1: 0, 0: 0, 1: 0}
-        for trial in range(120):
-            n = int(rng.integers(2, 15))
-            k = int(rng.integers(1, n))
-            stats = random_selection_stats(rng, n)
-            q = float(rng.choice([0.1, 1.0, 10.0]))
-            # a weak penalty leaves annealed rows over and under k; random rows add both
-            lam = float(rng.choice([1e-4, 0.01])) if trial % 2 else default_selection_penalty(stats, q)
-            s = simulated_anneal(build_mvo_qubo(stats, q, k, lam), AnnealSchedule(sweeps=20, restarts=4), trial)
-            side = np.random.default_rng([2026, trial])
-            rows = np.vstack([s.state_array(), side.integers(0, 2, (3, n))]).astype(float)
-            for held in rows.sum(axis=1):
-                sides[int(np.sign(held - k))] += 1
-            got = _repair_to_k(rows, stats, q, k)
-            assert got.shape == rows.shape
-            for row, start in zip(got, rows):
-                assert row.tolist() == reference_repair(start, stats, q, k).tolist()
-        assert min(sides.values()) > 50
-
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(2, 12),
         k_frac=st.floats(0.0, 1.0),
         q=st.sampled_from([0.1, 1.0, 10.0]),
-        lam=st.sampled_from(["auto", 0.01]),
         sweeps=st.sampled_from([5, 50, None]),
     )
-    def test_never_worse_than_the_single_start_selection(self, seed, n, k_frac, q, lam, sweeps):
+    def test_never_worse_than_the_single_start_selection(self, seed, n, k_frac, q, sweeps):
         k = 1 + int(k_frac * (n - 1))
         stats = random_selection_stats(np.random.default_rng(seed), n)
         schedule = AnnealSchedule(sweeps=sweeps, restarts=8)
-        picked = select_assets(stats, k, q, lam, schedule, seed)
-        assert selection_objective(stats, q, picked) <= single_start_objective(stats, k, q, lam, schedule, seed) + 1e-12
+        picked = select_assets(stats, k, q, schedule, seed)
+        assert selection_objective(stats, q, picked) <= single_start_objective(stats, k, q, schedule, seed) + 1e-12
 
     @pytest.mark.parametrize("candidate", [0, 10, 12])
     def test_hard_hedged_instances_reach_the_optimum(self, candidate):
-        # screened hedged markets where the one-start selection at 1000
-        # sweeps and 32 restarts from max|coef| x n stops in a worse
-        # swap-local minimum
+        # screened hedged markets where some random-start swap descents stop
+        # in a worse swap-local minimum
         family = load_script("sampler_quality")
         stats, k, best, hard = family.hedged_candidate(7, candidate)
         assert hard
         q = family.HEDGED_Q
-        one_start_schedule = AnnealSchedule(sweeps=1000, restarts=32)
-        one_start = single_start_objective(stats, k, q, "auto", one_start_schedule, candidate, lambda s, m: s)
-        assert one_start > best + 1e-9
-        picked = select_assets(stats, k, q, "auto", AnnealSchedule(), candidate)
+        picked = select_assets(stats, k, q, AnnealSchedule(), candidate)
         assert selection_objective(stats, q, picked) <= best + 1e-9
 
 
@@ -866,28 +832,34 @@ def selection_stats(n=5):
 
 class TestSweepResolution:
     """Unset schedule fields resolve per family: the share band takes BAND_SWEEPS, DEFAULT_RESTARTS
-    and max|coef| x n; selection takes SELECT_SWEEPS, SELECT_RESTARTS and its largest flip cost."""
+    and max|coef| x n; selection's swap anneal takes SELECT_SWEEPS and SELECT_RESTARTS, and its
+    start comes from mu and Sigma (``TestSwapAnneal.test_unset_fields_resolve``)."""
 
-    def anneal_calls(self, monkeypatch, sampler, strategy, k=None):
+    def anneal_calls(self, monkeypatch, schedule, strategy, k=None):
         calls = []
 
-        def spy(m, schedule, seed):
-            calls.append((m, schedule))
+        def band_spy(m, schedule, seed):
+            calls.append(("band", m, schedule))
             return simulated_anneal(m, schedule, seed)
 
-        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        def swap_spy(mu, sigma, q, k, schedule, seed):
+            calls.append(("swap", None, schedule))
+            return swap_anneal(mu, sigma, q, k, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", band_spy)
+        monkeypatch.setattr(pipeline, "swap_anneal", swap_spy)
         stats = selection_stats()
         prices = {t: 20.0 + 5.0 * i for i, t in enumerate(stats.tickers)}
-        cfg = PipelineConfig(budget=5000.0, seed=3, strategy=strategy, sampler=sampler)
+        cfg = PipelineConfig(budget=5000.0, seed=3, strategy=strategy, sampler=schedule)
         buy(stats, prices, cfg, k=k)
         return calls
 
-    def assert_selection(self, m, schedule):
-        flip = float(np.max(np.abs(m.linear) + np.abs(m.quadratic + m.quadratic.T).sum(axis=1)))
-        assert flip != m.max_coefficient() * m.n
-        assert schedule == AnnealSchedule(t_initial=flip, sweeps=SELECT_SWEEPS, restarts=SELECT_RESTARTS)
+    def assert_selection(self, kind, m, schedule):
+        assert kind == "swap"
+        assert schedule == AnnealSchedule(sweeps=SELECT_SWEEPS, restarts=SELECT_RESTARTS)
 
-    def assert_band(self, m, schedule):
+    def assert_band(self, kind, m, schedule):
+        assert kind == "band"
         assert schedule == AnnealSchedule(sweeps=BAND_SWEEPS, restarts=DEFAULT_RESTARTS)
         assert schedule.resolve_t_initial(m) == m.max_coefficient() * m.n
 
@@ -895,7 +867,6 @@ class TestSweepResolution:
         default = AnnealSchedule()
         assert default.sweeps is None and default.restarts is None and default.t_initial is None
         assert max(SELECT_SWEEPS, BAND_SWEEPS) < DEFAULT_SWEEPS == 1000
-        assert DEFAULT_RESTARTS == 32 < SELECT_RESTARTS
         [band] = self.anneal_calls(monkeypatch, default, "fully_quantum")
         self.assert_band(*band)
         [select] = self.anneal_calls(monkeypatch, default, "hybrid")
@@ -906,12 +877,21 @@ class TestSweepResolution:
 
     def test_explicit_fields_reach_both_anneals(self, monkeypatch):
         explicit = AnnealSchedule(t_initial=7.5, sweeps=37, restarts=4)
-        assert [s for _, s in self.anneal_calls(monkeypatch, explicit, "fully_quantum", k=2)] == [explicit] * 2
-        assert [s for _, s in self.anneal_calls(monkeypatch, explicit, "hybrid")] == [explicit]
+        calls = self.anneal_calls(monkeypatch, explicit, "fully_quantum", k=2)
+        assert [(kind, s) for kind, _, s in calls] == [("swap", explicit), ("band", explicit)]
+        assert [(kind, s) for kind, _, s in self.anneal_calls(monkeypatch, explicit, "hybrid")] == [("swap", explicit)]
 
     def test_selection_start_floored_at_ten_final_temperatures(self):
-        m = build_mvo_qubo(selection_stats(), 1.0, 2, 0.01)
-        assert selection_schedule(AnnealSchedule(t_final=1.0), m).t_initial == 10.0
+        stats = selection_stats()
+        assert float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max()) < 10.0
+
+        def path(schedule):
+            walk = sampler._swap_walk(stats.mu, stats.sigma, 1.0, 2, schedule, 3)
+            return [(h.tolist(), e.tolist()) for h, e in walk]
+
+        floored = path(AnnealSchedule(t_final=1.0, sweeps=200, restarts=8))
+        assert floored == path(AnnealSchedule(t_initial=10.0, t_final=1.0, sweeps=200, restarts=8))
+        assert floored != path(AnnealSchedule(t_initial=10.5, t_final=1.0, sweeps=200, restarts=8))
 
 
 class TestRunPipeline:

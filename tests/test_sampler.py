@@ -33,6 +33,8 @@ from annealfolio.sampler import (
     exhaustive_solve,
     simulated_anneal,
     state_to_array,
+    swap_anneal,
+    swap_curvature,
 )
 
 FAST = AnnealSchedule(sweeps=200, restarts=8)
@@ -454,6 +456,128 @@ class TestKernelMatchesReference:
         quad = {(i, j): float(rng.uniform(-1.0, 1.0)) for i in range(8) for j in range(i + 1, 8)}
         m = QuboModel(8, lin, {ij: v for ij, v in quad.items() if 3 not in ij})
         assert_same_as_reference(m, AnnealSchedule(sweeps=200, restarts=16), seed=6)
+
+def subset_value(mu, sigma, q, held):
+    """q x'Sigma x - mu'x of the names ``held``, summed pair by pair."""
+    held = list(held)
+    return q * sum(sigma[i, j] for i in held for j in held) - sum(mu[i] for i in held)
+
+
+def swap_start(mu, sigma, q, schedule):
+    return schedule.t_initial or max(float(np.ptp(mu) + swap_curvature(sigma, q).max()), 10.0 * schedule.t_final)
+
+
+def reference_swap_walk(mu, sigma, q, k, schedule, seed, r):
+    """Restart r of the swap anneal one step at a time, from its own PCG64(seed).jumped(r) stream,
+    with every proposal scored by evaluating the objective before and after. Its held names after each step."""
+    n, S = len(mu), schedule.sweeps
+    temps = schedule.temperatures(swap_start(mu, sigma, q, schedule))
+    u = np.random.Generator(np.random.PCG64(seed).jumped(r)).random(n + 3 * S)
+    order = np.argsort(u[:n], kind="stable").tolist()
+    held, free = order[:k], order[k:]
+    path = [list(held)]
+    for s in range(S):
+        a, b, w = u[n + 3 * s : n + 3 * s + 3]
+        a, b = int(a * k), int(b * (n - k))
+        moved = held[:a] + [free[b]] + held[a + 1 :]
+        if subset_value(mu, sigma, q, moved) - subset_value(mu, sigma, q, held) < temps[s] * -np.log(w):
+            free[b], held = held[a], moved
+        path.append(list(held))
+    return path
+
+
+def swap_walk_path(mu, sigma, q, k, schedule, seed):
+    """Every (held, E) that ``sampler._swap_walk`` yields, copied."""
+    return [(h.copy(), e.copy()) for h, e in sampler._swap_walk(mu, sigma, q, k, schedule, seed)]
+
+
+class TestSwapAnneal:
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 1), (6, 3), (7, 6), (9, 4)])
+    def test_every_step_keeps_k_names_and_scores_the_exact_change(self, n, k):
+        rng = np.random.default_rng([41, n, k])
+        for trial in range(3):
+            stats = random_stats(rng, n)
+            q = float(rng.choice([0.1, 1.0, 10.0]))
+            schedule = AnnealSchedule(sweeps=60, restarts=6).resolve()
+            path = swap_walk_path(stats.mu, stats.sigma, q, k, schedule, trial)
+            assert len(path) == 61
+            moved = 0
+            for (before, E0), (after, E1) in zip(path, path[1:]):
+                for r in range(6):
+                    assert len(set(after[r].tolist())) == k and set(after[r].tolist()) <= set(range(n))
+                    exact = subset_value(stats.mu, stats.sigma, q, after[r])
+                    change = exact - subset_value(stats.mu, stats.sigma, q, before[r])
+                    assert E1[r] - E0[r] == pytest.approx(change, abs=1e-12 * (1.0 + abs(exact)))
+                    if sorted(after[r].tolist()) != sorted(before[r].tolist()):
+                        moved += 1
+                        assert len(set(after[r].tolist()) - set(before[r].tolist())) == 1
+            assert moved > 30
+
+    @pytest.mark.parametrize("restarts, sweeps, seed", [(1, 50, 0), (5, 80, 3), (12, 200, 2**31 - 1)])
+    def test_matches_one_restart_reference(self, restarts, sweeps, seed):
+        rng = np.random.default_rng([43, restarts])
+        stats = random_stats(rng, 10)
+        for k, q in ((2, 1.0), (5, 10.0), (8, 0.1)):
+            schedule = AnnealSchedule(sweeps=sweeps, restarts=restarts).resolve()
+            path = swap_walk_path(stats.mu, stats.sigma, q, k, schedule, seed)
+            for r in range(restarts):
+                assert [h[r].tolist() for h, _ in path] == reference_swap_walk(stats.mu, stats.sigma, q, k, schedule, seed, r)
+
+    def test_best_state_is_the_lowest_visited(self):
+        stats = random_stats(np.random.default_rng(44), 9)
+        schedule = AnnealSchedule(sweeps=100, restarts=8)
+        X = swap_anneal(stats.mu, stats.sigma, 1.0, 4, schedule, seed=5)
+        assert X.shape == (8, 9) and (X.sum(axis=1) == 4).all()
+        path = swap_walk_path(stats.mu, stats.sigma, 1.0, 4, schedule.resolve(), 5)
+        for r, x in enumerate(X):
+            lowest = min(range(len(path)), key=lambda s: path[s][1][r])  # first of the lowest
+            assert sorted(np.flatnonzero(x).tolist()) == sorted(path[lowest][0][r].tolist())
+
+    def test_restart_rows_do_not_depend_on_the_restart_count(self):
+        stats = random_stats(np.random.default_rng(45), 16)
+        for R in (1, 8, 64):
+            few = swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=100, restarts=R), seed=9)
+            many = swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=100, restarts=2 * R), seed=9)
+            assert few.tobytes() == many[:R].tobytes()
+
+    def test_one_draw_per_restart_at_selection_size(self, monkeypatch):
+        stats = random_stats(np.random.default_rng(46), 20)
+        calls = count_random_calls(monkeypatch)
+        swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=300, restarts=128), seed=3)
+        assert len(calls) == 128
+
+    @pytest.mark.parametrize("per_draw", [1, 7, 40])
+    def test_draw_budget(self, monkeypatch, per_draw):
+        # streams drawn a few steps at a time continue where the last draw stopped
+        stats = random_stats(np.random.default_rng(47), 12)
+        schedule = AnnealSchedule(sweeps=90, restarts=4)
+        whole = swap_anneal(stats.mu, stats.sigma, 1.0, 3, schedule, seed=2)
+        monkeypatch.setattr(sampler, "_DRAW_VALUES", 3 * 4 * per_draw)
+        calls = count_random_calls(monkeypatch)
+        assert swap_anneal(stats.mu, stats.sigma, 1.0, 3, schedule, seed=2).tobytes() == whole.tobytes()
+        assert len(calls) == 4 * -(-90 // per_draw)
+
+    def test_unset_fields_resolve(self):
+        # the start is ptp(mu) plus the largest swap curvature (its floor:
+        # TestSweepResolution); sweeps and restarts take the direct-call defaults
+        stats = random_stats(np.random.default_rng(48), 8)
+        mu, sigma = stats.mu, stats.sigma
+        start = float(np.ptp(mu) + swap_curvature(sigma, 1.0).max())
+        assert 0.0 < start < 10.0
+
+        def path(schedule):
+            return [(h.tolist(), e.tolist()) for h, e in swap_walk_path(mu, sigma, 1.0, 3, schedule, 4)]
+
+        assert path(AnnealSchedule(sweeps=200, restarts=8)) == path(AnnealSchedule(t_initial=start, sweeps=200, restarts=8))
+        assert path(AnnealSchedule(sweeps=200, restarts=8)) != path(AnnealSchedule(t_initial=1.1 * start, sweeps=200, restarts=8))
+        unset = swap_anneal(mu, sigma, 1.0, 3, AnnealSchedule(), seed=4)
+        assert unset.tobytes() == swap_anneal(mu, sigma, 1.0, 3, AnnealSchedule(sweeps=1000, restarts=32), seed=4).tobytes()
+
+    def test_cardinality_needs_a_swap(self):
+        stats = random_stats(np.random.default_rng(49), 4)
+        for k in (0, 4, 5):
+            with pytest.raises(InputError, match="1 <= k < n"):
+                swap_anneal(stats.mu, stats.sigma, 1.0, k, FAST, seed=0)
 
 
 class TestBestFeasible:
