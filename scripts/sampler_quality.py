@@ -17,9 +17,9 @@ whose selection is annealed (2 <= k <= n - 2).
 
 Both selection families report two things against the exact k-subset
 optimum, which this script enumerates with its own numpy code. The raw
-swap anneal (``sampler.swap_anneal`` on the schedule ``select_assets``
-resolves) hits when its best restart's objective equals that optimum,
-before any descent; its hits per second of anneal time are printed.
+swap anneal (``sampler.simulated_anneal`` of the ``KSubsetModel``, on the
+schedule ``select_assets`` resolves) hits when its best restart's
+objective equals that optimum, before any descent; its hits per second of anneal time are printed.
 ``pipeline.select_assets`` hits when its pick does. Either family exits
 1 when ``select_assets`` misses on any instance.
 
@@ -41,8 +41,8 @@ import numpy as np
 from annealfolio import pipeline
 from annealfolio.allocator import derive_cardinality, max_sharpe_weights
 from annealfolio.marketdata import AssetStats
-from annealfolio.model import QuboModel
-from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anneal, swap_anneal
+from annealfolio.model import KSubsetModel, QuboModel
+from annealfolio.sampler import AnnealSchedule, exhaustive_solve, simulated_anneal
 
 HEDGED_Q = 10.0
 HEDGED_SCREEN_STARTS = 20
@@ -119,12 +119,12 @@ def run_selections(args, family, draw):
             continue
         stats, q, k, best = drawn
         t0 = time.perf_counter()
-        states = swap_anneal(stats.mu, stats.sigma, q, k, resolved, seed=c)
+        s = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, q, k), resolved, seed=c)
         t1 = time.perf_counter()
         picked = pipeline.select_assets(stats, k, q, schedule, seed=c)
         t2 = time.perf_counter()
         anneal_s, select_s = anneal_s + t1 - t0, select_s + t2 - t1
-        raw_hit = min(subset_objective(stats, q, x) for x in states) <= best + 1e-9
+        raw_hit = s.best_energy <= best + 1e-9
         x = np.array([1.0 if t in picked else 0.0 for t in stats.tickers])
         hit = subset_objective(stats, q, x) <= best + 1e-9
         raw_hits += raw_hit

@@ -23,6 +23,7 @@ from .model import (
     ConstrainedModel,
     IntegerEncoding,
     IsingModel,
+    KSubsetModel,
     LinearConstraint,
     QuboModel,
     build_mpt_model,

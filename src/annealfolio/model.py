@@ -224,6 +224,38 @@ class ConstrainedModel:
         return bits.astype(np.int64) @ weights + [e.lower for e in self.encodings]
 
 
+@dataclass(frozen=True)
+class KSubsetModel:
+    """q x'Sigma x - mu'x over the 0/1 x with exactly k ones, 1 <= k < n: the hybrid selection.
+
+    No penalty holds the count at k; :func:`sampler.simulated_anneal`
+    anneals it with swaps of a held name for a free one. ``mu`` and
+    ``sigma`` are read-only copies, never the caller's arrays.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    q: float
+    k: int
+
+    def __post_init__(self):
+        mu, sigma = np.array(self.mu, dtype=float), np.array(self.sigma, dtype=float)
+        n = len(mu)
+        if mu.shape != (n,) or sigma.shape != (n, n):
+            raise InputError(f"mu {mu.shape} and sigma {sigma.shape} must be (n,) and (n, n)")
+        if not 1 <= self.k < n:
+            raise InputError(f"k-subset model needs 1 <= k < n, got k={self.k}, n={n}")
+        for name, arr in (("mu", mu), ("sigma", sigma)):
+            _finite_terms(name, arr.reshape(-1), 0.0)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "q", float(self.q))
+
+    @property
+    def n(self) -> int:
+        return len(self.mu)
+
+
 # ---------------------------------------------------------------------------
 # energy evaluation
 

@@ -45,6 +45,7 @@ from .marketdata import (
     estimate_stats,
 )
 from .model import (
+    KSubsetModel,
     LinearConstraint,
     QuboModel,
     affordable_shares,
@@ -52,7 +53,7 @@ from .model import (
     flip_costs,
     penalize_equality,
 )
-from .sampler import AnnealSchedule, simulated_anneal, swap_anneal, swap_curvature
+from .sampler import AnnealSchedule, simulated_anneal, swap_curvature
 
 # Unused here; perfbench/tracer.py requires these names at this import site.
 from .model import build_mvo_qubo, penalize_inequality
@@ -157,11 +158,12 @@ def select_assets(
 ) -> tuple[str, ...]:
     """Pick exactly k tickers: swap-anneal the k-subsets of q x'Sigma x - mu'x once, then swap-descend.
 
-    :func:`sampler.swap_anneal` runs on ``schedule``, whose unset sweeps
-    and restarts take SELECT_SWEEPS and SELECT_RESTARTS. Every restart's
-    best state descends over the k(n - k) swaps of a held name for another
-    in batched :func:`_swap_descent` passes; the first best in restart
-    order is kept, so no single swap improves the result.
+    :func:`simulated_anneal` anneals the :class:`KSubsetModel` on
+    ``schedule``, whose unset sweeps and restarts take SELECT_SWEEPS and
+    SELECT_RESTARTS. Every record of its sample set descends over the
+    k(n - k) swaps of a held name for another in batched
+    :func:`_swap_descent` passes; the first best in record order is kept,
+    so no single swap improves the result.
 
     At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
     descent's first move reaches the exact optimum from any start. Then
@@ -179,7 +181,9 @@ def select_assets(
     if k in (1, n - 1):
         starts = np.arange(n) < k
     else:
-        starts = swap_anneal(stats.mu, stats.sigma, q, k, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed)
+        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep and restart counts
+        model = KSubsetModel(stats.mu, stats.sigma, q, k)
+        starts = simulated_anneal(model, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed).state_array()
     counts = _best_descent(starts, lambda rows: _swap_descent(rows, stats, q), np.ones(n), stats, q)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 

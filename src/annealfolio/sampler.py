@@ -1,26 +1,27 @@
 """Low-energy state search for QUBO/Ising models and for k-subset selection.
 
 Two solvers share the :class:`SampleSet` result type: a seeded simulated
-annealer of QUBO/Ising models (the fully_quantum share band) and one
-exhaustive enumerator, the exact solver at small sizes and the annealer's
-oracle. A third, :func:`swap_anneal`, anneals the hybrid selection
-q x'Sigma x - mu'x over k-subsets only: its moves swap a held name for a
-free one, so the count stays k with no penalty. The pipeline never
-enumerates: its selection swap-descends every restart's best state, and
-at k = 1 or k = n - 1, where one swap reaches every k-subset, it
-swap-descends one start without annealing.
+annealer and one exhaustive enumerator of QUBO models, the exact solver at
+small sizes and the annealer's oracle. :func:`simulated_anneal` moves by
+single flips on a QUBO or Ising model (the fully_quantum share band) and
+by swaps of a held name for a free one on a :class:`KSubsetModel` (the
+hybrid selection q x'Sigma x - mu'x over k-subsets), so there the count
+stays k with no penalty. The pipeline never enumerates: its selection
+swap-descends every restart's best state, and at k = 1 or k = n - 1,
+where one swap reaches every k-subset, it swap-descends one start without
+annealing.
 
 Reproducibility contract: the random stream is numpy's PCG64. In both
-annealers restart r draws from ``PCG64(seed).jumped(r)``, so the first r
+move sets restart r draws from ``PCG64(seed).jumped(r)``, so the first r
 restarts are identical no matter how many run in total, and parallel or
 serial execution merges to the same result. The seed is expanded once
 per anneal, and every restart's stream is built from those words.
 
-Restarts run in lockstep in both annealers, so a step is a handful of
+Restarts run in lockstep in both move sets, so a step is a handful of
 numpy calls whose cost grows far slower than their number; the selection
-spends its budget on many short restarts. The swap anneal's steps are
-elementwise per restart (:func:`_swap_walk`). What follows is the QUBO
-annealer's.
+spends its budget on many short restarts. The swap steps are
+elementwise per restart (:func:`_swap_walk`). What follows is the flip
+anneal's.
 
 Each restart's uniforms come from one call that covers its initial state
 and as many sweeps as fit ``_DRAW_VALUES`` over all restarts; a longer
@@ -54,6 +55,7 @@ import numpy as np
 from .errors import InputError, check_field
 from .model import (
     IsingModel,
+    KSubsetModel,
     LinearConstraint,
     QuboModel,
     ising_to_qubo,
@@ -74,19 +76,19 @@ DEFAULT_RESTARTS = 32  # likewise for restarts=None
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Cooling schedule for :func:`simulated_anneal` and :func:`swap_anneal`.
+    """Cooling schedule for :func:`simulated_anneal`.
 
-    Unset fields (None) resolve per model family. For
-    :func:`simulated_anneal` one sweep is one Metropolis flip attempt per
-    variable, in index order, and an unset start is (max coefficient
-    magnitude * n); it runs DEFAULT_RESTARTS restarts of
-    ``pipeline.BAND_SWEEPS`` (the share band) or DEFAULT_SWEEPS sweeps.
-    For :func:`swap_anneal` one sweep is one proposed swap in every
-    restart, and an unset start is ptp(mu) plus the largest
+    Unset fields (None) resolve per model family. On a QUBO or Ising
+    model one sweep is one Metropolis flip attempt per variable, in index
+    order, and an unset start is (max coefficient magnitude * n); the
+    share band runs DEFAULT_RESTARTS restarts of ``pipeline.BAND_SWEEPS``
+    sweeps. On a :class:`KSubsetModel` one sweep is one proposed swap in
+    every restart, and an unset start is ptp(mu) plus the largest
     q(Sigma_ii - 2 Sigma_ij + Sigma_jj), the scale of one swap's cost; the
     selection runs ``pipeline.SELECT_RESTARTS`` restarts of
-    ``pipeline.SELECT_SWEEPS`` sweeps. Every unset start is floored at 10x
-    ``t_final``. Cooling is geometric: sweep s of S runs at
+    ``pipeline.SELECT_SWEEPS`` sweeps. Other unset counts are
+    DEFAULT_RESTARTS and DEFAULT_SWEEPS. Every unset start is floored at
+    10x ``t_final``. Cooling is geometric: sweep s of S runs at
     t_initial * (t_final / t_initial) ** (s / (S - 1)).
     """
 
@@ -108,10 +110,14 @@ class AnnealSchedule:
         t_initial = self.t_initial or t_initial
         return replace(self, sweeps=self.sweeps or sweeps, restarts=self.restarts or restarts, t_initial=t_initial)
 
-    def resolve_t_initial(self, model: QuboModel | IsingModel) -> float:
+    def resolve_t_initial(self, model: QuboModel | IsingModel | KSubsetModel) -> float:
         if self.t_initial is not None:
             return self.t_initial
-        return max(model.max_coefficient() * model.n, 10.0 * self.t_final)
+        if isinstance(model, KSubsetModel):
+            scale = float(np.ptp(model.mu) + swap_curvature(model.sigma, model.q).max())
+        else:
+            scale = model.max_coefficient() * model.n
+        return max(scale, 10.0 * self.t_final)
 
     def temperatures(self, t0: float) -> np.ndarray:
         if self.sweeps == 1:
@@ -397,24 +403,35 @@ def _restart_bests(
 
 
 def simulated_anneal(
-    m: QuboModel | IsingModel,
+    m: QuboModel | IsingModel | KSubsetModel,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
 ) -> SampleSet:
-    """Seeded single-flip Metropolis annealing.
+    """Seeded Metropolis annealing: single flips of a QUBO/Ising model, swaps of a k-subset model.
 
-    Each restart starts from a uniform random state and performs
-    ``schedule.sweeps`` sweeps (DEFAULT_SWEEPS x DEFAULT_RESTARTS when unset)
-    while the temperature cools geometrically from t_initial to t_final; a
-    move with energy change d is accepted when d <= 0, otherwise with
-    probability exp(-d / T). Ising inputs are converted to the exact QUBO
-    twin first, so reported energies match the source model; states are
-    bitstrings with s = 2x - 1.
+    Each restart starts from a uniform random state (a uniform random
+    k-subset for a :class:`KSubsetModel`) and performs ``schedule.sweeps``
+    sweeps (DEFAULT_SWEEPS x DEFAULT_RESTARTS when unset) while the
+    temperature cools geometrically from t_initial to t_final; a move with
+    energy change d is accepted when d <= 0, otherwise with probability
+    exp(-d / T). A QUBO sweep tries one flip per variable; a k-subset
+    sweep proposes one swap of a held name for a free one
+    (:func:`_swap_walk`), so every state holds k names. Ising inputs are
+    converted to the exact QUBO twin first, so reported energies match the
+    source model; states are bitstrings with s = 2x - 1. The records hold
+    each restart's best state, energies re-evaluated exactly.
 
     Deterministic: fixed (model, schedule, seed) reproduces the SampleSet
     bit for bit.
     """
     schedule = (schedule or AnnealSchedule()).resolve()
+    if isinstance(m, KSubsetModel):
+        held = _swap_restart_bests(m, schedule, seed)
+        X = np.zeros((len(held), m.n), dtype=np.uint8)
+        np.put_along_axis(X, held, 1, axis=1)
+        text = (X + ord("0")).tobytes().decode()
+        states = [text[r * m.n : (r + 1) * m.n] for r in range(len(held))]
+        return _make_sampleset(states, _subset_energies(m, held), seed, m.n)
     qm = ising_to_qubo(m) if isinstance(m, IsingModel) else m
     if qm.n < 1:
         raise InputError("model must have at least one variable")
@@ -429,30 +446,41 @@ def swap_curvature(sigma: np.ndarray, q: float) -> np.ndarray:
     return q * ((d[:, None] - 2.0 * sigma) + d)
 
 
-def _swap_walk(mu: np.ndarray, sigma: np.ndarray, q: float, k: int, schedule: AnnealSchedule, seed: int):
-    """Every step of :func:`swap_anneal`'s restarts, in lockstep.
+def _subset_energies(m: KSubsetModel, held: np.ndarray) -> np.ndarray:
+    """q x'Sigma x - mu'x of each row's held names (R, k), summed in slot order without BLAS."""
+    field = m.sigma[held].sum(axis=1)  # Sigma x
+    return (m.q * np.take_along_axis(field, held, 1) - m.mu[held]).sum(axis=1)
 
-    Resolves ``schedule`` as :func:`swap_anneal` documents, then yields
-    (held, E) at the start and after each step: held is the (R, k) array
-    of each restart's held names and E its objective, both updated in
-    place. Each restart also keeps its free names, so a swap of held slot
-    a for free slot b exchanges two entries and the count stays k.
+
+def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
+    """Every step of the k-subset anneal's restarts, in lockstep, on a resolved ``schedule``.
+
+    Yields (held, E) at the start and after each step: held is the (R, k)
+    array of each restart's held names and E its objective, both updated
+    in place. Each restart also keeps its free names, so a swap of held
+    slot a for free slot b exchanges two entries and the count stays k. A
+    step proposes, in every restart, swapping a uniform random held name i
+    for a uniform random free name j, scores it as (g_j - g_i) +
+    q((Sigma_ii - 2 Sigma_ij) + Sigma_jj) with g = 2q Sigma x - mu, and
+    accepts when that is below -T log(u). Only the restarts that accept
+    update g, by 2q(Sigma_j - Sigma_i).
 
     Restart r's uniforms come from its own ``PCG64(seed).jumped(r)``
     stream: n for the start (its k smallest name the held set), then
     three per step for the held slot, the free slot and the Metropolis
     threshold. One ``random`` call per restart covers the start and as
     many steps as fit _DRAW_VALUES uniforms over all restarts; a longer
-    anneal draws again, continuing the same streams. Every update is
-    elementwise per restart, so no result depends on the BLAS, on the
-    thread count or on how many other restarts run.
+    anneal draws again, continuing the same streams. A draw holds at most
+    8 * max(_DRAW_VALUES, R * (n + 3)) bytes. Every update is elementwise
+    per restart, so no result depends on the BLAS, on the thread count or
+    on how many other restarts run.
     """
+    mu, sigma, q, k, n = m.mu, m.sigma, m.q, m.k, m.n
     curv = swap_curvature(sigma, q)
-    schedule = schedule.resolve(t_initial=max(float(np.ptp(mu) + curv.max()), 10.0 * schedule.t_final))
-    n, R, S = len(mu), schedule.restarts, schedule.sweeps
-    neg_temps = -schedule.temperatures(schedule.t_initial)
+    R, S = schedule.restarts, schedule.sweeps
+    neg_temps = -schedule.temperatures(schedule.resolve_t_initial(m))
     gens = _restart_generators(seed, R)
-    block = min(S, max(_DRAW_VALUES // (3 * R), 1))
+    block = min(S, max((_DRAW_VALUES // R - n) // 3, 1))
     rows = np.arange(R)
     # held, free and G are indexed through flat views: restart r's slot a of held is held_at[r * k + a]
     row_n = rows * n
@@ -465,10 +493,9 @@ def _swap_walk(mu: np.ndarray, sigma: np.ndarray, q: float, k: int, schedule: An
             order = np.argsort(u[:, :n], axis=1, kind="stable")
             held, free = order[:, :k].copy(), order[:, k:].copy()
             held_at, free_at = held.reshape(-1), free.reshape(-1)
-            field = sigma[held].sum(axis=1)  # Sigma x, adding the held rows in slot order
-            G = 2.0 * q * field - mu
+            G = 2.0 * q * sigma[held].sum(axis=1) - mu  # 2q Sigma x - mu, adding the held rows in slot order
             G_at = G.reshape(-1)
-            E = (q * np.take_along_axis(field, held, 1) - mu[held]).sum(axis=1)
+            E = _subset_energies(m, held)
             yield held, E
         steps = u[:, u.shape[1] - 3 * nb :].reshape(R, nb, 3).transpose(2, 1, 0)
         outs = (steps[0] * k).astype(np.intp) + rows * k  # (nb, R) flat slots of held
@@ -489,35 +516,12 @@ def _swap_walk(mu: np.ndarray, sigma: np.ndarray, q: float, k: int, schedule: An
             yield held, E
 
 
-def swap_anneal(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    q: float,
-    k: int,
-    schedule: AnnealSchedule | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Seeded Metropolis annealing of q x'Sigma x - mu'x over the 0/1 x with exactly k ones.
+def _swap_restart_bests(m: KSubsetModel, schedule: AnnealSchedule, seed: int) -> np.ndarray:
+    """Each restart's first lowest-E visited held set, an (R, k) array in restart order.
 
-    Each restart starts from a uniform random k-subset. A step proposes
-    swapping a uniform random held name i for a uniform random free name
-    j, scores it as (g_j - g_i) + q((Sigma_ii - 2 Sigma_ij) + Sigma_jj)
-    with g = 2q Sigma x - mu, and accepts when that is below -T log(u).
-    Only the restarts that accept update g, by 2q(Sigma_j - Sigma_i). One
-    sweep is one step of every restart, and the temperature cools
-    geometrically over the sweeps. An unset start is ptp(mu) + the largest
-    q(Sigma_ii - 2 Sigma_ij + Sigma_jj), at least 10x ``t_final``;
-    DEFAULT_SWEEPS and DEFAULT_RESTARTS fill the other unset fields.
-
-    Returns each restart's best visited state, an (R, n) array of 0.0 and
-    1.0 in restart order. Restart r's row depends only on the model, the
-    schedule, ``seed`` and r. Requires 1 <= k < n.
+    Restart r's row depends only on the model, the schedule, ``seed`` and r.
     """
-    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-    n = len(mu)
-    if not 1 <= k < n:
-        raise InputError(f"swap anneal needs 1 <= k < n, got k={k}, n={n}")
-    walk = _swap_walk(mu, sigma, q, k, schedule or AnnealSchedule(), seed)
+    walk = _swap_walk(m, schedule, seed)
     held, E = next(walk)
     best_held, best_E = held.copy(), E.copy()
     improved = np.empty(len(E), dtype=bool)
@@ -525,9 +529,7 @@ def swap_anneal(
         if np.count_nonzero(np.less(E, best_E, improved)):
             np.copyto(best_E, E, where=improved)
             np.copyto(best_held, held, where=improved[:, None])
-    x = np.zeros((len(E), n))
-    np.put_along_axis(x, best_held, 1.0, axis=1)
-    return x
+    return best_held
 
 
 def best_feasible(

@@ -15,6 +15,7 @@ from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
 from annealfolio.model import (
+    KSubsetModel,
     LinearConstraint,
     affordable_shares,
     build_mpt_model,
@@ -49,7 +50,6 @@ from annealfolio.sampler import (
     AnnealSchedule,
     simulated_anneal,
     state_to_array,
-    swap_anneal,
     swap_curvature,
 )
 
@@ -106,15 +106,19 @@ class TestSelectAssets:
         with pytest.raises(InputError):
             select_assets(stats, 2, 1.0, FAST, seed=1)
 
-    def test_exact_ties_keep_the_first_restarts_start(self):
+    def test_exact_ties_keep_the_first_record(self):
         # every 2-subset of four equal names ties: no restart ever improves on
-        # its start, no swap descends, and the first row wins, restart 0's
-        # start, the two smallest of the first four uniforms of PCG64(seed)
+        # its start (the two smallest of the first four uniforms of
+        # PCG64(seed).jumped(r)), no swap descends, and the first record
+        # wins: the start whose bitstring sorts first
         stats = make_stats([10.0] * 4, np.zeros((4, 4)))
-        u = np.random.Generator(np.random.PCG64(4)).random(4)
-        start = tuple(stats.tickers[i] for i in sorted(np.argsort(u, kind="stable")[:2]))
-        assert start == ("T1", "T3")
-        assert select_assets(stats, 2, 1.0, AnnealSchedule(sweeps=50, restarts=2), seed=4) == start
+        starts = []
+        for r in range(2):
+            u = np.random.Generator(np.random.PCG64(3).jumped(r)).random(4)
+            starts.append(tuple(stats.tickers[i] for i in sorted(np.argsort(u, kind="stable")[:2])))
+        assert starts == [("T0", "T1"), ("T1", "T3")]  # 1100 and 0101
+        assert select_assets(stats, 2, 1.0, AnnealSchedule(sweeps=50, restarts=1), seed=3) == starts[0]
+        assert select_assets(stats, 2, 1.0, AnnealSchedule(sweeps=50, restarts=2), seed=3) == starts[1]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_one_swap_cardinalities_are_exact(self, n):
@@ -150,10 +154,9 @@ class TestSelectAssets:
 
         spy("build_mvo_qubo", build_mvo_qubo)
         spy("simulated_anneal", simulated_anneal)
-        spy("swap_anneal", swap_anneal)
         stats = random_selection_stats(np.random.default_rng(n * 100 + k), n)
         assert len(select_assets(stats, k, 1.0, FAST, seed=4)) == k
-        assert calls == ["swap_anneal"] * anneals
+        assert calls == ["simulated_anneal"] * anneals
 
     @pytest.mark.parametrize("mu, k, picked", [
         ([10.0, 10.0, 10.0], 1, ("T0",)),  # every name ties: the start is kept
@@ -169,14 +172,14 @@ class TestSelectAssets:
         # n = 30 is past every enumeration cap; the swap anneal has no size limit
         calls = []
 
-        def spy(mu, sigma, q, k, schedule, seed):
-            calls.append((len(mu), k, schedule))
-            return swap_anneal(mu, sigma, q, k, schedule, seed)
+        def spy(m, schedule, seed):
+            calls.append((type(m), m.n, m.k, schedule))
+            return simulated_anneal(m, schedule, seed)
 
-        monkeypatch.setattr(pipeline, "swap_anneal", spy)
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
         stats = random_selection_stats(np.random.default_rng(30), 30)
         picked = select_assets(stats, 6, 1.0, FAST, seed=2)
-        assert calls == [(30, 6, FAST)]
+        assert calls == [(KSubsetModel, 30, 6, FAST)]
         assert_swap_optimal(stats, 1.0, picked, 6)
 
     @pytest.mark.parametrize("n", range(4, 11))
@@ -223,16 +226,6 @@ def assert_swap_optimal(stats, q, picked, k):
             assert _dollar_objective(y, ones, stats, q) >= here - 1e-12
 
 
-def single_start_objective(stats, k, q, schedule, seed):
-    """Objective of the one-start selection: restart 0's best state of the swap anneal
-    select_assets runs (the first k tickers when it anneals nothing), swap-descended."""
-    if 2 <= k <= stats.n - 2:
-        x = swap_anneal(stats.mu, stats.sigma, q, k, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed)[0]
-    else:
-        x = (np.arange(stats.n) < k).astype(float)
-    return _dollar_objective(_swap_descent(x, stats, q)[0], np.ones(stats.n), stats, q)
-
-
 def selection_objective(stats, q, picked):
     return _dollar_objective([t in picked for t in stats.tickers], np.ones(stats.n), stats, q)
 
@@ -255,20 +248,23 @@ class TestSelectionRestarts:
         sweeps=st.sampled_from([5, 50, None]),
     )
     def test_never_worse_than_the_single_start_selection(self, seed, n, k_frac, q, sweeps):
+        # restart 0 runs the same whatever the restart count, and every restart is descended
         k = 1 + int(k_frac * (n - 1))
         stats = random_selection_stats(np.random.default_rng(seed), n)
-        schedule = AnnealSchedule(sweeps=sweeps, restarts=8)
-        picked = select_assets(stats, k, q, schedule, seed)
-        assert selection_objective(stats, q, picked) <= single_start_objective(stats, k, q, schedule, seed) + 1e-12
+        picked = select_assets(stats, k, q, AnnealSchedule(sweeps=sweeps, restarts=8), seed)
+        one = select_assets(stats, k, q, AnnealSchedule(sweeps=sweeps, restarts=1), seed)
+        assert selection_objective(stats, q, picked) <= selection_objective(stats, q, one) + 1e-12
 
-    @pytest.mark.parametrize("candidate", [0, 10, 12])
+    @pytest.mark.parametrize("candidate", [0, 1, 16])
     def test_hard_hedged_instances_reach_the_optimum(self, candidate):
         # screened hedged markets where some random-start swap descents stop
-        # in a worse swap-local minimum
+        # in a worse swap-local minimum, and so does the one-restart selection
         family = load_script("sampler_quality")
         stats, k, best, hard = family.hedged_candidate(7, candidate)
         assert hard
         q = family.HEDGED_Q
+        one = select_assets(stats, k, q, AnnealSchedule(restarts=1), candidate)
+        assert selection_objective(stats, q, one) > best + 1e-9
         picked = select_assets(stats, k, q, AnnealSchedule(), candidate)
         assert selection_objective(stats, q, picked) <= best + 1e-9
 
@@ -838,16 +834,11 @@ class TestSweepResolution:
     def anneal_calls(self, monkeypatch, schedule, strategy, k=None):
         calls = []
 
-        def band_spy(m, schedule, seed):
-            calls.append(("band", m, schedule))
+        def spy(m, schedule, seed):
+            calls.append(("swap" if isinstance(m, KSubsetModel) else "band", m, schedule))
             return simulated_anneal(m, schedule, seed)
 
-        def swap_spy(mu, sigma, q, k, schedule, seed):
-            calls.append(("swap", None, schedule))
-            return swap_anneal(mu, sigma, q, k, schedule, seed)
-
-        monkeypatch.setattr(pipeline, "simulated_anneal", band_spy)
-        monkeypatch.setattr(pipeline, "swap_anneal", swap_spy)
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
         stats = selection_stats()
         prices = {t: 20.0 + 5.0 * i for i, t in enumerate(stats.tickers)}
         cfg = PipelineConfig(budget=5000.0, seed=3, strategy=strategy, sampler=schedule)
@@ -886,7 +877,7 @@ class TestSweepResolution:
         assert float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max()) < 10.0
 
         def path(schedule):
-            walk = sampler._swap_walk(stats.mu, stats.sigma, 1.0, 2, schedule, 3)
+            walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, 1.0, 2), schedule.resolve(), 3)
             return [(h.tolist(), e.tolist()) for h, e in walk]
 
         floored = path(AnnealSchedule(t_final=1.0, sweeps=200, restarts=8))

@@ -10,6 +10,7 @@ from annealfolio import sampler
 from annealfolio.errors import InputError
 from annealfolio.marketdata import AssetStats
 from annealfolio.model import (
+    KSubsetModel,
     LinearConstraint,
     QuboModel,
     build_mpt_model,
@@ -33,7 +34,6 @@ from annealfolio.sampler import (
     exhaustive_solve,
     simulated_anneal,
     state_to_array,
-    swap_anneal,
     swap_curvature,
 )
 
@@ -303,7 +303,8 @@ class TestRestartStreams:
 
 
 def count_random_calls(monkeypatch):
-    """A list that gets one entry per ``random`` call on the generators ``_restart_generators`` returns."""
+    """A list that gets one entry per ``random`` call on the generators ``_restart_generators`` returns:
+    the size of its ``out`` array, or None."""
     calls = []
     make = sampler._restart_generators
 
@@ -311,9 +312,9 @@ def count_random_calls(monkeypatch):
         def __init__(self, gen):
             self.gen = gen
 
-        def random(self, *args, **kwargs):
-            calls.append(1)
-            return self.gen.random(*args, **kwargs)
+        def random(self, *args, out=None, **kwargs):
+            calls.append(None if out is None else out.size)
+            return self.gen.random(*args, out=out, **kwargs)
 
     monkeypatch.setattr(sampler, "_restart_generators", lambda seed, restarts: [Counted(g) for g in make(seed, restarts)])
     return calls
@@ -486,9 +487,15 @@ def reference_swap_walk(mu, sigma, q, k, schedule, seed, r):
     return path
 
 
-def swap_walk_path(mu, sigma, q, k, schedule, seed):
-    """Every (held, E) that ``sampler._swap_walk`` yields, copied."""
-    return [(h.copy(), e.copy()) for h, e in sampler._swap_walk(mu, sigma, q, k, schedule, seed)]
+def swap_walk_path(stats, q, k, schedule, seed):
+    """Every (held, E) that ``sampler._swap_walk`` yields on the resolved ``schedule``, copied."""
+    walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, q, k), schedule.resolve(), seed)
+    return [(h.copy(), e.copy()) for h, e in walk]
+
+
+def swap_bests(stats, q, k, schedule, seed):
+    """Each restart's best held names, (R, k) in restart order."""
+    return sampler._swap_restart_bests(KSubsetModel(stats.mu, stats.sigma, q, k), schedule.resolve(), seed)
 
 
 class TestSwapAnneal:
@@ -498,8 +505,7 @@ class TestSwapAnneal:
         for trial in range(3):
             stats = random_stats(rng, n)
             q = float(rng.choice([0.1, 1.0, 10.0]))
-            schedule = AnnealSchedule(sweeps=60, restarts=6).resolve()
-            path = swap_walk_path(stats.mu, stats.sigma, q, k, schedule, trial)
+            path = swap_walk_path(stats, q, k, AnnealSchedule(sweeps=60, restarts=6), trial)
             assert len(path) == 61
             moved = 0
             for (before, E0), (after, E1) in zip(path, path[1:]):
@@ -519,65 +525,82 @@ class TestSwapAnneal:
         stats = random_stats(rng, 10)
         for k, q in ((2, 1.0), (5, 10.0), (8, 0.1)):
             schedule = AnnealSchedule(sweeps=sweeps, restarts=restarts).resolve()
-            path = swap_walk_path(stats.mu, stats.sigma, q, k, schedule, seed)
+            path = swap_walk_path(stats, q, k, schedule, seed)
             for r in range(restarts):
                 assert [h[r].tolist() for h, _ in path] == reference_swap_walk(stats.mu, stats.sigma, q, k, schedule, seed, r)
 
     def test_best_state_is_the_lowest_visited(self):
         stats = random_stats(np.random.default_rng(44), 9)
         schedule = AnnealSchedule(sweeps=100, restarts=8)
-        X = swap_anneal(stats.mu, stats.sigma, 1.0, 4, schedule, seed=5)
-        assert X.shape == (8, 9) and (X.sum(axis=1) == 4).all()
-        path = swap_walk_path(stats.mu, stats.sigma, 1.0, 4, schedule.resolve(), 5)
-        for r, x in enumerate(X):
+        best = swap_bests(stats, 1.0, 4, schedule, 5)
+        assert best.shape == (8, 4)
+        path = swap_walk_path(stats, 1.0, 4, schedule, 5)
+        for r, held in enumerate(best):
             lowest = min(range(len(path)), key=lambda s: path[s][1][r])  # first of the lowest
-            assert sorted(np.flatnonzero(x).tolist()) == sorted(path[lowest][0][r].tolist())
+            assert held.tolist() == path[lowest][0][r].tolist()
+
+    def test_sampleset_holds_every_restarts_best_with_its_exact_energy(self):
+        stats = random_stats(np.random.default_rng(44), 9)
+        schedule = AnnealSchedule(sweeps=100, restarts=8)
+        s = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, 1.0, 4), schedule, seed=5)
+        assert s.model_n == 9 and s.seed == 5 and sum(r.count for r in s.records) == 8
+        states = {}
+        for held in swap_bests(stats, 1.0, 4, schedule, 5):
+            state = "".join("1" if i in held else "0" for i in range(9))
+            states[state] = states.get(state, 0) + 1
+        assert {r.state: r.count for r in s.records} == states
+        for r in s.records:
+            exact = subset_value(stats.mu, stats.sigma, 1.0, np.flatnonzero(state_to_array(r.state)))
+            assert r.energy == pytest.approx(exact, abs=1e-12)
 
     def test_restart_rows_do_not_depend_on_the_restart_count(self):
         stats = random_stats(np.random.default_rng(45), 16)
         for R in (1, 8, 64):
-            few = swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=100, restarts=R), seed=9)
-            many = swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=100, restarts=2 * R), seed=9)
+            few = swap_bests(stats, 1.0, 5, AnnealSchedule(sweeps=100, restarts=R), 9)
+            many = swap_bests(stats, 1.0, 5, AnnealSchedule(sweeps=100, restarts=2 * R), 9)
             assert few.tobytes() == many[:R].tobytes()
 
     def test_one_draw_per_restart_at_selection_size(self, monkeypatch):
         stats = random_stats(np.random.default_rng(46), 20)
         calls = count_random_calls(monkeypatch)
-        swap_anneal(stats.mu, stats.sigma, 1.0, 5, AnnealSchedule(sweeps=300, restarts=128), seed=3)
+        swap_bests(stats, 1.0, 5, AnnealSchedule(sweeps=300, restarts=128), 3)
         assert len(calls) == 128
 
     @pytest.mark.parametrize("per_draw", [1, 7, 40])
     def test_draw_budget(self, monkeypatch, per_draw):
-        # streams drawn a few steps at a time continue where the last draw stopped
+        # streams drawn a few steps at a time continue where the last draw stopped, and no
+        # draw of all restarts, the first with its n start values, exceeds _DRAW_VALUES
         stats = random_stats(np.random.default_rng(47), 12)
         schedule = AnnealSchedule(sweeps=90, restarts=4)
-        whole = swap_anneal(stats.mu, stats.sigma, 1.0, 3, schedule, seed=2)
-        monkeypatch.setattr(sampler, "_DRAW_VALUES", 3 * 4 * per_draw)
+        whole = swap_bests(stats, 1.0, 3, schedule, 2)
+        monkeypatch.setattr(sampler, "_DRAW_VALUES", 4 * (12 + 3 * per_draw))
         calls = count_random_calls(monkeypatch)
-        assert swap_anneal(stats.mu, stats.sigma, 1.0, 3, schedule, seed=2).tobytes() == whole.tobytes()
+        assert swap_bests(stats, 1.0, 3, schedule, 2).tobytes() == whole.tobytes()
         assert len(calls) == 4 * -(-90 // per_draw)
+        assert calls[:4] == [12 + 3 * per_draw] * 4 and 4 * max(calls) <= sampler._DRAW_VALUES
 
     def test_unset_fields_resolve(self):
         # the start is ptp(mu) plus the largest swap curvature (its floor:
         # TestSweepResolution); sweeps and restarts take the direct-call defaults
         stats = random_stats(np.random.default_rng(48), 8)
-        mu, sigma = stats.mu, stats.sigma
-        start = float(np.ptp(mu) + swap_curvature(sigma, 1.0).max())
+        m = KSubsetModel(stats.mu, stats.sigma, 1.0, 3)
+        start = float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max())
         assert 0.0 < start < 10.0
+        assert AnnealSchedule().resolve_t_initial(m) == start
 
         def path(schedule):
-            return [(h.tolist(), e.tolist()) for h, e in swap_walk_path(mu, sigma, 1.0, 3, schedule, 4)]
+            return [(h.tolist(), e.tolist()) for h, e in swap_walk_path(stats, 1.0, 3, schedule, 4)]
 
         assert path(AnnealSchedule(sweeps=200, restarts=8)) == path(AnnealSchedule(t_initial=start, sweeps=200, restarts=8))
         assert path(AnnealSchedule(sweeps=200, restarts=8)) != path(AnnealSchedule(t_initial=1.1 * start, sweeps=200, restarts=8))
-        unset = swap_anneal(mu, sigma, 1.0, 3, AnnealSchedule(), seed=4)
-        assert unset.tobytes() == swap_anneal(mu, sigma, 1.0, 3, AnnealSchedule(sweeps=1000, restarts=32), seed=4).tobytes()
+        unset = simulated_anneal(m, AnnealSchedule(), seed=4)
+        assert unset == simulated_anneal(m, AnnealSchedule(sweeps=1000, restarts=32), seed=4)
 
     def test_cardinality_needs_a_swap(self):
         stats = random_stats(np.random.default_rng(49), 4)
         for k in (0, 4, 5):
             with pytest.raises(InputError, match="1 <= k < n"):
-                swap_anneal(stats.mu, stats.sigma, 1.0, k, FAST, seed=0)
+                KSubsetModel(stats.mu, stats.sigma, 1.0, k)
 
 
 class TestBestFeasible:
