@@ -7,11 +7,8 @@ the outputs byte-identical (or to see exactly which files it changes):
 
 The runs are ``optimize --seed 42`` (hybrid), the same at
 ``--cardinality 1`` and ``--cardinality 9`` (k = 1 and k = n - 1 of the
-10 bundled tickers, the selections that skip the anneal), the same at
-``--cardinality 3 --lambda 0.000001`` (lambda weights only the
-fully_quantum spend penalty now, so this hybrid run exercises no repair;
-it keeps the name ``optimize-hybrid-repair`` from when a weak penalty
-sent every restart through one, so its lines compare across checkouts),
+10 bundled tickers, the selections that skip the anneal) and at
+``--cardinality 3`` (a swap anneal over 3-subsets),
 ``optimize --seed 42 --strategy fully_quantum`` at ``--budget 100000``
 and at the default budget of 1,000,000, ``backtest --seed 42 --budget
 100000 --benchmark TECH1`` once per strategy, and a backtest from a config file that sets
@@ -52,7 +49,7 @@ RUNS = {
     "optimize-hybrid": ["optimize", "--seed", "42"],
     "optimize-hybrid-k1": ["optimize", "--seed", "42", "--cardinality", "1"],
     "optimize-hybrid-k9": ["optimize", "--seed", "42", "--cardinality", "9"],
-    "optimize-hybrid-repair": ["optimize", "--seed", "42", "--cardinality", "3", "--lambda", "0.000001"],
+    "optimize-hybrid-k3": ["optimize", "--seed", "42", "--cardinality", "3"],
     "optimize-fully_quantum": ["optimize", "--seed", "42", "--strategy", "fully_quantum",
                                "--budget", "100000"],
     "optimize-fully_quantum-default": ["optimize", "--seed", "42", "--strategy", "fully_quantum"],

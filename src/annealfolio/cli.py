@@ -113,7 +113,9 @@ def build_run_config(args: argparse.Namespace) -> tuple[dict, PipelineConfig, Re
     def owned(owner) -> dict:
         return {name: settings[k] for k, name in _OWNED_KEYS[owner].items() if k in settings}
 
-    cfg = PipelineConfig(**owned(PipelineConfig), sampler=AnnealSchedule(**sampler))
+    # a null sampler key is left unset, so it takes AnnealSchedule's default
+    schedule = AnnealSchedule(**{k: v for k, v in sampler.items() if v is not None})
+    cfg = PipelineConfig(**owned(PipelineConfig), sampler=schedule)
     return settings, cfg, RebalancePolicy(**owned(RebalancePolicy))
 
 

@@ -69,17 +69,6 @@ SHARE_BIT_CAP = 64
 # Each share count is annealed within this many shares of the floored
 # relaxation (less where the band meets zero or floor(budget / price)).
 BAND_HALF_WIDTH = 3
-# Sweeps of the band anneal when the schedule leaves them unset. Band models
-# are small and every feasible sample is descended, so 100 sweeps score at
-# least the oracle hits of 1000 while the anneal still reaches its own ground
-# state on about 90 % of them (sweep scan in CHANGES.md).
-BAND_SWEEPS = 100
-# Sweeps (one proposed swap per restart each) and restarts of the selection's swap anneal
-# when the schedule leaves them unset: the pair with the most raw hits per second of anneal
-# time (scripts/sampler_quality.py --family select and --family hedged) among those that
-# keep every benchmark metric within its bound (scan in CHANGES.md).
-SELECT_SWEEPS = 100
-SELECT_RESTARTS = 32
 _DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay small
 
 # The moves _descend scores at every name and ordered pair after the share anneal: buy or sell one share, or
@@ -159,8 +148,7 @@ def select_assets(
     """Pick exactly k tickers: swap-anneal the k-subsets of q x'Sigma x - mu'x once, then swap-descend.
 
     :func:`simulated_anneal` anneals the :class:`KSubsetModel` on
-    ``schedule``, whose unset sweeps and restarts take SELECT_SWEEPS and
-    SELECT_RESTARTS. Every record of its sample set descends over the
+    ``schedule``. Every record of its sample set descends over the
     k(n - k) swaps of a held name for another in batched
     :func:`_swap_descent` passes; the first best in record order is kept,
     so no single swap improves the result.
@@ -181,9 +169,7 @@ def select_assets(
     if k in (1, n - 1):
         starts = np.arange(n) < k
     else:
-        # resolved here, as for the band, so wrappers of simulated_anneal see the sweep and restart counts
-        model = KSubsetModel(stats.mu, stats.sigma, q, k)
-        starts = simulated_anneal(model, schedule.resolve(SELECT_SWEEPS, SELECT_RESTARTS), seed).state_array()
+        starts = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, q, k), schedule, seed).state_array()
     counts = _best_descent(starts, lambda rows: _swap_descent(rows, stats, q), np.ones(n), stats, q)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 
@@ -397,11 +383,11 @@ def optimize_integer_shares(
     centres the model: each count is encoded in a band of BAND_HALF_WIDTH
     shares either side of it, and the budget those bands leave is lowered
     into an equality penalty on the spend, with no slack bits. The
-    annealer samples that model once, for BAND_SWEEPS sweeps unless
-    ``cfg.sampler.sweeps`` is set. Every sampled state that truly
-    satisfies the budget, in sample order, and then the floored
-    relaxation go through :func:`_best_descent` by :func:`_descend` over the
-    full [0, floor(budget / p)] range, so a descent may leave the band.
+    annealer samples that model once on ``cfg.sampler``. Every sampled
+    state that truly satisfies the budget, in sample order, and then the
+    floored relaxation go through :func:`_best_descent` by :func:`_descend`
+    over the full [0, floor(budget / p)] range, so a descent may leave the
+    band.
     """
     missing = [t for t in stats.tickers if t not in prices_at]
     if missing:
@@ -433,8 +419,7 @@ def optimize_integer_shares(
     budget_con = cm.constraints[0]
     lam = _share_penalty(cm.objective, budget_con.coeffs) if cfg.lambda_ == "auto" else float(cfg.lambda_)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
-    schedule = cfg.sampler.resolve(BAND_SWEEPS)
-    s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), schedule, cfg.seed)
+    s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
     bits = s.state_array()
     fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
     starts = np.vstack([cm.decode_integers(fits), floored])

@@ -47,7 +47,7 @@ uniforms gives, and the tests keep that pass as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,45 +70,35 @@ _BLOCK_DRAWS = 2048  # most restart-sweeps of them held at once
 _DRAW_VALUES = 1 << 18  # uniforms (2 MiB) one draw of every restart holds, unless one block needs more
 # numpy's PCG64 jump, (golden ratio - 1) * 2**128: jumped(r) advances r of them
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-DEFAULT_SWEEPS = 1000  # what sweeps=None means unless a caller resolves it
-DEFAULT_RESTARTS = 32  # likewise for restarts=None
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Cooling schedule for :func:`simulated_anneal`.
 
-    Unset fields (None) resolve per model family. On a QUBO or Ising
-    model one sweep is one Metropolis flip attempt per variable, in index
-    order, and an unset start is (max coefficient magnitude * n); the
-    share band runs DEFAULT_RESTARTS restarts of ``pipeline.BAND_SWEEPS``
-    sweeps. On a :class:`KSubsetModel` one sweep is one proposed swap in
-    every restart, and an unset start is ptp(mu) plus the largest
-    q(Sigma_ii - 2 Sigma_ij + Sigma_jj), the scale of one swap's cost; the
-    selection runs ``pipeline.SELECT_RESTARTS`` restarts of
-    ``pipeline.SELECT_SWEEPS`` sweeps. Other unset counts are
-    DEFAULT_RESTARTS and DEFAULT_SWEEPS. Every unset start is floored at
-    10x ``t_final``. Cooling is geometric: sweep s of S runs at
-    t_initial * (t_final / t_initial) ** (s / (S - 1)).
+    Both of the pipeline's anneals, the selection and the fully_quantum
+    share band, run the defaults: 32 restarts of 100 sweeps. On a QUBO or
+    Ising model one sweep is one Metropolis flip attempt per variable, in
+    index order, and an unset start (None) is (max coefficient magnitude *
+    n). On a :class:`KSubsetModel` one sweep is one proposed swap in every
+    restart, and an unset start is ptp(mu) plus the largest
+    q(Sigma_ii - 2 Sigma_ij + Sigma_jj), the scale of one swap's cost.
+    Every unset start is floored at 10x ``t_final``. Cooling is geometric:
+    sweep s of S runs at t_initial * (t_final / t_initial) ** (s / (S - 1)).
     """
 
     t_initial: float | None = None
     t_final: float = 1e-3
-    sweeps: int | None = None
-    restarts: int | None = None
+    sweeps: int = 100
+    restarts: int = 32
 
     def __post_init__(self):
         check_field("t_initial", self.t_initial, float, low=0, allow=(None,))
         check_field("t_final", self.t_final, float, low=0)
         if self.t_initial is not None and self.t_final >= self.t_initial:
             raise InputError("t_final must be below t_initial")
-        check_field("sweeps", self.sweeps, int, low=1, allow=(None,))
-        check_field("restarts", self.restarts, int, low=1, allow=(None,))
-
-    def resolve(self, sweeps=DEFAULT_SWEEPS, restarts=DEFAULT_RESTARTS, t_initial=None) -> AnnealSchedule:
-        """This schedule with its unset fields set to a model family's defaults."""
-        t_initial = self.t_initial or t_initial
-        return replace(self, sweeps=self.sweeps or sweeps, restarts=self.restarts or restarts, t_initial=t_initial)
+        check_field("sweeps", self.sweeps, int, low=1)
+        check_field("restarts", self.restarts, int, low=1)
 
     def resolve_t_initial(self, model: QuboModel | IsingModel | KSubsetModel) -> float:
         if self.t_initial is not None:
@@ -404,27 +394,26 @@ def _restart_bests(
 
 def simulated_anneal(
     m: QuboModel | IsingModel | KSubsetModel,
-    schedule: AnnealSchedule | None = None,
+    schedule: AnnealSchedule = AnnealSchedule(),
     seed: int = 0,
 ) -> SampleSet:
     """Seeded Metropolis annealing: single flips of a QUBO/Ising model, swaps of a k-subset model.
 
     Each restart starts from a uniform random state (a uniform random
     k-subset for a :class:`KSubsetModel`) and performs ``schedule.sweeps``
-    sweeps (DEFAULT_SWEEPS x DEFAULT_RESTARTS when unset) while the
-    temperature cools geometrically from t_initial to t_final; a move with
-    energy change d is accepted when d <= 0, otherwise with probability
-    exp(-d / T). A QUBO sweep tries one flip per variable; a k-subset
-    sweep proposes one swap of a held name for a free one
-    (:func:`_swap_walk`), so every state holds k names. Ising inputs are
-    converted to the exact QUBO twin first, so reported energies match the
-    source model; states are bitstrings with s = 2x - 1. The records hold
-    each restart's best state, energies re-evaluated exactly.
+    sweeps while the temperature cools geometrically from t_initial to
+    t_final; a move with energy change d is accepted when d <= 0,
+    otherwise with probability exp(-d / T). A QUBO sweep tries one flip
+    per variable; a k-subset sweep proposes one swap of a held name for a
+    free one (:func:`_swap_walk`), so every state holds k names. Ising
+    inputs are converted to the exact QUBO twin first, so reported
+    energies match the source model; states are bitstrings with s = 2x - 1.
+    The records hold each restart's best state, energies re-evaluated
+    exactly.
 
     Deterministic: fixed (model, schedule, seed) reproduces the SampleSet
     bit for bit.
     """
-    schedule = (schedule or AnnealSchedule()).resolve()
     if isinstance(m, KSubsetModel):
         held = _swap_restart_bests(m, schedule, seed)
         X = np.zeros((len(held), m.n), dtype=np.uint8)
@@ -453,7 +442,7 @@ def _subset_energies(m: KSubsetModel, held: np.ndarray) -> np.ndarray:
 
 
 def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
-    """Every step of the k-subset anneal's restarts, in lockstep, on a resolved ``schedule``.
+    """Every step of the k-subset anneal's restarts, in lockstep, on ``schedule``.
 
     Yields (held, E) at the start and after each step: held is the (R, k)
     array of each restart's held names and E its objective, both updated

@@ -14,8 +14,9 @@ from annealfolio.data import (
     bundled_sectors_path,
     sample_comparison_path,
 )
-from annealfolio import synthetic
+from annealfolio import pipeline, synthetic
 from annealfolio.marketdata import PriceMatrix, compute_returns, estimate_stats, load_prices
+from annealfolio.sampler import simulated_anneal
 
 
 def run(argv):
@@ -295,6 +296,22 @@ class TestBacktestCommand:
             assert run(["backtest", "--seed", 9, "--benchmark", "TECH1", "--out-dir", d]) == 0
         assert (a / "backtest_report.json").read_bytes() == (b / "backtest_report.json").read_bytes()
         assert (a / "backtest_plot.csv").read_bytes() == (b / "backtest_plot.csv").read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
+    def test_sampler_echo_is_the_schedule_that_ran(self, monkeypatch, out_dir, strategy):
+        ran = []
+
+        def spy(m, schedule, seed):
+            ran.append((schedule.sweeps, schedule.restarts))
+            return simulated_anneal(m, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        assert run([
+            "backtest", "--seed", 42, "--budget", 100000, "--benchmark", "TECH1",
+            "--strategy", strategy, "--out-dir", out_dir,
+        ]) == 0
+        echo = json.loads((out_dir / "backtest_report.json").read_text())["config"]["pipeline"]["sampler"]
+        assert ran and set(ran) == {(echo["sweeps"], echo["restarts"])}
 
     def test_oversized_period_warns_and_succeeds(self, out_dir, capsys):
         assert run([

@@ -25,10 +25,7 @@ from annealfolio.model import (
 )
 from annealfolio.pipeline import (
     BAND_HALF_WIDTH,
-    BAND_SWEEPS,
     Holdings,
-    SELECT_RESTARTS,
-    SELECT_SWEEPS,
     SHARE_STEPS,
     PipelineConfig,
     _best_descent,
@@ -45,8 +42,6 @@ from annealfolio.pipeline import (
     to_shares,
 )
 from annealfolio.sampler import (
-    DEFAULT_RESTARTS,
-    DEFAULT_SWEEPS,
     AnnealSchedule,
     simulated_anneal,
     state_to_array,
@@ -245,7 +240,7 @@ class TestSelectionRestarts:
         n=st.integers(2, 12),
         k_frac=st.floats(0.0, 1.0),
         q=st.sampled_from([0.1, 1.0, 10.0]),
-        sweeps=st.sampled_from([5, 50, None]),
+        sweeps=st.sampled_from([5, 50, 100]),  # 100: the default
     )
     def test_never_worse_than_the_single_start_selection(self, seed, n, k_frac, q, sweeps):
         # restart 0 runs the same whatever the restart count, and every restart is descended
@@ -556,10 +551,9 @@ def descended_candidates(prices_at, stats, cfg):
     penalized = penalize_equality(
         cm.objective, LinearConstraint(con.coeffs, "eq", con.rhs), _share_penalty(cm.objective, con.coeffs)
     )
-    schedule = cfg.sampler.resolve(BAND_SWEEPS)
     starts = [
         cm.decode_integers(bits)
-        for rec in simulated_anneal(penalized, schedule, cfg.seed).records
+        for rec in simulated_anneal(penalized, cfg.sampler, cfg.seed).records
         for bits in [state_to_array(rec.state)]
         if con.coeffs @ bits <= con.rhs + 1e-6
     ]
@@ -788,7 +782,7 @@ class TestIntegerShareCandidates:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), q=st.sampled_from([0.3, 1.0, 3.0]))
     def test_no_descended_sample_beats_the_result(self, seed, n, q):
-        # at the default schedule, so the band anneals for BAND_SWEEPS
+        # at the default schedule, 32 restarts of 100 sweeps
         stats, prices, budget = random_share_instance(np.random.default_rng(seed), n)
         cfg = PipelineConfig(budget=budget, seed=seed, strategy="fully_quantum", q=q)
         h = optimize_integer_shares(prices, stats, cfg)
@@ -827,9 +821,9 @@ def selection_stats(n=5):
 
 
 class TestSweepResolution:
-    """Unset schedule fields resolve per family: the share band takes BAND_SWEEPS, DEFAULT_RESTARTS
-    and max|coef| x n; selection's swap anneal takes SELECT_SWEEPS and SELECT_RESTARTS, and its
-    start comes from mu and Sigma (``TestSwapAnneal.test_unset_fields_resolve``)."""
+    """Both anneals receive ``cfg.sampler`` as it is, 32 restarts of 100 sweeps by default. Only an
+    unset start resolves per model: max|coef| x n for the share band; from mu and Sigma for the
+    selection's swap anneal (``TestSwapAnneal.test_unset_fields_resolve``)."""
 
     def anneal_calls(self, monkeypatch, schedule, strategy, k=None):
         calls = []
@@ -847,22 +841,21 @@ class TestSweepResolution:
 
     def assert_selection(self, kind, m, schedule):
         assert kind == "swap"
-        assert schedule == AnnealSchedule(sweeps=SELECT_SWEEPS, restarts=SELECT_RESTARTS)
+        assert schedule == AnnealSchedule(sweeps=100, restarts=32)
+        assert schedule.resolve_t_initial(m) == float(np.ptp(m.mu) + swap_curvature(m.sigma, m.q).max())
 
     def assert_band(self, kind, m, schedule):
         assert kind == "band"
-        assert schedule == AnnealSchedule(sweeps=BAND_SWEEPS, restarts=DEFAULT_RESTARTS)
+        assert schedule == AnnealSchedule(sweeps=100, restarts=32)
         assert schedule.resolve_t_initial(m) == m.max_coefficient() * m.n
 
-    def test_defaults_resolve_per_model_family(self, monkeypatch):
-        default = AnnealSchedule()
-        assert default.sweeps is None and default.restarts is None and default.t_initial is None
-        assert max(SELECT_SWEEPS, BAND_SWEEPS) < DEFAULT_SWEEPS == 1000
-        [band] = self.anneal_calls(monkeypatch, default, "fully_quantum")
+    def test_default_schedule_reaches_both_anneals(self, monkeypatch):
+        assert AnnealSchedule().t_initial is None
+        [band] = self.anneal_calls(monkeypatch, AnnealSchedule(), "fully_quantum")
         self.assert_band(*band)
-        [select] = self.anneal_calls(monkeypatch, default, "hybrid")
+        [select] = self.anneal_calls(monkeypatch, AnnealSchedule(), "hybrid")
         self.assert_selection(*select)
-        [select, band] = self.anneal_calls(monkeypatch, default, "fully_quantum", k=2)
+        [select, band] = self.anneal_calls(monkeypatch, AnnealSchedule(), "fully_quantum", k=2)
         self.assert_selection(*select)
         self.assert_band(*band)
 
@@ -877,7 +870,7 @@ class TestSweepResolution:
         assert float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max()) < 10.0
 
         def path(schedule):
-            walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, 1.0, 2), schedule.resolve(), 3)
+            walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, 1.0, 2), schedule, 3)
             return [(h.tolist(), e.tolist()) for h, e in walk]
 
         floored = path(AnnealSchedule(t_final=1.0, sweeps=200, restarts=8))

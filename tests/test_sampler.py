@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealfolio import sampler
+from annealfolio import pipeline, sampler
 from annealfolio.errors import InputError
-from annealfolio.marketdata import AssetStats
+from annealfolio.marketdata import AssetStats, compute_returns, estimate_stats
 from annealfolio.model import (
     KSubsetModel,
     LinearConstraint,
@@ -22,7 +22,7 @@ from annealfolio.model import (
     qubo_to_ising,
     quadratic_symmetric,
 )
-from annealfolio.pipeline import _share_penalty
+from annealfolio.pipeline import PipelineConfig, _share_penalty, optimize_integer_shares
 from annealfolio.sampler import (
     AnnealSchedule,
     SampleRecord,
@@ -130,16 +130,6 @@ class TestSimulatedAnneal:
         s1 = simulated_anneal(m, FAST, seed=99)
         s2 = simulated_anneal(m, FAST, seed=99)
         assert s1 == s2
-
-    def test_default_sweeps_resolve_to_1000(self):
-        m = random_qubo(np.random.default_rng(8), 6)
-        schedule = AnnealSchedule(restarts=2)
-        assert schedule.sweeps is None
-        assert schedule.resolve() == AnnealSchedule(sweeps=1000, restarts=2)
-        assert schedule.resolve(7).sweeps == 7 and FAST.resolve(7, 3) == FAST
-        assert AnnealSchedule().resolve(7, 3, 2.0) == AnnealSchedule(t_initial=2.0, sweeps=7, restarts=3)
-        expected = simulated_anneal(m, AnnealSchedule(sweeps=1000, restarts=2), seed=4)
-        assert simulated_anneal(m, schedule, seed=4) == expected
 
     def test_finds_tied_minimum(self):
         s = simulated_anneal(tied_minima_model(), FAST, seed=7)
@@ -411,6 +401,30 @@ class TestKernelMatchesReference:
         assert m.n == 38
         assert_same_as_reference(m, AnnealSchedule(sweeps=130, restarts=128), seed=7)
 
+    @pytest.mark.parametrize(
+        "cols, budget, seed",
+        [((0, 2, 4, 6, 8), 30_000.0, 1), ((1, 3, 5, 7, 9), 40_000.0, 2), ((0, 1, 2, 5, 9), 50_000.0, 3),
+         ((2, 3, 4, 6, 7), 36_500.0, 4), (tuple(range(10)), 1e6, 42)],
+    )
+    def test_integer_share_band_models(self, monkeypatch, bundled_prices, cols, budget, seed):
+        # the band model optimize_integer_shares anneals, at the default schedule: its start,
+        # max|coef| x n, is above 1e7, and over half of the 100 sweeps accept nothing in any
+        # restart, so the frozen look-ahead runs in both threshold blocks
+        prices = bundled_prices.restrict([bundled_prices.tickers[j] for j in cols])
+        calls = []
+
+        def spy(m, schedule, seed):
+            calls.append((m, schedule, seed))
+            return simulated_anneal(m, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "simulated_anneal", spy)
+        cfg = PipelineConfig(budget=budget, seed=seed, strategy="fully_quantum")
+        optimize_integer_shares(prices.prices_at(prices.dates[-1]), estimate_stats(compute_returns(prices)), cfg)
+        [(m, schedule, _)] = calls
+        assert schedule == AnnealSchedule(sweeps=100, restarts=32)
+        assert schedule.resolve_t_initial(m) > 1e7
+        assert_same_as_reference(m, schedule, seed)
+
     @pytest.mark.parametrize("sweeps", [65, 130, 200])
     def test_low_initial_temperature(self, sweeps):
         # three double wells x0 + x1 - 3 x0 x1: leaving 00 for the minimum 11
@@ -488,14 +502,14 @@ def reference_swap_walk(mu, sigma, q, k, schedule, seed, r):
 
 
 def swap_walk_path(stats, q, k, schedule, seed):
-    """Every (held, E) that ``sampler._swap_walk`` yields on the resolved ``schedule``, copied."""
-    walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, q, k), schedule.resolve(), seed)
+    """Every (held, E) that ``sampler._swap_walk`` yields on ``schedule``, copied."""
+    walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, q, k), schedule, seed)
     return [(h.copy(), e.copy()) for h, e in walk]
 
 
 def swap_bests(stats, q, k, schedule, seed):
     """Each restart's best held names, (R, k) in restart order."""
-    return sampler._swap_restart_bests(KSubsetModel(stats.mu, stats.sigma, q, k), schedule.resolve(), seed)
+    return sampler._swap_restart_bests(KSubsetModel(stats.mu, stats.sigma, q, k), schedule, seed)
 
 
 class TestSwapAnneal:
@@ -524,7 +538,7 @@ class TestSwapAnneal:
         rng = np.random.default_rng([43, restarts])
         stats = random_stats(rng, 10)
         for k, q in ((2, 1.0), (5, 10.0), (8, 0.1)):
-            schedule = AnnealSchedule(sweeps=sweeps, restarts=restarts).resolve()
+            schedule = AnnealSchedule(sweeps=sweeps, restarts=restarts)
             path = swap_walk_path(stats, q, k, schedule, seed)
             for r in range(restarts):
                 assert [h[r].tolist() for h, _ in path] == reference_swap_walk(stats.mu, stats.sigma, q, k, schedule, seed, r)
@@ -581,7 +595,7 @@ class TestSwapAnneal:
 
     def test_unset_fields_resolve(self):
         # the start is ptp(mu) plus the largest swap curvature (its floor:
-        # TestSweepResolution); sweeps and restarts take the direct-call defaults
+        # TestSweepResolution); sweeps and restarts are the defaults, 100 and 32
         stats = random_stats(np.random.default_rng(48), 8)
         m = KSubsetModel(stats.mu, stats.sigma, 1.0, 3)
         start = float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max())
@@ -593,8 +607,9 @@ class TestSwapAnneal:
 
         assert path(AnnealSchedule(sweeps=200, restarts=8)) == path(AnnealSchedule(t_initial=start, sweeps=200, restarts=8))
         assert path(AnnealSchedule(sweeps=200, restarts=8)) != path(AnnealSchedule(t_initial=1.1 * start, sweeps=200, restarts=8))
-        unset = simulated_anneal(m, AnnealSchedule(), seed=4)
-        assert unset == simulated_anneal(m, AnnealSchedule(sweeps=1000, restarts=32), seed=4)
+        assert AnnealSchedule() == AnnealSchedule(sweeps=100, restarts=32)
+        unset = simulated_anneal(m, seed=4)
+        assert unset == simulated_anneal(m, AnnealSchedule(sweeps=100, restarts=32), seed=4)
 
     def test_cardinality_needs_a_swap(self):
         stats = random_stats(np.random.default_rng(49), 4)
