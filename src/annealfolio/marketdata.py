@@ -6,8 +6,9 @@ return vector and covariance matrix used by every optimizer downstream.
 
 Ingest is columnar: the decoded text is split into columns (by one split
 when each line is a quote-free record of the header's width, else by one
-``csv.reader`` pass), checked as whole columns, and filled by index into
-an aligned matrix. A leading UTF-8 byte order mark is dropped; bytes that
+``csv.reader`` pass), reshaped into the matrix when they form a full
+date-major grid, and otherwise checked as whole columns and filled by index
+into an aligned matrix, with the same result. A leading UTF-8 byte order mark is dropped; bytes that
 are not UTF-8 are rejected with the offset of the first bad one. Errors name the line of the first bad
 record in file order; a bad header or field count anywhere is reported
 before any bad value.
@@ -315,6 +316,36 @@ def _canonical_dates(strs: list[str]) -> list[date] | None:
     return None
 
 
+def _grid(date_strs: list[str], tickers: list[str], close_strs: list[str]) -> PriceMatrix | None:
+    """The matrix of a full date-major grid, read by reshape; None for any other layout.
+
+    A grid repeats one order of n distinct non-empty tickers in each date's
+    block of n rows, with canonical dates ascending block by block and finite
+    positive closes: no record is bad and every date is kept. The ticker column
+    is compared first, so a shuffled or gappy file costs O(n) and one comparison.
+    """
+    try:
+        n = tickers.index(tickers[0], 1)  # where the first ticker recurs
+    except ValueError:
+        n = len(tickers)
+    head = tickers[:n]
+    if len(tickers) % n or "" in head or len(set(head)) < n or tickers[n:] != tickers[:-n]:
+        return None
+    blocks = date_strs[::n]
+    dates = _canonical_dates(blocks) if all(map(operator.lt, blocks, blocks[1:])) else None
+    if dates is None or any(date_strs[j::n] != blocks for j in range(1, n)):
+        return None
+    try:
+        closes = np.fromiter(map(float, close_strs), float, len(close_strs))
+    except ValueError:
+        return None
+    if not ((closes > 0) & (closes < np.inf)).all():
+        return None
+    order = sorted(range(n), key=head.__getitem__)
+    # take, not [:, order], keeps the matrix C-ordered like the index path's: sums downstream round alike
+    return PriceMatrix(tuple(dates), tuple(head[j] for j in order), closes.reshape(-1, n).take(order, axis=1))
+
+
 def load_prices(source) -> PriceMatrix:
     """Parse ``date,ticker,close`` CSV into an aligned PriceMatrix.
 
@@ -324,7 +355,11 @@ def load_prices(source) -> PriceMatrix:
     malformed rows, non-positive or non-finite prices, or duplicate
     (date, ticker) pairs.
 
-    The checks run on whole columns: each distinct date string is parsed
+    A full date-major grid (the layout ``synthetic.prices_to_csv`` writes) is
+    read by reshape in :func:`_grid`; any other layout, and any bad record,
+    by index below, with the same results and messages.
+
+    The index path checks whole columns: each distinct date string is parsed
     once (all in one map when all are canonical), every close goes through
     ``float``, and the matrix is filled by index. When several records are bad, the first in file order is
     reported, with the first of its checks that fails in the order date,
@@ -333,6 +368,9 @@ def load_prices(source) -> PriceMatrix:
     lines, (date_strs, tickers, close_strs) = _read_csv(source, ("date", "ticker", "close"))
     if not lines:
         raise InputError("no price rows found")
+    grid = _grid(date_strs, tickers, close_strs)
+    if grid is not None:
+        return grid
     distinct = sorted(set(date_strs))
     dates = _canonical_dates(distinct)
     if dates is not None:

@@ -201,6 +201,8 @@ def to_shares(
             raise InputError(f"non-positive price for {t!r}")
         exact = w * budget / p
         count = int(math.floor(exact + 1e-9))
+        while count and spend + count * p > budget:  # the tolerance rounded up past the budget
+            count -= 1
         shares[t] = count
         spend += count * p
         remainders.append((exact - count, pos, t, p))

@@ -15,7 +15,7 @@ from annealfolio.data import (
     sample_comparison_path,
 )
 from annealfolio import pipeline, synthetic
-from annealfolio.marketdata import PriceMatrix, compute_returns, estimate_stats, load_prices
+from annealfolio.marketdata import PriceMatrix, _grid, _read_csv, compute_returns, estimate_stats, load_prices
 from annealfolio.sampler import simulated_anneal
 
 
@@ -270,6 +270,15 @@ class TestOptimizeCommand:
     def test_budget_too_small_exit_1(self, out_dir):
         assert run(["optimize", "--seed", 1, "--budget", 5, "--out-dir", out_dir]) == 1
 
+    @pytest.mark.parametrize("budget, shares", [(35633.7, 3), (35633.69999406105, 2)])
+    def test_budget_just_below_whole_shares_does_not_overspend(self, budget, shares, out_dir):
+        # 3 x INDU1 at 11,877.90 is 35,633.70; 6e-6 less used to round up to 3 and exit 2
+        argv = ["optimize", "--seed", 42, "--cardinality", 1, "--budget", budget, "--out-dir", out_dir]
+        assert run(argv) == 0
+        result = json.loads((out_dir / "optimize_result.json").read_text())
+        assert result["shares"] == {"INDU1": shares}
+        assert result["cash"] == pytest.approx(budget - shares * 11877.9, abs=1e-6)
+
     @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
     def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
         # the cheapest bundled close is 2,199.41; a lower q cannot help
@@ -387,6 +396,32 @@ class TestBacktestCommand:
         ]) == 0
         report = json.loads((out_dir / "backtest_report.json").read_text())
         assert report["config"]["benchmark"] == {"ENRG1": 0.5, "TECH1": 0.5}
+
+
+class TestRowOrder:
+    """Shuffling the rows of a price file changes no artifact. The file as written
+    is read by reshape and the shuffled one by index, so this checks both end to end."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--seed", 42, "--strategy", "hybrid"],
+        ["optimize", "--seed", 42, "--strategy", "fully_quantum", "--budget", 100000],
+        ["backtest", "--seed", 42, "--strategy", "hybrid", "--budget", 100000, "--benchmark", "TECH1"],
+    ])
+    def test_shuffled_rows_write_the_same_bytes(self, tmp_path, argv):
+        assert run(["gen-data", "--out-dir", tmp_path, "--seed", 3]) == 0
+        plain, shuffled = tmp_path / "synthetic_prices.csv", tmp_path / "shuffled.csv"
+        header, *body = plain.read_text().splitlines()
+        order = np.random.default_rng(26).permutation(len(body))
+        shuffled.write_text("\n".join([header] + [body[i] for i in order]) + "\n")
+        columns = [_read_csv(p, ("date", "ticker", "close"))[1] for p in (plain, shuffled)]
+        assert _grid(*columns[0]) is not None and _grid(*columns[1]) is None
+        artifacts = []
+        for prices in (plain, shuffled):
+            out = tmp_path / prices.stem
+            argv_here = [*argv, "--prices", prices, "--sectors", tmp_path / "synthetic_sectors.csv", "--out-dir", out]
+            assert run(argv_here) == 0
+            artifacts.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
 class TestReportCommand:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealfolio import synthetic
 from annealfolio.errors import InputError
 from annealfolio.marketdata import (
     AssetStats,
@@ -21,7 +22,9 @@ from annealfolio.marketdata import (
     compute_returns,
     estimate_stats,
     _canonical_dates,
+    _grid,
     _parse_day,
+    _read_csv,
     _uniform_fields,
     load_prices,
     load_sectors,
@@ -460,14 +463,19 @@ def reference_load_sectors(source):
 
 
 def outcome(load, source):
-    """What a loader returns for ``source``, or the text of the InputError it raises."""
+    """What a loader returns for ``source``, or the text of the InputError it raises.
+
+    A matrix's strides count: sums over a column-major copy of the same
+    values can round differently downstream.
+    """
     try:
         result = load(source)
     except InputError as exc:
         return "error", str(exc)
     if isinstance(result, SectorMap):
         return "sectors", list(result.entries.items())
-    return "prices", result.dates, result.tickers, result.values.shape, result.values.tobytes()
+    values = result.values
+    return "prices", result.dates, result.tickers, values.shape, values.strides, values.tobytes()
 
 
 def as_source(text, kind):
@@ -541,21 +549,66 @@ PRICE_CORRUPTIONS = (
     None, "bad date", "repeated bad date", "bad close", "non-finite", "non-positive",
     "empty ticker", "unpadded duplicate", "field count", "short and long",
 )
+# ways to spoil a full date-major grid so that it must take the index path
+GRID_BREAKERS = (
+    "swapped rows", "missing last row", "repeated date block", "descending date blocks", "ticker twice per date",
+)
+# how price_tables lays out its rows: a shuffled table with gaps, a full grid,
+# or a full grid that one breaker spoils
+PRICE_LAYOUTS = st.sampled_from(["gappy"] * 4 + ["grid"] * 2 + list(GRID_BREAKERS))
+TICKERS = st.sampled_from(["A", "B", "CC", "D1", "zz"])
+
+
+def close_text(draw):
+    return draw(st.sampled_from(CLOSE_FORMATS))(draw(st.floats(0.01, 1e5)))
+
+
+def grid_rows(draw, tickers, days):
+    """Every (date, ticker) cell, dates ascending, each date's tickers in one drawn order."""
+    order = draw(st.permutations(tickers))
+    return [[(date(2021, 1, 4) + timedelta(days=k)).isoformat(), t, close_text(draw)]
+            for k in sorted(days) for t in order]
+
+
+def break_grid(draw, rows, n, breaker):
+    """Spoil the grid ``rows`` of ``n`` tickers per date in place; with two or more
+    tickers and dates, every breaker leaves a layout the grid read refuses."""
+    blocks = [rows[b : b + n] for b in range(0, len(rows), n)]
+    if breaker == "swapped rows" and len(blocks) > 1:
+        # a ticker out of turn in one date's block, or a date inside another's block
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        rows[i], rows[j] = rows[j], rows[i]
+    elif breaker == "ticker twice per date" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        for block in blocks:
+            block[i][1] = block[j][1]
+    elif breaker == "missing last row":
+        rows.pop()
+    elif breaker == "repeated date block":
+        b = draw(st.integers(0, len(blocks) - 1))
+        rows[(b + 1) * n : (b + 1) * n] = [list(r) for r in blocks[b]]
+    elif breaker == "descending date blocks":
+        rows[:] = [r for block in reversed(blocks) for r in block]
 
 
 @st.composite
 def price_tables(draw):
-    """Small ``date,ticker,close`` texts with gaps, shuffled rows, padding,
-    blank lines, quoted fields, mixed line ends, and at most one corruption."""
-    tickers = draw(st.lists(st.sampled_from(["A", "B", "CC", "D1", "zz"]), min_size=1, max_size=4, unique=True))
+    """Small ``date,ticker,close`` texts with gaps and shuffled rows, or laid out as a full
+    date-major grid that a breaker may spoil, with padding, blank lines, quoted fields,
+    mixed line ends, and at most one corruption."""
+    tickers = draw(st.lists(TICKERS, min_size=1, max_size=4, unique=True))
     days = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
-    cells = [
-        [date(2021, 1, 4) + timedelta(days=k), t, draw(st.floats(0.01, 1e5)), draw(st.sampled_from(CLOSE_FORMATS))]
-        for k in days
-        for t in tickers
-        if draw(st.integers(0, 9))  # about one cell in ten is missing
-    ]
-    rows = [[d.isoformat(), t, fmt(x)] for d, t, x, fmt in cells]
+    layout = draw(PRICE_LAYOUTS)
+    if layout == "gappy":
+        rows = [
+            [(date(2021, 1, 4) + timedelta(days=k)).isoformat(), t, close_text(draw)]
+            for k in days
+            for t in tickers
+            if draw(st.integers(0, 9))  # about one cell in ten is missing
+        ]
+    else:
+        rows = grid_rows(draw, tickers, days)
+        break_grid(draw, rows, len(tickers), layout)
     corruption = draw(st.sampled_from(PRICE_CORRUPTIONS))
     if rows and corruption is not None:
         i = draw(st.integers(0, len(rows) - 1))
@@ -586,7 +639,8 @@ def price_tables(draw):
             rows[i] = rows[i][:2] if draw(st.booleans()) else rows[i] + ["x"]
         else:
             short_and_long(draw, rows, 3)
-    rows = draw(st.permutations(rows))
+    if layout == "gappy":
+        rows = draw(st.permutations(rows))
     lines = table_lines(draw, rows)
     for blank in draw(BLANK_LINES):
         lines.insert(draw(st.integers(0, len(lines))), blank)
@@ -618,7 +672,7 @@ SOURCE_KINDS = st.sampled_from(["str", "bytes", "text file", "binary file"])
 class TestLoadersMatchReference:
     """The columnar loaders return the reference's bytes or raise its exact message."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(price_tables(), SOURCE_KINDS, FIELD_LIMITS)
     def test_load_prices_matches_reference(self, text, kind, limit):
         with field_limit(limit):
@@ -693,6 +747,60 @@ class TestLoadersMatchReference:
         assert outcome(load_prices, text)[0] == ("prices" if field == 100 else "error")
 
 
+@st.composite
+def grid_tables(draw, breakers):
+    """A full date-major grid of two to four tickers over two to five dates, spoilt by one of ``breakers``."""
+    tickers = draw(st.lists(TICKERS, min_size=2, max_size=4, unique=True))
+    rows = grid_rows(draw, tickers, draw(st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True)))
+    break_grid(draw, rows, len(tickers), draw(st.sampled_from(breakers)))
+    return csv_text(",".join(r) for r in rows)
+
+
+def read_grid(source):
+    """What the grid read gives for the columns of ``source``, or None."""
+    return _grid(*_read_csv(source, ("date", "ticker", "close"))[1])
+
+
+class TestGridPath:
+    """A full date-major grid is read by reshape; any other layout falls back to the index path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_tables([None]))
+    def test_grid_matches_reference(self, text):
+        assert read_grid(text) is not None
+        assert outcome(read_grid, text) == outcome(reference_load_prices, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_tables(GRID_BREAKERS))
+    def test_breakers_fall_back(self, text):
+        assert read_grid(text) is None
+        assert outcome(load_prices, text) == outcome(reference_load_prices, text)
+
+    def test_prices_to_csv_is_a_grid_and_its_shuffled_rows_are_not(self):
+        matrix, _ = synthetic.generate_dataset(seed=5, n_days=40)
+        text = synthetic.prices_to_csv(matrix)
+        header, *body = text.splitlines()
+        shuffled = "\n".join([header] + [body[i] for i in np.random.default_rng(5).permutation(len(body))]) + "\n"
+        assert outcome(read_grid, text) == outcome(reference_load_prices, text)
+        assert read_grid(shuffled) is None
+        assert outcome(load_prices, shuffled) == outcome(load_prices, text) == outcome(reference_load_prices, text)
+
+    @pytest.mark.parametrize("rows", [
+        # another order, or another ticker, on the second date
+        ["2021-01-04,A,1", "2021-01-04,B,2", "2021-01-04,C,3", "2021-01-05,A,4", "2021-01-05,C,5", "2021-01-05,B,6"],
+        ["2021-01-04,A,1", "2021-01-04,B,2", "2021-01-05,A,3", "2021-01-05,C,4"],
+        ["2021-01-04,A,1", "2021-01-04,B,2", "2021-01-05,A,3", "2021-01-05,B,-4"],  # a bad close
+        ["2021-01-04,A,1", "2021-01-04,,2", "2021-01-05,A,3", "2021-01-05,,4"],  # an empty ticker
+        ["2021-1-4,A,1", "2021-1-5,A,2"],  # dates not in canonical form
+        ["2021-01-04,A,1", "2021-01-04,A,2"],  # one ticker twice on a date
+        ["2021-01-04,A,1", "2021-01-04,B,2", "2021-01-04,B,3"],  # the same, not the first ticker
+    ])
+    def test_near_grids_fall_back(self, rows):
+        text = csv_text(rows)
+        assert read_grid(text) is None
+        assert outcome(load_prices, text) == outcome(reference_load_prices, text)
+
+
 # date strings that are not canonical ASCII YYYY-MM-DD, or are but name no date
 OFF_FORM_DATES = (
     "2021-02-30", "2021-13-01", "2021-00-10",  # canonical shape, no such date
@@ -757,7 +865,7 @@ class TestCanonicalDates:
     ])
     def test_one_date_loads_as_strptime_reads_it(self, text):
         try:
-            expected = ("prices", (datetime.strptime(text, "%Y-%m-%d").date(),), ("A",), (1, 1), np.ones(1).tobytes())
+            expected = ("prices", (datetime.strptime(text, "%Y-%m-%d").date(),), ("A",), (1, 1), (8, 8), np.ones(1).tobytes())
         except ValueError:
             expected = ("error", f"line 2: bad date {text!r} (expected YYYY-MM-DD)")
         assert outcome(load_prices, csv_text([f"{text},A,1"])) == expected

@@ -302,6 +302,15 @@ class TestToShares:
             assert spend <= budget + 1e-9
             assert h.cash == pytest.approx(budget - spend, abs=1e-9)
 
+    @pytest.mark.parametrize("budget, count", [(35633.7, 3), (35633.69999406105, 2)])
+    def test_tolerance_never_rounds_up_past_the_budget(self, budget, count):
+        # 3 x 11,877.90 is 35,633.70: the second budget buys 2.9999999995 shares,
+        # which the rounding tolerance lifts to 3, a spend over the budget
+        w = WeightVector(("A",), np.array([1.0]))
+        h = to_shares(w, {"A": 11877.9}, budget)
+        assert h.shares == {"A": count}
+        assert h.cash == pytest.approx(budget - count * 11877.9, abs=1e-9)
+
     def test_rounding_consistency_bound(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
