@@ -65,9 +65,8 @@ RUNS = {
 
 ALL_KEYS_CONFIG = {
     "benchmark": {"TECH1": 50, "ENRG1": 50}, "budget": 100000, "strategy": "hybrid",
-    "cardinality": 3, "q": 1, "lambda": 2, "seed": 42, "period_months": 3,
-    "risk_return_threshold": 0, "risk_vol_quantile": 0.8, "lookback_days": 63,
-    "returns_method": "log", "annualization_factor": 252, "risk_free_rate": 0,
+    "cardinality": 3, "q": 1, "seed": 42, "period_months": 3,
+    "risk_return_threshold": 0, "risk_vol_quantile": 0.8, "lookback_days": 63, "risk_free_rate": 0,
     "sampler": {"sweeps": 200, "restarts": 8, "t_initial": 5, "t_final": 0.001},
     "start": "2023-03-01", "end": "2023-12-29", "out_dir": "x",
 }

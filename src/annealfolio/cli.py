@@ -25,7 +25,7 @@ import logging
 import os
 import sys
 from dataclasses import fields
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .allocator import WeightVector
 from .data import bundled_prices_path, bundled_sectors_path
 from .errors import InputError, SolverError, check_field
-from .marketdata import load_prices, load_sectors
+from .marketdata import _parse_day, load_prices, load_sectors
 from .pipeline import PipelineConfig, run_pipeline
 from .rebalance import RebalancePolicy, run_backtest
 from .sampler import AnnealSchedule
@@ -41,11 +41,10 @@ from . import synthetic
 
 OUT_DIR_ENV = "ANNEALFOLIO_OUT_DIR"
 
-# config key -> field of each dataclass that owns it ("lambda" is PipelineConfig.lambda_);
-# the "sampler" object builds PipelineConfig.sampler
+# config keys of each dataclass that owns them, named as its fields; the "sampler" object
+# builds PipelineConfig.sampler
 _OWNED_KEYS = {
-    owner: {f.name.rstrip("_"): f.name for f in fields(owner) if f.name != "sampler"}
-    for owner in (PipelineConfig, RebalancePolicy)
+    owner: {f.name for f in fields(owner) if f.name != "sampler"} for owner in (PipelineConfig, RebalancePolicy)
 }
 _CONFIG_KEYS = {k for keys in _OWNED_KEYS.values() for k in keys} | {
     "prices", "sectors", "out_dir", "benchmark", "start", "end", "sampler",
@@ -56,10 +55,10 @@ _SAMPLER_KEYS = {f.name for f in fields(AnnealSchedule)}
 def _parse_date(value) -> date | None:
     if value is None:
         return None
-    try:
-        return datetime.strptime(str(value), "%Y-%m-%d").date()
-    except ValueError:
-        raise InputError(f"bad date {value!r} (expected YYYY-MM-DD)") from None
+    day = _parse_day(str(value))
+    if day is None:
+        raise InputError(f"bad date {value!r} (expected YYYY-MM-DD)")
+    return day
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -111,7 +110,7 @@ def build_run_config(args: argparse.Namespace) -> tuple[dict, PipelineConfig, Re
         raise InputError(f"unknown sampler keys: {sorted(unknown)}")
 
     def owned(owner) -> dict:
-        return {name: settings[k] for k, name in _OWNED_KEYS[owner].items() if k in settings}
+        return {k: settings[k] for k in _OWNED_KEYS[owner] if k in settings}
 
     # a null sampler key is left unset, so it takes AnnealSchedule's default
     schedule = AnnealSchedule(**{k: v for k, v in sampler.items() if v is not None})
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
         p.add_argument("--cardinality", type=_auto_or(int), help="number of assets to select, or 'auto'")
         p.add_argument("--q", type=float, help="risk aversion coefficient")
-        p.add_argument("--lambda", type=_auto_or(float), help="fully_quantum spend penalty weight, or 'auto'")
         p.add_argument("--period-months", dest="period_months", type=int, help="rebalance cadence")
         p.add_argument("--benchmark", help="benchmark ticker or weights JSON path (backtest)")
 

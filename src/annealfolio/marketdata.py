@@ -2,7 +2,9 @@
 
 Prices arrive as CSV (``date,ticker,close``), are aligned on the
 intersection of dates where every ticker trades, and feed the expected
-return vector and covariance matrix used by every optimizer downstream.
+return vector and covariance matrix used by every optimizer downstream:
+the sample mean and covariance of daily simple returns, annualized by
+``DAILY_ANNUALIZATION`` trading days.
 
 Ingest is columnar: the decoded text is split into columns (by one split
 when each line is a quote-free record of the header's width, else by one
@@ -32,7 +34,6 @@ import numpy as np
 from .errors import InputError
 
 DAILY_ANNUALIZATION = 252.0
-RETURN_METHODS = ("simple", "log")
 
 # PSD tolerance: smallest eigenvalue >= -PSD_RTOL * largest eigenvalue.
 PSD_RTOL = 1e-10
@@ -43,7 +44,8 @@ class PriceMatrix:
     """Date-aligned close prices. Rows are dates (ascending), columns are tickers.
 
     Instances are immutable; every cell holds a price (no gaps survive
-    alignment).
+    alignment). ``values`` is always C-ordered: the pipeline's sums, and so
+    the last digits of its results, follow the memory layout.
     """
 
     dates: tuple[date, ...]
@@ -51,7 +53,7 @@ class PriceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -129,7 +131,7 @@ class SectorMap:
 
 @dataclass(frozen=True)
 class AssetStats:
-    """Expected returns and covariance, already scaled by the annualization factor."""
+    """Expected returns and covariance, already annualized."""
 
     tickers: tuple[str, ...]
     mu: np.ndarray
@@ -452,34 +454,28 @@ def load_sectors(source) -> SectorMap:
     return SectorMap(entries)
 
 
-def compute_returns(prices: PriceMatrix, method: str = "simple") -> ReturnsMatrix:
-    """Per-period returns; ``simple`` is p_t/p_{t-1} - 1, ``log`` is ln(p_t/p_{t-1}).
+def compute_returns(prices: PriceMatrix) -> ReturnsMatrix:
+    """Per-period simple returns p_t/p_{t-1} - 1.
 
     A return that is not finite (a ratio of closes beyond the float range)
     raises InputError naming the ticker and date of the first one.
     """
-    if method not in RETURN_METHODS:
-        raise InputError(f"unknown return method {method!r}")
     if len(prices.dates) < 2:
         raise InputError("need at least 2 dates to compute returns")
-    with np.errstate(over="ignore", divide="ignore"):
-        ratio = prices.values[1:] / prices.values[:-1]
-        vals = ratio - 1.0 if method == "simple" else np.log(ratio)
+    with np.errstate(over="ignore"):
+        vals = prices.values[1:] / prices.values[:-1] - 1.0
     if not np.isfinite(vals).all():
         t, j = divmod(int(np.isfinite(vals).argmin()), vals.shape[1])
         before, after = prices.values[t : t + 2, j]
         raise InputError(
-            f"non-finite {method} return for {prices.tickers[j]} on {prices.dates[t + 1]} "
+            f"non-finite simple return for {prices.tickers[j]} on {prices.dates[t + 1]} "
             f"(close {before:g} to {after:g})"
         )
     return ReturnsMatrix(prices.dates[1:], prices.tickers, vals)
 
 
-def estimate_stats(
-    returns: ReturnsMatrix,
-    annualization_factor: float = DAILY_ANNUALIZATION,
-) -> AssetStats:
-    """Sample mean/covariance of returns, scaled by the annualization factor.
+def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
+    """Sample mean/covariance of daily returns, annualized by ``DAILY_ANNUALIZATION``.
 
     Covariance uses the unbiased T-1 divisor and is symmetrized by
     averaging with its transpose.
@@ -489,8 +485,8 @@ def estimate_stats(
         raise InputError("need at least 2 return rows to estimate covariance")
     # returns too large to square overflow; AssetStats names the ticker
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = vals.mean(axis=0) * annualization_factor
-        sigma = np.cov(vals, rowvar=False, ddof=1) * annualization_factor
+        mu = vals.mean(axis=0) * DAILY_ANNUALIZATION
+        sigma = np.cov(vals, rowvar=False, ddof=1) * DAILY_ANNUALIZATION
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         sigma = (sigma + sigma.T) / 2.0
     return AssetStats(returns.tickers, mu, sigma)

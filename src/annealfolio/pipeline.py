@@ -9,7 +9,11 @@ Two strategies produce integer share counts under a budget:
   penalty and no repair; every restart's best state is swap-descended.
 - ``fully_quantum``: share counts are optimized directly as encoded
   integers in the budgeted mean-variance model, annealed as a QUBO with
-  the budget as a spend penalty weighted by ``lambda``.
+  the budget as a spend penalty whose weight is derived from the model
+  (:func:`_share_penalty`).
+
+Both estimate from daily simple returns annualized by 252 trading days
+(:func:`~annealfolio.marketdata.estimate_stats`).
 
 :func:`buy` is the one purchase path and the only code that picks a
 solver by strategy. ``run_pipeline`` calls it for an opening purchase,
@@ -21,7 +25,7 @@ every rebalance repurchase, which may buy nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date
 from functools import lru_cache, partial
 from typing import Mapping, Sequence
@@ -36,14 +40,7 @@ from .allocator import (
     max_sharpe_weights,
 )
 from .errors import InputError, SolverError, check_field
-from .marketdata import (
-    DAILY_ANNUALIZATION,
-    RETURN_METHODS,
-    AssetStats,
-    PriceMatrix,
-    compute_returns,
-    estimate_stats,
-)
+from .marketdata import AssetStats, PriceMatrix, compute_returns, estimate_stats
 from .model import (
     KSubsetModel,
     LinearConstraint,
@@ -75,6 +72,10 @@ _DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay s
 # move shares between two names (1 for 1, 1 for 2, 2 for 1). Selection's _swap_descent scores k(n - k) swaps.
 SHARE_STEPS = ((1,), (-1,), (-1, 1), (-1, 2), (-2, 1))
 
+# Spend and cash are added in float, whose spacing is 0.125 at 1e15: a purchase still prices to
+# the cent. At 1e18 the spacing is 128, and a fully_quantum purchase overspent by 128.
+MAX_BUDGET = 1e15
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -83,31 +84,19 @@ class PipelineConfig:
     strategy: str = "hybrid"
     cardinality: int | str = "auto"
     q: float = 1.0
-    lambda_: float | str = "auto"
     sampler: AnnealSchedule = field(default_factory=AnnealSchedule)
     risk_free_rate: float = 0.0
-    returns_method: str = "simple"
-    annualization_factor: float = DAILY_ANNUALIZATION
 
     def __post_init__(self):
         for name, *rule in (
-            ("budget", float, 0),
+            ("budget", float, 0, MAX_BUDGET),
             ("seed", int, 0),
             ("strategy", STRATEGIES),
             ("cardinality", int, 1, None, ("auto",)),
             ("q", float, 0),
-            ("lambda_", float, 0, None, ("auto",)),
             ("risk_free_rate", float),
-            ("returns_method", RETURN_METHODS),
-            ("annualization_factor", float, 0),
         ):
-            value = check_field(name.rstrip("_"), getattr(self, name), *rule)
-            object.__setattr__(self, name, value)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lambda_")
-        return d
+            object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
 
 
 @dataclass(frozen=True)
@@ -201,8 +190,11 @@ def to_shares(
             raise InputError(f"non-positive price for {t!r}")
         exact = w * budget / p
         count = int(math.floor(exact + 1e-9))
-        while count and spend + count * p > budget:  # the tolerance rounded up past the budget
-            count -= 1
+        # the tolerance, or rounding past 2**52 shares, can put the spend over the budget: drop
+        # the excess in whole shares, and at least one float spacing of count so count * p moves
+        while count and spend + count * p > budget:
+            excess = math.ceil((spend + count * p - budget) / p)
+            count = max(count - max(excess, count >> 52, 1), 0)
         shares[t] = count
         spend += count * p
         remainders.append((exact - count, pos, t, p))
@@ -419,7 +411,7 @@ def optimize_integer_shares(
         return Holdings({}, cfg.budget, as_of)
 
     budget_con = cm.constraints[0]
-    lam = _share_penalty(cm.objective, budget_con.coeffs) if cfg.lambda_ == "auto" else float(cfg.lambda_)
+    lam = _share_penalty(cm.objective, budget_con.coeffs)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
     bits = s.state_array()
@@ -491,8 +483,7 @@ def run_pipeline(prices: PriceMatrix, cfg: PipelineConfig) -> dict:
     """
     as_of = prices.dates[-1]
     prices_at = prices.prices_at(as_of)
-    returns = compute_returns(prices, cfg.returns_method)
-    stats = estimate_stats(returns, cfg.annualization_factor)
+    stats = estimate_stats(compute_returns(prices))
 
     holdings, target = buy(stats, prices_at, cfg, as_of)
     selected = holdings.held_tickers() if target is None else target.tickers

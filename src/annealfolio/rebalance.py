@@ -376,7 +376,7 @@ def run_backtest(
             end,
         )
 
-    returns_all = compute_returns(prices, cfg.returns_method)
+    returns_all = compute_returns(prices)
     if boundaries:
         # the opening purchase always holds something, so the first review needs this history
         _history_end(returns_all, boundaries[0], policy.lookback_days)
@@ -392,7 +392,7 @@ def run_backtest(
             rets = ReturnsMatrix(
                 returns_all.dates[:end_row], tickers, returns_all.values[:end_row].take(cols, axis=1)
             )
-            return estimate_stats(rets, cfg.annualization_factor)
+            return estimate_stats(rets)
 
         return provider
 
@@ -429,7 +429,7 @@ def run_backtest(
     bench_values = _book_values(bench_holdings, prices, lo, hi)
 
     config_echo = {
-        "pipeline": cfg.to_dict(),
+        "pipeline": asdict(cfg),
         "policy": asdict(policy),
         "initial_budget": initial_budget,
         "benchmark": benchmark.as_dict(),

@@ -280,7 +280,7 @@ def test_criterion_8_beats_equal_weight_in_sample():
     result = run_pipeline(prices, cfg)
     algo_sharpe = result["metrics"]["sharpe"]
 
-    stats = estimate_stats(compute_returns(prices), 252.0)
+    stats = estimate_stats(compute_returns(prices))
     equal = WeightVector(stats.tickers, np.full(stats.n, 1.0 / stats.n))
     eq_sharpe = compute_metrics(equal, stats).sharpe
     assert algo_sharpe >= eq_sharpe, f"{algo_sharpe:.3f} < equal-weight {eq_sharpe:.3f}"

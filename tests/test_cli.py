@@ -74,7 +74,7 @@ class TestOptimizeCommand:
         ]) == 0
         result = json.loads((out_dir / "optimize_result.json").read_text())
         loaded = load_prices(prices)
-        stats = estimate_stats(compute_returns(loaded, "simple"), 252.0)
+        stats = estimate_stats(compute_returns(loaded))
         last = loaded.values[-1]
         axes = [np.arange(int(budget // p) + 1) for p in last]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(last))
@@ -141,11 +141,28 @@ class TestOptimizeCommand:
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
         assert "budgte" in capsys.readouterr().err
 
-    def test_retired_config_key_exit_2(self, tmp_path, out_dir, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("cardinality_mode", "support"), ("lambda", 2), ("returns_method", "log"), ("annualization_factor", 252),
+    ])
+    def test_retired_config_key_exit_2(self, tmp_path, out_dir, capsys, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "cardinality_mode": "support"}))
+        cfg.write_text(json.dumps({"seed": 5, key: value}))
         assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
-        assert capsys.readouterr().err == "error: unknown config keys: ['cardinality_mode']\n"
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+    def test_retired_lambda_flag_exit_2(self, out_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["optimize", "--seed", 5, "--lambda", 2, "--out-dir", out_dir])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --lambda 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
+    def test_budget_above_ceiling_exit_2(self, out_dir, capsys, strategy):
+        # refused before any purchase: far above the ceiling whole-share counts pass 2**53,
+        # where float spend no longer moves by one share, and fully_quantum's overflow int64
+        argv = ["optimize", "--seed", 1, "--strategy", strategy, "--budget", 1e30, "--out-dir", out_dir]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: budget must be a number > 0 and <= 1000000000000000.0, got 1e+30\n"
 
     def test_malformed_config_exit_2(self, tmp_path, out_dir):
         cfg = tmp_path / "cfg.json"
@@ -192,8 +209,6 @@ class TestOptimizeCommand:
             ({"cardinality": 2.9}, [], "cardinality"),
             ({"period_months": 2.5}, [], "period_months"),
             ({"budget": True}, [], "budget"),
-            ({"annualization_factor": -1}, [], "annualization_factor"),
-            ({}, ["--lambda", "inf"], "lambda"),
             ({"q": "inf"}, [], "q"),
             ({"benchmark": {"TECH1": "x"}}, [], "benchmark weight of TECH1"),
             ({"benchmark": {"TECH1": float("nan"), "ENRG1": 1}}, [], "benchmark weight of TECH1"),
@@ -204,7 +219,7 @@ class TestOptimizeCommand:
         ids=[
             "budget-null", "lookback_days-str", "risk_free_rate-str", "risk_return_threshold-null",
             "prices-int", "budget-flag-inf", "cardinality-2.9", "period_months-2.5", "budget-true",
-            "annualization_factor-negative", "lambda-flag-inf", "q-str-inf", "benchmark-weight-str",
+            "q-str-inf", "benchmark-weight-str",
             "benchmark-weight-nan", "benchmark-weight-inf", "benchmark-weight-true",
             "benchmark-weight-number-str",
         ],
@@ -239,23 +254,20 @@ class TestOptimizeCommand:
         assert run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir]) == 2
         assert "line 3: non-finite close inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("closes, method, message", [
+    @pytest.mark.parametrize("closes, message", [
         # the ratio of closes overflows: the return itself is not finite
-        ("1e-300 1e300 1e300", "simple", "non-finite simple return for A on 2023-01-03 (close 1e-300 to 1e+300)"),
-        ("1e300 1e-300 1e-300", "log", "non-finite log return for A on 2023-01-03 (close 1e+300 to 1e-300)"),
+        ("1e-300 1e300 1e300", "non-finite simple return for A on 2023-01-03 (close 1e-300 to 1e+300)"),
         # finite returns whose squares overflow the covariance
-        ("1e-150 1e150 1e-150", "simple", "non-finite covariance for A"),
-    ])
-    def test_non_finite_statistics_exit_2(self, tmp_path, out_dir, capsys, closes, method, message):
+        ("1e-150 1e150 1e-150", "non-finite covariance for A"),
+    ], ids=["return-overflow", "covariance-overflow"])
+    def test_non_finite_statistics_exit_2(self, tmp_path, out_dir, capsys, closes, message):
         prices = tmp_path / "prices.csv"
         days = ["2023-01-02", "2023-01-03", "2023-01-04"]
         rows = [f"{d},A,{c}" for d, c in zip(days, closes.split())] + [f"{d},B,{10 + k}" for k, d in enumerate(days)]
         prices.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"returns_method": method}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-            code = run(["optimize", "--seed", 1, "--config", cfg, "--prices", prices, "--out-dir", out_dir])
+            code = run(["optimize", "--seed", 1, "--prices", prices, "--out-dir", out_dir])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -163,6 +163,15 @@ class TestPriceTypes:
         win = m.window(start=date(2023, 1, 3))
         assert win.dates == (date(2023, 1, 3),)
 
+    def test_values_are_c_ordered(self):
+        # the pipeline's float sums follow the layout, so every matrix holds one
+        days = (date(2023, 1, 2), date(2023, 1, 3), date(2023, 1, 4))
+        vals = np.arange(1.0, 10.0).reshape(3, 3)
+        fortran = PriceMatrix(days, ("A", "B", "C"), np.asfortranarray(vals))
+        restricted = PriceMatrix(days, ("A", "B", "C"), vals).restrict(["C", "A"])
+        assert fortran.values.flags.c_contiguous and restricted.values.flags.c_contiguous
+        assert np.array_equal(fortran.values, vals) and np.array_equal(restricted.values, vals[:, [2, 0]])
+
 
 class TestSectors:
     def test_load_sectors(self):
@@ -189,44 +198,31 @@ def price_matrix(values, tickers=None):
 
 class TestReturns:
     def test_simple_return(self):
-        r = compute_returns(price_matrix([[100.0], [110.0]]), "simple")
+        r = compute_returns(price_matrix([[100.0], [110.0]]))
         assert r.values[0, 0] == pytest.approx(0.10, abs=1e-15)
 
     def test_constant_prices_zero(self):
-        r = compute_returns(price_matrix([[50.0], [50.0], [50.0]]), "simple")
+        r = compute_returns(price_matrix([[50.0], [50.0], [50.0]]))
         assert np.all(r.values == 0.0)
-
-    def test_log_returns(self):
-        r = compute_returns(price_matrix([[100.0], [110.0], [99.0]]), "log")
-        assert r.values[0, 0] == pytest.approx(math.log(1.1), abs=1e-15)
-        assert r.values[1, 0] == pytest.approx(math.log(0.9), abs=1e-15)
 
     def test_needs_two_dates(self):
         with pytest.raises(InputError):
             compute_returns(price_matrix([[100.0]]))
 
-    def test_unknown_method(self):
-        with pytest.raises(InputError):
-            compute_returns(price_matrix([[100.0], [110.0]]), "weird")
-
-    @pytest.mark.parametrize("method, closes, message", [
-        ("simple", [1e-300, 1e300], "non-finite simple return for T1 on 2023-01-02 (close 1e-300 to 1e+300)"),
-        ("log", [1e300, 1e-300], "non-finite log return for T1 on 2023-01-02 (close 1e+300 to 1e-300)"),
-    ])
-    def test_non_finite_return_names_ticker_and_date(self, method, closes, message):
-        m = price_matrix([[10.0, c] for c in closes])
+    def test_non_finite_return_names_ticker_and_date(self):
+        m = price_matrix([[10.0, c] for c in (1e-300, 1e300)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError) as info:
-                compute_returns(m, method)
-        assert str(info.value) == message
+                compute_returns(m)
+        assert str(info.value) == "non-finite simple return for T1 on 2023-01-02 (close 1e-300 to 1e+300)"
 
     @given(
         st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=3, max_size=40)
     )
     def test_simple_returns_reconstruct_path(self, prices):
         m = price_matrix([[p] for p in prices])
-        r = compute_returns(m, "simple")
+        r = compute_returns(m)
         reconstructed = float(np.prod(1.0 + r.values[:, 0]))
         assert reconstructed == pytest.approx(prices[-1] / prices[0], rel=1e-9)
 
@@ -235,8 +231,8 @@ class TestEstimateStats:
     def test_constant_series(self):
         m = price_matrix([[100.0], [110.0], [121.0]])
         r = compute_returns(m)
-        stats = estimate_stats(r, 1.0)
-        assert stats.mu[0] == pytest.approx(0.1, abs=1e-12)
+        stats = estimate_stats(r)
+        assert stats.mu[0] == pytest.approx(0.1 * 252, abs=1e-12)
         assert stats.sigma[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed_covariance(self):
@@ -248,10 +244,10 @@ class TestEstimateStats:
             ("A", "B"),
             np.array([[0.1, -0.1], [-0.1, 0.1]]),
         )
-        stats = estimate_stats(r, 1.0)
-        assert stats.sigma[0, 1] == pytest.approx(-0.02, abs=1e-15)
-        assert stats.sigma[0, 0] == pytest.approx(0.02, abs=1e-15)
-        assert stats.sigma[1, 1] == pytest.approx(0.02, abs=1e-15)
+        stats = estimate_stats(r)
+        assert stats.sigma[0, 1] == pytest.approx(-0.02 * 252, abs=1e-12)
+        assert stats.sigma[0, 0] == pytest.approx(0.02 * 252, abs=1e-12)
+        assert stats.sigma[1, 1] == pytest.approx(0.02 * 252, abs=1e-12)
 
     def test_single_column_matches_two_pass_formula(self):
         from datetime import timedelta
@@ -263,11 +259,11 @@ class TestEstimateStats:
         r = ReturnsMatrix(
             tuple(date(2023, 1, 1) + timedelta(days=i) for i in range(40)), ("A",), vals
         )
-        stats = estimate_stats(r, 1.0)
+        stats = estimate_stats(r)
         mean = sum(vals[:, 0]) / 40
         var = sum((v - mean) ** 2 for v in vals[:, 0]) / 39
-        assert stats.mu[0] == pytest.approx(mean, rel=1e-12)
-        assert stats.sigma[0, 0] == pytest.approx(var, rel=1e-12)
+        assert stats.mu[0] == pytest.approx(252 * mean, rel=1e-12)
+        assert stats.sigma[0, 0] == pytest.approx(252 * var, rel=1e-12)
 
     def test_needs_two_rows(self):
         from annealfolio.marketdata import ReturnsMatrix
@@ -289,18 +285,10 @@ class TestEstimateStats:
             tuple(f"T{i}" for i in range(n_assets)),
             vals,
         )
-        stats = estimate_stats(r, 252.0)
+        stats = estimate_stats(r)
         assert np.array_equal(stats.sigma, stats.sigma.T)
         eigs = np.linalg.eigvalsh(stats.sigma)
         assert eigs[0] >= -1e-10 * max(eigs[-1], 0.0)
-
-    def test_annualization_scales(self):
-        m = price_matrix([[100.0], [101.0], [102.0], [100.5]])
-        r = compute_returns(m)
-        s1 = estimate_stats(r, 1.0)
-        s252 = estimate_stats(r, 252.0)
-        assert s252.mu[0] == pytest.approx(252 * s1.mu[0], rel=1e-12)
-        assert s252.sigma[0, 0] == pytest.approx(252 * s1.sigma[0, 0], rel=1e-12)
 
 
 class TestAssetStats:

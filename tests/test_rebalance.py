@@ -178,7 +178,7 @@ class TestHealthCheck:
 def flat_stats_provider(prices):
     def provider(tickers):
         window = prices.restrict(tickers)
-        return estimate_stats(compute_returns(window), 252.0)
+        return estimate_stats(compute_returns(window))
 
     return provider
 
@@ -681,8 +681,7 @@ class TestValuationAndWindows:
         assert set(after) == {first.cash_after}
         self.assert_per_day(prices, report, "AAA", 50_000.0)
 
-    @pytest.mark.parametrize("method", ["simple", "log"])
-    def test_repurchase_stats_match_the_restricted_window(self, monkeypatch, method):
+    def test_repurchase_stats_match_the_restricted_window(self, monkeypatch):
         providers = []
         step = rebalance.rebalance_step
 
@@ -692,14 +691,13 @@ class TestValuationAndWindows:
 
         monkeypatch.setattr(rebalance, "rebalance_step", spy)
         prices = quarterly_prices()
-        cfg = cfg_for(50_000.0, returns_method=method)
+        cfg = cfg_for(50_000.0)
         run_backtest(prices, SECTORS5, 50_000.0, cfg, RebalancePolicy(lookback_days=40), "AAA")
         assert len(providers) == 4
         for provider, as_of in providers:
             for tickers in (prices.tickers, ("EEE", "AAA", "CCC"), ("BBB",)):
                 got = provider(tickers)
-                rets = compute_returns(prices.restrict(tickers).window(end=as_of), method)
-                want = estimate_stats(rets, cfg.annualization_factor)
+                want = estimate_stats(compute_returns(prices.restrict(tickers).window(end=as_of)))
                 assert got.tickers == want.tickers
                 assert got.mu.tobytes() == want.mu.tobytes()
                 assert got.sigma.tobytes() == want.sigma.tobytes()
