@@ -6,14 +6,14 @@ return vector and covariance matrix used by every optimizer downstream:
 the sample mean and covariance of daily simple returns, annualized by
 ``DAILY_ANNUALIZATION`` trading days.
 
-Ingest is columnar: the decoded text is split into columns (by one split
-when each line is a quote-free record of the header's width, else by one
-``csv.reader`` pass), reshaped into the matrix when they form a full
-date-major grid, and otherwise checked as whole columns and filled by index
-into an aligned matrix, with the same result. A leading UTF-8 byte order mark is dropped; bytes that
-are not UTF-8 are rejected with the offset of the first bad one. Errors name the line of the first bad
-record in file order; a bad header or field count anywhere is reported
-before any bad value.
+The decoded text is split into columns (by one split when each line is a
+quote-free record of the header's width, else by one ``csv.reader`` pass).
+The columns are reshaped into the matrix when they form a full date-major
+grid, and otherwise read record by record into an aligned matrix, with the
+same result. A leading UTF-8 byte order mark is dropped; bytes that are not
+UTF-8 are rejected with the offset of the first bad one. Errors name the
+line of the first bad record in file order; a bad header or field count
+anywhere is reported before any bad value.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import chain, compress, count
@@ -296,8 +298,8 @@ def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str
 
 
 def _parse_day(text: str) -> date | None:
-    # the spec for one date string; load_prices calls it only on a column that
-    # _canonical_dates cannot read whole (one holding "2021-1-4" or "2021-02-30")
+    # the spec for one date string; load_prices calls it only on dates that
+    # _canonical_dates cannot read whole (ones holding "2021-1-4" or "2021-02-30")
     try:
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError:
@@ -344,7 +346,7 @@ def _grid(date_strs: list[str], tickers: list[str], close_strs: list[str]) -> Pr
     if not ((closes > 0) & (closes < np.inf)).all():
         return None
     order = sorted(range(n), key=head.__getitem__)
-    # take, not [:, order], keeps the matrix C-ordered like the index path's: sums downstream round alike
+    # take, not [:, order], keeps the matrix C-ordered like the record loop's: sums downstream round alike
     return PriceMatrix(tuple(dates), tuple(head[j] for j in order), closes.reshape(-1, n).take(order, axis=1))
 
 
@@ -359,13 +361,11 @@ def load_prices(source) -> PriceMatrix:
 
     A full date-major grid (the layout ``synthetic.prices_to_csv`` writes) is
     read by reshape in :func:`_grid`; any other layout, and any bad record,
-    by index below, with the same results and messages.
-
-    The index path checks whole columns: each distinct date string is parsed
-    once (all in one map when all are canonical), every close goes through
-    ``float``, and the matrix is filled by index. When several records are bad, the first in file order is
-    reported, with the first of its checks that fails in the order date,
-    close, finiteness, sign, ticker, duplicate.
+    by one loop over the records in file order, with the same results and
+    messages. Each distinct date string is parsed once (all in one map when
+    all are canonical). The loop raises at the first bad record, naming the
+    first of its checks that fails in the order date, close, finiteness,
+    sign, ticker, duplicate.
     """
     lines, (date_strs, tickers, close_strs) = _read_csv(source, ("date", "ticker", "close"))
     if not lines:
@@ -373,72 +373,34 @@ def load_prices(source) -> PriceMatrix:
     grid = _grid(date_strs, tickers, close_strs)
     if grid is not None:
         return grid
-    distinct = sorted(set(date_strs))
-    dates = _canonical_dates(distinct)
-    if dates is not None:
-        days = dict(zip(distinct, dates))
-        row_of_str = dict(zip(distinct, range(len(dates))))
-    else:
-        days = {s: _parse_day(s) for s in distinct}
-        dates = sorted({d for d in days.values() if d is not None})
-        row_of = dict(zip(dates, range(len(dates))))
-        row_of_str = {s: -1 if d is None else row_of[d] for s, d in days.items()}
-    date_idx = np.fromiter(map(row_of_str.__getitem__, date_strs), np.intp, len(lines))
+    distinct = list(dict.fromkeys(date_strs))
+    days = dict(zip(distinct, _canonical_dates(distinct) or map(_parse_day, distinct)))
+    closes: dict[tuple[date, str], float] = {}
+    for lineno, date_str, ticker, close_str in zip(lines, date_strs, tickers, close_strs):
+        d = days[date_str]
+        if d is None:
+            raise InputError(f"line {lineno}: bad date {date_str!r} (expected YYYY-MM-DD)")
+        try:
+            close = float(close_str)
+        except ValueError:
+            raise InputError(f"line {lineno}: bad close {close_str!r}") from None
+        if not math.isfinite(close):
+            raise InputError(f"line {lineno}: non-finite close {close_str} for {ticker}")
+        if not close > 0:
+            raise InputError(f"line {lineno}: non-positive close {close_str} for {ticker}")
+        if not ticker:
+            raise InputError(f"line {lineno}: empty ticker")
+        if (d, ticker) in closes:
+            raise InputError(f"line {lineno}: duplicate entry for ({d}, {ticker})")
+        closes[d, ticker] = close
+
     names = sorted(set(tickers))
-    col_of = dict(zip(names, range(len(names))))
-    ticker_idx = np.fromiter(map(col_of.__getitem__, tickers), np.intp, len(lines))
-
-    closes: list[float] = []
-    try:
-        closes.extend(map(float, close_strs))
-        unparsed = len(lines)
-    except ValueError:
-        # extend keeps the closes before the one float() rejects; a stand-in
-        # takes its place, and no later record can be the first bad one
-        unparsed = len(closes)
-        closes.append(1.0)
-    m = len(closes)
-    values = np.array(closes)
-    cells = date_idx[:m] * len(names) + ticker_idx[:m]
-    order = np.argsort(cells, kind="stable")  # a cell's records stay in file order
-    ordered = cells[order]
-    repeated = np.zeros(m, dtype=bool)
-    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
-    failed = np.array(
-        [
-            date_idx[:m] < 0,
-            np.arange(m) == unparsed,
-            ~np.isfinite(values),
-            ~(values > 0),
-            ticker_idx[:m] == (0 if names[0] == "" else -1),  # "" sorts first
-            repeated,
-        ]
-    )
-    bad = failed.any(axis=0)
-    if bad.any():
-        i = int(bad.argmax())
-        check = int(failed[:, i].argmax())
-        ticker, close_str = tickers[i], close_strs[i]
-        raise InputError(
-            f"line {lines[i]}: "
-            + (
-                f"bad date {date_strs[i]!r} (expected YYYY-MM-DD)",
-                f"bad close {close_str!r}",
-                f"non-finite close {close_str} for {ticker}",
-                f"non-positive close {close_str} for {ticker}",
-                "empty ticker",
-                f"duplicate entry for ({days[date_strs[i]]}, {ticker})",
-            )[check]
-        )
-
     # with no duplicates, a date has every ticker's close when it has one record per ticker
-    keep = np.bincount(date_idx, minlength=len(dates)) == len(names)
-    if not keep.any():
+    per_date = Counter(d for d, _ in closes)
+    dates = sorted(d for d, k in per_date.items() if k == len(names))
+    if not dates:
         raise InputError("no date is covered by every ticker (empty intersection)")
-    kept = keep[date_idx]
-    matrix = np.empty((int(keep.sum()), len(names)))
-    matrix[(np.cumsum(keep) - 1)[date_idx[kept]], ticker_idx[kept]] = values[kept]
-    return PriceMatrix(tuple(compress(dates, keep.tolist())), tuple(names), matrix)
+    return PriceMatrix(tuple(dates), tuple(names), np.array([[closes[d, t] for t in names] for d in dates]))
 
 
 def load_sectors(source) -> SectorMap:

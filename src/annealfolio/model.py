@@ -442,8 +442,15 @@ def build_mvo_qubo(
 
 
 def affordable_shares(prices: Sequence[float], budget: float) -> np.ndarray:
-    """Most whole shares of each asset that the budget buys on its own: floor(budget / p_i)."""
-    return np.floor(budget / np.asarray(prices, dtype=float) + 1e-12).astype(np.int64)
+    """Most whole shares of each asset that the budget buys on its own: floor(budget / p_i).
+
+    A count above 2**62, past which int64 has no room for the share band and descent steps, raises InputError.
+    """
+    p = np.asarray(prices, dtype=float)
+    cheap = p < budget / 2**62
+    if cheap.any():
+        raise InputError(f"budget {budget} buys more than 2**62 shares at close {p[cheap][0]:g}")
+    return np.floor(budget / p + 1e-12).astype(np.int64)
 
 
 def build_mpt_model(

@@ -291,6 +291,22 @@ class TestOptimizeCommand:
         assert result["shares"] == {"INDU1": shares}
         assert result["cash"] == pytest.approx(budget - shares * 11877.9, abs=1e-6)
 
+    def test_share_count_past_int64_exit_2(self, tmp_path, out_dir, capsys):
+        # 1e15 buys about 1e20 shares at a close of 1e-5: fully_quantum's int64 counts
+        # would overflow, while hybrid counts in Python ints and runs
+        prices = tmp_path / "prices.csv"
+        days = ["2023-01-02", "2023-01-03", "2023-01-04", "2023-01-05"]
+        rows = [
+            f"{d},{t},{(j + 1) * (1 + (7 * i + 3 * j) % 5 / 100)}e-5" for i, d in enumerate(days) for j, t in enumerate("ABC")
+        ]
+        prices.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        argv = ["optimize", "--seed", 1, "--prices", prices, "--budget", 1e15]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert run([*argv, "--strategy", "fully_quantum", "--out-dir", out_dir]) == 2
+            assert capsys.readouterr().err == "error: budget 1000000000000000.0 buys more than 2**62 shares at close 1.01e-05\n"
+            assert run([*argv, "--strategy", "hybrid", "--out-dir", tmp_path / "hybrid"]) == 0
+
     @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
     def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
         # the cheapest bundled close is 2,199.41; a lower q cannot help
@@ -411,24 +427,28 @@ class TestBacktestCommand:
 
 
 class TestRowOrder:
-    """Shuffling the rows of a price file changes no artifact. The file as written
-    is read by reshape and the shuffled one by index, so this checks both end to end."""
+    """Reordering the rows of a price file changes no artifact. The file as written
+    is read by reshape and a reordered one record by record, so this checks both end to end."""
 
+    @pytest.mark.parametrize("order", ["shuffled", "ticker-major"])
     @pytest.mark.parametrize("argv", [
         ["optimize", "--seed", 42, "--strategy", "hybrid"],
         ["optimize", "--seed", 42, "--strategy", "fully_quantum", "--budget", 100000],
         ["backtest", "--seed", 42, "--strategy", "hybrid", "--budget", 100000, "--benchmark", "TECH1"],
     ])
-    def test_shuffled_rows_write_the_same_bytes(self, tmp_path, argv):
+    def test_reordered_rows_write_the_same_bytes(self, tmp_path, argv, order):
         assert run(["gen-data", "--out-dir", tmp_path, "--seed", 3]) == 0
-        plain, shuffled = tmp_path / "synthetic_prices.csv", tmp_path / "shuffled.csv"
+        plain, reordered = tmp_path / "synthetic_prices.csv", tmp_path / "reordered.csv"
         header, *body = plain.read_text().splitlines()
-        order = np.random.default_rng(26).permutation(len(body))
-        shuffled.write_text("\n".join([header] + [body[i] for i in order]) + "\n")
-        columns = [_read_csv(p, ("date", "ticker", "close"))[1] for p in (plain, shuffled)]
+        if order == "shuffled":
+            body = [body[i] for i in np.random.default_rng(26).permutation(len(body))]
+        else:  # per-ticker exports joined: by ticker ([1]), then date ([0])
+            body.sort(key=lambda row: row.split(",")[1::-1])
+        reordered.write_text("\n".join([header] + body) + "\n")
+        columns = [_read_csv(p, ("date", "ticker", "close"))[1] for p in (plain, reordered)]
         assert _grid(*columns[0]) is not None and _grid(*columns[1]) is None
         artifacts = []
-        for prices in (plain, shuffled):
+        for prices in (plain, reordered):
             out = tmp_path / prices.stem
             argv_here = [*argv, "--prices", prices, "--sectors", tmp_path / "synthetic_sectors.csv", "--out-dir", out]
             assert run(argv_here) == 0

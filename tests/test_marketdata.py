@@ -348,8 +348,9 @@ class TestAssetStats:
 
 
 # ---------------------------------------------------------------------------
-# Reference loaders: the record-by-record parse the columnar loaders replaced,
-# kept (names and annotations aside) as the spec for their results and errors.
+# Reference loaders: a record-by-record parse kept (names and annotations aside)
+# as the spec for the loaders' results and errors, both the grid read (_grid)
+# and the record loop of load_prices.
 
 
 def _reference_text_lines(source):
@@ -537,7 +538,7 @@ PRICE_CORRUPTIONS = (
     None, "bad date", "repeated bad date", "bad close", "non-finite", "non-positive",
     "empty ticker", "unpadded duplicate", "field count", "short and long",
 )
-# ways to spoil a full date-major grid so that it must take the index path
+# ways to spoil a full date-major grid so that it must take the record loop
 GRID_BREAKERS = (
     "swapped rows", "missing last row", "repeated date block", "descending date blocks", "ticker twice per date",
 )

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from annealfolio.model import (
     IsingModel,
     LinearConstraint,
     QuboModel,
+    affordable_shares,
     build_mpt_model,
     build_mvo_qubo,
     encode_integer,
@@ -369,6 +371,19 @@ class TestBuildMvoQubo:
             build_mvo_qubo(stats, q=0.0, B=1)
         with pytest.raises(InputError):
             build_mvo_qubo(stats, q=1.0, B=1, lam=-1.0)
+
+
+class TestAffordableShares:
+    def test_count_at_the_cap_is_kept(self):
+        counts = affordable_shares([1.0, 4.0], 2.0**62)
+        assert counts.tolist() == [2**62, 2**60] and counts.dtype == np.int64
+
+    @pytest.mark.parametrize("closes", [[1.0, 1e-5, 2e-5], [1.0, 1e-300]])
+    def test_count_past_int64_room_rejected(self, closes):
+        # 1e15 / 1e-5 = 1e20 shares, past int64; 1e15 / 1e-300 is past the float range
+        message = f"budget 1000000000000000.0 buys more than 2**62 shares at close {closes[1]:g}"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            affordable_shares(closes, 1e15)
 
 
 class TestBuildMptModel:
