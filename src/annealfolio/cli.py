@@ -35,7 +35,7 @@ from .data import bundled_prices_path, bundled_sectors_path
 from .errors import InputError, SolverError, check_field
 from .marketdata import _parse_day, load_prices, load_sectors
 from .pipeline import PipelineConfig, run_pipeline
-from .rebalance import RebalancePolicy, run_backtest
+from .rebalance import RebalancePolicy, layout_json, run_backtest
 from .sampler import AnnealSchedule
 from . import synthetic
 
@@ -142,10 +142,6 @@ def _weights_from_mapping(data: dict) -> WeightVector:
     return WeightVector(tuple(tickers), vals / vals.sum())
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -212,7 +208,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = run_pipeline(prices, cfg)
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "optimize_result.json", result)
+    (out_dir / "optimize_result.json").write_text(layout_json(result) + "\n", encoding="utf-8")
     table = render_comparison(result)
     (out_dir / "optimize_result.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
@@ -237,8 +233,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     )
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "backtest_report.json", report.to_dict())
-    (out_dir / "backtest_plot.csv").write_text(report.to_plot_csv(), encoding="utf-8")
+    report_json, plot_csv = report.artifacts()
+    (out_dir / "backtest_report.json").write_text(report_json, encoding="utf-8")
+    (out_dir / "backtest_plot.csv").write_text(plot_csv, encoding="utf-8")
     if not report.events:
         print("warning: no rebalance boundary fell inside the data range", file=sys.stderr)
     print(

@@ -263,8 +263,8 @@ def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str
     fields = _uniform_fields(text, width)
     unreadable = None
     if fields is not None:
-        widths = [width] * (len(fields) // width)
-        numbers = range(1, len(widths) + 1)
+        numbers = range(1, len(fields) // width + 1)
+        head, widths = fields[:width], ()  # every record is width fields wide
         # the ASCII characters str.strip removes, line ends aside
         strip = not text.isascii() or any(c in text for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f")
     else:
@@ -278,14 +278,12 @@ def _read_csv(source, header: tuple[str, ...]) -> tuple[list[int], list[list[str
         # a record's field count, or 0 for a blank one
         widths = [len(f) if len(f) > 1 or f and f[0].strip() else 0 for f in records]
         numbers = list(compress(count(1), widths))
+        head = records[numbers[0] - 1] if numbers else []
         fields = list(chain.from_iterable(compress(records, widths)))
         strip = True
-    if numbers:
-        head = [f.strip() for f in fields[: widths[numbers[0] - 1]]]
-        if [f.lower() for f in head] != list(header):
-            raise InputError(
-                f"line {numbers[0]}: expected header {','.join(header)!r}, got {','.join(head)!r}"
-            )
+    head = [f.strip() for f in head]
+    if numbers and [f.lower() for f in head] != list(header):
+        raise InputError(f"line {numbers[0]}: expected header {','.join(header)!r}, got {','.join(head)!r}")
     if set(widths) - {0, width}:
         lineno, got = next((n, w) for n, w in zip(count(1), widths) if w not in (0, width))
         raise InputError(f"line {lineno}: expected {width} fields, got {got}")

@@ -378,7 +378,7 @@ def optimize_integer_shares(
     shares either side of it, and the budget those bands leave is lowered
     into an equality penalty on the spend, with no slack bits. The
     annealer samples that model once on ``cfg.sampler``. Every sampled
-    state that truly satisfies the budget, in sample order, and then the
+    state whose counts the budget buys, in sample order, and then the
     floored relaxation go through :func:`_best_descent` by :func:`_descend`
     over the full [0, floor(budget / p)] range, so a descent may leave the
     band.
@@ -414,9 +414,9 @@ def optimize_integer_shares(
     lam = _share_penalty(cm.objective, budget_con.coeffs)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
-    bits = s.state_array()
-    fits = bits[bits @ budget_con.coeffs <= budget_con.rhs + 1e-6]
-    starts = np.vstack([cm.decode_integers(fits), floored])
+    sampled = cm.decode_integers(s.state_array())
+    spend = sum(col * p for col, p in zip(sampled.T, price_vec))  # added in ticker order, as Holdings is charged
+    starts = np.vstack([sampled[spend <= cfg.budget], floored])
     descend = partial(_descend, prices=price_vec, stats=stats, q=q_dollar, budget=cfg.budget, uppers=uppers)
     best = _best_descent(starts, descend, price_vec, stats, q_dollar)
     shares = {t: int(c) for t, c in zip(stats.tickers, best)}

@@ -25,6 +25,7 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from datetime import date
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ from .pipeline import optimize_integer_shares, select_assets
 log = logging.getLogger(__name__)
 
 StatsProvider = Callable[[Sequence[str]], AssetStats]
+
+# json.dumps's spelling of the constants and of the non-finite float reprs
+_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -127,22 +131,42 @@ class BacktestReport:
     config_echo: dict
     initial_holdings: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dates": [d.isoformat() for d in self.dates],
-            "algo": list(self.algo_values),
-            "bench": list(self.bench_values),
-            "events": [e.to_dict() for e in self.events],
-            "final": {"algo": self.final_algo, "bench": self.final_bench},
-            "initial": self.initial_holdings,
-            "config": self.config_echo,
-        }
+    def artifacts(self) -> tuple[str, str]:
+        """The backtest_report.json and backtest_plot.csv texts, each date and value formatted once."""
+        days = [d.isoformat() for d in self.dates]
+        algo, bench = [list(map(float.__repr__, v)) for v in (self.algo_values, self.bench_values)]
+        csv = "\n".join(["date,algo_value,bench_value", *map(",".join, zip(days, algo, bench))]) + "\n"
+        json_float = _JSON_WORDS.get  # json's NaN and Infinity for repr's nan and inf
+        report = {"dates": _Texts(map(encode_basestring_ascii, days)), "algo": _Texts(map(json_float, algo, algo)),
+                  "bench": _Texts(map(json_float, bench, bench)), "events": [e.to_dict() for e in self.events],
+                  "final": {"algo": self.final_algo, "bench": self.final_bench},
+                  "initial": self.initial_holdings, "config": self.config_echo}
+        return layout_json(report) + "\n", csv
 
-    def to_plot_csv(self) -> str:
-        lines = ["date,algo_value,bench_value"]
-        for d, a, b in zip(self.dates, self.algo_values, self.bench_values):
-            lines.append(f"{d.isoformat()},{a!r},{b!r}")
-        return "\n".join(lines) + "\n"
+
+class _Texts(list):
+    """A list whose items are already JSON texts."""
+
+
+def layout_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of str-keyed dicts, lists, tuples and scalars, one ``str.join``
+    a container (json.dumps indents in pure Python before 3.13). ``pad`` precedes ``obj``'s closing bracket."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        return _JSON_WORDS.get(text := float.__repr__(obj), text)
+    if obj is None or obj is True or obj is False:
+        return _JSON_WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {layout_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = obj if type(obj) is _Texts else [layout_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def add_months(d: date, months: int) -> date:

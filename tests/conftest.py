@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import numpy as np
@@ -23,6 +24,24 @@ def grw_matrix(params, n_days=80, start=date(2023, 1, 2), seed=0):
         tuple(tickers[i] for i in order),
         paths[:, order],
     )
+
+
+def reference_artifacts(report) -> tuple[str, str]:
+    """The spec of ``BacktestReport.artifacts``: the report as a dict through
+    ``json.dumps(indent=2, sort_keys=True)``, and the plot CSV written row by row."""
+    as_dict = {
+        "dates": [d.isoformat() for d in report.dates],
+        "algo": list(report.algo_values),
+        "bench": list(report.bench_values),
+        "events": [e.to_dict() for e in report.events],
+        "final": {"algo": report.final_algo, "bench": report.final_bench},
+        "initial": report.initial_holdings,
+        "config": report.config_echo,
+    }
+    lines = ["date,algo_value,bench_value"]
+    for d, a, b in zip(report.dates, report.algo_values, report.bench_values):
+        lines.append(f"{d.isoformat()},{a!r},{b!r}")
+    return json.dumps(as_dict, indent=2, sort_keys=True) + "\n", "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

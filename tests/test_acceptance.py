@@ -249,12 +249,10 @@ def test_criterion_7_backtest_structure():
     r1 = run_backtest(prices, sectors, 1_000_000.0, cfg, policy, "TECH1")
     r2 = run_backtest(prices, sectors, 1_000_000.0, cfg, policy, "TECH1")
     assert len(r1.events) == 4, f"expected 4 rebalance events, got {len(r1.events)}"
-    d1, d2 = r1.to_dict(), r2.to_dict()
-    b1 = json.dumps(d1, sort_keys=True).encode()
-    b2 = json.dumps(d2, sort_keys=True).encode()
-    assert b1 == b2, "same-seed reports differ"
-    assert r1.to_plot_csv() == r2.to_plot_csv()
-    _replay_cash_ledger(d1)
+    (json1, csv1), (json2, csv2) = r1.artifacts(), r2.artifacts()
+    assert json1.encode() == json2.encode(), "same-seed reports differ"
+    assert csv1.encode() == csv2.encode()
+    _replay_cash_ledger(json.loads(json1))
     # the value series must agree with an independent replay of the ledger
     shares = dict(r1.initial_holdings["shares"])
     cash = r1.initial_holdings["cash"]

@@ -307,6 +307,28 @@ class TestOptimizeCommand:
             assert capsys.readouterr().err == "error: budget 1000000000000000.0 buys more than 2**62 shares at close 1.01e-05\n"
             assert run([*argv, "--strategy", "hybrid", "--out-dir", tmp_path / "hybrid"]) == 0
 
+    def test_fully_quantum_never_overspends_near_1e11_shares(self, tmp_path, out_dir):
+        # 1e6 buys about 5e10 shares at these closes; a sampled start a few 1e-7 over the
+        # budget used to win the descent and fail the cash check
+        closes = {
+            "2024-01-02": (2.714809e-05, 1.067171e-05, 2.459311e-05),
+            "2024-01-03": (1.351311e-05, 2.726358e-05, 2.082922e-05),
+            "2024-01-04": (1.599424e-05, 1.845374e-05, 1.056639e-05),
+            "2024-01-05": (1.248567e-05, 2.341249e-05, 2.294379e-05),
+        }
+        prices = tmp_path / "prices.csv"
+        rows = [f"{d},{t},{c:e}" for d, row in closes.items() for t, c in zip(("AAA", "BBB", "CCC"), row)]
+        prices.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        last = dict(zip(("AAA", "BBB", "CCC"), closes["2024-01-05"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strategy in ("fully_quantum", "hybrid"):
+                argv = ["optimize", "--seed", 1, "--budget", 1e6, "--prices", prices, "--strategy", strategy]
+                assert run([*argv, "--out-dir", out_dir / strategy]) == 0
+                result = json.loads((out_dir / strategy / "optimize_result.json").read_text())
+                assert result["shares"] and result["cash"] >= 0
+                assert sum(n * last[t] for t, n in result["shares"].items()) <= 1e6
+
     @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
     def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
         # the cheapest bundled close is 2,199.41; a lower q cannot help

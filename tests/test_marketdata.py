@@ -659,7 +659,7 @@ SOURCE_KINDS = st.sampled_from(["str", "bytes", "text file", "binary file"])
 
 
 class TestLoadersMatchReference:
-    """The columnar loaders return the reference's bytes or raise its exact message."""
+    """Both reads, ``_grid``'s reshape and the record loop, return the reference's bytes or raise its exact message."""
 
     @settings(max_examples=500, deadline=None)
     @given(price_tables(), SOURCE_KINDS, FIELD_LIMITS)
@@ -751,7 +751,7 @@ def read_grid(source):
 
 
 class TestGridPath:
-    """A full date-major grid is read by reshape; any other layout falls back to the index path."""
+    """A full date-major grid is read by ``_grid``'s reshape; any other layout falls back to the record loop."""
 
     @settings(max_examples=100, deadline=None)
     @given(grid_tables([None]))

@@ -1,5 +1,7 @@
 import json
 import logging
+import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -27,16 +29,18 @@ from annealfolio.pipeline import (
     to_shares,
 )
 from annealfolio.rebalance import (
+    BacktestReport,
     RebalancePolicy,
     add_months,
     health_check,
+    layout_json,
     rebalance_step,
     run_backtest,
 )
 from annealfolio.sampler import AnnealSchedule
 from annealfolio.synthetic import business_days
 
-from conftest import grw_matrix
+from conftest import grw_matrix, reference_artifacts
 
 FAST = AnnealSchedule(sweeps=300, restarts=8)
 
@@ -464,8 +468,7 @@ class TestRunBacktest:
         policy = RebalancePolicy(lookback_days=40)
         r1 = run_backtest(prices, SECTORS5, 50_000.0, cfg, policy, "AAA")
         r2 = run_backtest(prices, SECTORS5, 50_000.0, cfg, policy, "AAA")
-        assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
-        assert r1.to_plot_csv() == r2.to_plot_csv()
+        assert r1.artifacts() == r2.artifacts()
 
     def test_truncated_range_is_prefix(self):
         prices = quarterly_prices()
@@ -502,7 +505,7 @@ class TestRunBacktest:
             prices, SECTORS5, 50_000.0, cfg,
             RebalancePolicy(period_months=14, lookback_days=40), "AAA",
         )
-        lines = report.to_plot_csv().strip().split("\n")
+        lines = report.artifacts()[1].strip().split("\n")
         assert lines[0] == "date,algo_value,bench_value"
         assert len(lines) == len(prices.dates) + 1
 
@@ -740,7 +743,7 @@ class TestBacktestProperty:
         report = run_backtest(prices, SECTORS5, budget, cfg, policy, "AAA")
         assert_ledger(report, budget)
         again = run_backtest(prices, SECTORS5, budget, cfg, policy, "AAA")
-        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(report.to_dict(), sort_keys=True)
+        assert again.artifacts() == report.artifacts() == reference_artifacts(report)
 
 
 class TestPolicyValidation:
@@ -761,3 +764,95 @@ class TestPolicyValidation:
         ):
             with pytest.raises(InputError, match=next(iter(bad))):
                 RebalancePolicy(**bad)
+
+
+class _IntWithRepr(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _FloatWithRepr(float):
+    def __repr__(self):
+        return "not json"
+
+
+# every kind of value an artifact can hold, and the edge cases of each
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**300), 2**300),
+    st.integers().map(_IntWithRepr),
+    st.floats(),  # nan, +-inf, +-0.0 and subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64),
+    st.floats().map(_FloatWithRepr),
+    st.text(),  # non-ASCII and control characters among them
+    st.text(st.characters(max_codepoint=0x1F) | st.sampled_from(['"', "\\", "\u2028", "\U0001F600"])),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestLayoutJson:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, obj):
+        assert layout_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [[], (), {}, "", {"": {"": ()}}, [[{}], [[]]], {"b": [], "a": {}}])
+    def test_empty_containers_and_keys(self, obj):
+        assert layout_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [np.int64(3), {1, 2}, [b"x"], {"a": object()}])
+    def test_what_json_cannot_write_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            layout_json(obj)
+
+    def test_non_str_key_raises_type_error(self):
+        # json.dumps would write the key 1 as "1"; no artifact has a key that is not a str
+        with pytest.raises(TypeError):
+            layout_json({1: "x"})
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pipeline_result_on_bundled_data(self, bundled_prices, strategy):
+        result = run_pipeline(bundled_prices, cfg_for(100_000.0, strategy, seed=42))
+        assert layout_json(result) == json.dumps(result, indent=2, sort_keys=True)
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bundled_backtest_matches_reference(self, bundled_prices, bundled_sectors, strategy):
+        cfg = cfg_for(100_000.0, strategy, seed=42)
+        report = run_backtest(bundled_prices, bundled_sectors, 100_000.0, cfg, RebalancePolicy(), "TECH1")
+        assert report.events
+        assert report.artifacts() == reference_artifacts(report)
+
+    def test_non_finite_values_keep_each_spelling(self):
+        report = BacktestReport(
+            dates=(date(2024, 1, 2), date(2024, 1, 3), date(2024, 1, 4)),
+            algo_values=(math.inf, -0.0, 5e-324),
+            bench_values=(math.nan, -math.inf, 1e300),
+            events=(),
+            final_algo=5e-324,
+            final_bench=1e300,
+            config_echo={"note": "caf\u00e9\n"},
+        )
+        json_text, csv_text = report.artifacts()
+        assert (json_text, csv_text) == reference_artifacts(report)
+        assert json.loads(json_text)["algo"][0] == math.inf and "NaN" in json_text
+        assert csv_text.splitlines()[1:] == ["2024-01-02,inf,nan", "2024-01-03,-0.0,-inf", "2024-01-04,5e-324,1e+300"]
+
+    def test_empty_series(self):
+        report = BacktestReport((), (), (), (), 0.0, 0.0, {})
+        assert report.artifacts() == reference_artifacts(report)
+        assert report.artifacts()[1] == "date,algo_value,bench_value\n"
