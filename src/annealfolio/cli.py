@@ -236,8 +236,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     report_json, plot_csv = report.artifacts()
     (out_dir / "backtest_report.json").write_text(report_json, encoding="utf-8")
     (out_dir / "backtest_plot.csv").write_text(plot_csv, encoding="utf-8")
-    if not report.events:
-        print("warning: no rebalance boundary fell inside the data range", file=sys.stderr)
     print(
         f"final value  algorithm {report.final_algo:.2f}  benchmark {report.final_bench:.2f}  "
         f"({len(report.events)} rebalance events)"
@@ -247,7 +245,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    print(render_comparison(_read_json_object(args.result, "result file")))
+    result = _read_json_object(args.result, "result file")
+    try:
+        print(render_comparison(result))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # InputError, or a field of the wrong type
+        what = f"{type(exc).__name__}: {exc}"
+        raise InputError(f"result file {args.result} is not an optimize or backtest result ({what})") from None
     return 0
 
 

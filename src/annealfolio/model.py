@@ -260,21 +260,11 @@ class KSubsetModel:
 # energy evaluation
 
 
-def _as_bits(x, n: int) -> np.ndarray:
-    if isinstance(x, str):
-        if any(ch not in "01" for ch in x):
-            raise InputError(f"bitstring may contain only 0/1, got {x!r}")
-        arr = np.array([1.0 if ch == "1" else 0.0 for ch in x])
-    else:
-        arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise InputError(f"state length {arr.shape} does not match n={n}")
-    return arr
-
-
 def qubo_energy(m: QuboModel, x) -> float:
-    """Objective value at binary assignment ``x`` (sequence or '01' string)."""
-    arr = _as_bits(x, m.n)
+    """Objective value at the binary assignment ``x``, a length-n array or sequence of 0/1."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (m.n,):
+        raise InputError(f"state length {arr.shape} does not match n={m.n}")
     return m.offset + float(m.linear @ arr) + float(arr @ m.quadratic @ arr)
 
 

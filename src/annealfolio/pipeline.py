@@ -58,9 +58,9 @@ from .sampler import best_feasible
 
 STRATEGIES = ("hybrid", "fully_quantum")
 
-# Integer-share problems beyond this many encoding bits are refused; the
-# annealer's hit rate and the exhaustive cross-checks degrade past it. Each
-# asset's band needs at most 3 bits, so this caps the universe size.
+# Integer-share problems beyond this many encoding bits are refused: no solve of a wider model has been
+# measured, and the exhaustive cross-checks stop at sampler.EXHAUSTIVE_CAP bits. Each asset's band needs
+# at most 3 bits, so this caps the universe size.
 SHARE_BIT_CAP = 64
 
 # Each share count is annealed within this many shares of the floored
@@ -137,9 +137,9 @@ def select_assets(
     """Pick exactly k tickers: swap-anneal the k-subsets of q x'Sigma x - mu'x once, then swap-descend.
 
     :func:`simulated_anneal` anneals the :class:`KSubsetModel` on
-    ``schedule``. Every record of its sample set descends over the
+    ``schedule``. Every state of its sample set descends over the
     k(n - k) swaps of a held name for another in batched
-    :func:`_swap_descent` passes; the first best in record order is kept,
+    :func:`_swap_descent` passes; the first best in row order is kept,
     so no single swap improves the result.
 
     At k = 1 and k = n - 1 one swap joins any two k-subsets, so the
@@ -158,7 +158,7 @@ def select_assets(
     if k in (1, n - 1):
         starts = np.arange(n) < k
     else:
-        starts = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, q, k), schedule, seed).state_array()
+        starts = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, q, k), schedule, seed).states
     counts = _best_descent(starts, lambda rows: _swap_descent(rows, stats, q), np.ones(n), stats, q)
     return tuple(t for t, c in zip(stats.tickers, counts) if c)
 
@@ -414,7 +414,7 @@ def optimize_integer_shares(
     lam = _share_penalty(cm.objective, budget_con.coeffs)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
-    sampled = cm.decode_integers(s.state_array())
+    sampled = cm.decode_integers(s.states)
     spend = sum(col * p for col, p in zip(sampled.T, price_vec))  # added in ticker order, as Holdings is charged
     starts = np.vstack([sampled[spend <= cfg.budget], floored])
     descend = partial(_descend, prices=price_vec, stats=stats, q=q_dollar, budget=cfg.budget, uppers=uppers)

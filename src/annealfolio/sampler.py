@@ -1,15 +1,16 @@
 """Low-energy state search for QUBO/Ising models and for k-subset selection.
 
-Two solvers share the :class:`SampleSet` result type: a seeded simulated
-annealer and one exhaustive enumerator of QUBO models, the exact solver at
-small sizes and the annealer's oracle. :func:`simulated_anneal` moves by
-single flips on a QUBO or Ising model (the fully_quantum share band) and
-by swaps of a held name for a free one on a :class:`KSubsetModel` (the
-hybrid selection q x'Sigma x - mu'x over k-subsets), so there the count
-stays k with no penalty. The pipeline never enumerates: its selection
-swap-descends every restart's best state, and at k = 1 or k = n - 1,
-where one swap reaches every k-subset, it swap-descends one start without
-annealing.
+Two solvers share the :class:`SampleSet` result type, distinct 0/1 states
+as rows of one uint8 array with their energies and sample counts: a
+seeded simulated annealer and one exhaustive enumerator of QUBO models,
+the exact solver at small sizes and the annealer's oracle.
+:func:`simulated_anneal` moves by single flips on a QUBO or Ising model
+(the fully_quantum share band) and by swaps of a held name for a free one
+on a :class:`KSubsetModel` (the hybrid selection q x'Sigma x - mu'x over
+k-subsets), so there the count stays k with no penalty. The pipeline
+never enumerates: its selection swap-descends every restart's best state,
+and at k = 1 or k = n - 1, where one swap reaches every k-subset, it
+swap-descends one start without annealing.
 
 Reproducibility contract: the random stream is numpy's PCG64. In both
 move sets restart r draws from ``PCG64(seed).jumped(r)``, so the first r
@@ -117,52 +118,47 @@ class AnnealSchedule:
 
 
 class SampleRecord(NamedTuple):
-    state: str
+    state: np.ndarray
     energy: float
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Candidate solutions sorted by (energy, state); ties break lexicographically."""
+    """Distinct 0/1 states in (energy, state) order, ties broken lexicographically.
 
-    records: tuple[SampleRecord, ...]
+    ``states`` is a read-only (m, n) uint8 array of distinct rows, ``energies``
+    holds each row's energy and ``counts`` how many samples reached it.
+    """
+
+    states: np.ndarray
+    energies: np.ndarray
+    counts: np.ndarray
     seed: int | None
-    model_n: int
 
-    def best(self) -> SampleRecord:
-        return self.records[0]
+    def __post_init__(self):
+        for arr in (self.states, self.energies, self.counts):
+            arr.flags.writeable = False
 
     @property
     def best_energy(self) -> float:
-        return self.records[0].energy
+        return float(self.energies[0])
 
-    def state_array(self) -> np.ndarray:
-        """Every record's state as one (records, n) array of 0.0 and 1.0, in record order."""
-        chars = np.frombuffer("".join(r.state for r in self.records).encode(), np.uint8)
-        return (chars == ord("1")).reshape(-1, self.model_n).astype(float)
-
-
-def state_to_array(state: str) -> np.ndarray:
-    return np.array([1.0 if ch == "1" else 0.0 for ch in state])
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        """Each row as (state, energy, count), in row order."""
+        return tuple(map(SampleRecord, self.states, self.energies.tolist(), self.counts.tolist()))
 
 
-def _array_to_state(x: np.ndarray) -> str:
-    return "".join("1" if v > 0.5 else "0" for v in x)
+def _merge_samples(X: np.ndarray, E: np.ndarray, seed: int) -> SampleSet:
+    """The samples X (rows of 0/1, n >= 1) with energies E, each distinct row once with its first energy.
 
-
-def _make_sampleset(states, energies, seed, n) -> SampleSet:
-    merged: dict[str, tuple[float, int]] = {}
-    for s, e in zip(states, energies):
-        if s in merged:
-            merged[s] = (merged[s][0], merged[s][1] + 1)
-        else:
-            merged[s] = (float(e), 1)
-    records = tuple(
-        SampleRecord(s, e, c)
-        for s, (e, c) in sorted(merged.items(), key=lambda kv: (kv[1][0], kv[0]))
-    )
-    return SampleSet(records, seed, n)
+    np.unique of the rows' bytes sorts them by state; a stable sort by energy keeps that order within a tie.
+    """
+    X = np.ascontiguousarray(X, dtype=np.uint8)
+    _, first, counts = np.unique(X.view((np.void, X.shape[1])).ravel(), return_index=True, return_counts=True)
+    order = np.argsort(E[first], kind="stable")
+    return SampleSet(X[first[order]], E[first[order]], counts[order], seed)
 
 
 def _first_rows(X: np.ndarray, E: np.ndarray, k: int | None, place: np.ndarray):
@@ -179,9 +175,9 @@ def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
     """Enumerate all 2^n states; exact but capped at n <= EXHAUSTIVE_CAP variables.
 
     The one exact solver, the oracle the annealer is checked against.
-    States stream in chunks. Records are in (energy, state) order, ties
+    States stream in chunks. Rows are in (energy, state) order, ties
     broken by the lexicographically first state, and ``top_k`` (k >= 1)
-    returns exactly the first k records of that order while holding no
+    returns exactly the first k rows of that order while holding no
     more than k states per chunk. Without top_k the SampleSet holds every
     state, which gets heavy past n ~ 20; prefer a truncation there.
     """
@@ -206,8 +202,8 @@ def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
         best_states.append(X)
         best_energies.append(E)
     X, E = _first_rows(np.concatenate(best_states), np.concatenate(best_energies), top_k, place)
-    records = tuple(SampleRecord(_array_to_state(x), float(e), 1) for x, e in zip(X, E))
-    return SampleSet(records, None, m.n)
+    # enumerated states are distinct, and at n = 0 the one state is empty
+    return SampleSet(X.astype(np.uint8), E, np.ones(len(E), dtype=np.intp), None)
 
 
 class _ExpandedSeed(np.random.bit_generator.ISeedSequence):
@@ -231,10 +227,8 @@ def _restart_generators(seed: int, restarts: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(words).advance(r * _PCG64_JUMP)) for r in range(restarts)]
 
 
-def _restart_bests(
-    qm: QuboModel, schedule: AnnealSchedule, seed: int
-) -> tuple[list[str], np.ndarray]:
-    """Best state per restart, in restart order.
+def _restart_bests(qm: QuboModel, schedule: AnnealSchedule, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best state per restart, an (R, n) uint8 array in restart order, and its energy.
 
     All restarts run in lockstep (vectorized), each on its own PCG64
     stream. The state is restart-minor: the flip direction D = 1 - 2x and
@@ -387,9 +381,7 @@ def _restart_bests(
             k += 1
 
     bestX = np.ascontiguousarray((1.0 - bestD.T) / 2.0)
-    final_E = qubo_energies(qm, bestX)
-    text = (bestX.astype(np.uint8) + ord("0")).tobytes().decode()
-    return [text[r * n : (r + 1) * n] for r in range(R)], final_E
+    return bestX.astype(np.uint8), qubo_energies(qm, bestX)
 
 
 def simulated_anneal(
@@ -407,9 +399,9 @@ def simulated_anneal(
     per variable; a k-subset sweep proposes one swap of a held name for a
     free one (:func:`_swap_walk`), so every state holds k names. Ising
     inputs are converted to the exact QUBO twin first, so reported
-    energies match the source model; states are bitstrings with s = 2x - 1.
-    The records hold each restart's best state, energies re-evaluated
-    exactly.
+    energies match the source model; states are 0/1 rows x, spins s = 2x - 1.
+    The sample set holds each restart's best state, its energy re-evaluated
+    exactly, and how many restarts ended there.
 
     Deterministic: fixed (model, schedule, seed) reproduces the SampleSet
     bit for bit.
@@ -418,14 +410,11 @@ def simulated_anneal(
         held = _swap_restart_bests(m, schedule, seed)
         X = np.zeros((len(held), m.n), dtype=np.uint8)
         np.put_along_axis(X, held, 1, axis=1)
-        text = (X + ord("0")).tobytes().decode()
-        states = [text[r * m.n : (r + 1) * m.n] for r in range(len(held))]
-        return _make_sampleset(states, _subset_energies(m, held), seed, m.n)
+        return _merge_samples(X, _subset_energies(m, held), seed)
     qm = ising_to_qubo(m) if isinstance(m, IsingModel) else m
     if qm.n < 1:
         raise InputError("model must have at least one variable")
-    states, energies = _restart_bests(qm, schedule, seed)
-    return _make_sampleset(states, energies, seed, qm.n)
+    return _merge_samples(*_restart_bests(qm, schedule, seed), seed)
 
 
 def swap_curvature(sigma: np.ndarray, q: float) -> np.ndarray:
@@ -522,19 +511,15 @@ def _swap_restart_bests(m: KSubsetModel, schedule: AnnealSchedule, seed: int) ->
 
 
 def best_feasible(
-    s: SampleSet,
-    constraints: Sequence[LinearConstraint],
-    tolerance: float = 1e-9,
-) -> str | None:
-    """Lowest-energy record satisfying every constraint, or None.
+    s: SampleSet, constraints: Sequence[LinearConstraint], tolerance: float = 1e-9
+) -> np.ndarray | None:
+    """The lowest-energy state (first in row order) satisfying every constraint, or None.
 
-    Absence of a feasible record is a value, not an error.
+    Absence of a feasible state is a value, not an error.
     """
+    feasible = np.ones(len(s.states), dtype=bool)
     for c in constraints:
-        if len(c.coeffs) != s.model_n:
+        if len(c.coeffs) != s.states.shape[1]:
             raise InputError("constraint length does not match sample variable count")
-    for rec in s.records:
-        x = state_to_array(rec.state)
-        if all(c.satisfied_by(x, tolerance) for c in constraints):
-            return rec.state
-    return None
+        feasible &= c.satisfied_by(s.states, tolerance)
+    return next(iter(s.states[feasible]), None)

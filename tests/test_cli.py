@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from datetime import date
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import annealfolio
 from annealfolio.cli import _CONFIG_KEYS, _SAMPLER_KEYS, main, render_comparison
 from annealfolio.data import (
     bundled_prices_path,
@@ -372,14 +376,24 @@ class TestBacktestCommand:
         echo = json.loads((out_dir / "backtest_report.json").read_text())["config"]["pipeline"]["sampler"]
         assert ran and set(ran) == {(echo["sweeps"], echo["restarts"])}
 
-    def test_oversized_period_warns_and_succeeds(self, out_dir, capsys):
+    def test_oversized_period_warns_and_succeeds(self, out_dir):
         assert run([
             "backtest", "--seed", 3, "--benchmark", "TECH1",
             "--period-months", 14, "--out-dir", out_dir,
         ]) == 0
         report = json.loads((out_dir / "backtest_report.json").read_text())
         assert report["events"] == []
-        assert "warning" in capsys.readouterr().err.lower()
+        # in a process of its own, where main's logging setup writes to stderr: the
+        # library's log line is the one warning
+        cli = subprocess.run(
+            [sys.executable, "-m", "annealfolio", "backtest", "--seed", "3", "--benchmark", "TECH1",
+             "--period-months", "14", "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(annealfolio.__file__).parents[1])},
+        )
+        assert cli.returncode == 0
+        [line] = cli.stderr.splitlines()
+        assert line.startswith("WARNING annealfolio.rebalance: no rebalance boundary falls inside the data range")
 
     def test_fully_quantum_paper_scale(self, out_dir):
         assert run([
@@ -508,6 +522,25 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"metrics": {"weights": {}}}))
         assert run(["report", bad]) == 2
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"metrics": 5},
+            {"final": 5},
+            {"final": {"algo": 1}},
+            {"metrics": {"weights": [1]}},
+            {"metrics": {"weights": {"A": "x"}}},
+            {"metrics": {"weights": {"A": 50}, "sharpe": "hi"}},
+            {"metrics": {"weights": {"A": 100}}, "benchmark": 3},
+        ],
+    )
+    def test_wrong_shape_exit_2(self, tmp_path, capsys, result):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(result))
+        assert run(["report", bad]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: result file {bad} ")
 
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -52,9 +52,6 @@ class TestEnergy:
     def test_all_one(self):
         assert qubo_energy(self.m, [1, 1]) == 4.0
 
-    def test_bitstring_input(self):
-        assert qubo_energy(self.m, "11") == 4.0
-
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             qubo_energy(self.m, [1, 0, 1])

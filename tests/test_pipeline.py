@@ -45,7 +45,6 @@ from annealfolio.pipeline import (
 from annealfolio.sampler import (
     AnnealSchedule,
     simulated_anneal,
-    state_to_array,
     swap_curvature,
 )
 
@@ -106,7 +105,7 @@ class TestSelectAssets:
         # every 2-subset of four equal names ties: no restart ever improves on
         # its start (the two smallest of the first four uniforms of
         # PCG64(seed).jumped(r)), no swap descends, and the first record
-        # wins: the start whose bitstring sorts first
+        # wins: the start whose 0/1 row sorts first
         stats = make_stats([10.0] * 4, np.zeros((4, 4)))
         starts = []
         for r in range(2):
@@ -575,8 +574,7 @@ def descended_candidates(prices_at, stats, cfg):
     )
     starts = [
         cm.decode_integers(bits)
-        for rec in simulated_anneal(penalized, cfg.sampler, cfg.seed).records
-        for bits in [state_to_array(rec.state)]
+        for bits in simulated_anneal(penalized, cfg.sampler, cfg.seed).states
         if con.coeffs @ bits <= con.rhs + 1e-6
     ]
     starts.append(floored)
@@ -980,3 +978,15 @@ def test_tracer_sites_resolve():
         if attr not in vars(getattr(importlib.import_module(f"annealfolio.{mod}"), cls))
     ]
     assert len(tables["SITES"]) > 20 and missing == []
+
+
+@pytest.mark.parametrize("kind", ["qubo", "k-subset"])
+def test_anneal_records_carry_what_the_tracer_reads(kind):
+    """``perfbench/tracer.py`` reads each anneal's ``records[i].energy`` and ``.count`` for its
+    time-to-solution: plain floats and ints, the counts summing to the restarts."""
+    stats = make_stats([0.2, 0.1, 0.3, 0.15, 0.25], np.eye(5) * 0.04)
+    m = build_mvo_qubo(stats, q=1.0, B=2) if kind == "qubo" else KSubsetModel(stats.mu, stats.sigma, 1.0, 2)
+    records = simulated_anneal(m, AnnealSchedule(sweeps=20, restarts=6), seed=1).records
+    assert all(type(r.energy) is float and type(r.count) is int for r in records)
+    assert sum(r.count for r in records) == 6
+    assert [r.energy for r in records] == sorted(r.energy for r in records)

@@ -25,15 +25,12 @@ from annealfolio.model import (
 from annealfolio.pipeline import PipelineConfig, _share_penalty, optimize_integer_shares
 from annealfolio.sampler import (
     AnnealSchedule,
-    SampleRecord,
     SampleSet,
-    _array_to_state,
-    _make_sampleset,
+    _merge_samples,
     _restart_bests,
     best_feasible,
     exhaustive_solve,
     simulated_anneal,
-    state_to_array,
     swap_curvature,
 )
 
@@ -56,6 +53,31 @@ def random_stats(rng, n):
     return AssetStats(tuple(f"T{i}" for i in range(n)), returns.mean(axis=0) * 252.0, (sigma + sigma.T) / 2.0)
 
 
+def contents(s):
+    """A SampleSet's rows, energy bytes, counts and seed, for exact comparison."""
+    return s.states.dtype, s.states.tolist(), s.energies.tobytes(), s.counts.tolist(), s.seed
+
+
+def reference_merge(X, E, seed):
+    """The merge sample sets were once built by, kept as the reference for ``_merge_samples``.
+
+    Each row becomes its '01' text; a dict keeps every distinct text's first
+    energy and counts its repeats, and the texts are sorted by (energy, text).
+    """
+    merged: dict[str, tuple[float, int]] = {}
+    for x, e in zip(X, E):
+        text = "".join("1" if v else "0" for v in x)
+        if text in merged:
+            merged[text] = (merged[text][0], merged[text][1] + 1)
+        else:
+            merged[text] = (float(e), 1)
+    ordered = sorted(merged.items(), key=lambda kv: (kv[1][0], kv[0]))
+    states = np.array([[ch == "1" for ch in text] for text, _ in ordered], dtype=np.uint8)
+    energies = np.array([e for _, (e, _) in ordered])
+    counts = np.array([c for _, (_, c) in ordered])
+    return SampleSet(states.reshape(len(ordered), len(X[0])), energies, counts, seed)
+
+
 def tied_minima_model():
     # f(x) = -x0 - x1 + 2 x0 x1: minima (1,0) and (0,1) at energy -1
     return QuboModel(2, np.array([-1.0, -1.0]), {(0, 1): 2.0}, 0.0)
@@ -66,7 +88,7 @@ class TestExhaustive:
         s = exhaustive_solve(tied_minima_model())
         assert s.records[0].energy == pytest.approx(-1.0)
         assert s.records[1].energy == pytest.approx(-1.0)
-        assert {s.records[0].state, s.records[1].state} == {"01", "10"}
+        assert s.states[:2].tolist() == [[0, 1], [1, 0]]
 
     def test_zero_model_all_states(self):
         s = exhaustive_solve(QuboModel(3, np.zeros(3), {}, 0.0))
@@ -75,8 +97,16 @@ class TestExhaustive:
 
     def test_single_variable(self):
         s = exhaustive_solve(QuboModel(1, np.array([1.0]), {}, 0.0))
-        assert s.best().state == "0"
-        assert s.best().energy == 0.0
+        assert s.states.tolist() == [[0], [1]]
+        assert s.energies.tolist() == [0.0, 1.0]
+
+    def test_no_variables(self):
+        # one state, of length 0, at the model's offset
+        s = exhaustive_solve(QuboModel(0, np.zeros(0), {}, 2.5))
+        assert s.states.shape == (1, 0) and s.states.dtype == np.uint8
+        assert s.energies.tolist() == [2.5] and s.counts.tolist() == [1]
+        [record] = s.records
+        assert len(record.state) == 0 and record.energy == 2.5 and record.count == 1
 
     def test_cap_enforced(self):
         with pytest.raises(InputError, match="capped"):
@@ -94,7 +124,7 @@ class TestExhaustive:
         assert energies == sorted(energies)
         for a, b in zip(s.records, s.records[1:]):
             if a.energy == b.energy:
-                assert a.state < b.state
+                assert a.state.tolist() < b.state.tolist()
 
 
 def small_integer_qubo(rng, n):
@@ -110,17 +140,18 @@ class TestExhaustiveOrder:
         rng = np.random.default_rng(9)
         for _ in range(40):
             m = small_integer_qubo(rng, int(rng.integers(1, 8)))
-            full = exhaustive_solve(m).records
-            for k in (1, 2, 3, 5, len(full)):
-                assert exhaustive_solve(m, top_k=k).records == full[:k]
+            full = exhaustive_solve(m)
+            for k in (1, 2, 3, 5, len(full.states)):
+                head = SampleSet(full.states[:k], full.energies[:k], full.counts[:k], None)
+                assert contents(exhaustive_solve(m, top_k=k)) == contents(head)
 
     def test_ties_go_to_the_lexicographically_first_state(self):
         # -x0 - x1 - x2 + 2 (x0 x1 + x0 x2 + x1 x2): three one-hot minima at -1
         m = QuboModel(3, -np.ones(3), {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0})
-        assert exhaustive_solve(m).records[0].state == "001"
-        assert exhaustive_solve(m, top_k=1).best().state == "001"
+        assert exhaustive_solve(m).states[0].tolist() == [0, 0, 1]
+        assert exhaustive_solve(m, top_k=1).states.tolist() == [[0, 0, 1]]
         zero = QuboModel(20, np.zeros(20))
-        assert [r.state for r in exhaustive_solve(zero, top_k=2).records] == ["0" * 20, "0" * 19 + "1"]
+        assert exhaustive_solve(zero, top_k=2).states.tolist() == [[0] * 20, [0] * 19 + [1]]
 
 
 class TestSimulatedAnneal:
@@ -129,7 +160,7 @@ class TestSimulatedAnneal:
         m = random_qubo(rng, 10)
         s1 = simulated_anneal(m, FAST, seed=99)
         s2 = simulated_anneal(m, FAST, seed=99)
-        assert s1 == s2
+        assert contents(s1) == contents(s2)
 
     def test_finds_tied_minimum(self):
         s = simulated_anneal(tied_minima_model(), FAST, seed=7)
@@ -164,7 +195,7 @@ class TestSimulatedAnneal:
         states_few, e_few = _restart_bests(m, few, seed=5)
         states_many, e_many = _restart_bests(m, many, seed=5)
         # the first 4 restarts are identical regardless of the total count
-        assert states_many[:4] == states_few
+        assert states_many[:4].tobytes() == states_few.tobytes()
         assert np.allclose(e_many[:4], e_few)
         assert min(e_many) <= min(e_few)
 
@@ -185,7 +216,7 @@ class TestSimulatedAnneal:
         from annealfolio.model import ising_energy
 
         for rec in s.records[:5]:
-            spins = 2 * state_to_array(rec.state) - 1
+            spins = 2.0 * rec.state - 1.0
             assert rec.energy == pytest.approx(ising_energy(im, spins), abs=1e-9)
 
     def test_geometric_schedule(self):
@@ -216,6 +247,7 @@ class TestSimulatedAnneal:
         assert s.seed == 2 and sum(r.count for r in s.records) == 3
         energies = [r.energy for r in s.records]
         assert energies == sorted(energies)
+        assert not s.states.flags.writeable and not s.energies.flags.writeable and not s.counts.flags.writeable
 
 
 def reference_restart_bests(qm, schedule, seed):
@@ -265,13 +297,13 @@ def reference_restart_bests(qm, schedule, seed):
             bestX[improved] = X[improved]
 
     final_E = qubo_energies(qm, bestX)
-    return [_array_to_state(row) for row in bestX], final_E
+    return bestX.astype(np.uint8), final_E
 
 
 def assert_same_as_reference(qm, schedule, seed):
     states, energies = _restart_bests(qm, schedule, seed)
     ref_states, ref_energies = reference_restart_bests(qm, schedule, seed)
-    assert states == ref_states
+    assert states.dtype == np.uint8 and states.tolist() == ref_states.tolist()
     assert energies.tobytes() == ref_energies.tobytes()
 
 
@@ -382,7 +414,7 @@ class TestKernelMatchesReference:
         im = qubo_to_ising(random_qubo(np.random.default_rng(12), 8))
         schedule = AnnealSchedule(sweeps=130, restarts=6)
         states, energies = reference_restart_bests(ising_to_qubo(im), schedule, 9)
-        assert simulated_anneal(im, schedule, seed=9) == _make_sampleset(states, energies, 9, 8)
+        assert contents(simulated_anneal(im, schedule, seed=9)) == contents(reference_merge(states, energies, 9))
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_selection_models(self, n):
@@ -557,14 +589,14 @@ class TestSwapAnneal:
         stats = random_stats(np.random.default_rng(44), 9)
         schedule = AnnealSchedule(sweeps=100, restarts=8)
         s = simulated_anneal(KSubsetModel(stats.mu, stats.sigma, 1.0, 4), schedule, seed=5)
-        assert s.model_n == 9 and s.seed == 5 and sum(r.count for r in s.records) == 8
+        assert s.states.shape[1] == 9 and s.seed == 5 and sum(r.count for r in s.records) == 8
         states = {}
         for held in swap_bests(stats, 1.0, 4, schedule, 5):
-            state = "".join("1" if i in held else "0" for i in range(9))
+            state = tuple(int(i in held) for i in range(9))
             states[state] = states.get(state, 0) + 1
-        assert {r.state: r.count for r in s.records} == states
+        assert {tuple(r.state.tolist()): r.count for r in s.records} == states
         for r in s.records:
-            exact = subset_value(stats.mu, stats.sigma, 1.0, np.flatnonzero(state_to_array(r.state)))
+            exact = subset_value(stats.mu, stats.sigma, 1.0, np.flatnonzero(r.state))
             assert r.energy == pytest.approx(exact, abs=1e-12)
 
     def test_restart_rows_do_not_depend_on_the_restart_count(self):
@@ -609,7 +641,7 @@ class TestSwapAnneal:
         assert path(AnnealSchedule(sweeps=200, restarts=8)) != path(AnnealSchedule(t_initial=1.1 * start, sweeps=200, restarts=8))
         assert AnnealSchedule() == AnnealSchedule(sweeps=100, restarts=32)
         unset = simulated_anneal(m, seed=4)
-        assert unset == simulated_anneal(m, AnnealSchedule(sweeps=100, restarts=32), seed=4)
+        assert contents(unset) == contents(simulated_anneal(m, AnnealSchedule(sweeps=100, restarts=32), seed=4))
 
     def test_cardinality_needs_a_swap(self):
         stats = random_stats(np.random.default_rng(49), 4)
@@ -618,31 +650,60 @@ class TestSwapAnneal:
                 KSubsetModel(stats.mu, stats.sigma, 1.0, k)
 
 
+def sample_rows(rows, energies):
+    return SampleSet(np.array(rows, dtype=np.uint8), np.array(energies), np.ones(len(rows), dtype=np.intp), 0)
+
+
 class TestBestFeasible:
     def test_filter_then_rank(self):
-        records = (
-            SampleRecord("11", -5.0, 1),
-            SampleRecord("10", -3.0, 1),
-        )
-        s = SampleSet(records, seed=0, model_n=2)
+        s = sample_rows([[1, 1], [1, 0]], [-5.0, -3.0])
         c = LinearConstraint(np.array([1.0, 1.0]), "eq", 1.0)
-        assert best_feasible(s, [c]) == "10"
+        assert best_feasible(s, [c]).tolist() == [1, 0]
 
     def test_empty_constraints_gives_global_best(self):
-        s = SampleSet((SampleRecord("01", -2.0, 1), SampleRecord("00", 0.0, 1)), 0, 2)
-        assert best_feasible(s, []) == "01"
+        s = sample_rows([[0, 1], [0, 0]], [-2.0, 0.0])
+        assert best_feasible(s, []).tolist() == [0, 1]
 
     def test_no_feasible_returns_none(self):
-        s = SampleSet((SampleRecord("00", 0.0, 1),), 0, 2)
+        s = sample_rows([[0, 0]], [0.0])
         c = LinearConstraint(np.array([1.0, 1.0]), "eq", 1.0)
         assert best_feasible(s, [c]) is None
 
     def test_le_constraint(self):
-        s = SampleSet((SampleRecord("11", -5.0, 1), SampleRecord("01", -1.0, 1)), 0, 2)
+        s = sample_rows([[1, 1], [0, 1]], [-5.0, -1.0])
         c = LinearConstraint(np.array([3.0, 3.0]), "le", 4.0)
-        assert best_feasible(s, [c]) == "01"
+        assert best_feasible(s, [c]).tolist() == [0, 1]
 
     def test_length_mismatch(self):
-        s = SampleSet((SampleRecord("00", 0.0, 1),), 0, 2)
+        s = sample_rows([[0, 0]], [0.0])
         with pytest.raises(InputError):
             best_feasible(s, [LinearConstraint(np.array([1.0]), "eq", 1.0)])
+
+
+@st.composite
+def raw_samples(draw):
+    """Rows of width 1-200 drawn from a few distinct ones, so rows repeat with other energies,
+    and energies from a small set with exact ties and both zeros."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    energy = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-1e3, 1e3, allow_nan=False)
+    energies = draw(st.lists(energy, min_size=len(picks), max_size=len(picks)))
+    return np.array([pool[i] for i in picks], dtype=np.uint8), np.array(energies)
+
+
+class TestMergeSamples:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_samples())
+    def test_matches_the_string_merge(self, sample):
+        # rows, first-seen energies (to the sign of a zero), counts and order
+        X, E = sample
+        assert contents(_merge_samples(X, E, 3)) == contents(reference_merge(X, E, 3))
+
+    def test_first_energy_wins_and_ties_break_by_state(self):
+        X = np.array([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]], dtype=np.uint8)
+        s = _merge_samples(X, np.array([-0.0, 0.0, -2.0, 0.0, 7.0]), None)
+        assert s.states.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert s.energies.tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
+        assert s.counts.tolist() == [1, 2, 2]
+        assert [(r.state.tolist(), r.energy, r.count) for r in s.records] == [([0, 0], 0.0, 1), ([0, 1], 0.0, 2), ([1, 0], 0.0, 2)]
