@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import fields
@@ -153,17 +154,31 @@ _METRIC_ROWS = (
 )
 
 
+def _cell(value, what: str) -> str:
+    """``value`` as a 12-wide cell to 2 decimals; InputError unless it is a real number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {type(value).__name__}")
+    return f"{value:>12.2f}"
+
+
 def render_comparison(result: dict) -> str:
-    """Text table of per-asset weight percentages plus the four metric rows."""
+    """Text table of per-asset weight percentages plus the four metric rows.
+
+    Every weight and metric (None shows as ``-``) and final value must be a
+    real number, never a bool, and ``events`` a list; else InputError.
+    """
     if "metrics" in result:
         algo = result["metrics"]
         bench = (result.get("benchmark") or {}).get("metrics")
         return _render_weight_table(algo, bench)
     if "final" in result:
+        final, events = result["final"], result.get("events", [])
+        if not isinstance(events, list):
+            raise InputError(f"events must be a list, got {type(events).__name__}")
         lines = [
             f"{'':24}{'Algorithm':>12}{'Benchmark':>12}",
-            f"{'Final Value':<24}{result['final']['algo']:>12.2f}{result['final']['bench']:>12.2f}",
-            f"{'Rebalance Events':<24}{len(result.get('events', [])):>12}",
+            f"{'Final Value':<24}{_cell(final['algo'], 'final algo')}{_cell(final['bench'], 'final bench')}",
+            f"{'Rebalance Events':<24}{len(events):>12}",
         ]
         return "\n".join(lines)
     raise InputError("result JSON has neither pipeline metrics nor a backtest summary")
@@ -177,23 +192,23 @@ def _render_weight_table(algo: dict, bench: dict | None) -> str:
     names = sorted(set(weights) | set(bench_weights))
     width = max(len("Diversification Ratio"), max(len(n) for n in names)) + 2
 
-    def fmt(value) -> str:
-        return f"{value:>12.2f}" if value is not None else f"{'-':>12}"
+    def fmt(value, what: str) -> str:
+        return _cell(value, what) if value is not None else f"{'-':>12}"
 
     header = f"{'Name':<{width}}{'Algorithm':>12}"
     if bench is not None:
         header += f"{'Benchmark':>12}"
     lines = [header, "-" * len(header)]
     for n in names:
-        row = f"{n:<{width}}{fmt(weights.get(n))}"
+        row = f"{n:<{width}}{fmt(weights.get(n), f'weight of {n!r}')}"
         if bench is not None:
-            row += fmt(bench_weights.get(n))
+            row += fmt(bench_weights.get(n), f"benchmark weight of {n!r}")
         lines.append(row)
     lines.append("-" * len(header))
     for label, key in _METRIC_ROWS:
-        row = f"{label:<{width}}{fmt(algo.get(key))}"
+        row = f"{label:<{width}}{fmt(algo.get(key), key)}"
         if bench is not None:
-            row += fmt(bench.get(key))
+            row += fmt(bench.get(key), f"benchmark {key}")
         lines.append(row)
     return "\n".join(lines)
 

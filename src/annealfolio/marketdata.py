@@ -437,8 +437,9 @@ def compute_returns(prices: PriceMatrix) -> ReturnsMatrix:
 def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
     """Sample mean/covariance of daily returns, annualized by ``DAILY_ANNUALIZATION``.
 
-    Covariance uses the unbiased T-1 divisor and is symmetrized by
-    averaging with its transpose.
+    Covariance uses the unbiased T-1 divisor, computed by the steps
+    ``np.cov(vals, rowvar=False, ddof=1)`` takes (without its per-call
+    argument handling), and is symmetrized by averaging with its transpose.
     """
     vals = returns.values
     if vals.shape[0] < 2:
@@ -446,7 +447,10 @@ def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
     # returns too large to square overflow; AssetStats names the ticker
     with np.errstate(over="ignore", invalid="ignore"):
         mu = vals.mean(axis=0) * DAILY_ANNUALIZATION
-        sigma = np.cov(vals, rowvar=False, ddof=1) * DAILY_ANNUALIZATION
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        x = np.array(vals, dtype=float).T
+        x -= x.mean(axis=1)[:, None]
+        sigma = np.dot(x, x.T)
+        sigma *= np.true_divide(1, x.shape[1] - 1)
+        sigma *= DAILY_ANNUALIZATION
         sigma = (sigma + sigma.T) / 2.0
     return AssetStats(returns.tickers, mu, sigma)

@@ -61,8 +61,9 @@ class RebalancePolicy:
     A held name is flagged when its trailing mean daily return is at or
     below ``risk_return_threshold``, or when its trailing volatility lies
     strictly above the ``risk_vol_quantile`` quantile of the held names'
-    volatilities (strict, so a quantile of 1.0 disables the volatility
-    rule and exact ties never flag).
+    trailing volatilities (strict, so a quantile of 1.0 disables the
+    volatility rule and exact ties never flag). The quantile is numpy's
+    default ``linear`` method, Hyndman & Fan (1996) type 7.
     """
 
     period_months: int = 3
@@ -219,6 +220,18 @@ def _trailing_stats(
     return data.mean(axis=0), data.std(axis=0, ddof=1)
 
 
+def _linear_quantile(values: np.ndarray, q: float) -> float:
+    """``float(np.quantile(values, q))`` on volatilities (never -0.0): numpy's default
+    ``linear`` method (Hyndman & Fan type 7), by the same arithmetic, bit for bit."""
+    s = np.sort(values).tolist()
+    v = (len(s) - 1) * q
+    # numpy reads index -1 on both sides (so t = v + 1) at the top, and when a NaN (sorted last) is present
+    lo, hi = (int(v), int(v) + 1) if v < len(s) - 1 and s[-1] == s[-1] else (-1, -1)
+    a, b, t = s[lo], s[hi], v - lo
+    # numpy's _lerp: the two forms differ in the last bit, which decides a tie with b
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def health_check(
     holdings: Holdings,
     prices_at: Mapping[str, float],
@@ -238,7 +251,7 @@ def health_check(
     if held:
         means, vols = _trailing_stats(returns, held, as_of, policy.lookback_days)
         stats = {t: (float(mu), float(vol)) for t, mu, vol in zip(held, means, vols)}
-        vol_cut = float(np.quantile(vols, policy.risk_vol_quantile))
+        vol_cut = _linear_quantile(vols, policy.risk_vol_quantile)
         flagged = tuple(
             t
             for t, mu, vol in zip(held, means, vols)

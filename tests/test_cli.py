@@ -533,6 +533,13 @@ class TestReportCommand:
             {"metrics": {"weights": {"A": "x"}}},
             {"metrics": {"weights": {"A": 50}, "sharpe": "hi"}},
             {"metrics": {"weights": {"A": 100}}, "benchmark": 3},
+            # wrong types that format anyway: a bool as 1.00, a string's length as the event count
+            {"metrics": {"weights": {"A": True}}},
+            {"final": {"algo": 1, "bench": 2}, "events": "abc"},
+            {"final": {"algo": 1.5, "bench": False}, "events": []},
+            {"metrics": {"weights": {"A": 100}}, "benchmark": {"metrics": {"weights": {"A": True}}}},
+            {"metrics": {"weights": {"A": 100}, "sharpe": True}},
+            {"metrics": {"weights": {"A": 100}}, "benchmark": {"metrics": {"weights": {"A": 100}, "risk_pct": False}}},
         ],
     )
     def test_wrong_shape_exit_2(self, tmp_path, capsys, result):
@@ -541,6 +548,14 @@ class TestReportCommand:
         assert run(["report", bad]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: result file {bad} ")
+
+    def test_missing_metric_renders_dash(self, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"metrics": {"weights": {"A": 100}, "sharpe": None, "risk_pct": 2}}))
+        assert run(["report", result]) == 0
+        rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()[2:] if "-" * 5 not in line)
+        assert rows["A"] == "100.00" and rows["Risk"] == "2.00"
+        assert rows["Sharpe Ratio"] == rows["Returns"] == rows["Diversification Ratio"] == "-"
 
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -18,6 +18,7 @@ from annealfolio.errors import InputError
 from annealfolio.marketdata import (
     AssetStats,
     PriceMatrix,
+    ReturnsMatrix,
     SectorMap,
     compute_returns,
     estimate_stats,
@@ -289,6 +290,55 @@ class TestEstimateStats:
         assert np.array_equal(stats.sigma, stats.sigma.T)
         eigs = np.linalg.eigvalsh(stats.sigma)
         assert eigs[0] >= -1e-10 * max(eigs[-1], 0.0)
+
+
+def np_cov_sigma(vals):
+    """The covariance estimate_stats gave through ``np.cov``: the bit-for-bit reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.atleast_2d(np.cov(vals, rowvar=False, ddof=1) * 252)
+        return (sigma + sigma.T) / 2.0
+
+
+@st.composite
+def return_tables(draw):
+    """A (T, n) return matrix, T in 2..300 and n in 1..20: C- or Fortran-ordered, or columns taken from a wider one."""
+    t, n = draw(st.integers(2, 300)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = rng.normal(0.0005, draw(st.sampled_from([1e-4, 0.02, 0.5])), size=(t, n + 3))
+    if draw(st.booleans()):  # ties and exact zeros
+        wide = np.round(wide, 2)
+    layout = draw(st.sampled_from(["C", "F", "taken"]))
+    if layout == "taken":  # as the backtest's stats provider passes a window's columns
+        return wide.take(rng.permutation(n + 3)[:n], axis=1)
+    return np.array(wide[:, :n], order=layout)
+
+
+def returns_of(vals):
+    dates = tuple(date(2001, 1, 1) + timedelta(days=i) for i in range(vals.shape[0]))
+    return ReturnsMatrix(dates, tuple(f"T{j:02d}" for j in range(vals.shape[1])), vals)
+
+
+class TestCovarianceMatchesNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(return_tables())
+    def test_sigma_equals_np_cov_bit_for_bit(self, vals):
+        stats = estimate_stats(returns_of(vals))
+        assert stats.sigma.tobytes() == np_cov_sigma(vals).tobytes()
+        assert stats.mu.tobytes() == (vals.mean(axis=0) * 252).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(return_tables(), st.sampled_from([np.inf, -np.inf, np.nan, 1e200, -1e300]), st.integers(0, 2**16))
+    def test_non_finite_estimate_raises_the_same_text(self, vals, bad, at):
+        vals = vals.copy(order="K")
+        vals[np.unravel_index(at % vals.size, vals.shape)] = bad
+        with pytest.raises(InputError) as reference:
+            with np.errstate(over="ignore", invalid="ignore"):
+                AssetStats(returns_of(vals).tickers, vals.mean(axis=0) * 252, np_cov_sigma(vals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as info:
+                estimate_stats(returns_of(vals))
+        assert str(info.value) == str(reference.value)
 
 
 class TestAssetStats:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import struct
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -121,6 +122,38 @@ class TestIdentifyRisky:
         h = Holdings({"B": 1}, 0.0)
         policy = RebalancePolicy(lookback_days=5, risk_vol_quantile=1.0)
         assert flagged_on_last_day(r, h, policy) == set()
+
+
+class TestVolatilityCut:
+    """The volatility cut equals ``np.quantile``'s default method bit for bit, since the
+    strict ``vol > cut`` of the flag rule can turn on the cut's last bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.01, 0.015, 0.02, 0.3, math.inf, math.nan]),  # ties, and overflowed vols
+                st.floats(min_value=0.0, max_value=1e300).map(abs),  # a volatility is never -0.0
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.one_of(st.sampled_from([0.8, 1.0]), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    )
+    def test_equals_np_quantile(self, vols, q):
+        vols = np.array(vols)
+        with np.errstate(invalid="ignore"):  # numpy's lerp takes inf - inf on an overflowed volatility
+            reference = float(np.quantile(vols, q))
+        cut = rebalance._linear_quantile(vols, q)
+        assert type(cut) is float
+        assert (math.isnan(cut) and math.isnan(reference)) or struct.pack("<d", cut) == struct.pack("<d", reference)
+
+    def test_the_form_for_t_at_least_half_decides_a_flag(self):
+        # v = 2 * 0.95 = 1.9: numpy's b - (b - a) * (1 - t) puts the cut below the top
+        # volatility, where a + (b - a) * t would land on it and flag nothing
+        vols = np.array([0.3, 0.3, 0.30000000000000027])
+        cut = rebalance._linear_quantile(vols, 0.95)
+        assert cut == float(np.quantile(vols, 0.95)) < vols[2] == 0.3 + (vols[2] - 0.3) * (2 * 0.95 - 1)
 
 
 class TestHealthCheck:
