@@ -1,4 +1,4 @@
-"""SHA-256 of every artifact the CLI writes for twelve fixed runs, eleven on the bundled data.
+"""SHA-256 of every artifact the CLI writes for fourteen fixed runs, thirteen on the bundled data: 28 lines.
 
 Compare the printed lines between two checkouts to show that a change keeps
 the outputs byte-identical (or to see exactly which files it changes):
@@ -24,9 +24,16 @@ script fails unless its artifacts hash as the plain run's do. A twelfth
 runs ``optimize --seed 42`` on 20 tickers, the ``gen-data`` markets of
 seeds 1 and 2 side by side with the second one's tickers renamed, so the
 selection's swap anneal over k-subsets and its swap descent run at the
-universe sizes the benchmark's ``select`` workload uses. The config file,
-the rewritten and 20-ticker prices and sectors, and the artifacts go to
-a temporary directory that is removed afterwards.
+universe sizes the benchmark's ``select`` workload uses. The last two
+take several draws per restart, so they read each restart's stream
+across draw boundaries, where every other run takes one draw:
+``optimize --seed 42 --strategy fully_quantum`` from a config whose
+sampler runs 5000 sweeps of 64 restarts (the flip anneal draws 16 times
+or more) and ``optimize --seed 42 --cardinality 3`` from one whose
+sampler runs 1000 sweeps of 256 restarts (the swap anneal draws 3
+blocks). The config files, the rewritten and 20-ticker prices and
+sectors, and the artifacts go to a temporary directory that is removed
+afterwards.
 """
 
 import contextlib
@@ -61,6 +68,15 @@ RUNS = {
     "backtest-config-fully_quantum": ["backtest", "--config", "{config}", "--strategy", "fully_quantum"],
     "optimize-hybrid-rewritten-csv": ["optimize", "--seed", "42", "--prices", "{rewritten}"],
     "optimize-hybrid-20-tickers": ["optimize", "--seed", "42", "--prices", "{wide}", "--sectors", "{wide_sectors}"],
+    "optimize-fully_quantum-multi-draw": ["optimize", "--seed", "42", "--strategy", "fully_quantum",
+                                          "--config", "{flip_draws}"],
+    "optimize-hybrid-k3-multi-draw": ["optimize", "--seed", "42", "--cardinality", "3", "--config", "{swap_draws}"],
+}
+
+# sampler configs whose anneals take several draws per restart
+MULTI_DRAW_CONFIGS = {
+    "flip_draws": {"sampler": {"sweeps": 5000, "restarts": 64}},
+    "swap_draws": {"sampler": {"sweeps": 1000, "restarts": 256}},
 }
 
 ALL_KEYS_CONFIG = {
@@ -110,6 +126,9 @@ def main() -> int:
         for path, text in zip((wide, wide_sectors), wide_market()):
             path.write_text(text, encoding="utf-8")
         paths = {"config": config, "rewritten": rewritten, "wide": wide, "wide_sectors": wide_sectors}
+        for name, settings in MULTI_DRAW_CONFIGS.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(settings), encoding="utf-8")
         digests: dict[str, dict[str, str]] = {}
         for name, argv in RUNS.items():
             out = Path(tmp) / name

@@ -274,9 +274,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     # optimize needs at least two returns, so three closes
     days = synthetic.DEFAULT_DAYS if args.days is None else check_field("days", args.days, int, low=3)
     start = _parse_date(args.start) or synthetic.DEFAULT_START
+    matrix, sectors = synthetic.generate_dataset(seed=seed, n_days=days, start=start)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix, sectors = synthetic.generate_dataset(seed=seed, n_days=days, start=start)
     prices_path = out_dir / "synthetic_prices.csv"
     sectors_path = out_dir / "synthetic_sectors.csv"
     prices_path.write_text(synthetic.prices_to_csv(matrix), encoding="utf-8")

@@ -173,8 +173,9 @@ def to_shares(
 
     Each asset gets floor(w_i * budget / p_i) shares; remaining cash buys
     one extra share per asset in order of largest fractional remainder
-    (ties by position in the weight vector) while affordable. Never
-    overspends.
+    while affordable, ties by the lower price, so a tie does not turn on
+    the tickers' names unless the prices tie too (then by position in the
+    weight vector). Never overspends.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
@@ -199,7 +200,7 @@ def to_shares(
         spend += count * p
         remainders.append((exact - count, pos, t, p))
     cash = budget - spend
-    for _, _, t, p in sorted(remainders, key=lambda r: (-r[0], r[1])):
+    for _, _, t, p in sorted(remainders, key=lambda r: (-r[0], r[3], r[1])):
         if p <= cash:
             shares[t] += 1
             cash -= p
@@ -444,7 +445,15 @@ def buy(
     ``cfg.cardinality`` (with ``"auto"``, the support size of the
     full-universe max-Sharpe allocation), ``fully_quantum`` sizes every
     ticker, and SolverError is raised when nothing is bought.
+
+    InputError is raised before any solve when 2q, or 2**10 times the
+    largest objective term q Sigma_ij y_i y_j (q max|Sigma| on 0/1 selection
+    rows, q max|Sigma| budget on fully_quantum's dollars at q / budget), is
+    not finite: the margin leaves room for the solvers' sums and thresholds.
     """
+    term = float(np.max(np.abs(stats.sigma))) * (cfg.budget if cfg.strategy == "fully_quantum" else 1.0)
+    if not math.isfinite(cfg.q * max(term * 2.0**10, 2.0)):
+        raise InputError(f"q={cfg.q:g} overflows the {cfg.strategy} objective at these returns and budget; lower q")
     opening = k is None
     if opening and cfg.strategy == "hybrid":
         if cfg.cardinality == "auto":

@@ -170,10 +170,12 @@ def layout_json(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def add_months(d: date, months: int) -> date:
-    """Calendar-month shift, clamping the day into the target month."""
+def add_months(d: date, months: int) -> date | None:
+    """Calendar-month shift, clamping the day into the target month; None past 9999-12-31."""
     total = d.month - 1 + months
     year = d.year + total // 12
+    if year > date.max.year:
+        return None
     month = total % 12 + 1
     day = min(d.day, calendar.monthrange(year, month)[1])
     return date(year, month, day)
@@ -399,7 +401,7 @@ def run_backtest(
     k = 1
     while True:
         target = add_months(start, k * policy.period_months)
-        mapped = prices.first_date_on_or_after(target)
+        mapped = target and prices.first_date_on_or_after(target)
         if mapped is None or mapped > end:
             break
         boundaries.append(mapped)

@@ -15,8 +15,9 @@ swap-descends one start without annealing.
 Reproducibility contract: the random stream is numpy's PCG64. In both
 move sets restart r draws from ``PCG64(seed).jumped(r)``, so the first r
 restarts are identical no matter how many run in total, and parallel or
-serial execution merges to the same result. The seed is expanded once
-per anneal, and every restart's stream is built from those words.
+serial execution merges to the same result. An anneal builds one
+``PCG64(seed)`` and one ``Generator``, and ``PCG64.advance`` moves them to
+each restart's stream (:class:`_RestartStreams`).
 
 Restarts run in lockstep in both move sets, so a step is a handful of
 numpy calls whose cost grows far slower than their number; the selection
@@ -69,7 +70,7 @@ _ENUM_CHUNK = 1 << 18
 _SWEEP_BLOCK = 64  # most sweeps of Metropolis thresholds held at once
 _BLOCK_DRAWS = 2048  # most restart-sweeps of them held at once
 _DRAW_VALUES = 1 << 18  # uniforms (2 MiB) one draw of every restart holds, unless one block needs more
-# numpy's PCG64 jump, (golden ratio - 1) * 2**128: jumped(r) advances r of them
+# numpy's PCG64 jump, (golden ratio - 1) * 2**128: restart r's stream, jumped(r), is r of them on
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
@@ -206,25 +207,20 @@ def exhaustive_solve(m: QuboModel, top_k: int | None = None) -> SampleSet:
     return SampleSet(X.astype(np.uint8), E, np.ones(len(E), dtype=np.intp), None)
 
 
-class _ExpandedSeed(np.random.bit_generator.ISeedSequence):
-    """The 4 uint64 words PCG64 takes from ``SeedSequence(seed)``, expanded once for every restart.
-
-    ``generate_state`` returns them whatever it is asked; the restart-stream
-    tests fail should numpy's PCG64 ever ask for other words.
-    """
+class _RestartStreams:
+    """Restart r's uniforms from ``PCG64(seed).jumped(r)``, every restart on one PCG64 and one Generator."""
 
     def __init__(self, seed: int):
-        self.words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        self.bits = np.random.PCG64(seed)
+        self.gen = np.random.Generator(self.bits)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _restart_generators(seed: int, restarts: int) -> list[np.random.Generator]:
-    """Restart r's generator on ``PCG64(seed).jumped(r)``, without the throwaway
-    generator that ``jumped()`` seeds from OS entropy on every call."""
-    words = _ExpandedSeed(seed)
-    return [np.random.Generator(np.random.PCG64(words).advance(r * _PCG64_JUMP)) for r in range(restarts)]
+    def fill(self, u: np.ndarray) -> None:
+        """Fill row r of the (R, m) ``u`` with restart r's next m values, where its last fill stopped."""
+        R, m = u.shape
+        for row in u:
+            self.gen.random(out=row)
+            self.bits.advance((_PCG64_JUMP - m) % 2**128)  # to restart r + 1's stream
+        self.bits.advance((m - R * _PCG64_JUMP) % 2**128)  # back to restart 0's
 
 
 def _restart_bests(qm: QuboModel, schedule: AnnealSchedule, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +279,8 @@ def _restart_bests(qm: QuboModel, schedule: AnnealSchedule, seed: int) -> tuple[
     fit = _DRAW_VALUES // (R * n) - 1
     per_draw = S if S <= fit else max(fit // block, 1) * block
     u = np.empty((R, (per_draw + 1) * n))
-    gens = _restart_generators(seed, R)
-    for gen, row in zip(gens, u):
-        gen.random(out=row)
+    streams = _RestartStreams(seed)
+    streams.fill(u)
     X = np.less(u[:, :n], 0.5).astype(float)
     sweep_u = u.reshape(R, per_draw + 1, n)[:, 1:]
 
@@ -325,8 +320,7 @@ def _restart_bests(qm: QuboModel, schedule: AnnealSchedule, seed: int) -> tuple[
         if not d:
             drawn = u[:, n : n + min(per_draw, S - b0) * n]
             if b0:
-                for gen, row in zip(gens, drawn):
-                    gen.random(out=row)
+                streams.fill(drawn)
             with np.errstate(divide="ignore"):
                 np.log(drawn, out=drawn)
         multiply(neg_temps[b0 : b0 + nb, None, None], sweep_u[:, d : d + nb].transpose(1, 2, 0), thresholds[:nb])
@@ -457,7 +451,7 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
     curv = swap_curvature(sigma, q)
     R, S = schedule.restarts, schedule.sweeps
     neg_temps = -schedule.temperatures(schedule.resolve_t_initial(m))
-    gens = _restart_generators(seed, R)
+    streams = _RestartStreams(seed)
     block = min(S, max((_DRAW_VALUES // R - n) // 3, 1))
     rows = np.arange(R)
     # held, free and G are indexed through flat views: restart r's slot a of held is held_at[r * k + a]
@@ -465,8 +459,7 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
     for b0 in range(0, S, block):
         nb = min(block, S - b0)
         u = np.empty((R, (0 if b0 else n) + 3 * nb))
-        for gen, row in zip(gens, u):
-            gen.random(out=row)
+        streams.fill(u)
         if not b0:
             order = np.argsort(u[:, :n], axis=1, kind="stable")
             held, free = order[:, :k].copy(), order[:, k:].copy()

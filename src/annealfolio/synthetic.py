@@ -10,10 +10,11 @@ checked-in dataset regenerates bit for bit with the default seed.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
+from .errors import InputError
 from .marketdata import PriceMatrix, SectorMap
 
 DEFAULT_SEED = 20230102
@@ -36,13 +37,10 @@ ASSET_PARAMS: tuple[tuple[str, str, float, float, float], ...] = (
 
 
 def business_days(start: date, count: int) -> list[date]:
-    out: list[date] = []
-    d = start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+    """The first ``count`` weekdays on or after ``start``; InputError, before any list is built, past 9999-12-31."""
+    if np.busday_offset(start, count - 1, roll="forward") > np.datetime64(date.max):
+        raise InputError(f"{count} business days from {start} run past {date.max}")
+    return np.busday_offset(start, np.arange(count), roll="forward").tolist()
 
 
 def generate_dataset(
@@ -56,13 +54,13 @@ def generate_dataset(
     drift = np.array([p[3] for p in ASSET_PARAMS])
     vol = np.array([p[4] for p in ASSET_PARAMS])
 
+    dates = business_days(start, n_days)
     gen = np.random.Generator(np.random.PCG64(seed))
     shocks = gen.standard_normal((n_days - 1, len(tickers)))
     log_paths = np.cumsum(drift + vol * shocks, axis=0)
     paths = np.vstack([p0, p0 * np.exp(log_paths)])
     paths = np.round(paths, 2)
 
-    dates = business_days(start, n_days)
     # column order must match the sorted-ticker convention of load_prices
     order = sorted(range(len(tickers)), key=lambda i: tickers[i])
     matrix = PriceMatrix(

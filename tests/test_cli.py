@@ -333,6 +333,23 @@ class TestOptimizeCommand:
                 assert result["shares"] and result["cash"] >= 0
                 assert sum(n * last[t] for t, n in result["shares"].items()) <= 1e6
 
+    @pytest.mark.parametrize("strategy, q, code, message", [
+        ("hybrid", 1e308, 2, "error: q=1e+308 overflows the hybrid objective at these returns and budget; lower q"),
+        ("fully_quantum", 1e305, 2,
+         "error: q=1e+305 overflows the fully_quantum objective at these returns and budget; lower q"),
+        ("hybrid", 1e305, 0, None),
+        ("fully_quantum", 1e300, 1, "error: integer-share optimum holds only cash at this risk aversion; lower q"),
+    ], ids=["hybrid-overflow", "fully_quantum-overflow", "hybrid-1e305", "fully_quantum-1e300"])
+    def test_overflowing_q_exit_2(self, tmp_path, out_dir, capsys, strategy, q, code, message):
+        # 2**10 x q x max|Sigma| (x budget for fully_quantum) overflows in the first two, refused
+        # before any solve; the last two fit and run as before
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "q": q, "strategy": strategy}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == code
+        assert capsys.readouterr().err.splitlines() == ([message] if message else [])
+
     @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
     def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
         # the cheapest bundled close is 2,199.41; a lower q cannot help
@@ -587,6 +604,17 @@ class TestGenData:
         out = tmp_path / "out"
         assert run(["gen-data", "--out-dir", out, "--days", days]) == 2
         assert f"days must be an integer >= 3, got {days}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_day_9999_12_31(self, tmp_path, capsys):
+        # 9999-12-01 is a Wednesday: 23 weekdays reach 9999-12-31, a Friday, and one more is refused
+        # by arithmetic, before any closes are drawn and before the output directory is made
+        assert run(["gen-data", "--out-dir", tmp_path / "ok", "--start", "9999-12-01", "--days", 23]) == 0
+        assert (tmp_path / "ok" / "synthetic_prices.csv").read_text().splitlines()[-1].startswith("9999-12-31,")
+        capsys.readouterr()
+        out = tmp_path / "past"
+        assert run(["gen-data", "--out-dir", out, "--start", "9999-12-01", "--days", 24]) == 2
+        assert capsys.readouterr().err == "error: 24 business days from 9999-12-01 run past 9999-12-31\n"
         assert not out.exists()
 
     def test_custom_seed_differs(self, tmp_path):

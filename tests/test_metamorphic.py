@@ -3,14 +3,18 @@
 Multiplying every close and the budget by 2^j is exact in floating point,
 and a price file with its rows shuffled holds the same data, so neither may
 change a decision: the same names, the same share counts, and money that
-scales by exactly 2^j or bytes that do not change at all. fully_quantum is
-left out: its absolute ``t_final`` and the +0.01 of its share penalty break
-the scale relation in a few paper-scale cases (ROADMAP item 10).
+scales by exactly 2^j or bytes that do not change at all. Renaming the
+tickers renames the decisions: the same share counts under the new names,
+with cash equal within rounding, since the spend is added in ticker order.
+fully_quantum is left out: its absolute ``t_final`` and the +0.01 of its
+share penalty break the scale relation in a few paper-scale cases, and its
+moves drawn by index break renaming in a few more (ROADMAP item 10).
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +55,19 @@ budgets = st.sampled_from([20_000.0, 250_000.0, 1_000_000.0])
 
 def scaled(prices: PriceMatrix, factor: float) -> PriceMatrix:
     return PriceMatrix(prices.dates, prices.tickers, prices.values * factor)
+
+
+def renamed(prices: PriceMatrix, sectors: SectorMap, perm) -> tuple[PriceMatrix, SectorMap, dict[str, str]]:
+    """The market with ticker i renamed ``R<perm[i]>``, its columns in the new names' sorted order, and the renaming."""
+    names = {t: f"R{p}" for t, p in zip(prices.tickers, perm)}
+    order = sorted(range(len(prices.tickers)), key=lambda i: names[prices.tickers[i]])
+    twin = PriceMatrix(prices.dates, tuple(names[prices.tickers[i]] for i in order), prices.values[:, order])
+    return twin, SectorMap({names[t]: s for t, s in sectors.entries.items()}), names
+
+
+def shuffled_order(n: int):
+    """Permutations of range(n) that change the tickers' sorted order."""
+    return st.permutations(range(n)).filter(lambda perm: list(perm) != sorted(perm))
 
 
 def hybrid(budget: float, seed: int) -> PipelineConfig:
@@ -99,6 +116,39 @@ class TestScale:
         for values, twin_values in ((base.algo_values, twin.algo_values), (base.bench_values, twin.bench_values)):
             assert list(twin_values) == [v * k for v in values]
         assert (twin.final_algo, twin.final_bench) == (base.final_algo * k, base.final_bench * k)
+
+
+class TestRename:
+    @settings(max_examples=40, deadline=None)
+    @given(markets(), budgets, st.data(), st.integers(0, 2**31 - 1))
+    def test_optimize_buys_the_renamed_shares(self, market, budget, data, seed):
+        prices, sectors = market
+        twin_prices, _, names = renamed(prices, sectors, data.draw(shuffled_order(len(prices.tickers))))
+        base = attempt(run_pipeline, prices, hybrid(budget, seed))
+        twin = attempt(run_pipeline, twin_prices, hybrid(budget, seed))
+        if isinstance(base, str):
+            assert twin == base
+            return
+        assert sorted(twin["selected"]) == sorted(names[t] for t in base["selected"])
+        assert twin["shares"] == {names[t]: c for t, c in base["shares"].items()}
+        assert twin["cash"] == pytest.approx(base["cash"], rel=0, abs=1e-9 * budget)
+
+    @settings(max_examples=30, deadline=None)
+    @given(markets(), budgets, st.data(), st.integers(0, 2**31 - 1))
+    def test_backtest_trades_the_renamed_shares(self, market, budget, data, seed):
+        prices, sectors = market
+        twin_prices, twin_sectors, names = renamed(prices, sectors, data.draw(shuffled_order(len(prices.tickers))))
+        policy, bench = RebalancePolicy(**POLICY), prices.tickers[0]
+        base = attempt(run_backtest, prices, sectors, budget, hybrid(budget, seed), policy, bench)
+        twin = attempt(run_backtest, twin_prices, twin_sectors, budget, hybrid(budget, seed), policy, names[bench])
+        if isinstance(base, str):
+            assert twin == base
+            return
+        assert [f.date for f in twin.events] == [e.date for e in base.events]
+        for e, f in zip(base.events, twin.events):
+            assert {t: s for t, (s, _) in f.sold.items()} == {names[t]: s for t, (s, _) in e.sold.items()}
+            assert {t: s for t, (s, _) in f.bought.items()} == {names[t]: s for t, (s, _) in e.bought.items()}
+            assert f.cash_after == pytest.approx(e.cash_after, rel=0, abs=1e-9 * budget)
 
 
 class TestRowOrder:

@@ -277,6 +277,16 @@ class TestToShares:
         assert h.shares == {"A": 2, "B": 1}
         assert h.cash == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("order", [("A", "B", "C"), ("A", "C", "B")])
+    def test_remainder_ties_go_to_the_lower_price(self, order):
+        # B and C hold no weight, so both remainders are 0: the 40 left after A's
+        # share buys C at 25, not B at 30, in either position
+        weights = {"A": 1.0, "B": 0.0, "C": 0.0}
+        w = WeightVector(order, np.array([weights[t] for t in order]))
+        h = to_shares(w, {"A": 60.0, "B": 30.0, "C": 25.0}, 100.0)
+        assert h.shares == {"A": 1, "C": 1}
+        assert h.cash == pytest.approx(15.0)
+
     def test_zero_budget(self):
         w = WeightVector(("A",), np.array([1.0]))
         h = to_shares(w, {"A": 30.0}, 0.0)

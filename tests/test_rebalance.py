@@ -68,6 +68,11 @@ class TestAddMonths:
     def test_day_clamped(self):
         assert add_months(date(2023, 1, 31), 1) == date(2023, 2, 28)
 
+    def test_past_9999_is_none(self):
+        assert add_months(date(9999, 11, 30), 1) == date(9999, 12, 30)
+        assert add_months(date(9999, 12, 1), 1) is None
+        assert add_months(date(2023, 1, 2), 100_000) is None
+
 
 def flagged_on_last_day(r, h, policy):
     """What health_check flags on the last day of ``r``, every close set to 1."""
@@ -437,6 +442,15 @@ class TestRunBacktest:
         report = run_backtest(
             prices, SECTORS5, 50_000.0, cfg,
             RebalancePolicy(period_months=14, lookback_days=40), "AAA",
+        )
+        assert report.events == ()
+
+    def test_period_past_9999_gives_zero_events(self):
+        # the first boundary, in the year 10356, ends the reviews as one past the data does
+        prices = quarterly_prices()
+        report = run_backtest(
+            prices, SECTORS5, 50_000.0, cfg_for(50_000.0),
+            RebalancePolicy(period_months=100_000, lookback_days=40), "AAA",
         )
         assert report.events == ()
 

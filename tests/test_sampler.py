@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,35 +311,43 @@ def assert_same_as_reference(qm, schedule, seed):
 class TestRestartStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
     def test_advanced_streams_are_numpys_jumps(self, seed):
-        # _restart_bests expands SeedSequence(seed) once and advances a PCG64
-        # built from those words by r jumps; the contract names
-        # PCG64(seed).jumped(r), so a change to numpy's SeedSequence or jump fails here
-        gens = sampler._restart_generators(seed, 64)
-        for r in (0, 1, 31, 63):
-            jumped = np.random.Generator(np.random.PCG64(seed).jumped(r))
-            assert gens[r].bit_generator.state == jumped.bit_generator.state
-            assert gens[r].random(5).tobytes() == jumped.random(5).tobytes()
+        # _RestartStreams moves one PCG64(seed) between restarts by advance; the contract
+        # names PCG64(seed).jumped(r), continued across fills, so a change to numpy's jump fails here
+        for restarts in (1, 3, 64):
+            streams = sampler._RestartStreams(seed)
+            deltas, advance = [], streams.bits.advance
+            streams.bits = SimpleNamespace(advance=lambda delta: deltas.append(delta) or advance(delta))
+            jumped = [np.random.Generator(np.random.PCG64(seed).jumped(r)) for r in range(restarts)]
+            for width in (11, 5, 300):
+                u = np.empty((restarts, width))
+                streams.fill(u)
+                assert [row.tobytes() for row in u] == [g.random(width).tobytes() for g in jumped]
+            # numpy documents advance's delta as a positive integer below 2**128
+            assert len(deltas) == 3 * (restarts + 1) and all(0 <= d < 2**128 for d in deltas)
 
     def test_fewer_restarts_are_a_prefix(self):
-        few, many = sampler._restart_generators(7, 3), sampler._restart_generators(7, 32)
-        assert [g.bit_generator.state for g in few] == [g.bit_generator.state for g in many[:3]]
+        few, many = np.empty((3, 40)), np.empty((32, 40))
+        sampler._RestartStreams(7).fill(few)
+        sampler._RestartStreams(7).fill(many)
+        assert few.tobytes() == many[:3].tobytes()
 
 
 def count_random_calls(monkeypatch):
-    """A list that gets one entry per ``random`` call on the generators ``_restart_generators`` returns:
+    """A list that gets one entry per ``random`` call of the Generator in every ``_RestartStreams``:
     the size of its ``out`` array, or None."""
     calls = []
-    make = sampler._restart_generators
 
-    class Counted:
-        def __init__(self, gen):
-            self.gen = gen
-
+    class Counted(np.random.Generator):
         def random(self, *args, out=None, **kwargs):
             calls.append(None if out is None else out.size)
-            return self.gen.random(*args, out=out, **kwargs)
+            return super().random(*args, out=out, **kwargs)
 
-    monkeypatch.setattr(sampler, "_restart_generators", lambda seed, restarts: [Counted(g) for g in make(seed, restarts)])
+    class CountedStreams(sampler._RestartStreams):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.gen = Counted(self.bits)
+
+    monkeypatch.setattr(sampler, "_RestartStreams", CountedStreams)
     return calls
 
 
