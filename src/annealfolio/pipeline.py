@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .allocator import (
+    ZERO_WEIGHT,
     WeightVector,
     active_set_qp,
     compute_metrics,
@@ -72,8 +73,8 @@ _DESCENT_CHUNK = 32  # rows _best_descent descends at once, so its arrays stay s
 # move shares between two names (1 for 1, 1 for 2, 2 for 1). Selection's _swap_descent scores k(n - k) swaps.
 SHARE_STEPS = ((1,), (-1,), (-1, 1), (-1, 2), (-2, 1))
 
-# Spend and cash are added in float, whose spacing is 0.125 at 1e15: a purchase still prices to
-# the cent. At 1e18 the spacing is 128, and a fully_quantum purchase overspent by 128.
+# Spend and cash are added in float, whose spacing is 0.125 at 1e15, so a purchase there prices to the
+# eighth, not the cent; at 1e18 the spacing is 128, and a fully_quantum purchase overspent by 128.
 MAX_BUDGET = 1e15
 
 
@@ -190,12 +191,7 @@ def to_shares(
         if p <= 0:
             raise InputError(f"non-positive price for {t!r}")
         exact = w * budget / p
-        count = int(math.floor(exact + 1e-9))
-        # the tolerance, or rounding past 2**52 shares, can put the spend over the budget: drop
-        # the excess in whole shares, and at least one float spacing of count so count * p moves
-        while count and spend + count * p > budget:
-            excess = math.ceil((spend + count * p - budget) / p)
-            count = max(count - max(excess, count >> 52, 1), 0)
+        count = _within(int(math.floor(exact + 1e-9)), p, spend, budget)
         shares[t] = count
         spend += count * p
         remainders.append((exact - count, pos, t, p))
@@ -205,6 +201,18 @@ def to_shares(
             shares[t] += 1
             cash -= p
     return Holdings(shares, cash, as_of)
+
+
+def _within(count: int, p: float, spend: float, budget: float) -> int:
+    """The most of ``count`` shares at close p that keep spend + count * p, in float, within the budget.
+
+    A floor's tolerance, or rounding past 2**52 shares, can put the spend over the budget: the excess
+    goes in whole shares, and at least one float spacing of count so count * p moves.
+    """
+    while count and spend + count * p > budget:
+        excess = math.ceil((spend + count * p - budget) / p)
+        count = max(count - max(excess, count >> 52, 1), 0)
+    return count
 
 
 def portfolio_value(h: Holdings, prices_at: Mapping[str, float]) -> float:
@@ -277,34 +285,57 @@ def _relaxed_dollars(stats: AssetStats, q: float, budget: float) -> np.ndarray:
     return budget * z
 
 
-def _descend(starts, prices, stats, q, budget, uppers) -> np.ndarray:
-    """Best-improvement share descent on q y'Sigma y - mu'y, y = prices * counts, within [0, uppers].
+def _spend(counts, prices):
+    """What Holdings is charged for share counts, one row or each row of a 2-D array: count x close in ticker order."""
+    return sum(col * p for col, p in zip(np.asarray(counts).T, prices))
+
+
+def _descend(starts, prices, stats, q, budget) -> np.ndarray:
+    """Best-improvement share descent on q y'Sigma y - mu'y, y = prices * counts, over counts that ``budget`` buys.
 
     ``starts`` is an (m, n) array of counts; every row descends on its own
     and the (m, n) result is returned. The moves are each one-count step
     ``(d,)`` of SHARE_STEPS at every i, then each two-count step
     ``(d_i, d_j)`` at every i and j != i. A round scores them all from the
     gradient 2q Sigma y - mu plus each move's fixed curvature, masks those
-    that leave [0, uppers] or overspend ``budget``, and each row still
-    moving takes its first best while it lowers the objective by more than
-    1e-12. This is the classical clean-up of hybrid solvers: the penalty
-    ridges the sampler fails to cross are exactly these moves.
+    that leave a count below zero or whose counts cost more than
+    ``budget``, as Holdings charges them (:func:`_spend`, cash down to
+    -1e-9), and each row still moving takes its first best while it lowers
+    the objective by more than 1e-12. This is the classical clean-up of
+    hybrid solvers: the penalty ridges the sampler fails to cross are
+    exactly these moves.
+
+    The mask reads a spend estimate, the row's dot product plus the move's
+    change, which differs from :func:`_spend` by less than (n + 8) * 2**-52
+    times the row's spend plus the largest change magnitude (both sums'
+    rounding bounds), so only the moves whose estimate lies that close to
+    the budget are charged exactly.
     """
     counts = np.array(starts, dtype=np.int64, ndmin=2)
     p = np.asarray(prices, dtype=float)
-    uppers = np.asarray(uppers)
-    I, DI, J, DJ = _moves(counts.shape[1])
+    n = counts.shape[1]
+    I, DI, J, DJ = _moves(n)
     dy_i, dy_j = DI * p[I], DJ * p[J]
     dspend = dy_i + dy_j
+    rounding = (n + 8) * 2.0**-52
+    span = float(np.max(np.abs(dy_i) + np.abs(dy_j)))
     sig = stats.sigma
     curv = q * (dy_i**2 * sig[I, I] + 2.0 * dy_i * dy_j * sig[I, J] + dy_j**2 * sig[J, J])
     rows = np.arange(len(counts))
     while rows.size:
         c = counts[rows]
         g = 2.0 * q * (sig @ (p * c).T).T - stats.mu
-        ci, cj = c[:, I] + DI, c[:, J] + DJ
-        ok = (ci >= 0) & (ci <= uppers[I]) & (cj >= 0) & (cj <= uppers[J])
-        ok &= (c @ p)[:, None] + dspend <= budget + 1e-9
+        spent = (c @ p)[:, None]
+        estimate = spent + dspend
+        slack = rounding * (spent + span)
+        ok = (c[:, I] + DI >= 0) & (c[:, J] + DJ >= 0) & (estimate <= budget + 2e-9 + slack)
+        near = np.flatnonzero(ok & (estimate > budget - slack))
+        if near.size:
+            at, move = np.divmod(near, len(I))
+            moved = c[at]
+            moved[np.arange(len(at)), I[move]] += DI[move]
+            moved[np.arange(len(at)), J[move]] += DJ[move]
+            ok.reshape(-1)[near] = budget - _spend(moved, p) >= -1e-9
         delta = np.where(ok, g[:, I] * dy_i + g[:, J] * dy_j + curv, np.inf)
         best = np.argmin(delta, axis=1)
         moving = delta[np.arange(len(rows)), best] < -1e-12
@@ -374,15 +405,16 @@ def optimize_integer_shares(
     """Optimize whole-share counts directly under the budget inequality.
 
     The continuous optimum of the same objective under the budget
-    (``_relaxed_dollars``), floored to whole shares, fits the budget and
-    centres the model: each count is encoded in a band of BAND_HALF_WIDTH
-    shares either side of it, and the budget those bands leave is lowered
-    into an equality penalty on the spend, with no slack bits. The
-    annealer samples that model once on ``cfg.sampler``. Every sampled
-    state whose counts the budget buys, in sample order, and then the
-    floored relaxation go through :func:`_best_descent` by :func:`_descend`
-    over the full [0, floor(budget / p)] range, so a descent may leave the
-    band.
+    (``_relaxed_dollars``), floored to whole shares (less any shares whose
+    rounded cost would overspend, as in :func:`to_shares`), fits the budget
+    and centres the model: each count is encoded in a band of
+    BAND_HALF_WIDTH shares either side of it, and the budget those bands
+    leave is lowered into an equality penalty on the spend, with no slack
+    bits. The annealer samples that model once on ``cfg.sampler``. Every
+    sampled state whose counts the budget buys, in sample order, and then
+    the floored relaxation go through :func:`_best_descent` by
+    :func:`_descend` over every count the budget buys, so a descent may
+    leave the band.
     """
     missing = [t for t in stats.tickers if t not in prices_at]
     if missing:
@@ -393,8 +425,10 @@ def optimize_integer_shares(
     # one dimensionless risk knob.
     q_dollar = cfg.q / cfg.budget
     uppers = affordable_shares(price_vec, cfg.budget).tolist()
-    relaxed = _relaxed_dollars(stats, q_dollar, cfg.budget)
-    floored = [min(int(y // p), u) for y, p, u in zip(relaxed, price_vec, uppers)]
+    floored, spend = [], 0.0
+    for y, p, u in zip(_relaxed_dollars(stats, q_dollar, cfg.budget), price_vec, uppers):
+        floored.append(_within(min(int(y // p), u), p, spend, cfg.budget))  # charged in ticker order
+        spend += floored[-1] * p
     cm = build_mpt_model(
         stats,
         price_vec,
@@ -413,16 +447,25 @@ def optimize_integer_shares(
 
     budget_con = cm.constraints[0]
     lam = _share_penalty(cm.objective, budget_con.coeffs)
+    # The penalized model's coefficients are at most the objective's plus 2 lam c (c + |rest|), c the largest
+    # spend coefficient, and its offset is lam rest^2. The anneal starts at max|coef| x bits, its thresholds
+    # reach 37 (-log 2**-53) times that and its energies offset + bits x start: refuse q, as buy does, when
+    # any of them would overflow.
+    c, rest, bits = float(np.max(budget_con.coeffs)), abs(budget_con.rhs), cm.total_bits
+    start = bits * (cm.objective.max_coefficient() + 2.0 * lam * c * (c + rest))
+    if not (math.isfinite(2.0**6 * start) and math.isfinite(lam * rest * rest + bits * start)):
+        raise _q_overflow(cfg)
     spend_rest = LinearConstraint(budget_con.coeffs, "eq", budget_con.rhs)
     s = simulated_anneal(penalize_equality(cm.objective, spend_rest, lam), cfg.sampler, cfg.seed)
     sampled = cm.decode_integers(s.states)
-    spend = sum(col * p for col, p in zip(sampled.T, price_vec))  # added in ticker order, as Holdings is charged
-    starts = np.vstack([sampled[spend <= cfg.budget], floored])
-    descend = partial(_descend, prices=price_vec, stats=stats, q=q_dollar, budget=cfg.budget, uppers=uppers)
+    starts = np.vstack([sampled[_spend(sampled, price_vec) <= cfg.budget], floored])
+    descend = partial(_descend, prices=price_vec, stats=stats, q=q_dollar, budget=cfg.budget)
     best = _best_descent(starts, descend, price_vec, stats, q_dollar)
-    shares = {t: int(c) for t, c in zip(stats.tickers, best)}
-    spend = sum(shares[t] * p for t, p in zip(stats.tickers, price_vec))
-    return Holdings(shares, cfg.budget - spend, as_of)
+    return Holdings(dict(zip(stats.tickers, best.tolist())), cfg.budget - _spend(best, price_vec), as_of)
+
+
+def _q_overflow(cfg: PipelineConfig) -> InputError:
+    return InputError(f"q={cfg.q:g} overflows the {cfg.strategy} objective at these returns and budget; lower q")
 
 
 def buy(
@@ -450,10 +493,20 @@ def buy(
     largest objective term q Sigma_ij y_i y_j (q max|Sigma| on 0/1 selection
     rows, q max|Sigma| budget on fully_quantum's dollars at q / budget), is
     not finite: the margin leaves room for the solvers' sums and thresholds.
+    fully_quantum screens its penalized share model the same way once it is
+    sized (:func:`optimize_integer_shares`). ``hybrid`` also refuses a
+    ``cfg.risk_free_rate`` 1 / ZERO_WEIGHT or more below every expected
+    return: the max-Sharpe solution y* = w / (mu - r)'w would then hold no
+    entry above ZERO_WEIGHT, and past about -1e150 its sums overflow.
     """
     term = float(np.max(np.abs(stats.sigma))) * (cfg.budget if cfg.strategy == "fully_quantum" else 1.0)
     if not math.isfinite(cfg.q * max(term * 2.0**10, 2.0)):
-        raise InputError(f"q={cfg.q:g} overflows the {cfg.strategy} objective at these returns and budget; lower q")
+        raise _q_overflow(cfg)
+    if cfg.strategy == "hybrid" and not cfg.risk_free_rate > float(np.min(stats.mu)) - 1.0 / ZERO_WEIGHT:
+        raise InputError(
+            f"risk_free_rate={cfg.risk_free_rate:g} is {1.0 / ZERO_WEIGHT:g} or more below every expected return, "
+            "where no max-Sharpe weight clears the zero-weight threshold; raise risk_free_rate"
+        )
     opening = k is None
     if opening and cfg.strategy == "hybrid":
         if cfg.cardinality == "auto":

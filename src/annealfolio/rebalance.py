@@ -6,8 +6,12 @@ returns or elevated volatility are sold at the close, and the proceeds
 (pooled with residual cash) are reinvested in same-sector replacements.
 Both purchases are :func:`pipeline.buy`: the opening one raises
 SolverError when it buys nothing, as ``run_pipeline`` does; a repurchase
-asks it for as many names as were sold, and one that buys nothing or
-fails in the solver leaves the proceeds in cash with a note on the event.
+asks it for as many names as were sold, and one that buys nothing, fails
+in the solver or would spend more than ``pipeline.MAX_BUDGET`` leaves the
+proceeds in cash with a note on the event. Each purchase screens q and,
+for hybrid, ``risk_free_rate`` against the statistics it is given, as
+``buy`` documents, and a refusal raises InputError at the opening or at
+a review alike.
 A buy-and-hold benchmark runs alongside for comparison.
 
 Estimation windows: every purchase, the opening one and each repurchase,
@@ -40,7 +44,7 @@ from .marketdata import (
     compute_returns,
     estimate_stats,
 )
-from .pipeline import Holdings, PipelineConfig, buy, portfolio_value, to_shares
+from .pipeline import MAX_BUDGET, Holdings, PipelineConfig, buy, portfolio_value, to_shares
 
 # Unused here; perfbench/tracer.py requires these names at this import site.
 from .allocator import max_sharpe_weights
@@ -301,9 +305,12 @@ def rebalance_step(
     candidates come from the sold names' sectors, excluding sold and
     currently held tickers; if that universe cannot supply N = |flagged|
     names it widens to all sectors, and if still too thin the step holds
-    cash and records a degenerate event. Repurchase failures inside the
-    optimizer likewise degrade to holding cash rather than aborting, and a
-    repurchase whose optimum buys nothing is noted the same way.
+    cash and records a degenerate event. A pooled budget above
+    ``pipeline.MAX_BUDGET``, the most a purchase accepts, is held as cash
+    the same way, so the ledger stays exact: proceeds plus prior cash equal
+    ``cash_after``. Repurchase failures inside the optimizer likewise
+    degrade to holding cash rather than aborting, and a repurchase whose
+    optimum buys nothing is noted the same way.
     """
     flagged = sorted(set(flagged))
     held = holdings.held_tickers()
@@ -334,6 +341,8 @@ def rebalance_step(
     bought_holdings = Holdings({}, new_budget, as_of)
     if len(candidates) < len(flagged):
         notes.append("degenerate: not enough candidates, holding cash")
+    elif new_budget > MAX_BUDGET:
+        notes.append(f"degenerate: pooled budget {new_budget} above the {MAX_BUDGET:g} budget cap, holding cash")
     else:
         try:
             bought_holdings, _ = buy(

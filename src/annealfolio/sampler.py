@@ -22,7 +22,7 @@ each restart's stream (:class:`_RestartStreams`).
 Restarts run in lockstep in both move sets, so a step is a handful of
 numpy calls whose cost grows far slower than their number; the selection
 spends its budget on many short restarts. The swap steps are
-elementwise per restart (:func:`_swap_walk`). What follows is the flip
+elementwise per restart (:func:`_swap_restart_bests`). What follows is the flip
 anneal's.
 
 Each restart's uniforms come from one call that covers its initial state
@@ -112,9 +112,7 @@ class AnnealSchedule:
         return max(scale, 10.0 * self.t_final)
 
     def temperatures(self, t0: float) -> np.ndarray:
-        if self.sweeps == 1:
-            return np.array([t0])
-        frac = np.arange(self.sweeps) / (self.sweeps - 1)
+        frac = np.arange(self.sweeps) / max(self.sweeps - 1, 1)
         return t0 * (self.t_final / t0) ** frac
 
 
@@ -391,7 +389,7 @@ def simulated_anneal(
     t_final; a move with energy change d is accepted when d <= 0,
     otherwise with probability exp(-d / T). A QUBO sweep tries one flip
     per variable; a k-subset sweep proposes one swap of a held name for a
-    free one (:func:`_swap_walk`), so every state holds k names. Ising
+    free one (:func:`_swap_restart_bests`), so every state holds k names. Ising
     inputs are converted to the exact QUBO twin first, so reported
     energies match the source model; states are 0/1 rows x, spins s = 2x - 1.
     The sample set holds each restart's best state, its energy re-evaluated
@@ -401,14 +399,13 @@ def simulated_anneal(
     bit for bit.
     """
     if isinstance(m, KSubsetModel):
-        held = _swap_restart_bests(m, schedule, seed)
-        X = np.zeros((len(held), m.n), dtype=np.uint8)
-        np.put_along_axis(X, held, 1, axis=1)
-        return _merge_samples(X, _subset_energies(m, held), seed)
-    qm = ising_to_qubo(m) if isinstance(m, IsingModel) else m
-    if qm.n < 1:
-        raise InputError("model must have at least one variable")
-    return _merge_samples(*_restart_bests(qm, schedule, seed), seed)
+        kernel = _swap_restart_bests
+    else:
+        m = ising_to_qubo(m) if isinstance(m, IsingModel) else m
+        if m.n < 1:
+            raise InputError("model must have at least one variable")
+        kernel = _restart_bests
+    return _merge_samples(*kernel(m, schedule, seed), seed)
 
 
 def swap_curvature(sigma: np.ndarray, q: float) -> np.ndarray:
@@ -424,18 +421,19 @@ def _subset_energies(m: KSubsetModel, held: np.ndarray) -> np.ndarray:
     return (m.q * np.take_along_axis(field, held, 1) - m.mu[held]).sum(axis=1)
 
 
-def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
-    """Every step of the k-subset anneal's restarts, in lockstep, on ``schedule``.
+def _swap_restart_bests(m: KSubsetModel, schedule: AnnealSchedule, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best state per restart of the k-subset anneal, an (R, n) uint8 array in restart order, and its energy.
 
-    Yields (held, E) at the start and after each step: held is the (R, k)
-    array of each restart's held names and E its objective, both updated
-    in place. Each restart also keeps its free names, so a swap of held
-    slot a for free slot b exchanges two entries and the count stays k. A
-    step proposes, in every restart, swapping a uniform random held name i
-    for a uniform random free name j, scores it as (g_j - g_i) +
-    q((Sigma_ii - 2 Sigma_ij) + Sigma_jj) with g = 2q Sigma x - mu, and
-    accepts when that is below -T log(u). Only the restarts that accept
-    update g, by 2q(Sigma_j - Sigma_i).
+    Restarts run in lockstep, each keeping its held names (an (R, k) array)
+    and its free names, so a swap of held slot a for free slot b exchanges
+    two entries and the count stays k. A step proposes, in every restart,
+    swapping a uniform random held name i for a uniform random free name j,
+    scores it as (g_j - g_i) + q((Sigma_ii - 2 Sigma_ij) + Sigma_jj) with
+    g = 2q Sigma x - mu, and accepts when that is below -T log(u). Only the
+    restarts that accept update g, by 2q(Sigma_j - Sigma_i), and their
+    running objective E; those whose E falls below their best keep the
+    held set, so each best is the first lowest-E set visited. Its energy is
+    re-evaluated exactly at the end.
 
     Restart r's uniforms come from its own ``PCG64(seed).jumped(r)``
     stream: n for the start (its k smallest name the held set), then
@@ -444,8 +442,8 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
     many steps as fit _DRAW_VALUES uniforms over all restarts; a longer
     anneal draws again, continuing the same streams. A draw holds at most
     8 * max(_DRAW_VALUES, R * (n + 3)) bytes. Every update is elementwise
-    per restart, so no result depends on the BLAS, on the thread count or
-    on how many other restarts run.
+    per restart, so restart r's row depends only on the model, the
+    schedule, ``seed`` and r.
     """
     mu, sigma, q, k, n = m.mu, m.sigma, m.q, m.k, m.n
     curv = swap_curvature(sigma, q)
@@ -454,6 +452,7 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
     streams = _RestartStreams(seed)
     block = min(S, max((_DRAW_VALUES // R - n) // 3, 1))
     rows = np.arange(R)
+    improved = np.empty(R, dtype=bool)
     # held, free and G are indexed through flat views: restart r's slot a of held is held_at[r * k + a]
     row_n = rows * n
     for b0 in range(0, S, block):
@@ -467,7 +466,7 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
             G = 2.0 * q * sigma[held].sum(axis=1) - mu  # 2q Sigma x - mu, adding the held rows in slot order
             G_at = G.reshape(-1)
             E = _subset_energies(m, held)
-            yield held, E
+            best_held, best_E = held.copy(), E.copy()
         steps = u[:, u.shape[1] - 3 * nb :].reshape(R, nb, 3).transpose(2, 1, 0)
         outs = (steps[0] * k).astype(np.intp) + rows * k  # (nb, R) flat slots of held
         intos = (steps[1] * (n - k)).astype(np.intp) + rows * (n - k)
@@ -484,23 +483,12 @@ def _swap_walk(m: KSubsetModel, schedule: AnnealSchedule, seed: int):
                 dG *= 2.0 * q
                 G[acc] = dG + G.take(acc, 0)  # G + 2q(Sigma_j - Sigma_i), bit for bit
                 E[acc] += delta[acc]
-            yield held, E
-
-
-def _swap_restart_bests(m: KSubsetModel, schedule: AnnealSchedule, seed: int) -> np.ndarray:
-    """Each restart's first lowest-E visited held set, an (R, k) array in restart order.
-
-    Restart r's row depends only on the model, the schedule, ``seed`` and r.
-    """
-    walk = _swap_walk(m, schedule, seed)
-    held, E = next(walk)
-    best_held, best_E = held.copy(), E.copy()
-    improved = np.empty(len(E), dtype=bool)
-    for held, E in walk:
-        if np.count_nonzero(np.less(E, best_E, improved)):
-            np.copyto(best_E, E, where=improved)
-            np.copyto(best_held, held, where=improved[:, None])
-    return best_held
+                if np.count_nonzero(np.less(E, best_E, improved)):
+                    np.copyto(best_E, E, where=improved)
+                    np.copyto(best_held, held, where=improved[:, None])
+    X = np.zeros((R, n), dtype=np.uint8)
+    np.put_along_axis(X, best_held, 1, axis=1)
+    return X, _subset_energies(m, best_held)
 
 
 def best_feasible(

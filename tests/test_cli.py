@@ -21,6 +21,7 @@ from annealfolio.data import (
 from annealfolio import pipeline, synthetic
 from annealfolio.marketdata import PriceMatrix, _grid, _read_csv, compute_returns, estimate_stats, load_prices
 from annealfolio.sampler import simulated_anneal
+from conftest import grw_matrix
 
 
 def run(argv):
@@ -333,6 +334,25 @@ class TestOptimizeCommand:
                 assert result["shares"] and result["cash"] >= 0
                 assert sum(n * last[t] for t, n in result["shares"].items()) <= 1e6
 
+    @pytest.mark.parametrize("budget", [2e14, 5e14, 9e14, 1e15])
+    def test_fully_quantum_fits_the_ledger_up_to_the_budget_cap(self, tmp_path, out_dir, capsys, budget):
+        # closes near 0.2 and 0.013 buy over 2**53 shares, where count x close rounds to a float
+        # spacing of 0.03 to 0.125: the descent's dot-product spend estimate and the floored
+        # relaxation both used to overspend what Holdings charges and exit 2 on negative cash
+        matrix = grw_matrix([("A", 0.16, 0.004, 0.02), ("B", 0.011, 0.004, 0.02)], n_days=60, seed=1)
+        prices = tmp_path / "prices.csv"
+        rows = [f"{d},{t},{c:.4f}" for d, row in zip(matrix.dates, matrix.values) for t, c in zip(matrix.tickers, row)]
+        prices.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        last = load_prices(prices).prices_at(matrix.dates[-1])
+        argv = ["optimize", "--seed", 1, "--prices", prices, "--strategy", "fully_quantum", "--budget", budget]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads((out_dir / "optimize_result.json").read_text())
+        spend = sum(result["shares"][t] * last[t] for t in sorted(result["shares"]))
+        assert result["shares"] and result["cash"] >= 0 and spend <= budget
+
     @pytest.mark.parametrize("strategy, q, code, message", [
         ("hybrid", 1e308, 2, "error: q=1e+308 overflows the hybrid objective at these returns and budget; lower q"),
         ("fully_quantum", 1e305, 2,
@@ -349,6 +369,18 @@ class TestOptimizeCommand:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == code
         assert capsys.readouterr().err.splitlines() == ([message] if message else [])
+
+    @pytest.mark.parametrize("rate", [-1e200, -1e20, -1e10])
+    def test_far_negative_risk_free_rate_exit_2(self, tmp_path, out_dir, capsys, rate):
+        # hybrid's max-Sharpe y* = w / (mu - r)'w held no entry above ZERO_WEIGHT at -1e10 and -1e20
+        # (exit 1, "degenerate solution"), and at -1e200 its sums overflowed (a RuntimeWarning)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "risk_free_rate": rate}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["optimize", "--config", cfg, "--out-dir", out_dir]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: risk_free_rate={rate:g} is 1e+06 or more below every expected return")
 
     @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
     def test_budget_below_every_close_says_so(self, strategy, out_dir, capsys):
@@ -434,6 +466,30 @@ class TestBacktestCommand:
                 assert shares.pop(t) == v["shares"]
             for t, v in e["bought"].items():
                 shares[t] = shares.get(t, 0) + v["shares"]
+            cash = e["cash_after"]
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "fully_quantum"])
+    def test_pooled_budget_above_the_cap_holds_cash(self, tmp_path, out_dir, capsys, strategy):
+        # the gen-data market of seed 4 gains enough over 1000 days that reviews pool more than
+        # the 1e15 budget cap; they used to exit 2 on the config check of the repurchase budget
+        data = tmp_path / "data"
+        assert run(["gen-data", "--seed", 4, "--days", 1000, "--out-dir", data]) == 0
+        argv = ["backtest", "--seed", 1, "--budget", 1e15, "--benchmark", "TECH1", "--strategy", strategy,
+                "--prices", data / "synthetic_prices.csv", "--sectors", data / "synthetic_sectors.csv"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out_dir / "backtest_report.json").read_text())
+        held = [e for e in report["events"] if "above the 1e+15 budget cap, holding cash" in e["note"]]
+        assert held and all(e["new_budget"] > 1e15 and not e["bought"] for e in held)
+        cash = report["initial"]["cash"]
+        for e in report["events"]:
+            proceeds = sum(v["proceeds"] for v in e["sold"].values())
+            cost = sum(v["cost"] for v in e["bought"].values())
+            assert e["new_budget"] == proceeds + cash
+            assert e["cash_after"] == (e["new_budget"] if e in held else pytest.approx(e["new_budget"] - cost, abs=1.0))
             cash = e["cash_after"]
 
     def test_lookback_beyond_first_review_exit_2(self, tmp_path, out_dir, capsys):

@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import itertools
+import re
+import warnings
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealfolio import pipeline, sampler
+from annealfolio import pipeline
 from annealfolio.allocator import WeightVector
 from annealfolio.errors import InputError, SolverError
 from annealfolio.marketdata import AssetStats
@@ -588,20 +590,24 @@ def descended_candidates(prices_at, stats, cfg):
         if con.coeffs @ bits <= con.rhs + 1e-6
     ]
     starts.append(floored)
-    return [_descend(c, p, stats, q, cfg.budget, uppers)[0] for c in starts]
+    return [_descend(c, p, stats, q, cfg.budget)[0] for c in starts]
 
 
 # Selection's moves in the form of SHARE_STEPS: one name out, another in.
 SWAP_STEPS = ((-1, 1),)
 
 
-def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_rounds=300):
+def reference_descent(counts, prices, stats, q, budget, steps, uppers=None, max_rounds=300):
     """Reference for ``_descend`` (``steps`` SHARE_STEPS) and ``_swap_descent`` (SWAP_STEPS at
     prices and uppers of one and a budget of k): the same moves in the same order, each scored
     move by move.
 
-    Every candidate is scored by a full objective evaluation; the first
-    best wins, and a move must lower the objective by more than 1e-12.
+    A move is admitted when every count stays at least 0 (and at most its
+    upper, if given) and the ledger takes the result: the budget less the
+    counts x closes, added in ticker order, is at least -1e-9, as Holdings
+    is charged. Every candidate is scored by a full objective evaluation;
+    the first best wins, and a move must lower the objective by more than
+    1e-12.
     """
     counts = list(counts)
     n = len(counts)
@@ -616,23 +622,18 @@ def reference_descent(counts, prices, stats, q, budget, uppers, steps, max_round
         if len(s) == 2
     ]
     for _ in range(max_rounds):
-        spend = float(np.dot(counts, prices))
         best = None
         for move in moves:
-            delta_spend = 0.0
-            ok = True
-            for i, d in move:
-                if not 0 <= counts[i] + d <= uppers[i]:
-                    ok = False
-                    break
-                delta_spend += d * prices[i]
-            if not ok or spend + delta_spend > budget + 1e-9:
+            if any(counts[i] + d < 0 or uppers and counts[i] + d > uppers[i] for i, d in move):
                 continue
             for i, d in move:
                 counts[i] += d
             val = _dollar_objective(counts, prices, stats, q)
+            spend = sum(c * p for c, p in zip(counts, prices))
             for i, d in move:
                 counts[i] -= d
+            if budget - spend < -1e-9:
+                continue
             if val < current - 1e-12 and (best is None or val < best[0]):
                 best = (val, move)
         if best is None:
@@ -663,10 +664,10 @@ class TestDescend:
             start = [int(wi * budget // pi) for wi, pi in zip(w, p)]
             # random rows may overspend; the descent only takes moves that fit
             starts = with_extra_rows(start, uppers, np.random.default_rng([2024, trial]))
-            got = _descend(starts, p, stats, q, budget, uppers)
+            got = _descend(starts, p, stats, q, budget)
             assert got.shape == starts.shape
             for row, first in zip(got, starts):
-                expected = reference_descent(first, p, stats, q, budget, uppers, SHARE_STEPS)
+                expected = reference_descent(first, p, stats, q, budget, SHARE_STEPS)
                 assert row.tolist() == expected
 
     def test_swap_steps_match_reference(self):
@@ -685,7 +686,7 @@ class TestDescend:
             got = _swap_descent(starts, stats, q)
             assert got.shape == starts.shape
             for row, first in zip(got, starts):
-                expected = reference_descent(first, ones, stats, q, float(k), uppers, SWAP_STEPS)
+                expected = reference_descent(first, ones, stats, q, float(k), SWAP_STEPS, uppers)
                 assert row.tolist() == expected and sum(expected) == k
 
     @pytest.mark.parametrize("n", range(12, 21))
@@ -699,7 +700,7 @@ class TestDescend:
         got = _swap_descent(starts, stats, q)
         ones, uppers = [1.0] * n, [1] * n
         for row, first in zip(got, starts):
-            assert row.tolist() == reference_descent(first, ones, stats, q, float(k), uppers, SWAP_STEPS)
+            assert row.tolist() == reference_descent(first, ones, stats, q, float(k), SWAP_STEPS, uppers)
 
     @pytest.mark.parametrize(
         "mu, start, expected",
@@ -717,15 +718,14 @@ class TestDescend:
         stats = make_stats(mu, np.diag([0.25] * len(mu)))
         assert _swap_descent(start, stats, 1.0).tolist() == [expected]
         ones = [1.0] * len(mu)
-        assert reference_descent(start, ones, stats, 1.0, sum(start), [1] * len(mu), SWAP_STEPS) == expected
+        assert reference_descent(start, ones, stats, 1.0, sum(start), SWAP_STEPS, [1] * len(mu)) == expected
 
     def test_one_row_matches_batch_of_one(self):
         stats, prices, budget = random_share_instance(np.random.default_rng(5), 4)
         p = [prices[t] for t in stats.tickers]
-        uppers = affordable_shares(p, budget).tolist()
-        one = _descend([0, 0, 0, 0], p, stats, 1.0 / budget, budget, uppers)
+        one = _descend([0, 0, 0, 0], p, stats, 1.0 / budget, budget)
         assert one.shape == (1, 4)
-        batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget, uppers)
+        batch = _descend([[0, 0, 0, 0]] * 3, p, stats, 1.0 / budget, budget)
         assert (batch == one).all()
 
 
@@ -736,7 +736,7 @@ class TestBestDescent:
         stats = make_stats([0.1, 0.1], np.diag([0.04, 0.04]))
         p = [10.0, 10.0]
         for starts in ([[1, 0], [0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0], [0, 1]]):
-            got = _best_descent(starts, lambda rows: _descend(rows, p, stats, 1e-3, 10.0, [1, 1]), p, stats, 1e-3)
+            got = _best_descent(starts, lambda rows: _descend(rows, p, stats, 1e-3, 10.0), p, stats, 1e-3)
             assert got.tolist() == starts[0]
 
     def test_scores_each_distinct_row_once_and_matches_scoring_every_row(self, monkeypatch):
@@ -755,14 +755,14 @@ class TestBestDescent:
             uppers = affordable_shares(p, budget).tolist()
             starts = [[int(rng.integers(0, u + 1)) for u in uppers] for _ in range(4)]
             starts = [starts[i] for i in rng.integers(0, 4, 12)]  # rows repeat
-            rows = _descend(starts, p, stats, q, budget, uppers)
+            rows = _descend(starts, p, stats, q, budget)
             best, best_obj = None, np.inf
             for row in rows:  # the first best over every row, repeats included
                 obj = _dollar_objective(row, p, stats, q)
                 if obj < best_obj - 1e-12:
                     best, best_obj = row, obj
             scored.clear()
-            got = _best_descent(starts, lambda c: _descend(c, p, stats, q, budget, uppers), p, stats, q)
+            got = _best_descent(starts, lambda c: _descend(c, p, stats, q, budget), p, stats, q)
             assert got.tolist() == best.tolist()
             assert scored == list(dict.fromkeys(map(tuple, rows.tolist())))
 
@@ -833,6 +833,15 @@ class TestIntegerShareCandidates:
         optimize_integer_shares(prices, stats, cfg_for(budget, "fully_quantum"))
         assert calls == [FAST]
 
+    @pytest.mark.parametrize("close", [0.0206, 0.0327])
+    def test_floored_relaxation_fits_the_ledger(self, close):
+        # 1e15 buys over 3e16 shares here, where floor(budget / p) x p rounds above the budget:
+        # the floored relaxation used to fail the share band's lower-bound cost check (0.0206)
+        # or win the descent and overspend by 0.125 (0.0327)
+        stats = make_stats([0.1], [[0.04]])
+        h = optimize_integer_shares({"T0": close}, stats, PipelineConfig(budget=1e15, seed=1, strategy="fully_quantum"))
+        assert h.shares["T0"] > 3e16 and 1e15 - h.shares["T0"] * close >= 0.0
+
     def test_relaxation_stands_in_when_no_sample_fits(self, monkeypatch):
         # a negligible budget penalty lets every sample overspend
         monkeypatch.setattr(pipeline, "_share_penalty", lambda m, dollar_coeffs: 1e-12)
@@ -840,6 +849,26 @@ class TestIntegerShareCandidates:
         h = optimize_integer_shares({"T0": 30.0, "T1": 40.0}, stats, cfg_for(100.0, "fully_quantum"))
         assert h.shares == {"T0": 3}
         assert h.cash == pytest.approx(10.0)
+
+
+class TestPenalizedModelScreen:
+    # q within a factor 1e3 of buy's screen at budget 1e4: the spend penalty lam (coeffs . b - rest)^2
+    # grows past the objective, and each market overflowed in a different place: the model's offset
+    # ("offset must be finite", naming no q), its coupling products, or the anneal's start as the
+    # schedule's temperatures or its Metropolis thresholds (RuntimeWarnings)
+    @pytest.mark.parametrize("closes, seed, q", [
+        ((110.0, 3.77, 0.269, 0.0186), 0, 1.64e302),
+        ((0.137, 300.0, 230.0, 0.0124), 7, 1.68e302),
+        ((1.5, 743.0, 308.0, 166.0), 3, 1.17e302),
+        ((1.5, 743.0, 308.0, 166.0), 3, 3.55e301),
+    ], ids=["offset", "couplings", "temperatures", "thresholds"])
+    def test_overflowing_penalty_names_q(self, closes, seed, q):
+        prices = grw_matrix([(f"T{i}", c, 0.005, 0.02) for i, c in enumerate(closes)], n_days=40, seed=seed)
+        cfg = PipelineConfig(budget=1e4, seed=1, strategy="fully_quantum", q=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(f"q={q:g} overflows the fully_quantum objective")):
+                run_pipeline(prices, cfg)
 
 
 def selection_stats(n=5):
@@ -897,14 +926,14 @@ class TestSweepResolution:
     def test_selection_start_floored_at_ten_final_temperatures(self):
         stats = selection_stats()
         assert float(np.ptp(stats.mu) + swap_curvature(stats.sigma, 1.0).max()) < 10.0
+        m = KSubsetModel(stats.mu, stats.sigma, 1.0, 2)
 
-        def path(schedule):
-            walk = sampler._swap_walk(KSubsetModel(stats.mu, stats.sigma, 1.0, 2), schedule, 3)
-            return [(h.tolist(), e.tolist()) for h, e in walk]
+        def temperatures(schedule):
+            return schedule.temperatures(schedule.resolve_t_initial(m)).tobytes()
 
-        floored = path(AnnealSchedule(t_final=1.0, sweeps=200, restarts=8))
-        assert floored == path(AnnealSchedule(t_initial=10.0, t_final=1.0, sweeps=200, restarts=8))
-        assert floored != path(AnnealSchedule(t_initial=10.5, t_final=1.0, sweeps=200, restarts=8))
+        floored = temperatures(AnnealSchedule(t_final=1.0, sweeps=200, restarts=8))
+        assert floored == temperatures(AnnealSchedule(t_initial=10.0, t_final=1.0, sweeps=200, restarts=8))
+        assert floored != temperatures(AnnealSchedule(t_initial=10.5, t_final=1.0, sweeps=200, restarts=8))
 
 
 class TestRunPipeline:
